@@ -34,18 +34,12 @@ int main(int argc, char** argv) {
   std::uint32_t warmup = 10;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg.rfind("--k=", 0) == 0)
-      scale.k = static_cast<std::uint32_t>(std::stoul(arg.substr(4)));
-    else if (arg.rfind("--trials=", 0) == 0)
-      scale.trials = static_cast<std::uint32_t>(std::stoul(arg.substr(9)));
-    else if (arg.rfind("--seed=", 0) == 0)
-      scale.seed = std::stoull(arg.substr(7));
-    else if (arg.rfind("--threads=", 0) == 0)
-      scale.threads = static_cast<unsigned>(std::stoul(arg.substr(10)));
-    else if (arg.rfind("--objects=", 0) == 0)
-      objects = static_cast<std::uint32_t>(std::stoul(arg.substr(10)));
-    else if (arg.rfind("--warmup=", 0) == 0)
-      warmup = static_cast<std::uint32_t>(std::stoul(arg.substr(9)));
+    bench::parse_uint_flag(arg, "--k", scale.k) ||
+        bench::parse_uint_flag(arg, "--trials", scale.trials) ||
+        bench::parse_uint_flag(arg, "--seed", scale.seed) ||
+        bench::parse_uint_flag(arg, "--threads", scale.threads) ||
+        bench::parse_uint_flag(arg, "--objects", objects) ||
+        bench::parse_uint_flag(arg, "--warmup", warmup);
   }
 
   bench::print_banner(

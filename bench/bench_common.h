@@ -11,13 +11,16 @@
 //   --ledger=<file>   append a kind="bench" provenance record to the
 //                     JSONL run ledger (obs/ledger.h) on completion;
 //                     FECSCHED_LEDGER is the flagless equivalent
-// or the environment variable FECSCHED_PAPER=1 for paper scale.
+// or the environment variable FECSCHED_PAPER=1 for paper scale.  A
+// numeric value must be a whole unsigned decimal that fits its field;
+// anything else exits 2 naming the flag.
 // The default scale (k = 4000, 30 trials) keeps every bench in the
 // seconds range while preserving every qualitative shape; the top-level
 // EXPERIMENTS.md records results at both scales.
 
 #pragma once
 
+#include <charconv>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
@@ -25,7 +28,9 @@
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
+#include <limits>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -53,18 +58,43 @@ struct Scale {
   std::string ledger;  ///< JSONL run-ledger path; "" = no provenance record
 };
 
+/// If `arg` is `<flag>=<value>`, parses the whole value as an unsigned
+/// decimal that fits in T into `out` and returns true.  A sign, trailing
+/// characters or a value too wide for T exits 2 naming the flag, rather
+/// than running with a silently truncated or wrapped value.
+template <typename T>
+bool parse_uint_flag(const std::string& arg, std::string_view flag, T& out) {
+  if (arg.size() <= flag.size() || arg.compare(0, flag.size(), flag) != 0 ||
+      arg[flag.size()] != '=')
+    return false;
+  const char* first = arg.data() + flag.size() + 1;
+  const char* last = arg.data() + arg.size();
+  T v{};
+  const auto [end, ec] = std::from_chars(first, last, v);
+  if (ec != std::errc() || end != last) {
+    std::cerr << flag << ": expected an unsigned integer up to "
+              << std::numeric_limits<T>::max() << ", got '" << first << "'\n";
+    std::exit(2);
+  }
+  out = v;
+  return true;
+}
+
 inline Scale parse_scale(int argc, char** argv) {
   Scale s;
   const char* env = std::getenv("FECSCHED_PAPER");
   if (env != nullptr && std::strcmp(env, "0") != 0) s.paper = true;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--paper") s.paper = true;
-    else if (arg.rfind("--k=", 0) == 0) s.k = static_cast<std::uint32_t>(std::stoul(arg.substr(4)));
-    else if (arg.rfind("--trials=", 0) == 0) s.trials = static_cast<std::uint32_t>(std::stoul(arg.substr(9)));
-    else if (arg.rfind("--seed=", 0) == 0) s.seed = std::stoull(arg.substr(7));
-    else if (arg.rfind("--threads=", 0) == 0) s.threads = static_cast<unsigned>(std::stoul(arg.substr(10)));
-    else if (arg.rfind("--ledger=", 0) == 0) s.ledger = arg.substr(9);
+    if (arg == "--paper")
+      s.paper = true;
+    else if (arg.rfind("--ledger=", 0) == 0)
+      s.ledger = arg.substr(9);
+    else  // other flags belong to the bench's own parser
+      parse_uint_flag(arg, "--k", s.k) ||
+          parse_uint_flag(arg, "--trials", s.trials) ||
+          parse_uint_flag(arg, "--seed", s.seed) ||
+          parse_uint_flag(arg, "--threads", s.threads);
   }
   if (s.ledger.empty()) {
     const char* ledger_env = std::getenv(std::string(obs::kLedgerEnv).c_str());
@@ -104,9 +134,9 @@ auto parallel_map(std::uint32_t count, unsigned threads, Fn&& fn)
 
 /// Minimal streaming JSON emitter for the benches' machine-readable
 /// outputs (e.g. bench_codec_speed --json): objects, arrays, string /
-/// number / bool values with automatic comma placement.  The benches only
-/// emit identifier-like strings, so escaping covers quotes and
-/// backslashes.
+/// number / bool values with automatic comma placement.  Strings escape
+/// quotes, backslashes and control characters (below 0x20, as JSON
+/// unicode escapes).
 class JsonWriter {
  public:
   explicit JsonWriter(std::ostream& out) : out_(out) {}

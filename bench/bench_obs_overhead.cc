@@ -1,6 +1,6 @@
 // bench_obs_overhead: price the observability layer (src/obs/).
 //
-// Five variants of the same grid-trial workload — identical schedules,
+// Six variants of the same grid-trial workload — identical schedules,
 // channel seeds and trackers — replayed at one Gilbert point:
 //
 //   baseline   the pre-obs hot loop: run_trial called directly, no
@@ -11,18 +11,22 @@
 //              run_trial (what every un-flagged run pays today)
 //   enabled    a metrics session armed: TrialScope + engaged Hook into
 //              run_trial_observed (what --metrics costs)
+//   profile    metrics + profiling session (what plain --profile costs:
+//              per-packet phases timed on one call in 64, the rest
+//              counted)
 //   timeline   metrics + profiling + span-ring session (what
 //              --timeline-out costs: every phase/trial pushes a span)
 //   counters   metrics + profiling + perf-group session (what --counters
 //              costs: a counter-group read around every phase; on hosts
 //              without perf_event_open the read degrades to the stub)
 //
-// Samples are interleaved (baseline/disabled/enabled per round) and
+// Samples are interleaved (every variant once per round) and
 // time-batched to >= 25 ms so scheduler noise averages out; the reported
-// figure is the median ns/trial.  All three variants must produce
+// figure is the median ns/trial.  All variants must produce
 // bit-identical TrialResults — observation never changes a result.
 //
-//   --check       exit 1 unless disabled-vs-baseline overhead < 2%
+//   --check       exit 1 unless disabled-vs-baseline overhead < 2% and
+//                 the profile row costs <= 1.5x baseline
 //   --k, --trials, --seed as in bench_common.h (one cell, not a grid)
 
 #include <algorithm>
@@ -41,6 +45,8 @@ using namespace fecsched;
 
 constexpr double kP = 0.01;
 constexpr double kQ = 0.5;
+// --check budget for plain --profile, as a multiple of the pre-obs loop.
+constexpr double kProfileBudgetX = 1.5;
 // Mirrors the (schedule, channel) seed-path tags of Experiment::run_once;
 // only sameness across variants matters here, not the exact stream.
 constexpr std::uint64_t kTagChannel = 2;
@@ -133,12 +139,17 @@ int main(int argc, char** argv) {
   }
   w.tracker = experiment.new_tracker(derive_seed(scale.seed, {0, 0}));
 
-  // Observation must never change a result: compare all five variants
+  // Observation must never change a result: compare all six variants
   // trial by trial before timing anything.
   const std::vector<TrialResult> expect = replay(w, Mode::kBaseline);
   bool identical = same_results(expect, replay(w, Mode::kDisabled));
   {
     const obs::Config obs_cfg{.metrics = true};
+    const obs::Session session(obs_cfg);
+    identical = identical && same_results(expect, replay(w, Mode::kEnabled));
+  }
+  {
+    const obs::Config obs_cfg{.metrics = true, .profile = true};
     const obs::Session session(obs_cfg);
     identical = identical && same_results(expect, replay(w, Mode::kEnabled));
   }
@@ -166,7 +177,7 @@ int main(int argc, char** argv) {
       std::max(1.0, 25e6 / std::max(probe_ns, 1.0)));
 
   constexpr int kSamples = 9;
-  std::vector<double> base_ns, off_ns, on_ns, tl_ns, ctr_ns;
+  std::vector<double> base_ns, off_ns, on_ns, prof_ns, tl_ns, ctr_ns;
   for (int s = 0; s < kSamples; ++s) {
     base_ns.push_back(sample(w, Mode::kBaseline, reps));
     off_ns.push_back(sample(w, Mode::kDisabled, reps));
@@ -174,6 +185,11 @@ int main(int argc, char** argv) {
       const obs::Config obs_cfg{.metrics = true};
       const obs::Session session(obs_cfg);
       on_ns.push_back(sample(w, Mode::kEnabled, reps));
+    }
+    {
+      const obs::Config obs_cfg{.metrics = true, .profile = true};
+      const obs::Session session(obs_cfg);
+      prof_ns.push_back(sample(w, Mode::kEnabled, reps));
     }
     {
       const obs::Config obs_cfg{.metrics = true, .profile = true,
@@ -192,10 +208,12 @@ int main(int argc, char** argv) {
   const double base = median(base_ns);
   const double off = median(off_ns);
   const double on = median(on_ns);
+  const double prof = median(prof_ns);
   const double tl = median(tl_ns);
   const double ctr = median(ctr_ns);
   const double off_overhead = (off - base) / base;
   const double on_overhead = (on - base) / base;
+  const double prof_x = prof / base;
   const double tl_overhead = (tl - base) / base;
   const double ctr_overhead = (ctr - base) / base;
 
@@ -207,6 +225,8 @@ int main(int argc, char** argv) {
             << off_overhead * 100.0 << "% vs baseline)\n";
   std::cout << "  obs enabled (--metrics):   " << on << " ns/trial  ("
             << on_overhead * 100.0 << "% vs baseline)\n";
+  std::cout << "  obs enabled (--profile):   " << prof << " ns/trial  ("
+            << prof_x << "x baseline)\n";
   std::cout << "  obs enabled (timeline):    " << tl << " ns/trial  ("
             << tl_overhead * 100.0 << "% vs baseline)\n";
   std::cout << "  obs enabled (counters):    " << ctr << " ns/trial  ("
@@ -218,6 +238,8 @@ int main(int argc, char** argv) {
   extra.set("enabled_ns_per_trial", api::Json::number_token(std::to_string(on)));
   extra.set("disabled_overhead", api::Json::number_token(std::to_string(off_overhead)));
   extra.set("enabled_overhead", api::Json::number_token(std::to_string(on_overhead)));
+  extra.set("profile_ns_per_trial", api::Json::number_token(std::to_string(prof)));
+  extra.set("profile_x", api::Json::number_token(std::to_string(prof_x)));
   extra.set("timeline_ns_per_trial", api::Json::number_token(std::to_string(tl)));
   extra.set("timeline_overhead", api::Json::number_token(std::to_string(tl_overhead)));
   extra.set("counters_ns_per_trial", api::Json::number_token(std::to_string(ctr)));
@@ -230,10 +252,17 @@ int main(int argc, char** argv) {
   if (check) {
     // The dormant-cost gate: with the timeline and counter collectors
     // compiled in, un-flagged runs must still pay < 2% over the pre-obs
-    // loop.  The enabled rows just have to exist and be measurable.
+    // loop.  Plain --profile has its own budget: at most 1.5x the
+    // pre-obs loop.  The timeline and counter rows just have to exist
+    // and be measurable: they time every call by design.
     if (off_overhead >= 0.02) {
       std::cout << "CHECK FAIL: disabled-mode overhead "
                 << off_overhead * 100.0 << "% >= 2%\n";
+      return 1;
+    }
+    if (prof_x > kProfileBudgetX) {
+      std::cout << "CHECK FAIL: --profile costs " << prof_x << "x baseline > "
+                << kProfileBudgetX << "x\n";
       return 1;
     }
     if (!(tl > 0.0) || !(ctr > 0.0)) {
@@ -241,7 +270,8 @@ int main(int argc, char** argv) {
       return 1;
     }
     std::cout << "CHECK OK: disabled-mode overhead " << off_overhead * 100.0
-              << "% < 2% (timeline " << tl_overhead * 100.0 << "%, counters "
+              << "% < 2%, --profile " << prof_x << "x <= " << kProfileBudgetX
+              << "x (timeline " << tl_overhead * 100.0 << "%, counters "
               << ctr_overhead * 100.0 << "% when enabled)\n";
   }
   return 0;

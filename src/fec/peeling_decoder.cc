@@ -1,5 +1,6 @@
 #include "fec/peeling_decoder.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "gf/gf256_kernels.h"
@@ -50,6 +51,7 @@ void PeelingDecoder::reset() {
   known_sources_ = 0;
   known_total_ = 0;
   ready_rows_.clear();
+  solved_.clear();
 }
 
 std::span<const std::uint8_t> PeelingDecoder::symbol(PacketId id) const {
@@ -74,7 +76,10 @@ PeelingDecoder::row_accumulator(std::uint32_t row) const {
 std::uint32_t PeelingDecoder::make_known(PacketId id, const std::uint8_t* payload) {
   known_[id] = 1;
   ++known_total_;
-  if (id < k_) ++known_sources_;
+  if (id < k_) {
+    ++known_sources_;
+    solved_.push_back(id);
+  }
   std::uint8_t* stored = nullptr;
   if (symbol_size_ > 0) {
     stored = symbols_.data() + static_cast<std::size_t>(id) * symbol_size_;
@@ -93,22 +98,30 @@ std::uint32_t PeelingDecoder::make_known(PacketId id, const std::uint8_t* payloa
   return 1;
 }
 
-void PeelingDecoder::cascade(std::vector<std::uint32_t>& ready,
-                             std::uint32_t& newly) {
-  while (!ready.empty()) {
-    const std::uint32_t r = ready.back();
-    ready.pop_back();
+std::uint32_t PeelingDecoder::solve(PacketId id, const std::uint8_t* payload) {
+  solved_.clear();
+  if (known_[id]) return 0;  // duplicate: no new information
+  std::uint32_t newly = make_known(id, payload);
+  while (!ready_rows_.empty()) {
+    const std::uint32_t r = ready_rows_.back();
+    ready_rows_.pop_back();
     if (row_unknowns_[r] != 1) continue;  // stale entry: solved meanwhile
     const PacketId missing = row_xor_id_[r];
     if (known_[missing]) continue;  // defensive; cannot normally happen
-    const std::uint8_t* payload =
+    const std::uint8_t* acc =
         symbol_size_ > 0
             ? row_acc_.data() + static_cast<std::size_t>(r) * symbol_size_
             : nullptr;
     // The single unknown of an equation equals the XOR of its known
     // members, which is exactly the row accumulator.
-    newly += make_known(missing, payload);
+    newly += make_known(missing, acc);
   }
+  return newly;
+}
+
+std::span<const PacketId> PeelingDecoder::solved_sources() {
+  if (solved_.size() > 1) std::sort(solved_.begin(), solved_.end());
+  return solved_;
 }
 
 std::uint32_t PeelingDecoder::add_packet(PacketId id,
@@ -117,10 +130,7 @@ std::uint32_t PeelingDecoder::add_packet(PacketId id,
     throw std::invalid_argument("PeelingDecoder::add_packet: bad id");
   if (symbol_size_ > 0 && payload.size() != symbol_size_)
     throw std::invalid_argument("PeelingDecoder::add_packet: bad payload size");
-  if (known_[id]) return 0;  // duplicate packet: no new information
-  std::uint32_t newly = make_known(id, payload.data());
-  cascade(ready_rows_, newly);
-  return newly;
+  return solve(id, payload.data());
 }
 
 std::uint32_t PeelingDecoder::force_known(PacketId id,
@@ -129,10 +139,7 @@ std::uint32_t PeelingDecoder::force_known(PacketId id,
     throw std::invalid_argument("PeelingDecoder::force_known: bad id");
   if (symbol_size_ > 0 && payload.size() != symbol_size_)
     throw std::invalid_argument("PeelingDecoder::force_known: bad payload size");
-  if (known_[id]) return 0;
-  std::uint32_t newly = make_known(id, payload.data());
-  cascade(ready_rows_, newly);
-  return newly;
+  return solve(id, payload.data());
 }
 
 }  // namespace fecsched

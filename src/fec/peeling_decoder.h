@@ -46,6 +46,16 @@ class PeelingDecoder {
   std::uint32_t add_packet(PacketId id,
                            std::span<const std::uint8_t> payload = {});
 
+  /// Source ids (< k) the latest add_packet / force_known call made
+  /// known: the packet itself when it is a source, plus every source its
+  /// cascade recovered, ascending.  Empty after a duplicate.  Streaming
+  /// receivers release exactly these instead of rescanning every unknown
+  /// source.  The cascade finds sources in stack order, so this sorts the
+  /// list in place (almost always one id); callers that never ask, like
+  /// the grid trackers, never pay for the sort.  Valid until the next
+  /// add_packet / force_known / reset.
+  [[nodiscard]] std::span<const PacketId> solved_sources();
+
   /// All k source packets recovered?
   [[nodiscard]] bool source_complete() const noexcept {
     return known_sources_ == k_;
@@ -94,7 +104,7 @@ class PeelingDecoder {
 
  private:
   std::uint32_t make_known(PacketId id, const std::uint8_t* payload);
-  void cascade(std::vector<std::uint32_t>& ready, std::uint32_t& newly);
+  std::uint32_t solve(PacketId id, const std::uint8_t* payload);
 
   const SparseBinaryMatrix* h_;
   std::uint32_t k_;
@@ -105,6 +115,7 @@ class PeelingDecoder {
   std::vector<std::uint8_t> symbols_;       // n * symbol_size (payload mode)
   std::vector<std::uint8_t> row_acc_;       // rows * symbol_size (payload mode)
   std::vector<std::uint32_t> ready_rows_;   // scratch stack
+  std::vector<PacketId> solved_;            // sources of the latest call
   std::uint32_t known_sources_ = 0;
   std::uint32_t known_total_ = 0;
 };

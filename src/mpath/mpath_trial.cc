@@ -391,14 +391,11 @@ MpathTrialResult run_block_mpath(const MpathTrialConfig& cfg, PathSet& paths,
     block_decoded.assign(rse_plan->block_count(), 0);
   }
   std::optional<PeelingDecoder>& peeler = ws.stream.peeler;
-  std::vector<std::uint32_t>& unknown_sources = ws.stream.unknown_sources;
   if (!rse) {
     if (peeler)
       peeler->rebind(ldgm->matrix(), S);
     else
       peeler.emplace(ldgm->matrix(), S);
-    unknown_sources.resize(S);
-    for (std::uint32_t s = 0; s < S; ++s) unknown_sources[s] = s;
   }
 
   std::uint64_t received = 0, reordered = 0, max_arrived = 0;
@@ -421,11 +418,8 @@ MpathTrialResult run_block_mpath(const MpathTrialConfig& cfg, PathSet& paths,
           }
         }
       } else {
-        for (std::uint32_t s : unknown_sources)
-          if (!seen[s]) {
-            seen[s] = 1;
-            tracker.on_lost(s, t);
-          }
+        for (PacketId s = 0; s < S; ++s)
+          if (!peeler->is_known(s)) tracker.on_lost(s, t);
       }
       continue;
     }
@@ -455,13 +449,9 @@ MpathTrialResult run_block_mpath(const MpathTrialConfig& cfg, PathSet& paths,
           }
         }
       }
-    } else if (hook.timed(obs::Phase::kDecode,
-                          [&] { return peeler->add_packet(id); }) > 0) {
-      std::erase_if(unknown_sources, [&](std::uint32_t s) {
-        if (!peeler->is_known(s)) return false;
-        tracker.on_available(s, t);
-        return true;
-      });
+    } else {
+      hook.timed(obs::Phase::kDecode, [&] { peeler->add_packet(id); });
+      for (PacketId s : peeler->solved_sources()) tracker.on_available(s, t);
     }
   }
   return finish(tracker, paths, transport, schedule.size(), received,

@@ -103,8 +103,6 @@ NetReceiver::NetReceiver(const StreamTrialConfig& cfg,
     block_rx_.assign(plan_->block_count(), {});
   } else {
     peeler_.emplace(ldgm_->matrix(), S, payload_bytes_);
-    unknown_sources_.resize(S);
-    for (std::uint32_t s = 0; s < S; ++s) unknown_sources_[s] = s;
   }
 }
 
@@ -212,17 +210,12 @@ void NetReceiver::block_deliver(const DataFrame& frame, std::uint64_t slot) {
     }
     return;
   }
-  const std::uint32_t progress = hook_.timed(obs::Phase::kDecode, [&] {
-    return peeler_->add_packet(id, frame.payload);
-  });
-  if (progress > 0) {
-    std::erase_if(unknown_sources_, [&](std::uint32_t s) {
-      if (!peeler_->is_known(s)) return false;
-      tracker_.on_available(s, static_cast<double>(slot));
-      ++delivered_sources_;
-      verify(s, peeler_->symbol(s));
-      return true;
-    });
+  hook_.timed(obs::Phase::kDecode,
+              [&] { peeler_->add_packet(id, frame.payload); });
+  for (PacketId s : peeler_->solved_sources()) {
+    tracker_.on_available(s, static_cast<double>(slot));
+    ++delivered_sources_;
+    verify(s, peeler_->symbol(s));
   }
 }
 
@@ -270,7 +263,8 @@ void NetReceiver::flush(std::uint64_t slot) {
         flush_lost(info.source_offset + i);
     }
   } else if (peeler_) {
-    for (std::uint32_t s : unknown_sources_) flush_lost(s);
+    for (PacketId s = 0; s < cfg_.source_count; ++s)
+      if (!peeler_->is_known(s)) flush_lost(s);
   }
 }
 

@@ -1,6 +1,7 @@
 #include "obs/obs.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "util/parallel.h"
 
@@ -109,8 +110,16 @@ Report Session::finish() {
     Observer& o = *observers_[lane];
     merged.merge_from(o.metrics_);
     for (std::size_t p = 0; p < kPhaseCount; ++p) {
-      report.phases[p].calls += o.phases_[p].calls;
-      report.phases[p].ns += o.phases_[p].ns;
+      const PhaseStats& s = o.phases_[p];
+      const std::uint64_t timed = o.timed_calls_[p];
+      report.phases[p].calls += s.calls;
+      // Sampled phases: scale this lane's timed calls up to all its calls.
+      report.phases[p].ns +=
+          timed == 0 || timed == s.calls
+              ? s.ns
+              : static_cast<std::uint64_t>(std::llround(
+                    static_cast<double>(s.ns) * static_cast<double>(s.calls) /
+                    static_cast<double>(timed)));
     }
     report.events.insert(report.events.end(), o.events_.begin(), o.events_.end());
     if (cfg_.timeline) {

@@ -82,6 +82,11 @@ class Observer {
   explicit Observer(const Config& cfg, ObsClock::time_point epoch)
       : cfg_(cfg), epoch_(epoch) {
     if (cfg_.counters) perf_ = std::make_unique<PerfGroup>();
+    const bool every_call = cfg_.timeline || cfg_.counters;
+    for (std::size_t p = 0; p < kPhaseCount; ++p)
+      sample_mask_[p] = every_call || !sampled_phase(static_cast<Phase>(p))
+                            ? 0
+                            : kPhaseSamplePeriod - 1;
   }
 
   void begin_trial(std::uint64_t ordinal) noexcept {
@@ -104,10 +109,18 @@ class Observer {
 
   MetricsRegistry& metrics() noexcept { return metrics_; }
 
-  void phase_add(Phase p, std::uint64_t ns) noexcept {
-    PhaseStats& s = phases_[static_cast<std::size_t>(p)];
-    ++s.calls;
-    s.ns += ns;
+  /// Counts one call of `p` and says whether to time it: every call of a
+  /// coarse phase or under a timeline/counters session, otherwise the
+  /// call ordinals 0, 64, 128, ... (kPhaseSamplePeriod).
+  [[nodiscard]] bool phase_call(Phase p) noexcept {
+    const auto i = static_cast<std::size_t>(p);
+    return (phases_[i].calls++ & sample_mask_[i]) == 0;
+  }
+  /// Wall time of one call that phase_call() chose to time.
+  void phase_time(Phase p, std::uint64_t ns) noexcept {
+    const auto i = static_cast<std::size_t>(p);
+    phases_[i].ns += ns;
+    ++timed_calls_[i];
   }
 
   /// Counter values before a phase body runs (zeros when the group is
@@ -191,6 +204,8 @@ class Observer {
   ObsClock::time_point epoch_;
   MetricsRegistry metrics_;
   std::array<PhaseStats, kPhaseCount> phases_{};
+  std::array<std::uint64_t, kPhaseCount> timed_calls_{};
+  std::array<std::uint64_t, kPhaseCount> sample_mask_{};  ///< 0 = every call
   std::array<PerfPhase, kPhaseCount> perf_phases_{};
   std::unique_ptr<PerfGroup> perf_;  ///< only when cfg_.counters
   SpanRing spans_;
@@ -301,10 +316,10 @@ class PhaseScope {
   // armed per-trial deadline.  Phase boundaries are the poll sites — they
   // are frequent enough to bound overrun and already on every engine's
   // instrumented path (dormant cost: one relaxed load).
-  PhaseScope(Observer* o, Phase p)
-      : o_(o != nullptr && o->profiling() ? o : nullptr), phase_(p) {
+  PhaseScope(Observer* o, Phase p) : phase_(p) {
     watchdog::poll();
-    if (o_ != nullptr) {
+    if (o != nullptr && o->profiling() && o->phase_call(p)) {
+      o_ = o;
       if (o_->counters_on()) o_->perf_read(before_);
       t0_ = ObsClock::now();
     }
@@ -312,10 +327,10 @@ class PhaseScope {
   ~PhaseScope() {
     if (o_ != nullptr) {
       const ObsClock::time_point t1 = ObsClock::now();
-      o_->phase_add(phase_, static_cast<std::uint64_t>(
-                                std::chrono::duration_cast<std::chrono::nanoseconds>(
-                                    t1 - t0_)
-                                    .count()));
+      o_->phase_time(phase_, static_cast<std::uint64_t>(
+                                 std::chrono::duration_cast<std::chrono::nanoseconds>(
+                                     t1 - t0_)
+                                     .count()));
       if (o_->counters_on()) o_->perf_add(phase_, before_);
       if (o_->timeline_on()) o_->span_phase(phase_, t0_, t1);
     }
@@ -324,7 +339,7 @@ class PhaseScope {
   PhaseScope& operator=(const PhaseScope&) = delete;
 
  private:
-  Observer* o_;
+  Observer* o_ = nullptr;  ///< set only for a call that is timed
   Phase phase_;
   ObsClock::time_point t0_{};
   PerfValues before_{};
@@ -392,8 +407,10 @@ class Hook {
     if (timeline_) o_->instant(name);
   }
 
-  /// Run f() and attribute its wall time (and, when armed, its hardware
-  /// counter delta and a timeline span) to `phase` when profiling.
+  /// Run f() and, when profiling, count the call to `phase` and attribute
+  /// its wall time (and, when armed, its hardware counter delta and a
+  /// timeline span) — on every call, or on one in kPhaseSamplePeriod for
+  /// the per-packet phases under a plain profile (Observer::phase_call).
   /// Transparent to f's return value (including references).
   template <typename F>
   decltype(auto) timed(Phase phase, F&& f) const {
@@ -401,7 +418,7 @@ class Hook {
     // Watchdog poll site: before the profiling early-out, so the
     // per-trial deadline is enforced even on unprofiled runs.
     watchdog::poll();
-    if (!profiling_) return std::forward<F>(f)();
+    if (!profiling_ || !o_->phase_call(phase)) return std::forward<F>(f)();
     PerfValues before{};
     if (counters_) o_->perf_read(before);
     const ObsClock::time_point t0 = ObsClock::now();
@@ -443,10 +460,10 @@ class Hook {
   void finish_phase(Phase phase, ObsClock::time_point t0,
                     const PerfValues& before) const {
     const ObsClock::time_point t1 = ObsClock::now();
-    o_->phase_add(phase, static_cast<std::uint64_t>(
-                             std::chrono::duration_cast<std::chrono::nanoseconds>(
-                                 t1 - t0)
-                                 .count()));
+    o_->phase_time(phase, static_cast<std::uint64_t>(
+                              std::chrono::duration_cast<std::chrono::nanoseconds>(
+                                  t1 - t0)
+                                  .count()));
     if (counters_) o_->perf_add(phase, before);
     if (timeline_) o_->span_phase(phase, t0, t1);
   }

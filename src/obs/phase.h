@@ -44,6 +44,32 @@ inline constexpr std::size_t kPhaseCount = 10;
   return "?";
 }
 
+/// Plain `--profile` times each per-packet phase on one call in this
+/// many per observer (call ordinals 0, 64, 128, ...) and scales its `ns`
+/// by calls / timed calls; call counts stay exact.  Those bodies cost
+/// about as much as the clock pair around them, so timing every call
+/// would distort the run being measured.  A timeline or counters session
+/// times every call: each call owns one span and one counter read.
+inline constexpr std::uint64_t kPhaseSamplePeriod = 64;
+static_assert((kPhaseSamplePeriod & (kPhaseSamplePeriod - 1)) == 0,
+              "the sampling test masks the call ordinal");
+
+/// The per-packet phases plain `--profile` samples.  Encode, schedule,
+/// matrix_invert and resequence are timed on every call.
+[[nodiscard]] constexpr bool sampled_phase(Phase p) noexcept {
+  switch (p) {
+    case Phase::kChannelDraw:
+    case Phase::kDecode:
+    case Phase::kNetPack:
+    case Phase::kNetSend:
+    case Phase::kNetRecv:
+    case Phase::kNetUnpack:
+      return true;
+    default:
+      return false;
+  }
+}
+
 struct PhaseStats {
   std::uint64_t calls = 0;  ///< deterministic: merged by addition
   std::uint64_t ns = 0;     ///< wall time; excluded from the signature

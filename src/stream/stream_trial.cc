@@ -289,14 +289,11 @@ StreamTrialResult run_block_trial(const StreamTrialConfig& cfg,
     block_decoded.assign(rse_plan->block_count(), 0);
   }
   std::optional<PeelingDecoder>& peeler = ws.peeler;
-  std::vector<std::uint32_t>& unknown_sources = ws.unknown_sources;
   if (!rse) {
     if (peeler)
       peeler->rebind(ldgm->matrix(), S);
     else
       peeler.emplace(ldgm->matrix(), S);
-    unknown_sources.resize(S);
-    for (std::uint32_t s = 0; s < S; ++s) unknown_sources[s] = s;
   }
   std::uint32_t delivered_sources = 0;
 
@@ -343,15 +340,12 @@ StreamTrialResult run_block_trial(const StreamTrialConfig& cfg,
               }
             }
           }
-        } else if (hook.timed(obs::Phase::kDecode,
-                              [&] { return peeler->add_packet(id); }) > 0) {
-          // Sweep the unknown list only when the peeler made progress.
-          std::erase_if(unknown_sources, [&](std::uint32_t s) {
-            if (!peeler->is_known(s)) return false;
+        } else {
+          hook.timed(obs::Phase::kDecode, [&] { peeler->add_packet(id); });
+          for (PacketId s : peeler->solved_sources()) {
             tracker.on_available(s, static_cast<double>(slot));
             ++delivered_sources;
-            return true;
-          });
+          }
         }
       }
     } else {
@@ -389,7 +383,8 @@ StreamTrialResult run_block_trial(const StreamTrialConfig& cfg,
       for (std::uint32_t i = 0; i < info.k; ++i) flush_lost(info.source_offset + i);
     }
   } else {
-    for (std::uint32_t s : unknown_sources) flush_lost(s);
+    for (PacketId s = 0; s < S; ++s)
+      if (!peeler->is_known(s)) flush_lost(s);
   }
   return finish(tracker, sent, received, S, hook);
 }

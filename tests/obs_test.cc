@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -114,6 +115,60 @@ TEST(ObsSession, CollectsAndDisarms) {
               1u);
   }
   EXPECT_EQ(obs::current(), nullptr);  // finish() disarmed the global
+}
+
+// Busy-waits `us` microseconds: a phase body with a known floor.
+void spin_us(int us) {
+  const auto until = obs::ObsClock::now() + std::chrono::microseconds(us);
+  while (obs::ObsClock::now() < until) {
+  }
+}
+
+// Plain --profile times a per-packet phase on call ordinals 0, 64, 128,
+// ... and scales its ns up to every call; coarse phases and timeline
+// sessions time every call.  Each check is a lower bound, so host load
+// cannot make it fail.
+TEST(ObsSession, PlainProfileSamplesPerPacketPhasesAndScalesNs) {
+  const auto decode = static_cast<std::size_t>(obs::Phase::kDecode);
+  const auto encode = static_cast<std::size_t>(obs::Phase::kEncode);
+  {
+    obs::Session session(obs::Config{.metrics = true, .profile = true});
+    {
+      const obs::TrialScope scope(0);
+      const obs::Hook hook;
+      // 130 decode calls, three of them timed, and only those spin: the
+      // scaled total stands for 130 spins, not 3.
+      for (int i = 0; i < 130; ++i)
+        hook.timed(obs::Phase::kDecode, [&] {
+          if (i % 64 == 0) spin_us(200);
+        });
+      // Ordinal 1 of a coarse phase is timed like every other call.
+      for (int i = 0; i < 5; ++i)
+        hook.timed(obs::Phase::kEncode, [&] {
+          if (i == 1) spin_us(200);
+        });
+    }
+    const obs::Report report = session.finish();
+    EXPECT_EQ(report.phases[decode].calls, 130u);
+    EXPECT_GE(report.phases[decode].ns, 130u / 3 * 200'000u);
+    EXPECT_EQ(report.phases[encode].calls, 5u);
+    EXPECT_GE(report.phases[encode].ns, 200'000u);
+  }
+  {
+    // A timeline session times every call: ordinal 1 is seen.
+    obs::Session session(obs::Config{.profile = true, .timeline = true});
+    {
+      const obs::TrialScope scope(0);
+      const obs::Hook hook;
+      for (int i = 0; i < 3; ++i)
+        hook.timed(obs::Phase::kDecode, [&] {
+          if (i == 1) spin_us(200);
+        });
+    }
+    const obs::Report report = session.finish();
+    EXPECT_EQ(report.phases[decode].calls, 3u);
+    EXPECT_GE(report.phases[decode].ns, 200'000u);
+  }
 }
 
 TEST(ObsSession, TraceSamplingKeepsEveryNthTrial) {

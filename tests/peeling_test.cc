@@ -1,10 +1,12 @@
 // Peeling decoder: cascade correctness, payload recovery, duplicate
-// handling and equivalence between the structure-only and payload modes.
+// handling, equivalence between the structure-only and payload modes, and
+// the solved-source list the streaming receivers release from.
 
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "fec/ge_decoder.h"
 #include "fec/ldgm.h"
 #include "fec/peeling_decoder.h"
 #include "util/rng.h"
@@ -232,6 +234,108 @@ TEST(PeelingDecoder, RecoveredParityMatchesEncoder) {
                            parity[id - 60].end()));
   }
 }
+
+// solved_sources() against a brute-force diff of is_known over [0, k):
+// after every add_packet / force_known call it must list exactly the
+// sources that call made known, ascending, and nothing for a duplicate.
+// Packets arrive in random order with duplicates mixed in; peeling stops
+// short of the whole object, and the variables ge_solve recovers (on a
+// copy) are fed back one by one through force_known, as GE does.
+struct SolvedCase {
+  LdgmVariant variant;
+  std::size_t symbol_size;  // 0 = structure-only
+};
+
+class PeelingSolvedSources : public ::testing::TestWithParam<SolvedCase> {};
+
+TEST_P(PeelingSolvedSources, MatchBruteForceDiffAfterEveryCall) {
+  const auto [variant, symbol_size] = GetParam();
+  constexpr std::uint32_t k = 300, n = 450;
+  const auto code = make_code(k, n, variant, 17);
+  Rng rng(derive_seed(3000, {static_cast<std::uint64_t>(variant), symbol_size}));
+  const std::size_t payload_size = symbol_size > 0 ? symbol_size : 1;
+  const auto src = random_symbols(k, payload_size, rng);
+  const auto parity = code.encode(src);
+  const auto payload_of = [&](PacketId id) -> std::span<const std::uint8_t> {
+    if (symbol_size == 0) return {};
+    return id < k ? src[id] : parity[id - k];
+  };
+
+  std::uint64_t cascades = 0, duplicates = 0, ge_fed = 0;
+  for (int round = 0; round < 6; ++round) {
+    PeelingDecoder d(code.matrix(), k, symbol_size);
+    std::vector<char> known_before(k, 0);
+    const auto check = [&](PacketId id, bool duplicate) {
+      std::vector<PacketId> expected;
+      for (PacketId s = 0; s < k; ++s) {
+        if (d.is_known(s) && !known_before[s]) expected.push_back(s);
+        known_before[s] = d.is_known(s) ? 1 : 0;
+      }
+      const auto got = d.solved_sources();
+      ASSERT_EQ(std::vector<PacketId>(got.begin(), got.end()), expected)
+          << "round " << round << ", packet " << id;
+      if (duplicate) {
+        ASSERT_TRUE(got.empty()) << "duplicate " << id;
+        ++duplicates;
+      }
+      if (got.size() > 1) ++cascades;
+    };
+
+    // A shuffled prefix of the packets, with an earlier packet repeated
+    // after every fourth one.
+    std::vector<PacketId> order(n);
+    for (PacketId id = 0; id < n; ++id) order[id] = id;
+    shuffle(order, rng);
+    order.resize(k + 10 * static_cast<std::uint32_t>(round));
+    std::vector<PacketId> arrivals;
+    for (std::size_t i = 0; i < order.size(); ++i) {
+      arrivals.push_back(order[i]);
+      if (i % 4 == 0) arrivals.push_back(order[rng.below(i + 1)]);
+    }
+    for (const PacketId id : arrivals) {
+      const bool duplicate = d.is_known(id);
+      d.add_packet(id, payload_of(id));
+      check(id, duplicate);
+    }
+
+    // GE feedback: every variable ML decoding determines, injected in a
+    // random order (sources and parity alike, plus one duplicate).
+    PeelingDecoder ml = d;
+    ge_solve(ml);
+    std::vector<PacketId> feedback;
+    for (PacketId id = 0; id < n; ++id)
+      if (ml.is_known(id) && !d.is_known(id)) feedback.push_back(id);
+    shuffle(feedback, rng);
+    for (const PacketId id : feedback) {
+      const bool duplicate = d.is_known(id);
+      d.force_known(id, payload_of(id));
+      check(id, duplicate);
+      ++ge_fed;
+    }
+    const PacketId again = arrivals.front();
+    d.force_known(again, payload_of(again));
+    check(again, true);
+    for (PacketId id = 0; id < n; ++id)
+      ASSERT_EQ(d.is_known(id), ml.is_known(id)) << "variable " << id;
+  }
+  // The arrival mix must actually exercise what the test is about.
+  EXPECT_GT(cascades, 0u);
+  EXPECT_GT(duplicates, 0u);
+  EXPECT_GT(ge_fed, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    GraphsAndModes, PeelingSolvedSources,
+    ::testing::Values(SolvedCase{LdgmVariant::kStaircase, 0},
+                      SolvedCase{LdgmVariant::kStaircase, 8},
+                      SolvedCase{LdgmVariant::kTriangle, 0},
+                      SolvedCase{LdgmVariant::kTriangle, 8}),
+    [](const auto& info) {
+      return std::string(info.param.variant == LdgmVariant::kStaircase
+                             ? "Staircase"
+                             : "Triangle") +
+             (info.param.symbol_size == 0 ? "Structure" : "Payload");
+    });
 
 }  // namespace
 }  // namespace fecsched

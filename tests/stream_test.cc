@@ -12,6 +12,7 @@
 #include "channel/gilbert.h"
 #include "fec/ge_decoder.h"
 #include "fec/peeling_decoder.h"
+#include "obs/obs.h"
 #include "sim/stream_delay.h"
 #include "stream/delay_tracker.h"
 #include "stream/sliding_window.h"
@@ -351,6 +352,46 @@ TEST(StreamTrial, CarouselRecoversWhatSequentialLoses) {
     carousel_lost += run_stream_trial(cfg, channel, seed).residual.lost;
   }
   EXPECT_LT(carousel_lost, seq_lost);
+}
+
+// The LDGM receiver releases what each packet solved in ascending source
+// id, the order a rescan of the unknown sources would visit them.  On the
+// sequential schedule every source is sent before any parity, so a
+// decoded event's slot is the slot of the packet that solved it: events
+// sharing a slot come from one decoder call.
+TEST(StreamTrial, LdgmDecodedEventsAscendWithinEachSlot) {
+  StreamTrialConfig cfg;
+  cfg.scheme = StreamScheme::kLdgm;
+  cfg.scheduling = StreamScheduling::kSequential;
+  cfg.source_count = 1500;
+  cfg.overhead = 0.5;
+  std::uint64_t multi_source_slots = 0;
+  for (std::uint64_t seed = 0; seed < 3; ++seed) {
+    obs::Session session(obs::Config{.trace = true});
+    StreamTrialResult result;
+    {
+      const obs::TrialScope scope(seed);
+      GilbertModel channel(0.03, 0.2);  // 13% loss, mean burst 5
+      result = run_stream_trial(cfg, channel, seed);
+    }
+    const obs::Report report = session.finish();
+    std::uint64_t decoded = 0;
+    const obs::TraceEvent* prev = nullptr;
+    for (const obs::TraceEvent& ev : report.events) {
+      if (ev.kind != obs::EventKind::kDecoded) continue;
+      ++decoded;
+      if (prev != nullptr) {
+        ASSERT_LE(prev->slot, ev.slot) << "seed " << seed;
+        if (prev->slot == ev.slot) {
+          ASSERT_LT(prev->id, ev.id) << "seed " << seed << ", slot " << ev.slot;
+          ++multi_source_slots;
+        }
+      }
+      prev = &ev;
+    }
+    EXPECT_EQ(decoded, result.delay.delivered) << "seed " << seed;
+  }
+  EXPECT_GT(multi_source_slots, 0u) << "no cascade recovered two sources";
 }
 
 // ------------------------------------------------------ delay grid / hook

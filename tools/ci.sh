@@ -126,9 +126,21 @@ cat > BENCH_obs_grid_spec.json <<'EOF'
 EOF
 ./fecsched_cli run --spec=BENCH_obs_grid_spec.json > /dev/null
 ./trace_stats BENCH_obs_grid.jsonl
-# 4. the disabled-path overhead budget: the product per-trial path with
-#    no session armed must stay within 2% of the pre-obs hot loop.
+# 4. the overhead budgets: the product per-trial path with no session
+#    armed must stay within 2% of the pre-obs hot loop, and plain
+#    --profile (per-packet phases timed on one call in 64) within 1.5x;
 ./bench_obs_overhead --k=1000 --trials=10 --check
+# 5. the bench scale flags parse whole and range-checked: a value too
+#    wide for its field, trailing characters and a negative seed must
+#    exit 2 naming the flag, never run with a truncated or wrapped value.
+for arg in --k=4294967297 --k=12abc --seed=-1; do
+  rc=0
+  ./bench_obs_overhead "$arg" > /dev/null 2> BENCH_scale_err.txt || rc=$?
+  if [ "$rc" -ne 2 ] || ! grep -q -- "${arg%%=*}" BENCH_scale_err.txt; then
+    echo "BUG: bench_obs_overhead $arg exited $rc, want 2 naming the flag"
+    exit 1
+  fi
+done
 echo "observability gate: traces validate, residuals cross-check, disabled path free"
 
 # Cross-run observability gate (obs/ledger.h, obs/regress.h,
@@ -211,10 +223,11 @@ for sub in plan universal limits fit history compare list; do
     fi
   done
 done
-# 5. the dormant-cost budget re-checked with the new collectors compiled
-#    in, and both enabled rows measured (bench_obs_overhead --check above
-#    already gates disabled overhead; this one also proves the timeline
-#    and counter rows exist at a smaller scale for speed).
+# 5. the dormant-cost and --profile budgets re-checked with the new
+#    collectors compiled in, and both enabled rows measured
+#    (bench_obs_overhead --check above already gates them; this one also
+#    proves the timeline and counter rows exist at a smaller scale for
+#    speed).
 ./bench_obs_overhead --k=500 --trials=8 --check
 echo "hot-path gate: timelines validate, counters degrade gracefully, stdout untouched"
 
@@ -359,3 +372,13 @@ rm -f BENCH_net_ledger.jsonl
   > /dev/null
 grep -q '"kind":"bench","label":"bench_packetize"' BENCH_net_ledger.jsonl
 echo "net gate: wire round-trips fuzz-clean, loopback matches simulation on both backends"
+
+# Benchmark gate (bench_e2e/, BENCHMARK.json): bench_e2e is a CMake
+# project of its own that the build above does not compile, yet it links
+# src/ and pins every workload's result hash.  Its quick self-check builds
+# it from this checkout (into .bench_build/) and checks the pinned hashes,
+# 1 vs 4 threads and a short traced pass, so a src/ change that breaks
+# the benchmark's build, hashes or replay match fails here.
+cd ..
+python3 bench_e2e/run.py --check
+echo "benchmark gate: bench_e2e builds, pinned hashes and replays match"
