@@ -115,6 +115,8 @@ MpathTrialResult finish(const DelayTracker& tracker, const PathSet& paths,
     hook.count("mpath.residual_runs", result.stream.residual.runs);
     hook.gauge_max("mpath.residual_max_run",
                    result.stream.residual.max_run_length);
+    obs::observe_release_delays(hook.observer()->metrics(),
+                                result.stream.delays);
   }
   return result;
 }

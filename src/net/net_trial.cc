@@ -206,6 +206,8 @@ NetTrialResult run_net_trial(const NetTrialConfig& cfg, LossModel& channel,
     hook.count("net.payload_mismatches", result.payload_mismatches);
     hook.count("net.frames_rejected", result.frames_rejected);
     hook.count("net.reports", result.reports_received);
+    obs::observe_release_delays(hook.observer()->metrics(),
+                                result.stream.delays);
   }
   return result;
 }

@@ -127,10 +127,26 @@ void NetReceiver::on_slot(const ParsedFrame* frame, std::uint64_t slot) {
   if (!paced_) block_ends_check(slot);
 }
 
+bool NetReceiver::in_range(const DataFrame& frame) const {
+  const std::uint64_t S = cfg_.source_count;
+  if (frame.payload.size() != payload_bytes_) return false;
+  // Block schemes: an id of the plan, checked before it narrows to
+  // PacketId.
+  if (!paced_) return frame.symbol_id < seen_.size();
+  if (!frame.repair) return frame.symbol_id < S;
+  // Replication: the duplicated source.
+  if (!decoder_) return frame.span_first < S;
+  // Sliding window: a repair id and a non-empty span of at most W
+  // sources, as the encoder emits them.
+  return frame.symbol_id >= S && frame.span_first < frame.span_last &&
+         frame.span_last <= S &&
+         frame.span_last - frame.span_first <= decoder_->config().window;
+}
+
 void NetReceiver::on_data(const DataFrame& frame, std::uint64_t slot) {
   if (frame.object_id != object_id_ ||
       frame.scheme != static_cast<std::uint8_t>(cfg_.scheme) ||
-      frame.coding_seed != coding_seed_) {
+      frame.coding_seed != coding_seed_ || !in_range(frame)) {
     ++rejected_;
     return;
   }

@@ -15,8 +15,9 @@
 //  * byte verification — every source that becomes available (received
 //    OR FEC-recovered) is compared against the deterministic ground
 //    truth regenerated from the trial seed;
-//  * frame validation — object id / scheme / coding seed mismatches are
-//    counted as rejects, never processed;
+//  * frame validation — object id / scheme / coding seed mismatches,
+//    wrong payload lengths, and wire ids or repair spans outside the
+//    stream are counted as rejects, never processed;
 //  * loss reporting — the per-slot loss trace is compressed into
 //    adapt::LossReport frames (wire.h) for the reverse path, closing
 //    the src/adapt/ estimator loop over the wire.
@@ -86,13 +87,17 @@ class NetReceiver {
     return mismatches_;
   }
   /// Delivered frames refused before decode: wrong object id, scheme
-  /// tag, or coding seed, or a report frame on the data path.
+  /// tag, coding seed or payload length, a wire id or repair span the
+  /// sender never emits, or a report frame on the data path.
   [[nodiscard]] std::uint64_t frames_rejected() const noexcept {
     return rejected_;
   }
 
  private:
   void verify(std::uint64_t s, std::span<const std::uint8_t> payload);
+  /// Is the frame's payload length, wire id and span one the sender can
+  /// emit for this stream?
+  [[nodiscard]] bool in_range(const DataFrame& frame) const;
   void on_data(const DataFrame& frame, std::uint64_t slot);
   void paced_deliver(const DataFrame& frame, std::uint64_t slot);
   void block_deliver(const DataFrame& frame, std::uint64_t slot);

@@ -1,7 +1,9 @@
 #include "obs/metrics.h"
 
+#include <algorithm>
 #include <array>
 #include <cassert>
+#include <cmath>
 
 namespace fecsched::obs {
 
@@ -57,6 +59,14 @@ std::span<const std::uint64_t> delay_buckets() noexcept {
       1,    2,    4,    8,     16,    32,    64,    128,   256,
       512,  1024, 2048, 4096,  8192,  16384, 32768, 65536};
   return kBounds;
+}
+
+void observe_release_delays(MetricsRegistry& metrics,
+                            std::span<const double> delays) {
+  if (delays.empty()) return;
+  Histogram& h = metrics.histogram("delay.release_slots", delay_buckets());
+  for (double d : delays)
+    h.observe(static_cast<std::uint64_t>(std::llround(std::max(0.0, d))));
 }
 
 }  // namespace fecsched::obs

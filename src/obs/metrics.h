@@ -99,4 +99,11 @@ class MetricsRegistry {
 /// directly comparable.
 [[nodiscard]] std::span<const std::uint64_t> delay_buckets() noexcept;
 
+/// Adds each release delay, rounded to whole slots, to the
+/// "delay.release_slots" histogram (delay_buckets()).  The engines call
+/// it once per trial with DelayTracker::delays(), so a profiled run pays
+/// one registry lookup per trial rather than one per released source.
+void observe_release_delays(MetricsRegistry& metrics,
+                            std::span<const double> delays);
+
 }  // namespace fecsched::obs

@@ -54,12 +54,16 @@ inline constexpr std::uint64_t kPhaseSamplePeriod = 64;
 static_assert((kPhaseSamplePeriod & (kPhaseSamplePeriod - 1)) == 0,
               "the sampling test masks the call ordinal");
 
-/// The per-packet phases plain `--profile` samples.  Encode, schedule,
-/// matrix_invert and resequence are timed on every call.
+/// The per-packet phases plain `--profile` samples.  Schedule and
+/// matrix_invert count here too: the multipath engine picks a path and
+/// the sliding-window decoder eliminates once per packet.  Encode and
+/// resequence are timed on every call.
 [[nodiscard]] constexpr bool sampled_phase(Phase p) noexcept {
   switch (p) {
     case Phase::kChannelDraw:
+    case Phase::kSchedule:
     case Phase::kDecode:
+    case Phase::kMatrixInvert:
     case Phase::kNetPack:
     case Phase::kNetSend:
     case Phase::kNetRecv:

@@ -1,7 +1,6 @@
 #include "stream/delay_tracker.h"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
 #include "obs/obs.h"
@@ -77,9 +76,6 @@ void DelayTracker::advance(double t) {
       transport_sum_ += rec.available - rec.sent;
       hol_sum_ += release - rec.available;
       hook.released(release, frontier_, true, release - rec.sent);
-      hook.observe("delay.release_slots", obs::delay_buckets(),
-                   static_cast<std::uint64_t>(
-                       std::llround(std::max(0.0, release - rec.sent))));
     }
     ++frontier_;
   }

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstring>
+#include <iterator>
+#include <optional>
 #include <stdexcept>
 
 #include "gf/gf256.h"
@@ -97,67 +99,146 @@ void SlidingWindowDecoder::reset(const SlidingWindowConfig& config) {
   lost_n_ = 0;
   fate_.clear();
   symbols_.clear();
-  eqs_.clear();
+  rows_.clear();
 }
 
 bool SlidingWindowDecoder::is_known(std::uint64_t seq) const {
-  const auto it = fate_.find(seq);
-  return it != fate_.end() && it->second == 1;
+  return fate(seq) == 1;
 }
 
 bool SlidingWindowDecoder::is_lost(std::uint64_t seq) const {
-  const auto it = fate_.find(seq);
-  return it != fate_.end() && it->second == 2;
+  return fate(seq) == 2;
 }
 
 std::span<const std::uint8_t> SlidingWindowDecoder::symbol(
     std::uint64_t seq) const {
   if (symbol_size_ == 0)
     throw std::logic_error("SlidingWindowDecoder::symbol: structure-only mode");
-  const auto it = symbols_.find(seq);
-  if (it == symbols_.end())
+  if (!is_known(seq))
     throw std::logic_error("SlidingWindowDecoder::symbol: seq not known");
-  return it->second;
+  return symbols_[seq];
+}
+
+namespace {
+
+// The term of column `seq` in an ascending term list, or end().
+template <typename Terms>
+auto find_term(Terms& terms, std::uint64_t seq) {
+  const auto t = std::lower_bound(
+      terms.begin(), terms.end(), seq,
+      [](const auto& term, std::uint64_t s) { return term.first < s; });
+  return t != terms.end() && t->first == seq ? t : terms.end();
+}
+
+}  // namespace
+
+auto SlidingWindowDecoder::first_row_from(std::uint64_t seq)
+    -> std::vector<Row>::iterator {
+  return std::lower_bound(
+      rows_.begin(), rows_.end(), seq,
+      [](const Row& r, std::uint64_t s) { return r.pivot() < s; });
 }
 
 void SlidingWindowDecoder::learn(std::uint64_t seq,
                                  std::vector<std::uint8_t> payload,
                                  std::vector<std::uint64_t>& newly) {
+  if (fate_.size() <= seq) fate_.resize(seq + 1, 0);
   fate_[seq] = 1;
   ++known_n_;
-  if (symbol_size_ > 0) symbols_[seq] = std::move(payload);
+  if (symbol_size_ > 0) {
+    if (symbols_.size() <= seq) symbols_.resize(seq + 1);
+    symbols_[seq] = std::move(payload);
+  }
   newly.push_back(seq);
 }
 
-void SlidingWindowDecoder::substitute_known(Equation& eq) const {
-  auto out = eq.terms.begin();
-  for (auto& term : eq.terms) {
-    const auto it = fate_.find(term.first);
-    if (it != fate_.end() && it->second == 1) {
-      if (symbol_size_ > 0)
-        gf::addmul(eq.rhs, symbols_.at(term.first), term.second);
+void SlidingWindowDecoder::add_row(Row& dst, const Row& src, std::uint8_t f) {
+  std::vector<Term>& out = scratch_terms_;
+  out.clear();
+  auto a = dst.terms.begin();
+  auto b = src.terms.begin();
+  while (a != dst.terms.end() || b != src.terms.end()) {
+    if (b == src.terms.end() || (a != dst.terms.end() && a->first < b->first)) {
+      out.push_back(*a++);
+    } else if (a == dst.terms.end() || b->first < a->first) {
+      out.emplace_back(b->first, gf::mul(f, b->second));
+      ++b;
     } else {
-      *out++ = term;
+      const std::uint8_t c = a->second ^ gf::mul(f, b->second);
+      if (c != 0) out.emplace_back(a->first, c);
+      ++a;
+      ++b;
     }
   }
-  eq.terms.erase(out, eq.terms.end());
+  dst.terms.swap(out);
+  if (symbol_size_ > 0) gf::addmul(dst.rhs, src.rhs, f);
+}
+
+void SlidingWindowDecoder::insert_row(Row row) {
+  const std::uint8_t lead = row.terms.front().second;
+  if (lead != 1) {
+    const std::uint8_t inv = gf::inv(lead);
+    for (Term& term : row.terms) term.second = gf::mul(term.second, inv);
+    if (symbol_size_ > 0) gf::scale(row.rhs, inv);
+  }
+  // Only rows with an earlier pivot can hold the new pivot, and adding
+  // the new row leaves their pivots in place: its other terms are free
+  // columns to the right of the pivot.
+  const auto pos = first_row_from(row.pivot());
+  for (auto it = rows_.begin(); it != pos; ++it) {
+    const auto t = find_term(it->terms, row.pivot());
+    if (t != it->terms.end()) add_row(*it, row, t->second);
+  }
+  rows_.insert(pos, std::move(row));
+}
+
+void SlidingWindowDecoder::harvest(std::vector<std::uint64_t>& newly) {
+  // A single-term row's pivot is zero in every other row, so learning it
+  // frees nothing further.
+  auto out = rows_.begin();
+  for (Row& row : rows_) {
+    if (row.terms.size() == 1) {
+      learn(row.pivot(), std::move(row.rhs), newly);
+      continue;
+    }
+    if (&*out != &row) *out = std::move(row);
+    ++out;
+  }
+  rows_.erase(out, rows_.end());
 }
 
 std::vector<std::uint64_t> SlidingWindowDecoder::on_source(
     std::uint64_t seq, std::span<const std::uint8_t> payload) {
   std::vector<std::uint64_t> newly;
-  if (fate_.contains(seq)) return newly;  // duplicate or past the deadline
+  if (fate(seq) != 0) return newly;  // duplicate or past the deadline
   if (symbol_size_ > 0 && payload.size() != symbol_size_)
     throw std::invalid_argument(
         "SlidingWindowDecoder::on_source: payload size mismatch");
   learn(seq, {payload.begin(), payload.end()}, newly);
-  bool touched = false;
-  for (auto& eq : eqs_) {
-    const std::size_t before = eq.terms.size();
-    substitute_known(eq);
-    touched = touched || eq.terms.size() != before;
+  // Only rows pivoted at or before seq can hold it; the last of them may
+  // be the one pivoted on seq.
+  const auto end = first_row_from(seq + 1);
+  const bool pivoted = end != rows_.begin() && std::prev(end)->pivot() == seq;
+  std::optional<obs::PhaseScope> phase_scope;
+  for (auto it = rows_.begin(); it != end; ++it) {
+    const auto t = find_term(it->terms, seq);
+    if (t == it->terms.end()) continue;
+    // Profiler: the elimination is the matrix-inversion phase of the
+    // sliding-window decode (src/obs/); dormant cost is one atomic load.
+    if (!phase_scope)
+      phase_scope.emplace(obs::current(), obs::Phase::kMatrixInvert);
+    if (symbol_size_ > 0) gf::addmul(it->rhs, symbols_[seq], t->second);
+    it->terms.erase(t);
   }
-  if (touched) solve(newly);
+  if (!phase_scope) return newly;
+  if (pivoted) {
+    // The row lost its pivot; its other terms are free columns, so it
+    // re-enters the system as a freshly reduced row.
+    Row row = std::move(*std::prev(end));
+    rows_.erase(std::prev(end));
+    insert_row(std::move(row));
+  }
+  harvest(newly);
   return newly;
 }
 
@@ -167,161 +248,60 @@ std::vector<std::uint64_t> SlidingWindowDecoder::on_repair(
   if (symbol_size_ > 0 && repair.payload.size() != symbol_size_)
     throw std::invalid_argument(
         "SlidingWindowDecoder::on_repair: payload size mismatch");
-  Equation eq;
-  eq.rhs = repair.payload;
+  Row row;
+  row.terms.reserve(std::min<std::uint64_t>(repair.last - repair.first,
+                                            config_.window));
+  row.rhs = repair.payload;
   for (std::uint64_t s = repair.first; s < repair.last; ++s) {
-    const std::uint8_t c = sliding_coefficient(config_, repair.repair_seq, s);
-    const auto it = fate_.find(s);
+    const std::uint8_t f = fate(s);
     // Pinned on an expired source: with in-order delivery (the horizon
     // trails the newest repair window) this cannot happen; under
     // reordering, the expired term could only be eliminated against
     // another repair covering it, a pairing this decoder does not chase.
-    if (it != fate_.end() && it->second == 2) return newly;
-    if (it != fate_.end() && it->second == 1) {
-      if (symbol_size_ > 0) gf::addmul(eq.rhs, symbols_.at(s), c);
-    } else {
-      eq.terms.emplace_back(s, c);
-    }
+    if (f == 2) return newly;
+    if (f == 0)
+      row.terms.emplace_back(
+          s, sliding_coefficient(config_, repair.repair_seq, s));
+    else if (symbol_size_ > 0)
+      gf::addmul(row.rhs, symbols_[s],
+                 sliding_coefficient(config_, repair.repair_seq, s));
   }
-  if (eq.terms.empty()) return newly;  // fully redundant
-  eqs_.push_back(std::move(eq));
-  solve(newly);
-  return newly;
-}
-
-void SlidingWindowDecoder::solve(std::vector<std::uint64_t>& newly) {
-  // Profiler: the dense solve is the matrix-inversion phase of the
-  // sliding-window decode (src/obs/); dormant cost is one atomic load.
+  if (row.terms.empty()) return newly;  // fully redundant
   const obs::PhaseScope phase_scope(obs::current(), obs::Phase::kMatrixInvert);
-  // Gauss-Jordan over the active window: the unknowns are the union of the
-  // equations' terms (at most a few windows wide), the rows are the
-  // pending repair equations.  The system is tiny, so a dense pass per
-  // change is cheaper than maintaining an incremental factorisation.  The
-  // coefficient matrix lives flat in the member scratch (this runs on the
-  // per-packet delivery path), and the byte-row eliminations go through
-  // the SIMD kernel engine.
-  const gf::Kernels& eng = gf::kernels();
-  while (true) {
-    std::vector<std::uint64_t>& unknowns = scratch_unknowns_;
-    unknowns.clear();
-    for (const auto& eq : eqs_)
-      for (const auto& [seq, c] : eq.terms) unknowns.push_back(seq);
-    std::sort(unknowns.begin(), unknowns.end());
-    unknowns.erase(std::unique(unknowns.begin(), unknowns.end()),
-                   unknowns.end());
-    if (unknowns.empty()) {
-      eqs_.clear();
-      return;
-    }
-    const std::size_t u = unknowns.size();
-    const auto col_of = [&](std::uint64_t seq) {
-      return static_cast<std::size_t>(
-          std::lower_bound(unknowns.begin(), unknowns.end(), seq) -
-          unknowns.begin());
-    };
-
-    // Row i of the dense system: coefficients scratch_a_[i*u .. i*u+u),
-    // right-hand side scratch_rhs_[i] (moved out of the equation).
-    const std::size_t nrows = eqs_.size();
-    scratch_a_.assign(nrows * u, 0);
-    if (scratch_rhs_.size() < nrows) scratch_rhs_.resize(nrows);
-    for (std::size_t i = 0; i < nrows; ++i) {
-      std::uint8_t* row = scratch_a_.data() + i * u;
-      for (const auto& [seq, c] : eqs_[i].terms) row[col_of(seq)] = c;
-      scratch_rhs_[i] = std::move(eqs_[i].rhs);
-    }
-    const auto a_row = [&](std::size_t i) { return scratch_a_.data() + i * u; };
-
-    std::size_t pivot_row = 0;
-    for (std::size_t col = 0; col < u && pivot_row < nrows; ++col) {
-      std::size_t r = pivot_row;
-      while (r < nrows && a_row(r)[col] == 0) ++r;
-      if (r == nrows) continue;
-      if (r != pivot_row) {
-        std::swap_ranges(a_row(pivot_row), a_row(pivot_row) + u, a_row(r));
-        std::swap(scratch_rhs_[pivot_row], scratch_rhs_[r]);
-      }
-      std::uint8_t* p = a_row(pivot_row);
-      const std::uint8_t inv = gf::inv(p[col]);
-      if (inv != 1) {
-        eng.scale(p, u, inv);
-        if (symbol_size_ > 0) gf::scale(scratch_rhs_[pivot_row], inv);
-      }
-      for (std::size_t other = 0; other < nrows; ++other) {
-        if (other == pivot_row || a_row(other)[col] == 0) continue;
-        const std::uint8_t f = a_row(other)[col];
-        eng.addmul(a_row(other), p, u, f);
-        if (symbol_size_ > 0)
-          gf::addmul(scratch_rhs_[other], scratch_rhs_[pivot_row], f);
-      }
-      ++pivot_row;
-    }
-
-    // Harvest: zero rows are redundant, single-term rows are recoveries
-    // (their pivot column is zero in every other row), the rest become the
-    // new active equation set.  The staging buffer is swapped with eqs_ so
-    // the discarded equations' capacities survive for the next pass.
-    bool recovered = false;
-    std::vector<Equation>& next = scratch_next_;
-    next.clear();
-    for (std::size_t i = 0; i < nrows; ++i) {
-      const std::uint8_t* row = a_row(i);
-      std::size_t nz = 0, last = 0;
-      for (std::size_t j = 0; j < u; ++j)
-        if (row[j] != 0) {
-          ++nz;
-          last = j;
-        }
-      if (nz == 0) continue;  // redundant combination
-      if (nz == 1) {
-        // Normalised pivot: coefficient is 1, rhs is the payload.
-        learn(unknowns[last], std::move(scratch_rhs_[i]), newly);
-        recovered = true;
-        continue;
-      }
-      Equation eq;
-      eq.terms.reserve(nz);
-      for (std::size_t j = 0; j < u; ++j)
-        if (row[j] != 0) eq.terms.emplace_back(unknowns[j], row[j]);
-      eq.rhs = std::move(scratch_rhs_[i]);
-      next.push_back(std::move(eq));
-    }
-    eqs_.swap(next);
-    if (!recovered) return;
-    // A recovery never leaves its column behind (Jordan), but re-running
-    // keeps the invariant simple and the system is already reduced, so the
-    // extra pass terminates immediately when nothing new appears.
-    if (eqs_.empty()) return;
+  // Forward-reduce against the pivot rows.  A pivot row's other terms are
+  // free columns, so eliminating one pivot never brings in another, and
+  // no row pivoted before the repair's oldest unknown can match.
+  for (auto it = first_row_from(row.pivot()); it != rows_.end(); ++it) {
+    const auto t = find_term(row.terms, it->pivot());
+    if (t != row.terms.end()) add_row(row, *it, t->second);
   }
+  if (row.terms.empty()) return newly;  // a combination of pending rows
+  insert_row(std::move(row));
+  harvest(newly);
+  return newly;
 }
 
 std::vector<std::uint64_t> SlidingWindowDecoder::give_up_before(
     std::uint64_t horizon) {
   std::vector<std::uint64_t> newly_lost;
   if (horizon <= horizon_) return newly_lost;
+  if (fate_.size() < horizon) fate_.resize(horizon, 0);
   for (std::uint64_t seq = horizon_; seq < horizon; ++seq) {
-    if (!fate_.contains(seq)) {
+    if (fate_[seq] == 0) {
       fate_[seq] = 2;
       ++lost_n_;
       newly_lost.push_back(seq);
     }
   }
   horizon_ = horizon;
-  if (!newly_lost.empty()) {
-    // Dropping every equation that touches an expired source loses no
-    // recoverable information: solve() keeps eqs_ in reduced row-echelon
-    // form with columns ordered by seq, so each row's *oldest* term is its
-    // pivot, and a pivot appears in exactly one row.  A row touching an
-    // expired source therefore has an expired pivot, and any linear
-    // combination of RREF rows (with anything, including future repairs)
-    // retains every participating pivot — so such rows can never help
-    // determine a still-live source.
-    std::erase_if(eqs_, [&](const Equation& eq) {
-      for (const auto& [seq, c] : eq.terms)
-        if (seq < horizon) return true;
-      return false;
-    });
-  }
+  // Dropping every row that touches an expired source loses no
+  // recoverable information: each row's *oldest* term is its pivot, and
+  // a pivot appears in exactly one row.  A row touching an expired source
+  // therefore has an expired pivot, and any linear combination of RREF
+  // rows (with anything, including future repairs) retains every
+  // participating pivot — so such rows can never help determine a
+  // still-live source.  They are the rows pivoted below the horizon.
+  rows_.erase(rows_.begin(), first_row_from(horizon));
   return newly_lost;
 }
 

@@ -14,9 +14,10 @@
 // The decoder keeps the received repair equations in reduced row-echelon
 // form over GF(2^8) (on-the-fly Gaussian elimination within the window,
 // the streaming analogue of fec/ge_decoder's residual solve): every
-// arriving source packet is substituted into the active equations, every
-// arriving repair packet is reduced against the current pivots, and any
-// equation left with a single unknown recovers that source immediately.
+// arriving source packet is substituted into the equations that hold it,
+// every arriving repair packet is reduced against the current pivots and
+// its own pivot eliminated from the earlier equations, and any equation
+// left with a single unknown recovers that source immediately.
 // Decoding is *delay-limited*: once the window has slid W source packets
 // past an unrecovered source, no future repair can cover it any more, so
 // it is declared lost (releasing head-of-line blocked successors — see
@@ -38,8 +39,8 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "fec/sparse_matrix.h"
@@ -129,7 +130,8 @@ class SlidingWindowEncoder {
 };
 
 /// Receiver side: incremental GF(2^8) Gaussian elimination over the active
-/// window.
+/// window.  Per-source state is indexed by seq, so it grows with the
+/// largest seq fed in.
 class SlidingWindowDecoder {
  public:
   explicit SlidingWindowDecoder(const SlidingWindowConfig& config,
@@ -169,45 +171,46 @@ class SlidingWindowDecoder {
   [[nodiscard]] std::uint64_t lost_count() const noexcept { return lost_n_; }
   /// Pending (not yet useful) repair equations — the decoder's working set.
   [[nodiscard]] std::size_t active_equations() const noexcept {
-    return eqs_.size();
+    return rows_.size();
   }
 
  private:
-  struct Equation {
-    // Unknown terms, ascending by seq; coefficients non-zero.
-    std::vector<std::pair<std::uint64_t, std::uint8_t>> terms;
+  using Term = std::pair<std::uint64_t, std::uint8_t>;
+  /// One pending equation in reduced row-echelon form (columns ordered by
+  /// seq): unknown terms ascending; the first is the row's pivot, with
+  /// coefficient 1 and held by no other row.
+  struct Row {
+    std::vector<Term> terms;
     std::vector<std::uint8_t> rhs;  // payload mode only
+    [[nodiscard]] std::uint64_t pivot() const { return terms.front().first; }
   };
 
+  [[nodiscard]] std::uint8_t fate(std::uint64_t seq) const {
+    return seq < fate_.size() ? fate_[seq] : 0;
+  }
+  /// The first row pivoted at or after `seq`.
+  std::vector<Row>::iterator first_row_from(std::uint64_t seq);
   void learn(std::uint64_t seq, std::vector<std::uint8_t> payload,
              std::vector<std::uint64_t>& newly);
-  /// Substitute every known source out of `eq`; in payload mode folds the
-  /// known payloads into the rhs.
-  void substitute_known(Equation& eq) const;
-  /// Re-run Gauss-Jordan over the active equations and extract every
-  /// uniquely determined source.  Appends recoveries to `newly`.
-  void solve(std::vector<std::uint64_t>& newly);
+  /// dst += f * src, over the terms and (payload mode) the rhs.
+  void add_row(Row& dst, const Row& src, std::uint8_t f);
+  /// Normalise `row`, whose terms are all free columns, eliminate its
+  /// pivot from the earlier rows and insert it in pivot order.
+  void insert_row(Row row);
+  /// Learn every single-term row (ascending seq) and drop it.
+  void harvest(std::vector<std::uint64_t>& newly);
 
   SlidingWindowConfig config_;
   std::size_t symbol_size_;
   std::uint64_t horizon_ = 0;
   std::uint64_t known_n_ = 0;
   std::uint64_t lost_n_ = 0;
-  // Fate of every seq seen so far: known payload / lost marker.  Keyed map
-  // because the window keeps this small relative to the stream. 1 = known,
-  // 2 = lost.
-  std::map<std::uint64_t, std::uint8_t> fate_;
-  std::map<std::uint64_t, std::vector<std::uint8_t>> symbols_;
-  std::vector<Equation> eqs_;
-  // solve() scratch, reused across calls: the active unknowns, the flat
-  // (rows x unknowns) coefficient matrix of the dense pass, the rhs
-  // payloads moved out of the equations for the elimination, and the
-  // surviving-equation staging buffer (swapped with eqs_, so both keep
-  // their per-equation capacities alive).
-  std::vector<std::uint64_t> scratch_unknowns_;
-  std::vector<std::uint8_t> scratch_a_;
-  std::vector<std::vector<std::uint8_t>> scratch_rhs_;
-  std::vector<Equation> scratch_next_;
+  // Indexed by seq: 0 = unknown, 1 = known, 2 = lost; and the known
+  // payloads (payload mode).
+  std::vector<std::uint8_t> fate_;
+  std::vector<std::vector<std::uint8_t>> symbols_;
+  std::vector<Row> rows_;  // ascending by pivot
+  std::vector<Term> scratch_terms_;  // add_row's merge buffer
 };
 
 /// The binary support structure of the repairs a paced stream would emit:

@@ -77,6 +77,7 @@ StreamTrialResult finish(const DelayTracker& tracker, std::uint64_t sent,
     hook.count("stream.residual_lost", result.residual.lost);
     hook.count("stream.residual_runs", result.residual.runs);
     hook.gauge_max("stream.residual_max_run", result.residual.max_run_length);
+    obs::observe_release_delays(hook.observer()->metrics(), result.delays);
   }
   return result;
 }

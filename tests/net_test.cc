@@ -4,7 +4,9 @@
 // and the net.send / net.recv fault points.
 
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
+#include <exception>
 #include <string>
 #include <vector>
 
@@ -362,6 +364,101 @@ TEST(NetConfig, ValidateRejectsBadParameters) {
   cfg.payload_bytes = 64;
   cfg.transport = "carrier-pigeon";
   EXPECT_THROW(cfg.validate(), std::invalid_argument);
+}
+
+// A frame with a valid CRC and this stream's object, scheme and seed can
+// still carry an id or span the sender never emits.  The receiver counts
+// it as a reject instead of handing it on: a source past S would throw
+// from the delay tracker, a repair spanning 2^34 seqs would hash a
+// coefficient for each, and a block id would narrow to 32 bits and index
+// past the plan.
+TEST(NetReceiverValidation, RefusesOutOfRangeIdsAndSpans) {
+  constexpr std::uint64_t kSeed = 11;
+  const auto verdict = [&](const NetTrialConfig& cfg,
+                           const DataFrame& frame) -> std::string {
+    NetReceiver rx(cfg.stream, cfg.payload_bytes, kSeed, 0);
+    ParsedFrame parsed;
+    parsed.data = frame;
+    try {
+      rx.on_slot(&parsed, 0);
+    } catch (const std::exception& e) {
+      return std::string("threw: ") + e.what();
+    }
+    return rx.frames_rejected() == 1 ? "rejected" : "accepted";
+  };
+  const auto start = std::chrono::steady_clock::now();
+
+  NetTrialConfig sliding =
+      small_config(StreamScheme::kSlidingWindow, StreamScheduling::kSequential);
+  sliding.stream.source_count = 100;
+  const std::uint64_t S = 100, W = sliding.stream.window;
+  DataFrame source, repair;
+  {
+    NetSender tx(sliding.stream, sliding.payload_bytes, kSeed, 0);
+    tx.source_frame(0, source);
+    tx.repair_frame(1, repair);
+  }
+  EXPECT_EQ(verdict(sliding, source), "accepted");
+  EXPECT_EQ(verdict(sliding, repair), "accepted");
+  DataFrame bad = source;
+  for (const std::uint64_t id : {S, std::uint64_t{1000}}) {
+    bad.symbol_id = id;
+    EXPECT_EQ(verdict(sliding, bad), "rejected") << "source id " << id;
+  }
+  bad = source;
+  bad.payload.pop_back();
+  EXPECT_EQ(verdict(sliding, bad), "rejected") << "short payload";
+  const struct {
+    std::uint64_t id, first, last;
+  } spans[] = {
+      {S, 0, std::uint64_t{1} << 34},  // 2^34 seqs
+      {5, 0, 1},                       // a source id on a repair
+      {S, 3, 3},                       // empty
+      {S, S + 1 - W, S + 1},           // past the last source
+      {S, 0, W + 1},                   // wider than the window
+  };
+  for (const auto& span : spans) {
+    bad = repair;
+    bad.symbol_id = span.id;
+    bad.span_first = span.first;
+    bad.span_last = span.last;
+    EXPECT_EQ(verdict(sliding, bad), "rejected")
+        << "repair " << span.id << " [" << span.first << ", " << span.last
+        << ")";
+  }
+
+  NetTrialConfig replication =
+      small_config(StreamScheme::kReplication, StreamScheduling::kSequential);
+  {
+    NetSender tx(replication.stream, replication.payload_bytes, kSeed, 0);
+    tx.source_frame(0, source);
+    tx.repair_frame(1, repair);
+  }
+  EXPECT_EQ(verdict(replication, repair), "accepted");
+  bad = repair;
+  bad.span_first = bad.span_last = replication.stream.source_count;
+  EXPECT_EQ(verdict(replication, bad), "rejected") << "duplicate of S";
+  bad = source;
+  bad.symbol_id = replication.stream.source_count;
+  EXPECT_EQ(verdict(replication, bad), "rejected") << "source id S";
+
+  for (const StreamScheme scheme :
+       {StreamScheme::kBlockRse, StreamScheme::kLdgm}) {
+    const NetTrialConfig block =
+        small_config(scheme, StreamScheduling::kSequential);
+    DataFrame packet;
+    NetSender(block.stream, block.payload_bytes, kSeed, 0)
+        .packet_frame(1, packet);
+    EXPECT_EQ(verdict(block, packet), "accepted");
+    // 2^32 + 1 narrows to the valid id 1.
+    for (const std::uint64_t id :
+         {std::uint64_t{1'000'000}, (std::uint64_t{1} << 32) + 1}) {
+      bad = packet;
+      bad.symbol_id = id;
+      EXPECT_EQ(verdict(block, bad), "rejected") << "block id " << id;
+    }
+  }
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(5));
 }
 
 TEST(NetSenderTest, PayloadsAreDeterministicPerSourceAndSeed) {

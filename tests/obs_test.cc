@@ -171,6 +171,33 @@ TEST(ObsSession, PlainProfileSamplesPerPacketPhasesAndScalesNs) {
   }
 }
 
+// The multipath engine picks a path (schedule) and the sliding-window
+// decoder eliminates (matrix_invert, a PhaseScope inside the decoder)
+// once per packet, so plain --profile samples both like decode.
+TEST(ObsSession, PlainProfileSamplesScheduleAndMatrixInvert) {
+  const auto schedule = static_cast<std::size_t>(obs::Phase::kSchedule);
+  const auto invert = static_cast<std::size_t>(obs::Phase::kMatrixInvert);
+  obs::Session session(obs::Config{.metrics = true, .profile = true});
+  {
+    const obs::TrialScope scope(0);
+    const obs::Hook hook;
+    // Only ordinals 0, 64 and 128 spin: the scaled totals stand for 130
+    // spins each, which per-call timing would report as 3.
+    for (int i = 0; i < 130; ++i) {
+      hook.timed(obs::Phase::kSchedule, [&] {
+        if (i % 64 == 0) spin_us(200);
+      });
+      const obs::PhaseScope phase(obs::current(), obs::Phase::kMatrixInvert);
+      if (i % 64 == 0) spin_us(200);
+    }
+  }
+  const obs::Report report = session.finish();
+  EXPECT_EQ(report.phases[schedule].calls, 130u);
+  EXPECT_GE(report.phases[schedule].ns, 130u * 200'000u);
+  EXPECT_EQ(report.phases[invert].calls, 130u);
+  EXPECT_GE(report.phases[invert].ns, 130u * 200'000u);
+}
+
 TEST(ObsSession, TraceSamplingKeepsEveryNthTrial) {
   obs::Session session(obs::Config{.trace = true, .trace_sample = 2});
   for (std::uint64_t t = 0; t < 4; ++t) {
@@ -277,6 +304,27 @@ TEST(ObsScenario, ReportIsThreadCountIndependent) {
     EXPECT_EQ(one.obs->events, four.obs->events) << engine;
     std::remove(tmp_path(std::string(engine) + "_t1.jsonl").c_str());
     std::remove(tmp_path(std::string(engine) + "_t4.jsonl").c_str());
+  }
+}
+
+// The engines fill the release-delay histogram once per trial from the
+// tracker's delays: one count for every delivered source of every trial.
+TEST(ObsScenario, ReleaseDelayHistogramCountsEveryDeliveredSource) {
+  for (const std::string engine : {"stream", "mpath"}) {
+    ScenarioSpec spec = small_stream_spec();
+    spec.engine = engine;
+    if (engine == "mpath") spec.paths.list = {{5.0, 1.0}, {45.0, 1.0}};
+    spec.obs.metrics = true;
+    const ScenarioResult r = api::run_scenario(spec);
+    ASSERT_TRUE(r.obs) << engine;
+    std::uint64_t delivered = 0, counted = 0;
+    for (const auto& [name, value] : r.obs->metrics.counters)
+      if (name == engine + ".sources_delivered") delivered = value;
+    for (const obs::MetricsSnapshot::Hist& h : r.obs->metrics.histograms)
+      if (h.name == "delay.release_slots")
+        for (std::uint64_t c : h.counts) counted += c;
+    EXPECT_GT(delivered, 0u) << engine;
+    EXPECT_EQ(counted, delivered) << engine;
   }
 }
 

@@ -1,8 +1,11 @@
 // Streaming FEC subsystem (src/stream/): sliding-window decoder
-// cross-checked against the brute-force GF(2) solver, payload-mode
-// correctness, delay-tracker invariants, and stream-trial sanity.
+// cross-checked against the brute-force GF(2) solver and the dense
+// reference decoder, payload-mode correctness, delay-tracker invariants,
+// and stream-trial sanity.
 
 #include <algorithm>
+#include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -13,6 +16,7 @@
 #include "fec/ge_decoder.h"
 #include "fec/peeling_decoder.h"
 #include "obs/obs.h"
+#include "sliding_reference.h"
 #include "sim/stream_delay.h"
 #include "stream/delay_tracker.h"
 #include "stream/sliding_window.h"
@@ -175,6 +179,137 @@ TEST(SlidingWindow, EncoderWindowMatchesDeclaredSpan) {
   EXPECT_EQ(rp.first, 12u);
   EXPECT_EQ(rp.payload.size(), 4u);
 }
+
+// ------------------------------------------------- dense reference
+
+// The decoder keeps its reduced row-echelon form incrementally; the dense
+// reference (tests/sliding_reference.h) re-solves every pending equation
+// per packet.  For a fixed column order the RREF of a row space is
+// unique, so both must return the same seqs in the same order, hold the
+// same number of pending equations after every call, and end with the
+// same fates and byte-identical payloads.  The event streams are paced
+// emissions (sources, one repair per interval, then the tail) with
+// per-stream loss, duplicates and a bounded random delivery delay that
+// reorders arrivals as two paths would.
+using DifferentialParam =
+    std::tuple<std::uint32_t, SlidingCoefficients, std::size_t>;
+class SlidingDifferential
+    : public ::testing::TestWithParam<DifferentialParam> {};
+
+TEST_P(SlidingDifferential, MatchesDenseReferenceOnReorderedStreams) {
+  const auto [W, coefficients, symbol] = GetParam();
+  constexpr int kStreams = 30;
+  Rng rng(0xd1ff ^ (W << 8) ^ (symbol << 1) ^
+          static_cast<std::uint64_t>(coefficients));
+  for (int stream = 0; stream < kStreams; ++stream) {
+    SlidingWindowConfig cfg;
+    cfg.window = W;
+    cfg.repair_interval = static_cast<std::uint32_t>(1 + rng.below(4));
+    cfg.coefficients = coefficients;
+    cfg.seed = rng.below(1u << 30);
+    const std::uint32_t S = 6 * W + static_cast<std::uint32_t>(rng.below(W));
+
+    // Paced emissions: sources in order, a repair after every interval,
+    // then one window of tail repairs.
+    struct Emission {
+      bool repair = false;
+      std::uint64_t seq = 0;
+      RepairPacket packet;
+    };
+    std::vector<std::vector<std::uint8_t>> sources(S);
+    std::vector<Emission> emissions;
+    SlidingWindowEncoder enc(cfg, symbol);
+    for (std::uint32_t s = 0; s < S; ++s) {
+      sources[s].resize(symbol);
+      for (auto& b : sources[s]) b = static_cast<std::uint8_t>(rng.below(256));
+      enc.push_source(sources[s]);
+      emissions.push_back({false, s, {}});
+      if (enc.source_count() % cfg.repair_interval == 0)
+        emissions.push_back({true, 0, enc.make_repair()});
+    }
+    for (std::uint32_t i = 0; i < W / cfg.repair_interval + 1; ++i)
+      emissions.push_back({true, 0, enc.make_repair()});
+
+    // Per-stream loss, duplicates and delivery delay: arrivals are sorted
+    // by emission slot plus a delay drawn from [0, max_delay].
+    const double loss = 0.02 + 0.33 * rng.uniform01();
+    const std::uint64_t max_delay = rng.below(2 * W + 1);
+    std::vector<std::pair<std::uint64_t, std::size_t>> arrivals;
+    for (std::size_t i = 0; i < emissions.size(); ++i) {
+      if (rng.bernoulli(loss)) continue;
+      arrivals.emplace_back(i + rng.below(max_delay + 1), i);
+      if (rng.bernoulli(0.05))
+        arrivals.emplace_back(i + rng.below(max_delay + 1), i);
+    }
+    std::stable_sort(arrivals.begin(), arrivals.end(),
+                     [](const auto& a, const auto& b) {
+                       return a.first < b.first;
+                     });
+
+    SlidingWindowDecoder dec(cfg, symbol);
+    testing_ref::ReferenceSlidingDecoder ref(cfg, symbol);
+    const auto same_state = [&]() -> ::testing::AssertionResult {
+      if (dec.active_equations() == ref.active_equations() &&
+          dec.known_count() == ref.known_count() &&
+          dec.lost_count() == ref.lost_count())
+        return ::testing::AssertionSuccess();
+      return ::testing::AssertionFailure()
+             << "equations " << dec.active_equations() << " vs "
+             << ref.active_equations() << ", known " << dec.known_count()
+             << " vs " << ref.known_count() << ", lost " << dec.lost_count()
+             << " vs " << ref.lost_count();
+    };
+    std::uint64_t newest = 0;
+    for (std::size_t step = 0; step < arrivals.size(); ++step) {
+      const Emission& em = emissions[arrivals[step].second];
+      if (em.repair) {
+        ASSERT_EQ(dec.on_repair(em.packet), ref.on_repair(em.packet))
+            << "repair step " << step << " stream " << stream;
+        newest = std::max(newest, em.packet.last - 1);
+      } else {
+        ASSERT_EQ(dec.on_source(em.seq, sources[em.seq]),
+                  ref.on_source(em.seq, sources[em.seq]))
+            << "source step " << step << " stream " << stream;
+        newest = std::max(newest, em.seq);
+      }
+      ASSERT_TRUE(same_state()) << "step " << step << " stream " << stream;
+      if (newest >= W) {
+        ASSERT_EQ(dec.give_up_before(newest - W),
+                  ref.give_up_before(newest - W));
+        ASSERT_TRUE(same_state()) << "give-up step " << step;
+      }
+    }
+    ASSERT_EQ(dec.give_up_before(S), ref.give_up_before(S));
+    ASSERT_TRUE(same_state()) << "final give-up, stream " << stream;
+
+    for (std::uint32_t s = 0; s < S; ++s) {
+      ASSERT_EQ(dec.is_known(s), ref.is_known(s)) << "source " << s;
+      ASSERT_EQ(dec.is_lost(s), ref.is_lost(s)) << "source " << s;
+      if (symbol == 0 || !dec.is_known(s)) continue;
+      const auto got = dec.symbol(s);
+      const auto want = ref.symbol(s);
+      ASSERT_TRUE(std::equal(got.begin(), got.end(), want.begin(), want.end()))
+          << "source " << s;
+      ASSERT_TRUE(std::equal(got.begin(), got.end(), sources[s].begin(),
+                             sources[s].end()))
+          << "source " << s;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    WindowsModesPayloads, SlidingDifferential,
+    ::testing::Combine(::testing::Values(4u, 16u, 64u),
+                       ::testing::Values(SlidingCoefficients::kRandomGf256,
+                                         SlidingCoefficients::kBinary),
+                       ::testing::Values(std::size_t{0}, std::size_t{32})),
+    [](const ::testing::TestParamInfo<DifferentialParam>& info) {
+      const bool binary =
+          std::get<1>(info.param) == SlidingCoefficients::kBinary;
+      return "W" + std::to_string(std::get<0>(info.param)) +
+             (binary ? "_binary" : "_random") +
+             (std::get<2>(info.param) == 0 ? "_structure" : "_payload");
+    });
 
 // --------------------------------------------------------- delay tracker
 

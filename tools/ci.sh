@@ -373,12 +373,32 @@ rm -f BENCH_net_ledger.jsonl
 grep -q '"kind":"bench","label":"bench_packetize"' BENCH_net_ledger.jsonl
 echo "net gate: wire round-trips fuzz-clean, loopback matches simulation on both backends"
 
+# Sanitizer gate: the decoders, receivers and observers again under
+# AddressSanitizer + UndefinedBehaviorSanitizer, with libstdc++'s bounds
+# assertions on (the sliding-window decoder indexes its state by seq),
+# from a second build of the library and those test binaries only
+# (benches, examples and tools off) in .asan_build/.
+# -fno-sanitize-recover=all makes every report abort its binary, so any
+# report fails CI.
+cd ..
+cmake -B .asan_build -S . \
+  -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all -fno-omit-frame-pointer -D_GLIBCXX_ASSERTIONS" \
+  -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined" \
+  -DFECSCHED_BUILD_BENCHES=OFF -DFECSCHED_BUILD_EXAMPLES=OFF \
+  -DFECSCHED_BUILD_TOOLS=OFF
+sanitized="stream_test mpath_test net_test fuzz_robustness_test obs_test"
+cmake --build .asan_build -j "$(nproc)" --target $sanitized
+for t in $sanitized; do
+  ASAN_OPTIONS=abort_on_error=1 UBSAN_OPTIONS=print_stacktrace=1 \
+    ./.asan_build/"$t" --gtest_brief=1
+done
+echo "sanitizer gate: decoders, receivers and observers clean under ASan+UBSan"
+
 # Benchmark gate (bench_e2e/, BENCHMARK.json): bench_e2e is a CMake
 # project of its own that the build above does not compile, yet it links
 # src/ and pins every workload's result hash.  Its quick self-check builds
 # it from this checkout (into .bench_build/) and checks the pinned hashes,
 # 1 vs 4 threads and a short traced pass, so a src/ change that breaks
 # the benchmark's build, hashes or replay match fails here.
-cd ..
 python3 bench_e2e/run.py --check
 echo "benchmark gate: bench_e2e builds, pinned hashes and replays match"
