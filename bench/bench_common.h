@@ -80,6 +80,28 @@ bool parse_uint_flag(const std::string& arg, std::string_view flag, T& out) {
   return true;
 }
 
+/// If `arg` is `<flag>=<value>`, parses the whole value as a finite
+/// decimal greater than zero into `out` and returns true.  Anything else
+/// (trailing characters, a sign, zero, inf, nan, out of range) exits 2
+/// naming the flag, as parse_uint_flag does.
+inline bool parse_positive_flag(const std::string& arg, std::string_view flag,
+                                double& out) {
+  if (arg.size() <= flag.size() || arg.compare(0, flag.size(), flag) != 0 ||
+      arg[flag.size()] != '=')
+    return false;
+  const char* first = arg.data() + flag.size() + 1;
+  const char* last = arg.data() + arg.size();
+  double v = 0.0;
+  const auto [end, ec] = std::from_chars(first, last, v);
+  if (ec != std::errc() || end != last || !std::isfinite(v) || v <= 0.0) {
+    std::cerr << flag << ": expected a finite number greater than 0, got '"
+              << first << "'\n";
+    std::exit(2);
+  }
+  out = v;
+  return true;
+}
+
 inline Scale parse_scale(int argc, char** argv) {
   Scale s;
   const char* env = std::getenv("FECSCHED_PAPER");

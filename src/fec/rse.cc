@@ -1,5 +1,6 @@
 #include "fec/rse.h"
 
+#include <algorithm>
 #include <cstring>
 #include <stdexcept>
 #include <string>
@@ -37,38 +38,42 @@ void gf256_invert_matrix(std::span<std::uint8_t> m, std::uint32_t size,
   const obs::PhaseScope phase_scope(obs::current(), obs::Phase::kMatrixInvert);
   if (m.size() != static_cast<std::size_t>(size) * size)
     throw std::invalid_argument("gf256_invert_matrix: bad dimensions");
+  // Gauss-Jordan on one augmented [M | I] buffer whose rows are padded to
+  // whole 32-byte chunks.  At column `col` no row yet to be a pivot has a
+  // non-zero left of `col`, so the swap, the scale and every elimination
+  // start at the chunk holding `col` and run to the row's end: one kernel
+  // call each, on whole chunks only, with no scalar tail.
+  constexpr std::size_t kChunk = 32;
   const std::size_t s = size;
-  scratch.assign(s * s, 0);
-  for (std::size_t i = 0; i < s; ++i) scratch[i * s + i] = 1;
-  std::vector<std::uint8_t>& inv = scratch;
-
+  const std::size_t stride = (2 * s + kChunk - 1) / kChunk * kChunk;
+  scratch.assign(s * stride, 0);
+  std::uint8_t* aug = scratch.data();
+  for (std::size_t i = 0; i < s; ++i) {
+    std::memcpy(aug + i * stride, m.data() + i * s, s);
+    aug[i * stride + s + i] = 1;
+  }
+  const gf::Kernels& eng = gf::kernels();
   for (std::size_t col = 0; col < s; ++col) {
     // Find a non-zero pivot in this column.
     std::size_t pivot = col;
-    while (pivot < s && m[pivot * s + col] == 0) ++pivot;
+    while (pivot < s && aug[pivot * stride + col] == 0) ++pivot;
     if (pivot == s)
       throw std::invalid_argument("gf256_invert_matrix: singular matrix");
-    if (pivot != col) {
-      for (std::size_t j = 0; j < s; ++j) {
-        std::swap(m[pivot * s + j], m[col * s + j]);
-        std::swap(inv[pivot * s + j], inv[col * s + j]);
-      }
-    }
-    // Normalise the pivot row.
-    const std::uint8_t piv_inv = gf::inv(m[col * s + col]);
-    gf::scale(m.subspan(col * s, s), piv_inv);
-    gf::scale(std::span(inv).subspan(col * s, s), piv_inv);
-    // Eliminate the column from every other row.
+    const std::size_t from = col / kChunk * kChunk;
+    const std::size_t len = stride - from;
+    std::uint8_t* piv_row = aug + col * stride + from;
+    if (pivot != col)
+      std::swap_ranges(piv_row, piv_row + len, aug + pivot * stride + from);
+    // Normalise the pivot row, then eliminate the column from every other.
+    eng.scale(piv_row, len, gf::inv(aug[col * stride + col]));
     for (std::size_t row = 0; row < s; ++row) {
-      if (row == col) continue;
-      const std::uint8_t factor = m[row * s + col];
-      if (factor == 0) continue;
-      gf::addmul(m.subspan(row * s, s), m.subspan(col * s, s), factor);
-      gf::addmul(std::span(inv).subspan(row * s, s),
-                 std::span(inv).subspan(col * s, s), factor);
+      const std::uint8_t factor = aug[row * stride + col];
+      if (row == col || factor == 0) continue;
+      eng.addmul(aug + row * stride + from, piv_row, len, factor);
     }
   }
-  std::memcpy(m.data(), inv.data(), s * s);
+  for (std::size_t i = 0; i < s; ++i)
+    std::memcpy(m.data() + i * s, aug + i * stride + s, s);
 }
 
 void gf256_invert_matrix(std::vector<std::uint8_t>& m, std::uint32_t size) {

@@ -41,7 +41,7 @@ class RseWorkspace {
  private:
   friend class RseCodec;
   std::vector<std::uint8_t> a_;            // e x e erased-column system
-  std::vector<std::uint8_t> inv_scratch_;  // identity side of the inversion
+  std::vector<std::uint8_t> inv_scratch_;  // augmented [A | I] of the inversion
   SymbolArena rhs_;                        // e parity right-hand sides
   std::vector<char> seen_;
   std::vector<std::uint32_t> erased_;
@@ -114,7 +114,7 @@ class RseCodec {
 /// Exposed for reuse by tests and by future codec variants.
 void gf256_invert_matrix(std::vector<std::uint8_t>& m, std::uint32_t size);
 
-/// Allocation-reusing variant: `scratch` carries the identity/result side
+/// Allocation-reusing variant: `scratch` holds the augmented [m | I] rows
 /// of the elimination and may be reused across calls (it is resized as
 /// needed).  On return `m` holds the inverse, as in the vector overload.
 void gf256_invert_matrix(std::span<std::uint8_t> m, std::uint32_t size,

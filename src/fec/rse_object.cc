@@ -4,6 +4,19 @@
 
 namespace fecsched {
 
+namespace {
+
+/// The generator of `blk`'s geometry, built on first use.  An RFC 5052
+/// partition has at most two geometries, so the search is short and
+/// every block of one geometry shares one generator.
+const RseCodec& codec_for(std::vector<RseCodec>& codecs, const BlockInfo& blk) {
+  for (const RseCodec& c : codecs)
+    if (c.k() == blk.k && c.n() == blk.n) return c;
+  return codecs.emplace_back(blk.k, blk.n);
+}
+
+}  // namespace
+
 RseObjectEncoder::RseObjectEncoder(
     std::shared_ptr<const RsePlan> plan,
     std::span<const std::vector<std::uint8_t>> source)
@@ -22,9 +35,10 @@ RseObjectEncoder::RseObjectEncoder(
   for (auto& p : parity_) p.resize(sym);
   const std::uint8_t* source_rows[RseCodec::kMaxN];
   std::uint8_t* parity_rows[RseCodec::kMaxN];
+  std::vector<RseCodec> codecs;
   for (std::uint32_t b = 0; b < plan_->block_count(); ++b) {
     const BlockInfo& blk = plan_->block(b);
-    const RseCodec codec(blk.k, blk.n);
+    const RseCodec& codec = codec_for(codecs, blk);
     for (std::uint32_t j = 0; j < blk.k; ++j)
       source_rows[j] = source_[blk.source_offset + j].data();
     for (std::uint32_t i = 0; i < blk.n - blk.k; ++i)
@@ -66,7 +80,7 @@ bool RseObjectDecoder::on_packet(PacketId id,
   const BlockInfo& blk = plan_->block(pos.block);
   if (st.received.size() < blk.k) return false;
 
-  const RseCodec codec(blk.k, blk.n);
+  const RseCodec& codec = codec_for(codecs_, blk);
   std::vector<ReceivedSymbol> views;
   views.reserve(st.received.size());
   for (const RseCodec::Received& r : st.received)

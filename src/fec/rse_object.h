@@ -1,6 +1,9 @@
 // Object-level Reed-Solomon erasure codec: applies RseCodec per block
 // according to an RsePlan, exposing the flat global packet-id space used
-// by the schedulers and sessions.
+// by the schedulers and sessions.  Each instance builds one generator per
+// block geometry (at most two in an RFC 5052 partition) as it works: the
+// encoder while it walks the blocks, the decoder when a geometry's first
+// block completes, so a decoder that has decoded nothing has built nothing.
 
 #pragma once
 
@@ -70,6 +73,8 @@ class RseObjectDecoder {
   std::size_t symbol_size_;
   std::vector<BlockState> blocks_;
   std::vector<char> seen_;
+  std::vector<RseCodec> codecs_;  ///< one generator per block geometry, built
+                                  ///< when its first block completes
   RseWorkspace workspace_;  ///< decode scratch, reused across blocks
   std::uint32_t decoded_blocks_ = 0;
   std::uint32_t used_ = 0;

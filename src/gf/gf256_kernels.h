@@ -17,11 +17,13 @@
 //    _mm_shuffle_epi8 pair multiplies 16 bytes per step (Plank et al.,
 //    "Screaming Fast Galois Field Arithmetic Using Intel SIMD
 //    Instructions", FAST 2013 — the technique behind ISA-L and klauspost's
-//    reedsolomon).
+//    reedsolomon).  Its addmul_batch keeps 64 B of destination in
+//    registers per pass over the terms.
 //  * kAvx2   — the same split-nibble trick on 32-byte vectors, plus a
-//    fused addmul_batch that keeps each destination chunk in registers
-//    while it accumulates every (src, coeff) term — one dst load/store per
-//    chunk instead of one per term.
+//    fused addmul_batch that keeps eight destination chunks (256 B) in
+//    registers while it accumulates every (src, coeff) term — one dst
+//    load/store per chunk instead of one per term, and one table
+//    broadcast per term per 256 B.
 //  * kNeon   — vqtbl1q_u8 split-nibble on aarch64 (compiled out on x86).
 //
 // Selection happens once per process (CPUID probing, best backend wins)
@@ -93,7 +95,11 @@ struct Kernels {
   void (*xor_into)(std::uint8_t* dst, const std::uint8_t* src,
                    std::size_t len) = nullptr;
   /// dst[i] ^= XOR over t of terms[t].coeff * terms[t].src[i] — one fused
-  /// pass over dst for all `count` terms.
+  /// pass over dst for all `count` terms (any count; RSE runs 100-255).
+  /// The SIMD backends fetch the nibble tables once per call, with no call
+  /// per term or chunk, and keep a block of dst in registers while every
+  /// term accumulates into it (AVX2 256 B, SSSE3 64 B, NEON 16 B); the
+  /// bytes past the last whole vector run per term.
   void (*addmul_batch)(std::uint8_t* dst, const AddmulTerm* terms,
                        std::size_t count, std::size_t len) = nullptr;
 };

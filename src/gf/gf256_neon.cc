@@ -75,6 +75,7 @@ void neon_addmul_batch(std::uint8_t* dst, const AddmulTerm* terms,
                        std::size_t count, std::size_t len) {
   if (count == 0 || len == 0) return;
   assert(dst != nullptr);
+  const NibbleRow* rows = nibble_rows();
   const uint8x16_t mask = vdupq_n_u8(0x0f);
   std::size_t i = 0;
   for (; i + 16 <= len; i += 16) {
@@ -87,7 +88,7 @@ void neon_addmul_batch(std::uint8_t* dst, const AddmulTerm* terms,
         acc = veorq_u8(acc, v);
         continue;
       }
-      const NibbleRow& nr = nibble_rows()[c];
+      const NibbleRow& nr = rows[c];
       acc = veorq_u8(acc,
                      mul_chunk(v, vld1q_u8(nr.lo), vld1q_u8(nr.hi), mask));
     }

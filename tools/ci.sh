@@ -36,7 +36,9 @@ ctest --output-on-failure --no-tests=error \
       -R 'Gf256Kernels|SymbolArena|RseWorkspace|LdgmWorkspace|TrialWorkspace|FuzzRseWorkspace|FuzzTrialWorkspace'
 # 2. a reduced-scale codec-speed smoke whose exit status enforces the perf
 #    acceptance criteria on SIMD hosts (>= 4x GF(256) addmul and >= 1.5x
-#    end-to-end RSE encode/decode over the scalar baseline) — skipped when
+#    end-to-end RSE encode/decode over the scalar baseline; on every SIMD
+#    backend addmul_batch at least at the single-row addmul rate per byte
+#    and RSE encode at >= 0.7 of the batch-kernel roofline) — skipped when
 #    google-benchmark was unavailable at build time;
 if [ -x ./bench_codec_speed ]; then
   ./bench_codec_speed --json BENCH_codec_speed.json --check --min-time=0.1
@@ -141,6 +143,18 @@ for arg in --k=4294967297 --k=12abc --seed=-1; do
     exit 1
   fi
 done
+#    bench_codec_speed's --min-time likewise: a value that is not a finite
+#    number of seconds above 0 exits 2 naming the flag, never runs a
+#    one-batch "check".
+if [ -x ./bench_codec_speed ]; then
+  rc=0
+  ./bench_codec_speed --check --min-time=-5 > /dev/null \
+    2> BENCH_scale_err.txt || rc=$?
+  if [ "$rc" -ne 2 ] || ! grep -q -- --min-time BENCH_scale_err.txt; then
+    echo "BUG: bench_codec_speed --min-time=-5 exited $rc, want 2 naming the flag"
+    exit 1
+  fi
+fi
 echo "observability gate: traces validate, residuals cross-check, disabled path free"
 
 # Cross-run observability gate (obs/ledger.h, obs/regress.h,
@@ -265,12 +279,21 @@ FECSCHED_GF_BACKEND=scalar ./fecsched_cli sweep --code=rse --tx=1 \
   | cmp - ../tools/pinned/grid_point.txt
 # 3. SIGINT drains: a heavy ledgered sweep interrupted mid-flight must
 #    exit 40, print nothing on stdout, and leave a strict-parseable
-#    ledger whose record is marked interrupted;
-rm -f BENCH_sigint.jsonl BENCH_sigint_out.txt
+#    ledger whose record is marked interrupted.  The sweep (600 trials,
+#    well over 10 s uninterrupted) reports --progress on stderr; its first
+#    heartbeat is written from inside the run, after the drain handler is
+#    installed, so the signal goes out once that line appears (polled for
+#    at most 10 s) instead of racing the sweep's end with a fixed sleep;
+rm -f BENCH_sigint.jsonl BENCH_sigint_out.txt BENCH_sigint_err.txt
 ./fecsched_cli sweep --code=ldgm-triangle --tx=4 --ratio=2.5 --k=4000 \
-  --trials=60 --ledger=BENCH_sigint.jsonl > BENCH_sigint_out.txt 2>/dev/null &
+  --trials=600 --progress --ledger=BENCH_sigint.jsonl \
+  > BENCH_sigint_out.txt 2> BENCH_sigint_err.txt &
 sweep_pid=$!
-sleep 2
+polls=0
+while [ ! -s BENCH_sigint_err.txt ] && [ "$polls" -lt 100 ]; do
+  sleep 0.1
+  polls=$((polls + 1))
+done
 kill -INT "$sweep_pid" || true  # rc check below catches an early exit
 rc=0
 wait "$sweep_pid" || rc=$?
@@ -373,11 +396,13 @@ rm -f BENCH_net_ledger.jsonl
 grep -q '"kind":"bench","label":"bench_packetize"' BENCH_net_ledger.jsonl
 echo "net gate: wire round-trips fuzz-clean, loopback matches simulation on both backends"
 
-# Sanitizer gate: the decoders, receivers and observers again under
-# AddressSanitizer + UndefinedBehaviorSanitizer, with libstdc++'s bounds
-# assertions on (the sliding-window decoder indexes its state by seq),
-# from a second build of the library and those test binaries only
-# (benches, examples and tools off) in .asan_build/.
+# Sanitizer gate: the decoders, receivers and observers, and the GF
+# kernels, RSE codec and payload sessions, again under AddressSanitizer +
+# UndefinedBehaviorSanitizer, with libstdc++'s bounds assertions on (the
+# sliding-window decoder indexes its state by seq; the inversion indexes
+# padded rows and the batch kernels run blocked loop bounds), from a
+# second build of the library and those test binaries only (benches,
+# examples and tools off) in .asan_build/.
 # -fno-sanitize-recover=all makes every report abort its binary, so any
 # report fails CI.
 cd ..
@@ -386,13 +411,14 @@ cmake -B .asan_build -S . \
   -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined" \
   -DFECSCHED_BUILD_BENCHES=OFF -DFECSCHED_BUILD_EXAMPLES=OFF \
   -DFECSCHED_BUILD_TOOLS=OFF
-sanitized="stream_test mpath_test net_test fuzz_robustness_test obs_test"
+sanitized="stream_test mpath_test net_test fuzz_robustness_test obs_test
+  gf256_kernels_test gf256_test rse_test rse_payload_test session_test"
 cmake --build .asan_build -j "$(nproc)" --target $sanitized
 for t in $sanitized; do
   ASAN_OPTIONS=abort_on_error=1 UBSAN_OPTIONS=print_stacktrace=1 \
     ./.asan_build/"$t" --gtest_brief=1
 done
-echo "sanitizer gate: decoders, receivers and observers clean under ASan+UBSan"
+echo "sanitizer gate: decoders, receivers, observers and codecs clean under ASan+UBSan"
 
 # Benchmark gate (bench_e2e/, BENCHMARK.json): bench_e2e is a CMake
 # project of its own that the build above does not compile, yet it links
