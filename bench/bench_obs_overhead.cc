@@ -3,14 +3,14 @@
 // Six variants of the same grid-trial workload — identical schedules,
 // channel seeds and trackers — replayed at one Gilbert point:
 //
-//   baseline   the pre-obs hot loop: run_trial called directly, no
-//              TrialScope, no Hook (a verbatim local copy of what the
-//              engines did before src/obs/ existed)
+//   baseline   the pre-obs hot loop: run_trial's dormant instantiation
+//              (the replay loop with every hook compiled away) called
+//              directly, no TrialScope, no Hook
 //   disabled   the product per-trial path with no session armed:
 //              TrialScope + dormant Hook + the engaged() branch into
 //              run_trial (what every un-flagged run pays today)
 //   enabled    a metrics session armed: TrialScope + engaged Hook into
-//              run_trial_observed (what --metrics costs)
+//              run_trial's observed instantiation (what --metrics costs)
 //   profile    metrics + profiling session (what plain --profile costs:
 //              per-packet phases timed on one call in 64, the rest
 //              counted)
@@ -78,7 +78,7 @@ std::vector<TrialResult> replay(const Workload& w, Mode mode) {
       const obs::Hook hook;
       if (hook.engaged())
         results.push_back(
-            run_trial_observed(*w.tracker, w.schedules[t], channel, w.k, hook));
+            run_trial(*w.tracker, w.schedules[t], channel, w.k, hook));
       else
         results.push_back(run_trial(*w.tracker, w.schedules[t], channel));
     }

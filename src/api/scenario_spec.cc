@@ -334,6 +334,7 @@ void ScenarioSpec::validate() const {
   (void)channel.point();  // gilbert_point throws on bad coordinates
 
   if (engine == "grid") {
+    if (run.trials == 0) spec_error("run.trials must be >= 1");
     (void)reg.code(code.name.empty() ? "ldgm-triangle" : code.name);
     (void)reg.tx_model(tx.model);
     if (!sweep.grid.empty() && sweep.grid != "paper" && sweep.grid != "fig7")

@@ -1,29 +1,31 @@
 // One simulated multipath streaming reception (src/mpath/): the
-// stream/stream_trial workload — a paced source stream protected by
+// stream/transmission workload — a paced source stream protected by
 // sliding-window, replication, blocked-RSE or LDGM FEC — with the packet
 // sequence spread over K paths by a PathScheduler, each path applying its
 // own loss process, propagation delay and capacity (mpath/path).
 //
-// The sender produces exactly one packet per global slot in the *same*
-// emission order as the single-path trial (sources with interleaved
-// repairs for the paced schemes; the block schedule for RSE/LDGM).  The
-// scheduler maps each emission to a path; the path assigns departure
-// (FIFO + capacity) and arrival (+ propagation delay) times; the
-// receiver replays the merged arrival sequence through a Resequencer in
-// time order — cross-path reordering included — into the scheme's decoder
-// and the stream/DelayTracker.
+// The sender produces exactly one packet per global slot, taking its
+// emissions from the transmission core's emission plan (StreamCode::walk)
+// — the one the single-path and net trials run.  The scheduler maps each
+// emission to a path; the path assigns departure (FIFO + capacity) and
+// arrival (+ propagation delay) times; the arrivals and the deadlines
+// below are then replayed through a Resequencer in time order —
+// cross-path reordering included — into the core's StreamReceiver.  The
+// driver resolves every emission before replaying any, because each
+// deadline needs the resolve times of packets sent after it.
 //
 // Loss declaration is deadline-driven: a source (or block) is declared
 // unrecoverable one step after every packet that could still recover it
 // has resolved — where a packet's resolve time is its (would-be) arrival
 // time whether or not the channel erased it, i.e. the receiver times out
 // on the latest possible useful arrival.  For the paced schemes the
-// deadline additionally waits for the window-slide witness (source s+W),
-// matching the single-path trial's give-up slot exactly; and because
-// in-order give-up is a prefix operation, each source's effective
-// deadline is the running prefix max over all sources at or below it
-// (under reordering a later source can time out earlier — its
-// declaration waits so no still-coverable predecessor is discarded).
+// deadline additionally waits for the plan's window-slide line (the
+// emission after which the plan gives the source up), matching the
+// single-path trial's give-up slot exactly; and because in-order give-up
+// is a prefix operation, each source's effective deadline is the running
+// prefix max over all sources at or below it (under reordering a later
+// source can time out earlier — its declaration waits so no
+// still-coverable predecessor is discarded).
 //
 // Degenerate-config oracle: a 1-path PathSet with zero delay and unit
 // capacity reproduces run_stream_trial *bit-identically* — same channel
@@ -45,18 +47,9 @@
 namespace fecsched {
 
 namespace detail {
-/// One sender emission of the multipath replay (slot == index in the
-/// emission sequence).  Exposed only so MpathTrialWorkspace can own the
-/// buffers; the fields are an implementation detail of mpath_trial.cc.
-struct MpathEmission {
-  bool is_repair = false;
-  std::uint64_t seq = 0;        ///< source seq, or repair index
-  std::uint64_t first = 0;      ///< repair window [first, last)
-  std::uint64_t last = 0;
-  std::uint64_t dup_target = 0;  ///< replication: duplicated source
-};
-
-/// Per-emission transport outcome (same caveat as MpathEmission).
+/// Per-emission transport outcome.  Exposed only so MpathTrialWorkspace
+/// can own the buffers; the fields are an implementation detail of
+/// mpath_trial.cc.
 struct MpathTransport {
   std::vector<double> resolve;    ///< (would-be) arrival time, by emission
   std::vector<char> delivered;    ///< channel verdict, by emission
@@ -97,13 +90,13 @@ struct MpathTrialResult {
 
 /// Reusable per-trial state for run_mpath_trial (see StreamTrialWorkspace
 /// for the contract: fully re-initialised per trial, reuse only saves
-/// allocations).  The embedded stream workspace carries the decoders and
-/// delay tracker shared with the single-path trial machinery.
+/// allocations).  The embedded stream workspace carries the code and the
+/// receiver of the transmission core.
 struct MpathTrialWorkspace {
   StreamTrialWorkspace stream;
-  std::vector<detail::MpathEmission> emissions;
+  std::vector<Emission> emissions;
+  std::vector<std::size_t> slid_after;  ///< paced: by source, see .cc
   detail::MpathTransport transport;
-  std::vector<std::size_t> source_slot;
   std::vector<double> deadline;
   Resequencer queue;
 };

@@ -12,7 +12,6 @@
 #include "net/transport.h"
 #include "net/wire.h"
 #include "obs/obs.h"
-#include "sched/carousel.h"
 #include "util/faultpoint.h"
 #include "util/rng.h"
 
@@ -31,13 +30,104 @@ void NetTrialConfig::validate() const {
 
 namespace {
 
-/// Everything one direction of the lockstep exchange needs.
-struct Wires {
-  Transport& tx;                      ///< sender -> receiver
-  Transport& rx;                      ///< same pipe, receiver end
-  std::vector<std::uint8_t> pack_buf;
-  std::array<std::uint8_t, kDataOverhead + kMaxPayload> recv_buf{};
-  ParsedFrame parsed;
+/// The wire link: every emission is framed, drawn against the emulated
+/// channel at the sender and, when it survives, packed, sent over the
+/// transport, received, parsed and validated.  Between plan steps the
+/// receiver's loss trace goes back as a LossReport frame into the
+/// sender's channel estimator.
+class WireLink {
+ public:
+  WireLink(const NetTrialConfig& cfg, Transport& tx, Transport& rx,
+           ImpairmentShim& shim, NetSender& sender, NetReceiver& receiver,
+           const obs::Hook& hook, NetTrialResult& result)
+      : cfg_(cfg), tx_(tx), rx_(rx), shim_(shim), sender_(sender),
+        receiver_(receiver), hook_(hook), result_(result) {}
+
+  Arrival transmit(const Emission& e, std::uint64_t slot) {
+    sender_.frame(e, frame_);
+    const bool delivered = hook_.timed(obs::Phase::kChannelDraw,
+                                       [&] { return !shim_.drop_next(); });
+    if (!delivered) {
+      receiver_.on_slot(nullptr);
+      return {};
+    }
+    hook_.timed(obs::Phase::kNetPack, [&] { pack(frame_, pack_buf_); });
+    if (fault::point("net.send")) throw fault::FaultInjected("net.send");
+    if (!hook_.timed(obs::Phase::kNetSend, [&] { return tx_.send(pack_buf_); }))
+      throw std::runtime_error("net: loopback send backpressure at slot " +
+                               std::to_string(slot));
+    ++result_.datagrams_sent;
+    result_.bytes_sent += pack_buf_.size();
+    if (fault::point("net.recv")) throw fault::FaultInjected("net.recv");
+    // The shim passed this frame, so the lossless transport owes it to us.
+    const std::optional<WireError> err = receive(rx_);
+    if (!err)
+      throw std::runtime_error(
+          "net: datagram lost on the lossless transport (slot " +
+          std::to_string(slot) + ", symbol " + std::to_string(e.id) + ")");
+    if (*err != WireError::kOk)
+      throw std::runtime_error("net: frame rejected on loopback: " +
+                               std::string(to_string(*err)));
+    packet_ = to_emission(parsed_.data);
+    const bool valid = receiver_.on_slot(&parsed_);
+    return {&packet_, parsed_.data.payload, valid};
+  }
+
+  /// In-stream reports, every `report_interval` slots.
+  void step() {
+    if (cfg_.report_interval > 0 &&
+        receiver_.pending_events() >= cfg_.report_interval)
+      send_report();
+  }
+
+  /// Reverse path: the receiver compresses its slot trace into a
+  /// LossReport frame; the sender parses it into the channel estimator.
+  void send_report() {
+    if (receiver_.pending_events() == 0) return;
+    const ReportFrame report = receiver_.take_report();
+    hook_.timed(obs::Phase::kNetPack, [&] { pack(report, pack_buf_); });
+    if (!hook_.timed(obs::Phase::kNetSend, [&] { return rx_.send(pack_buf_); }))
+      throw std::runtime_error("net: report send backpressure");
+    ++result_.reports_sent;
+    const std::optional<WireError> err = receive(tx_);
+    if (!err) throw std::runtime_error("net: report lost on loopback");
+    if (*err != WireError::kOk || parsed_.type != FrameType::kReport)
+      throw std::runtime_error("net: malformed report on loopback");
+    estimator_.observe_report(parsed_.report.report);
+    ++result_.reports_received;
+  }
+
+  [[nodiscard]] ChannelEstimate estimate() const { return estimator_.estimate(); }
+
+ private:
+  /// Receives one datagram at `end` and parses it: nullopt when nothing
+  /// arrived before the timeout, else the parse verdict.
+  std::optional<WireError> receive(Transport& end) {
+    const std::ptrdiff_t n = hook_.timed(obs::Phase::kNetRecv, [&] {
+      return end.recv({recv_buf_.data(), recv_buf_.size()},
+                      static_cast<int>(cfg_.recv_timeout_ms));
+    });
+    if (n < 0) return std::nullopt;
+    return hook_.timed(obs::Phase::kNetUnpack, [&] {
+      return parse({recv_buf_.data(), static_cast<std::size_t>(n)}, parsed_);
+    });
+  }
+
+  const NetTrialConfig& cfg_;
+  Transport& tx_;  ///< sender -> receiver
+  Transport& rx_;  ///< same pipe, receiver end
+  ImpairmentShim& shim_;
+  NetSender& sender_;
+  NetReceiver& receiver_;
+  const obs::Hook& hook_;
+  NetTrialResult& result_;
+  ChannelEstimator estimator_;
+
+  DataFrame frame_;
+  std::vector<std::uint8_t> pack_buf_;
+  std::array<std::uint8_t, kDataOverhead + kMaxPayload> recv_buf_{};
+  ParsedFrame parsed_;
+  Emission packet_;
 };
 
 }  // namespace
@@ -46,157 +136,34 @@ NetTrialResult run_net_trial(const NetTrialConfig& cfg, LossModel& channel,
                              std::uint64_t seed, std::uint32_t object_id) {
   cfg.validate();
   const obs::Hook hook;
-  const std::uint32_t S = cfg.stream.source_count;
-
   TransportPair pair = make_transport_pair(cfg.transport);
-  Wires wires{*pair.a, *pair.b, {}, {}, {}};
   ImpairmentShim shim(channel);
-  ChannelEstimator estimator;
 
+  StreamCode code;
+  StreamReceiver decoders;
   std::optional<NetSender> sender;
   std::optional<NetReceiver> receiver;
   hook.timed(obs::Phase::kEncode, [&] {
-    sender.emplace(cfg.stream, cfg.payload_bytes, seed, object_id);
-    receiver.emplace(cfg.stream, cfg.payload_bytes, seed, object_id);
+    code.build(cfg.stream, seed);
+    code.schedule();
+    sender.emplace(code, cfg.payload_bytes, seed, object_id);
+    receiver.emplace(code, cfg.payload_bytes, seed, object_id);
+    decoders.reset(code, hook, cfg.payload_bytes,
+                   [&](std::uint64_t s, std::span<const std::uint8_t> bytes) {
+                     receiver->verify(s, bytes);
+                   });
   });
 
   NetTrialResult result;
-  std::uint64_t slot = 0, sent = 0, received = 0;
-  const int timeout = static_cast<int>(cfg.recv_timeout_ms);
-  DataFrame frame;
-
-  // One channel slot: emulated channel draw at the sender, then — for a
-  // surviving frame — the full wire round: pack, socket, parse, decode.
-  const auto transmit = [&] {
-    ++sent;
-    hook.sent(static_cast<double>(slot), frame.symbol_id, frame.repair);
-    const bool delivered = hook.timed(obs::Phase::kChannelDraw,
-                                      [&] { return !shim.drop_next(); });
-    if (!delivered) {
-      hook.lost(static_cast<double>(slot), frame.symbol_id, frame.repair);
-      receiver->on_slot(nullptr, slot);
-      return;
-    }
-    hook.timed(obs::Phase::kNetPack, [&] { pack(frame, wires.pack_buf); });
-    if (fault::point("net.send")) throw fault::FaultInjected("net.send");
-    const bool queued =
-        hook.timed(obs::Phase::kNetSend, [&] { return wires.tx.send(wires.pack_buf); });
-    if (!queued)
-      throw std::runtime_error("net: loopback send backpressure at slot " +
-                               std::to_string(slot));
-    ++result.datagrams_sent;
-    result.bytes_sent += wires.pack_buf.size();
-    if (fault::point("net.recv")) throw fault::FaultInjected("net.recv");
-    const std::ptrdiff_t n = hook.timed(obs::Phase::kNetRecv, [&] {
-      return wires.rx.recv({wires.recv_buf.data(), wires.recv_buf.size()},
-                           timeout);
-    });
-    // The shim passed this frame, so the lossless transport owes it to us.
-    if (n < 0)
-      throw std::runtime_error(
-          "net: datagram lost on the lossless transport (slot " +
-          std::to_string(slot) + ", symbol " +
-          std::to_string(frame.symbol_id) + ")");
-    const WireError err = hook.timed(obs::Phase::kNetUnpack, [&] {
-      return parse({wires.recv_buf.data(), static_cast<std::size_t>(n)},
-                   wires.parsed);
-    });
-    if (err != WireError::kOk)
-      throw std::runtime_error("net: frame rejected on loopback: " +
-                               std::string(to_string(err)));
-    ++received;
-    hook.received(static_cast<double>(slot), wires.parsed.data.symbol_id,
-                  wires.parsed.data.repair);
-    receiver->on_slot(&wires.parsed, slot);
-  };
-
-  // Reverse path: receiver compresses the slot trace into a LossReport
-  // frame; the sender parses it into the live channel estimator.
-  const auto send_report = [&] {
-    if (receiver->pending_events() == 0) return;
-    const ReportFrame report = receiver->take_report();
-    hook.timed(obs::Phase::kNetPack, [&] { pack(report, wires.pack_buf); });
-    if (!hook.timed(obs::Phase::kNetSend,
-                    [&] { return wires.rx.send(wires.pack_buf); }))
-      throw std::runtime_error("net: report send backpressure");
-    ++result.reports_sent;
-    const std::ptrdiff_t n = hook.timed(obs::Phase::kNetRecv, [&] {
-      return wires.tx.recv({wires.recv_buf.data(), wires.recv_buf.size()},
-                           timeout);
-    });
-    if (n < 0) throw std::runtime_error("net: report lost on loopback");
-    const WireError err = hook.timed(obs::Phase::kNetUnpack, [&] {
-      return parse({wires.recv_buf.data(), static_cast<std::size_t>(n)},
-                   wires.parsed);
-    });
-    if (err != WireError::kOk || wires.parsed.type != FrameType::kReport)
-      throw std::runtime_error("net: malformed report on loopback");
-    estimator.observe_report(wires.parsed.report.report);
-    ++result.reports_received;
-  };
-  const auto maybe_report = [&] {
-    if (cfg.report_interval > 0 &&
-        receiver->pending_events() >= cfg.report_interval)
-      send_report();
-  };
-
+  WireLink link(cfg, *pair.a, *pair.b, shim, *sender, *receiver, hook, result);
   shim.reset(derive_seed(seed, {0}));
-  const bool paced = cfg.stream.scheme == StreamScheme::kSlidingWindow ||
-                     cfg.stream.scheme == StreamScheme::kReplication;
-  if (paced) {
-    // run_paced_trial's pacing, verbatim: one source per slot, one repair
-    // every `interval` sources, one tail window of repairs, give-up lines
-    // trailing W behind production.
-    const std::uint32_t W = cfg.stream.window;
-    const std::uint32_t interval = cfg.stream.repair_interval();
-    for (std::uint32_t s = 0; s < S; ++s) {
-      sender->source_frame(s, frame);
-      transmit();
-      ++slot;
-      const std::uint64_t produced = s + 1;
-      if (produced > W) receiver->give_up_before(produced - W, slot);
-      if (produced % interval == 0) {
-        sender->repair_frame(produced, frame);
-        transmit();
-        ++slot;
-      }
-      maybe_report();
-    }
-    const std::uint64_t tail = (W + interval - 1) / interval;
-    for (std::uint64_t i = 0; i < tail; ++i) {
-      sender->repair_frame(S, frame);
-      transmit();
-      ++slot;
-    }
-    receiver->give_up_before(S, slot);
-  } else {
-    // run_block_trial's pacing: the carousel spins the schedule, stopping
-    // early once the receiver reports completion (the lockstep driver
-    // stands in for the receiver's ACK stream; LossReports still cross
-    // the real wire below).
-    const std::uint64_t cycles =
-        cfg.stream.scheduling == StreamScheduling::kCarousel
-            ? cfg.stream.max_cycles
-            : 1;
-    Carousel carousel(sender->schedule());
-    const std::uint64_t budget = sender->schedule().size() * cycles;
-    while (slot < budget && (cycles == 1 || !receiver->complete())) {
-      const PacketId id = carousel.next();
-      sender->packet_frame(id, frame);
-      transmit();
-      ++slot;
-      maybe_report();
-    }
-    receiver->flush(slot);
-  }
-  send_report();
-
-  result.stream = receiver->finish_stream(sent, received);
+  result.stream = run_slots(code, decoders, link, hook);
+  link.send_report();
   result.datagrams_dropped = shim.dropped();
   result.sources_verified = receiver->sources_verified();
   result.payload_mismatches = receiver->payload_mismatches();
   result.frames_rejected = receiver->frames_rejected();
-  result.estimate = estimator.estimate();
+  result.estimate = link.estimate();
   if (hook.counting()) {
     hook.count("net.trials");
     hook.count("net.datagrams_sent", result.datagrams_sent);

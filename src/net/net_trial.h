@@ -1,15 +1,15 @@
 // One streaming trial replayed over a real datagram transport.
 //
 // run_net_trial() is the wire twin of stream/stream_trial's
-// run_stream_trial(): the same schedule decisions, the same channel
+// run_stream_trial(): the same transmission core (code, emission plan,
+// receiver and slot loop, stream/transmission) and the same channel
 // substream (derive_seed(seed, {0}), drawn once per datagram in
-// transmission order by the ImpairmentShim), the same DelayTracker
-// protocol — but every surviving symbol actually crosses a socket as a
-// wire.h frame and is parsed back before it reaches the decoder.  The
-// driver is lockstep: it owns the discrete slot clock, sends one frame
-// per slot, and hands the receiver either the parsed frame or the drop,
-// so the delivered-delay distribution matches the simulation EXACTLY
-// (tolerance zero) — the sim-vs-wire parity gate in ci.sh pins this.
+// transmission order by the ImpairmentShim) — but its link sends every
+// surviving symbol across a socket as a wire.h frame and parses it back
+// before it reaches the decoders.  The slot loop is lockstep, one frame
+// per slot, so the delivered-delay distribution matches the simulation
+// EXACTLY (tolerance zero) — the sim-vs-wire parity gate in ci.sh pins
+// this.
 //
 // Because impairment is injected above a lossless transport, a datagram
 // the shim passed MUST arrive; a timeout or parse failure on the

@@ -1,11 +1,7 @@
 #include "net/sender.h"
 
-#include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
-#include "fec/rse.h"
-#include "sched/tx_models.h"
 #include "util/rng.h"
 
 namespace fecsched::net {
@@ -22,135 +18,59 @@ void NetSender::source_payload(std::uint64_t seed, std::uint64_t s,
   }
 }
 
-NetSender::NetSender(const StreamTrialConfig& cfg, std::size_t payload_bytes,
+NetSender::NetSender(const StreamCode& code, std::size_t payload_bytes,
                      std::uint64_t seed, std::uint32_t object_id)
-    : cfg_(cfg),
-      payload_bytes_(payload_bytes),
-      seed_(seed),
-      object_id_(object_id) {
-  const std::uint32_t S = cfg_.source_count;
+    : code_(code), object_id_(object_id) {
+  const std::uint32_t S = code.config().source_count;
   payloads_.resize(S);
   for (std::uint32_t s = 0; s < S; ++s)
-    source_payload(seed_, s, payload_bytes_, payloads_[s]);
-
-  const double ratio = 1.0 + cfg_.overhead;
-  switch (cfg_.scheme) {
-    case StreamScheme::kSlidingWindow: {
-      SlidingWindowConfig sw;
-      sw.window = cfg_.window;
-      sw.repair_interval = cfg_.repair_interval();
-      sw.coefficients = cfg_.coefficients;
-      sw.seed = derive_seed(seed_, {2});
-      coding_seed_ = sw.seed;
-      encoder_.emplace(sw, payload_bytes_);
-      return;
-    }
+    source_payload(seed, s, payload_bytes, payloads_[s]);
+  switch (code.config().scheme) {
+    case StreamScheme::kSlidingWindow:
+      encoder_.emplace(code.sliding(), payload_bytes);
+      break;
     case StreamScheme::kReplication:
-      return;
-    case StreamScheme::kBlockRse: {
-      const auto cap = static_cast<std::uint32_t>(std::min(
-          255.0, std::floor(static_cast<double>(cfg_.block_k) * ratio)));
-      plan_ = std::make_shared<RsePlan>(S, ratio, cap);
-      parity_.resize(plan_->n() - S);
-      std::vector<std::vector<std::uint8_t>> block_sources;
-      for (std::uint32_t b = 0; b < plan_->block_count(); ++b) {
-        const BlockInfo& info = plan_->block(b);
-        block_sources.assign(payloads_.begin() + info.source_offset,
-                             payloads_.begin() + info.source_offset + info.k);
-        const RseCodec codec(info.k, info.n);
-        auto block_parity = codec.encode(block_sources);
-        for (std::uint32_t i = 0; i < info.n - info.k; ++i)
-          parity_[info.parity_offset - S + i] = std::move(block_parity[i]);
-      }
       break;
-    }
-    case StreamScheme::kLdgm: {
-      LdgmParams params;
-      params.k = S;
-      params.n = std::max(
-          S + 1, static_cast<std::uint32_t>(
-                     std::llround(static_cast<double>(S) * ratio)));
-      params.variant = cfg_.ldgm_variant;
-      params.left_degree = cfg_.left_degree;
-      params.triangle_extra_per_row = cfg_.triangle_extra_per_row;
-      params.seed = derive_seed(seed_, {3});
-      coding_seed_ = params.seed;
-      ldgm_ = std::make_shared<LdgmCode>(params);
-      parity_ = ldgm_->encode(payloads_);
+    case StreamScheme::kBlockRse:
+      // The encoder keeps the one copy of every payload it sends.
+      rse_.emplace(code.rse(), payloads_);
+      payloads_ = {};
       break;
-    }
-  }
-
-  // Block schemes: the same schedule derivation as run_block_trial.
-  const PacketPlan* plan =
-      plan_ ? static_cast<const PacketPlan*>(plan_.get()) : ldgm_.get();
-  Rng rng(derive_seed(seed_, {1}));
-  switch (cfg_.scheduling) {
-    case StreamScheduling::kInterleaved:
-      make_schedule(*plan, TxModel::kTx5Interleaved, rng, schedule_);
-      break;
-    case StreamScheduling::kSequential:
-    case StreamScheduling::kCarousel:
-      if (plan_)
-        per_block_sequential(*plan_, schedule_);
-      else
-        make_schedule(*plan, TxModel::kTx1SeqSourceSeqParity, rng, schedule_);
+    case StreamScheme::kLdgm:
+      parity_ = code.ldgm()->encode(payloads_);
       break;
   }
 }
 
-void NetSender::fill_common(DataFrame& out) const {
-  out.scheme = static_cast<std::uint8_t>(cfg_.scheme);
+void NetSender::frame(const Emission& e, DataFrame& out) {
+  const std::uint64_t S = code_.config().source_count;
+  out.scheme = static_cast<std::uint8_t>(code_.config().scheme);
   out.object_id = object_id_;
-  out.coding_seed = coding_seed_;
+  out.coding_seed = code_.coding_seed();
+  out.repair = e.repair;
+  out.symbol_id = e.id;
   out.span_first = 0;
   out.span_last = 0;
-}
-
-void NetSender::source_frame(std::uint64_t s, DataFrame& out) {
-  fill_common(out);
-  out.repair = false;
-  out.symbol_id = s;
-  out.payload = payloads_[s];
-  if (encoder_) {
-    const std::uint64_t seq = encoder_->push_source(payloads_[s]);
-    if (seq != s)
-      throw std::logic_error("NetSender: source frames must be built in order");
+  if (rse_) {
+    out.payload = rse_->payload(static_cast<PacketId>(e.id));
+  } else if (!e.repair) {
+    out.payload = payloads_[e.id];
+    if (encoder_) encoder_->push_source(payloads_[e.id]);
+  } else if (encoder_) {
+    encoder_->make_repair(repair_);
+    if (S + repair_.repair_seq != e.id || repair_.last != e.last)
+      throw std::logic_error("NetSender: repair framed out of plan order");
+    out.span_first = repair_.first;
+    out.span_last = repair_.last;
+    out.payload = repair_.payload;
+  } else if (code_.paced()) {
+    // Replication: the frame names the source it duplicates.
+    out.span_first = e.dup;
+    out.span_last = e.dup;
+    out.payload = payloads_[e.dup];
+  } else {
+    out.payload = parity_[e.id - S];
   }
-}
-
-void NetSender::repair_frame(std::uint64_t produced, DataFrame& out) {
-  const std::uint32_t S = cfg_.source_count;
-  fill_common(out);
-  out.repair = true;
-  if (encoder_) {
-    encoder_->make_repair(repair_scratch_);
-    if (repair_scratch_.last != produced)
-      throw std::logic_error(
-          "NetSender: sliding repair out of step with the driver's pacing");
-    out.symbol_id = S + repair_scratch_.repair_seq;
-    out.span_first = repair_scratch_.first;
-    out.span_last = repair_scratch_.last;
-    out.payload = repair_scratch_.payload;
-    return;
-  }
-  // Replication: round-robin duplicate over the last min(W, produced)
-  // sources — run_paced_trial's exact pick.
-  const std::uint64_t span = std::min<std::uint64_t>(cfg_.window, produced);
-  const std::uint64_t dup = produced - 1 - repl_repairs_ % span;
-  out.symbol_id = S + repl_repairs_;
-  out.span_first = dup;
-  out.span_last = dup;
-  out.payload = payloads_[dup];
-  ++repl_repairs_;
-}
-
-void NetSender::packet_frame(PacketId id, DataFrame& out) {
-  const std::uint32_t S = cfg_.source_count;
-  fill_common(out);
-  out.repair = id >= S;
-  out.symbol_id = id;
-  out.payload = id < S ? payloads_[id] : parity_[id - S];
 }
 
 }  // namespace fecsched::net

@@ -1,14 +1,12 @@
-// Sender side of the net engine: turns the stream trial's transmission
-// decisions into wire frames with real payload bytes.
+// Sender side of the net engine: turns the transmission core's emissions
+// (stream/transmission) into wire frames with real payload bytes.
 //
-// The sender is deliberately a mirror of run_stream_trial's sender half:
-// the same seed derivations ({1} schedule Rng, {2} sliding seed, {3}
-// LDGM graph), the same schedule construction, the same repair pacing
-// conventions (wire symbol ids continue past the source ids, replication
-// duplicates round-robin over the last min(W, produced) sources).  The
-// lockstep driver in net_trial.cc owns the pacing; this class only
-// builds frames — which is what makes sim-vs-wire parity checkable: any
-// delivered-delay difference is a transport bug, not a schedule drift.
+// The code (sliding configuration, RsePlan, LDGM graph, schedule) and the
+// emission order come from the StreamCode every engine shares, so the
+// wire carries exactly what the simulation sends: any delivered-delay
+// difference between a net trial and its simulation twin is a transport
+// bug, not a schedule drift.  This class only adds the bytes — source
+// payloads, sliding repairs, RSE and LDGM parity — and frames them.
 //
 // Source payloads are synthesized deterministically from the trial seed
 // (substream {4, s}), so the receiver can regenerate the expected bytes
@@ -18,24 +16,21 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <vector>
 
-#include "fec/block_partition.h"
-#include "fec/ldgm.h"
+#include "fec/rse_object.h"
 #include "net/wire.h"
 #include "stream/sliding_window.h"
-#include "stream/stream_trial.h"
+#include "stream/transmission.h"
 
 namespace fecsched::net {
 
 class NetSender {
  public:
-  /// Builds all per-stream coding state: source payloads, the sliding
-  /// encoder or block code (with parity pre-encoded), and the block
-  /// schedule.  `cfg` must already be validated.
-  NetSender(const StreamTrialConfig& cfg, std::size_t payload_bytes,
+  /// Synthesizes the source payloads and builds the sliding encoder or
+  /// the block parity for `code`, which must outlive the sender.
+  NetSender(const StreamCode& code, std::size_t payload_bytes,
             std::uint64_t seed, std::uint32_t object_id);
 
   /// Deterministic payload of source `s` (substream {4, s} of `seed`) —
@@ -43,48 +38,20 @@ class NetSender {
   static void source_payload(std::uint64_t seed, std::uint64_t s,
                              std::size_t bytes, std::vector<std::uint8_t>& out);
 
-  // ----- paced schemes (sliding-window / replication) -----
-
-  /// Frame for source `s`.  Must be called once per source, in order
-  /// (it also advances the sliding encoder's window).
-  void source_frame(std::uint64_t s, DataFrame& out);
-
-  /// Frame for the next repair, emitted after `produced` sources.
-  void repair_frame(std::uint64_t produced, DataFrame& out);
-
-  // ----- block schemes (block-rse / ldgm) -----
-
-  /// The single-cycle transmission order (the carousel loops it).
-  [[nodiscard]] const std::vector<PacketId>& schedule() const noexcept {
-    return schedule_;
-  }
-
-  /// Frame for global packet id `id` (source or parity).
-  void packet_frame(PacketId id, DataFrame& out);
-
-  /// The seed tag stamped into every frame (sliding seed / LDGM seed; 0
-  /// for the seedless schemes).  Receivers cross-check it.
-  [[nodiscard]] std::uint64_t coding_seed() const noexcept {
-    return coding_seed_;
-  }
+  /// Frame for emission `e` of the code's plan.  Paced emissions must be
+  /// framed in plan order (each source advances the sliding encoder's
+  /// window, each repair is the encoder's next).
+  void frame(const Emission& e, DataFrame& out);
 
  private:
-  void fill_common(DataFrame& out) const;
-
-  StreamTrialConfig cfg_;
-  std::size_t payload_bytes_;
-  std::uint64_t seed_;
+  const StreamCode& code_;
   std::uint32_t object_id_;
-  std::uint64_t coding_seed_ = 0;
 
-  std::vector<std::vector<std::uint8_t>> payloads_;  ///< all S sources
-  std::vector<std::vector<std::uint8_t>> parity_;    ///< block ids [S, n)
+  std::vector<std::vector<std::uint8_t>> payloads_;  ///< sources; not RSE
+  std::vector<std::vector<std::uint8_t>> parity_;    ///< LDGM ids [S, n)
+  std::optional<RseObjectEncoder> rse_;  ///< RSE sources and parity
   std::optional<SlidingWindowEncoder> encoder_;
-  RepairPacket repair_scratch_;
-  std::uint64_t repl_repairs_ = 0;
-  std::shared_ptr<const RsePlan> plan_;
-  std::shared_ptr<const LdgmCode> ldgm_;
-  std::vector<PacketId> schedule_;
+  RepairPacket repair_;
 };
 
 }  // namespace fecsched::net

@@ -125,7 +125,7 @@ TrialResult Experiment::run_once(double p, double q, std::uint64_t seed) const {
 
   // Per-trial observability hook (src/obs/): dormant unless a session is
   // armed, in which case the schedule/encode work is phase-timed and the
-  // replay runs through the instrumented run_trial_observed.
+  // replay runs through the instrumented run_trial overload.
   const obs::Hook hook;
 
   const std::uint64_t graph_pick = derive_seed(seed, {kTagGraphPick});
@@ -156,7 +156,7 @@ TrialResult Experiment::run_once(double p, double q, std::uint64_t seed) const {
   GilbertModel channel(p, q);
   channel.reset(derive_seed(seed, {kTagChannel}));
   if (hook.engaged())
-    return run_trial_observed(*tracker, ws.schedule, channel, config_.k, hook);
+    return run_trial(*tracker, ws.schedule, channel, config_.k, hook);
   return run_trial(*tracker, ws.schedule, channel);
 }
 

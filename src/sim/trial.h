@@ -45,14 +45,16 @@ struct TrialResult {
                                     std::span<const PacketId> schedule,
                                     LossModel& channel);
 
-/// run_trial with observability: identical channel draws and tracker
-/// calls (bit-identical TrialResult), plus phase timing, grid.* metrics
-/// and symbol-lifecycle trace events through `hook`.  `k` is the source
-/// count (ids below k are sources).  Engines call this only when the
-/// hook is engaged, so the plain run_trial hot loop stays untouched.
-[[nodiscard]] TrialResult run_trial_observed(ErasureTracker& tracker,
-                                             std::span<const PacketId> schedule,
-                                             LossModel& channel, std::uint32_t k,
-                                             const obs::Hook& hook);
+/// The same loop with observability through `hook`: identical channel
+/// draws and tracker calls (bit-identical TrialResult), plus channel-draw
+/// and decode phase timing, symbol-lifecycle trace events (ids below `k`
+/// are sources), a release event per source and the grid.* metrics.
+/// Both overloads instantiate one replay loop on a hook policy; the
+/// dormant one compiles to the plain loop, so engines take this overload
+/// only when the hook is engaged.
+[[nodiscard]] TrialResult run_trial(ErasureTracker& tracker,
+                                    std::span<const PacketId> schedule,
+                                    LossModel& channel, std::uint32_t k,
+                                    const obs::Hook& hook);
 
 }  // namespace fecsched

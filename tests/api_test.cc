@@ -253,6 +253,18 @@ TEST(SpecRoundTrip, ValidationRejectsBadSpecs) {
   EXPECT_THROW(spec.validate(), std::invalid_argument);
 }
 
+TEST(SpecRoundTrip, GridRejectsZeroTrialsNamingTheField) {
+  // Zero trials per cell would print an all-"-" table and exit 0.
+  try {
+    (void)ScenarioSpec::from_json(
+        R"({"engine":"grid","code":{"name":"rse"},"run":{"trials":0}})");
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("run.trials"), std::string::npos)
+        << e.what();
+  }
+}
+
 // ------------------------------------------------- bit-identity oracles
 
 void expect_stats_equal(const RunningStats& a, const RunningStats& b) {

@@ -7,6 +7,7 @@
 #include <chrono>
 #include <cstdint>
 #include <exception>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -376,15 +377,43 @@ TEST(NetReceiverValidation, RefusesOutOfRangeIdsAndSpans) {
   constexpr std::uint64_t kSeed = 11;
   const auto verdict = [&](const NetTrialConfig& cfg,
                            const DataFrame& frame) -> std::string {
-    NetReceiver rx(cfg.stream, cfg.payload_bytes, kSeed, 0);
+    // What the net trial does with a delivered frame: validate it, and
+    // hand an accepted one to the payload-mode decoders.
+    const StreamCode code(cfg.stream, kSeed);
+    NetReceiver rx(code, cfg.payload_bytes, kSeed, 0);
+    StreamReceiver decoders;
+    decoders.reset(code, obs::Hook(), cfg.payload_bytes,
+                   [&](std::uint64_t s, std::span<const std::uint8_t> bytes) {
+                     rx.verify(s, bytes);
+                   });
     ParsedFrame parsed;
     parsed.data = frame;
     try {
-      rx.on_slot(&parsed, 0);
+      if (rx.on_slot(&parsed))
+        decoders.on_packet(to_emission(frame), frame.payload, 0.0);
     } catch (const std::exception& e) {
       return std::string("threw: ") + e.what();
     }
     return rx.frames_rejected() == 1 ? "rejected" : "accepted";
+  };
+  // The frames the sender builds for the first few emissions of the plan.
+  const auto first_frames = [&](const NetTrialConfig& cfg) {
+    const StreamCode code(cfg.stream, kSeed);
+    NetSender tx(code, cfg.payload_bytes, kSeed, 0);
+    struct Plan {
+      NetSender& tx;
+      std::vector<DataFrame> frames;
+      void emit(const Emission& e, std::uint64_t slot) {
+        if (slot < 8) tx.frame(e, frames.emplace_back());
+      }
+      void give_up(std::uint64_t, std::uint64_t) {}
+      void release_block(std::uint32_t, std::uint64_t) {}
+      void step() {}
+      bool done() const { return false; }
+      void flush(std::uint64_t) {}
+    } plan{tx, {}};
+    code.walk(plan);
+    return plan.frames;
   };
   const auto start = std::chrono::steady_clock::now();
 
@@ -392,12 +421,10 @@ TEST(NetReceiverValidation, RefusesOutOfRangeIdsAndSpans) {
       small_config(StreamScheme::kSlidingWindow, StreamScheduling::kSequential);
   sliding.stream.source_count = 100;
   const std::uint64_t S = 100, W = sliding.stream.window;
-  DataFrame source, repair;
-  {
-    NetSender tx(sliding.stream, sliding.payload_bytes, kSeed, 0);
-    tx.source_frame(0, source);
-    tx.repair_frame(1, repair);
-  }
+  // Window 24, one repair after every 4th source: slot 4 is repair 0.
+  std::vector<DataFrame> frames = first_frames(sliding);
+  DataFrame source = frames[0], repair = frames[4];
+  ASSERT_TRUE(repair.repair);
   EXPECT_EQ(verdict(sliding, source), "accepted");
   EXPECT_EQ(verdict(sliding, repair), "accepted");
   DataFrame bad = source;
@@ -429,11 +456,10 @@ TEST(NetReceiverValidation, RefusesOutOfRangeIdsAndSpans) {
 
   NetTrialConfig replication =
       small_config(StreamScheme::kReplication, StreamScheduling::kSequential);
-  {
-    NetSender tx(replication.stream, replication.payload_bytes, kSeed, 0);
-    tx.source_frame(0, source);
-    tx.repair_frame(1, repair);
-  }
+  frames = first_frames(replication);
+  source = frames[0];
+  repair = frames[4];
+  ASSERT_TRUE(repair.repair);
   EXPECT_EQ(verdict(replication, repair), "accepted");
   bad = repair;
   bad.span_first = bad.span_last = replication.stream.source_count;
@@ -446,9 +472,7 @@ TEST(NetReceiverValidation, RefusesOutOfRangeIdsAndSpans) {
        {StreamScheme::kBlockRse, StreamScheme::kLdgm}) {
     const NetTrialConfig block =
         small_config(scheme, StreamScheduling::kSequential);
-    DataFrame packet;
-    NetSender(block.stream, block.payload_bytes, kSeed, 0)
-        .packet_frame(1, packet);
+    const DataFrame packet = first_frames(block)[1];
     EXPECT_EQ(verdict(block, packet), "accepted");
     // 2^32 + 1 narrows to the valid id 1.
     for (const std::uint64_t id :

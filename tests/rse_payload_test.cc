@@ -250,5 +250,41 @@ TEST(RseObject, SmallPlanMatchesFreshCodecPerBlock) {
   check_object(250, 2.2, 40, 15);
 }
 
+TEST(RseObject, StreamBlockPlanMatchesFreshCodecPerBlock) {
+  // The net engine's block-RSE geometry: 300 sources, 25% overhead,
+  // block_k 32 (blocks capped at floor(32 * 1.25) = 40 packets).
+  const auto plan = std::make_shared<const RsePlan>(300, 1.25, 40);
+  ASSERT_EQ(plan->block_count(), 10u);
+  EXPECT_EQ(plan->block(0).k, 30u);
+  EXPECT_EQ(plan->block(0).n, 37u);
+  Rng rng(16);
+  std::vector<std::vector<std::uint8_t>> source(300,
+                                                std::vector<std::uint8_t>(48));
+  for (auto& s : source) fill_bytes(s, rng);
+  const RseObjectEncoder encoder(plan, source);
+  for (std::uint32_t b = 0; b < plan->block_count(); ++b) {
+    const BlockInfo& blk = plan->block(b);
+    const auto parity = RseCodec(blk.k, blk.n).encode(
+        std::vector<std::vector<std::uint8_t>>(
+            source.begin() + blk.source_offset,
+            source.begin() + blk.source_offset + blk.k));
+    for (std::uint32_t i = 0; i < blk.n - blk.k; ++i)
+      ASSERT_EQ(encoder.payload(blk.parity_offset + i), parity[i])
+          << "block " << b << " parity " << i;
+  }
+  // Lose the first n_b - k_b sources of every block, so each block needs
+  // every parity packet.
+  RseObjectDecoder decoder(plan, 48);
+  for (const PacketId id : plan->interleaved_order()) {
+    const BlockPosition pos = plan->position(id);
+    const BlockInfo& blk = plan->block(pos.block);
+    if (pos.index < blk.n - blk.k) continue;
+    decoder.on_packet(id, encoder.payload(id));
+  }
+  ASSERT_TRUE(decoder.complete());
+  for (std::uint32_t s = 0; s < 300; ++s)
+    ASSERT_EQ(decoder.source_symbol(s), source[s]) << "source " << s;
+}
+
 }  // namespace
 }  // namespace fecsched

@@ -76,6 +76,29 @@ for sub in sweep plan universal limits fit adapt stream net mpath run history co
     echo "BUG: $sub accepted an unknown flag"; exit 1
   fi
 done
+#    Integer flags parse whole and range-checked (the bench scale-flag
+#    rule): a value too wide for its field, a sign or trailing characters
+#    exit 2 naming the flag, never run with a truncated or wrapped value;
+#    and a grid with zero trials per cell exits 2 naming run.trials
+#    instead of printing an all-"-" table;
+for input in "stream --window=4294967297" "stream --window=-1" \
+    "stream --window=12abc" "stream --window=abc" \
+    "stream --trace-sample=4294967297" "net --payload-bytes=4294967297"; do
+  set -- $input
+  rc=0
+  ./fecsched_cli "$@" --sources=100 --trials=1 > /dev/null \
+    2> BENCH_flag_err.txt || rc=$?
+  if [ "$rc" -ne 2 ] || ! grep -q -- "${2%%=*}" BENCH_flag_err.txt; then
+    echo "BUG: fecsched_cli $input exited $rc, want 2 naming the flag"
+    exit 1
+  fi
+done
+rc=0
+./fecsched_cli sweep --code=rse --tx=1 --ratio=1.5 --k=400 --trials=0 \
+  > /dev/null 2> BENCH_flag_err.txt || rc=$?
+if [ "$rc" -ne 2 ] || ! grep -q 'run.trials' BENCH_flag_err.txt; then
+  echo "BUG: sweep --trials=0 exited $rc, want 2 naming run.trials"; exit 1
+fi
 # 3. run_scenario bit-identity: replaying the pinned spec documents
 #    through `run --spec` must reproduce the pinned pre-API outputs byte
 #    for byte (one grid, one stream, one mpath, one adaptive point), and
@@ -396,13 +419,14 @@ rm -f BENCH_net_ledger.jsonl
 grep -q '"kind":"bench","label":"bench_packetize"' BENCH_net_ledger.jsonl
 echo "net gate: wire round-trips fuzz-clean, loopback matches simulation on both backends"
 
-# Sanitizer gate: the decoders, receivers and observers, and the GF
-# kernels, RSE codec and payload sessions, again under AddressSanitizer +
-# UndefinedBehaviorSanitizer, with libstdc++'s bounds assertions on (the
-# sliding-window decoder indexes its state by seq; the inversion indexes
-# padded rows and the batch kernels run blocked loop bounds), from a
-# second build of the library and those test binaries only (benches,
-# examples and tools off) in .asan_build/.
+# Sanitizer gate: the decoders, receivers and observers, the GF kernels,
+# RSE codec and payload sessions, the grid trial loop, and the engines
+# over the transmission core (golden table, scenario API), again under
+# AddressSanitizer + UndefinedBehaviorSanitizer, with libstdc++'s bounds
+# assertions on (the sliding-window decoder indexes its state by seq; the
+# inversion indexes padded rows and the batch kernels run blocked loop
+# bounds), from a second build of the library and those test binaries
+# only (benches, examples and tools off) in .asan_build/.
 # -fno-sanitize-recover=all makes every report abort its binary, so any
 # report fails CI.
 cd ..
@@ -412,7 +436,9 @@ cmake -B .asan_build -S . \
   -DFECSCHED_BUILD_BENCHES=OFF -DFECSCHED_BUILD_EXAMPLES=OFF \
   -DFECSCHED_BUILD_TOOLS=OFF
 sanitized="stream_test mpath_test net_test fuzz_robustness_test obs_test
-  gf256_kernels_test gf256_test rse_test rse_payload_test session_test"
+  gf256_kernels_test gf256_test rse_test rse_payload_test session_test
+  trial_grid_test experiment_test hotpath_obs_test api_test
+  transmission_golden_test"
 cmake --build .asan_build -j "$(nproc)" --target $sanitized
 for t in $sanitized; do
   ASAN_OPTIONS=abort_on_error=1 UBSAN_OPTIONS=print_stacktrace=1 \

@@ -157,13 +157,16 @@
 // deterministic fault-injection harness (src/util/faultpoint.h); a
 // fault-killed process exits 41.
 
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include <algorithm>
@@ -193,6 +196,7 @@ namespace {
 using namespace fecsched;
 
 struct Args {
+  std::string cmd;
   std::vector<std::pair<std::string, std::string>> kv;
 
   [[nodiscard]] std::optional<std::string> get(const std::string& key) const {
@@ -211,10 +215,27 @@ struct Args {
     const auto v = get(key);
     return v ? std::stod(*v) : fallback;
   }
-  [[nodiscard]] std::uint64_t integer(const std::string& key,
-                                      std::uint64_t fallback) const {
+  /// The whole value of --key as an unsigned integer that fits T (the
+  /// bench::parse_uint_flag rule); a sign, trailing characters or a value
+  /// too wide for T exits 2 naming the flag, never runs truncated.
+  template <typename T>
+  [[nodiscard]] T integer(const std::string& key,
+                          std::type_identity_t<T> fallback) const {
     const auto v = get(key);
-    return v ? std::stoull(*v) : fallback;
+    if (!v) return fallback;
+    T out{};
+    const char* last = v->data() + v->size();
+    const auto [end, ec] = std::from_chars(v->data(), last, out);
+    if (ec != std::errc() || end != last) {
+      std::fprintf(stderr,
+                   "fecsched_cli %s: --%s: expected an unsigned integer up "
+                   "to %llu, got '%s'\n",
+                   cmd.c_str(), key.c_str(),
+                   static_cast<unsigned long long>(std::numeric_limits<T>::max()),
+                   v->c_str());
+      std::exit(2);
+    }
+    return out;
   }
 };
 
@@ -224,6 +245,7 @@ struct Args {
 Args parse_args(int argc, char** argv, int first, const std::string& cmd,
                 const std::set<std::string>& allowed) {
   Args args;
+  args.cmd = cmd;
   for (int i = first; i < argc; ++i) {
     std::string arg = argv[i];
     if (arg.rfind("--", 0) != 0) {
@@ -282,8 +304,8 @@ void apply_obs_flags(const Args& args, api::ObsSpec& obs) {
   if (args.get("metrics")) obs.metrics = true;
   if (args.get("profile")) obs.profile = true;
   if (const auto t = args.get("trace")) obs.trace = *t;
-  if (const auto n = args.get("trace-sample"))
-    obs.trace_sample = static_cast<std::uint32_t>(std::stoull(*n));
+  obs.trace_sample =
+      args.integer<std::uint32_t>("trace-sample", obs.trace_sample);
   if (args.get("counters")) obs.counters = true;
 }
 
@@ -347,8 +369,7 @@ api::RunControl parse_run_control(const Args& args) {
   control.checkpoint.resume = args.get("resume").has_value();
   if (control.checkpoint.resume && !control.checkpoint.enabled())
     throw std::invalid_argument("--resume requires --checkpoint=<dir>");
-  control.trial_timeout_ms =
-      static_cast<std::uint32_t>(args.integer("trial-timeout-ms", 0));
+  control.trial_timeout_ms = args.integer<std::uint32_t>("trial-timeout-ms", 0);
   return control;
 }
 
@@ -420,13 +441,13 @@ api::ScenarioSpec build_sweep_spec(const Args& args) {
   api::ScenarioSpec spec;
   spec.engine = "grid";
   spec.code.name = args.get("code").value_or("ldgm-triangle");
-  const auto tx = args.integer("tx", 4);
+  const auto tx = args.integer<std::uint32_t>("tx", 4);
   if (tx < 1 || tx > 6) throw std::invalid_argument("--tx must be 1..6");
   spec.tx.model = "tx" + std::to_string(tx);
   spec.code.ratio = args.number("ratio", 2.5);
-  spec.code.k = static_cast<std::uint32_t>(args.integer("k", 4000));
-  spec.run.trials = static_cast<std::uint32_t>(args.integer("trials", 30));
-  spec.run.seed = args.integer("seed", 0x5eedf00dULL);
+  spec.code.k = args.integer<std::uint32_t>("k", 4000);
+  spec.run.trials = args.integer<std::uint32_t>("trials", 30);
+  spec.run.seed = args.integer<std::uint64_t>("seed", 0x5eedf00dULL);
   spec.sweep.grid = "paper";
   apply_obs_flags(args, spec.obs);
   return spec;
@@ -436,12 +457,12 @@ api::ScenarioSpec build_stream_spec(const Args& args) {
   api::ScenarioSpec spec;
   spec.engine = "stream";
   build_channel(args, spec.channel, 0.01, 0.5, 0.02, 1.0);
-  spec.run.sources = static_cast<std::uint32_t>(args.integer("sources", 2000));
+  spec.run.sources = args.integer<std::uint32_t>("sources", 2000);
   spec.code.overhead = args.number("overhead", 0.25);
-  spec.code.window = static_cast<std::uint32_t>(args.integer("window", 64));
-  spec.code.block_k = static_cast<std::uint32_t>(args.integer("blockk", 64));
-  spec.run.trials = static_cast<std::uint32_t>(args.integer("trials", 8));
-  spec.run.seed = args.integer("seed", 0x57e4a9edULL);
+  spec.code.window = args.integer<std::uint32_t>("window", 64);
+  spec.code.block_k = args.integer<std::uint32_t>("blockk", 64);
+  spec.run.trials = args.integer<std::uint32_t>("trials", 8);
+  spec.run.seed = args.integer<std::uint64_t>("seed", 0x57e4a9edULL);
   if (const auto s = args.get("sched")) spec.tx.stream = *s;
   if (const auto s = args.get("scheme")) spec.code.name = *s;
   apply_obs_flags(args, spec.obs);
@@ -452,19 +473,17 @@ api::ScenarioSpec build_net_spec(const Args& args) {
   api::ScenarioSpec spec;
   spec.engine = "net";
   build_channel(args, spec.channel, 0.01, 0.5, 0.02, 1.0);
-  spec.run.sources = static_cast<std::uint32_t>(args.integer("sources", 2000));
+  spec.run.sources = args.integer<std::uint32_t>("sources", 2000);
   spec.code.overhead = args.number("overhead", 0.25);
-  spec.code.window = static_cast<std::uint32_t>(args.integer("window", 64));
-  spec.code.block_k = static_cast<std::uint32_t>(args.integer("blockk", 64));
-  spec.run.trials = static_cast<std::uint32_t>(args.integer("trials", 4));
-  spec.run.seed = args.integer("seed", 0x0e7f10adULL);
+  spec.code.window = args.integer<std::uint32_t>("window", 64);
+  spec.code.block_k = args.integer<std::uint32_t>("blockk", 64);
+  spec.run.trials = args.integer<std::uint32_t>("trials", 4);
+  spec.run.seed = args.integer<std::uint64_t>("seed", 0x0e7f10adULL);
   if (const auto s = args.get("sched")) spec.tx.stream = *s;
   if (const auto s = args.get("scheme")) spec.code.name = *s;
   if (const auto s = args.get("transport")) spec.net.transport = *s;
-  spec.net.payload_bytes =
-      static_cast<std::uint32_t>(args.integer("payload-bytes", 64));
-  spec.net.report_interval =
-      static_cast<std::uint32_t>(args.integer("report-interval", 0));
+  spec.net.payload_bytes = args.integer<std::uint32_t>("payload-bytes", 64);
+  spec.net.report_interval = args.integer<std::uint32_t>("report-interval", 0);
   if (args.get("no-parity")) spec.net.parity = false;
   if (const auto s = args.get("net-dump")) spec.net.dump = *s;
   apply_obs_flags(args, spec.obs);
@@ -475,14 +494,14 @@ api::ScenarioSpec build_mpath_spec(const Args& args) {
   api::ScenarioSpec spec;
   spec.engine = "mpath";
   build_channel(args, spec.channel, 0.01, 0.5, 0.02, 2.0);
-  spec.run.sources = static_cast<std::uint32_t>(args.integer("sources", 2000));
+  spec.run.sources = args.integer<std::uint32_t>("sources", 2000);
   spec.code.overhead = args.number("overhead", 0.25);
-  spec.code.window = static_cast<std::uint32_t>(args.integer("window", 64));
-  spec.code.block_k = static_cast<std::uint32_t>(args.integer("blockk", 64));
-  spec.run.trials = static_cast<std::uint32_t>(args.integer("trials", 8));
-  spec.run.seed = args.integer("seed", 0x3147a7b5ULL);
+  spec.code.window = args.integer<std::uint32_t>("window", 64);
+  spec.code.block_k = args.integer<std::uint32_t>("blockk", 64);
+  spec.run.trials = args.integer<std::uint32_t>("trials", 8);
+  spec.run.seed = args.integer<std::uint64_t>("seed", 0x3147a7b5ULL);
   spec.adapt.enabled = args.get("adapt").has_value();
-  spec.adapt.warmup = static_cast<std::uint32_t>(args.integer("warmup", 5));
+  spec.adapt.warmup = args.integer<std::uint32_t>("warmup", 5);
   if (const auto s = args.get("sched")) spec.tx.stream = *s;
   if (const auto s = args.get("scheme")) spec.code.name = *s;
   if (const auto s = args.get("scheduler")) spec.paths.scheduler = *s;
@@ -507,11 +526,11 @@ api::ScenarioSpec build_mpath_spec(const Args& args) {
 api::ScenarioSpec build_adapt_spec(const Args& args) {
   api::ScenarioSpec spec;
   spec.engine = "adaptive";
-  spec.code.k = static_cast<std::uint32_t>(args.integer("k", 2000));
+  spec.code.k = args.integer<std::uint32_t>("k", 2000);
   spec.adapt.enabled = true;
-  spec.adapt.objects = static_cast<std::uint32_t>(args.integer("objects", 40));
-  spec.adapt.warmup = static_cast<std::uint32_t>(args.integer("warmup", 10));
-  spec.run.seed = args.integer("seed", 0xada2c0deULL);
+  spec.adapt.objects = args.integer<std::uint32_t>("objects", 40);
+  spec.adapt.warmup = args.integer<std::uint32_t>("warmup", 10);
+  spec.run.seed = args.integer<std::uint64_t>("seed", 0xada2c0deULL);
   if (args.get("p") || args.get("q")) {
     spec.channel.p = args.number("p", 0.0);
     spec.channel.q = args.number("q", 1.0);
@@ -664,8 +683,8 @@ int cmd_plan(const Args& args) {
   const double p = args.number("p", 0.0);
   const double q = args.number("q", 1.0);
   PlannerConfig cfg;
-  cfg.k = static_cast<std::uint32_t>(args.integer("k", 4000));
-  cfg.trials = static_cast<std::uint32_t>(args.integer("trials", 20));
+  cfg.k = args.integer<std::uint32_t>("k", 4000);
+  cfg.trials = args.integer<std::uint32_t>("trials", 20);
   const Planner planner(cfg);
 
   std::printf("channel: p=%.4f q=%.4f (p_global=%.4f, mean burst %.2f)\n\n",
@@ -691,13 +710,12 @@ int cmd_plan(const Args& args) {
               std::string(to_string(best->tx)).c_str(), best->expansion_ratio,
               best->mean_inefficiency);
 
-  const auto bytes = args.integer("bytes", 0);
+  const auto bytes = args.integer<std::uint64_t>("bytes", 0);
   if (bytes > 0) {
     ByteNsentRequest req;
     req.inefficiency = best->mean_inefficiency;
     req.object_bytes = bytes;
-    req.packet_payload_bytes =
-        static_cast<std::uint32_t>(args.integer("payload", 1024));
+    req.packet_payload_bytes = args.integer<std::uint32_t>("payload", 1024);
     req.p = p;
     req.q = q;
     req.tolerance_fraction = args.number("tolerance", 0.10);
@@ -713,8 +731,8 @@ int cmd_plan(const Args& args) {
 
 int cmd_universal(const Args& args) {
   PlannerConfig cfg;
-  cfg.k = static_cast<std::uint32_t>(args.integer("k", 4000));
-  cfg.trials = static_cast<std::uint32_t>(args.integer("trials", 10));
+  cfg.k = args.integer<std::uint32_t>("k", 4000);
+  cfg.trials = args.integer<std::uint32_t>("trials", 10);
   const Planner planner(cfg);
   std::printf("ranking candidate tuples over the %zu-cell paper grid "
               "(k=%u, %u trials/cell)...\n\n",
