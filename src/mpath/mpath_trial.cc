@@ -55,7 +55,8 @@ struct PlanRecorder {
 /// Dispatch every emission through the scheduler and the paths, filling
 /// the workspace transport buffers in place.
 void transmit_all(const std::vector<Emission>& emissions, PathSet& paths,
-                  PathScheduler& scheduler, Transport& t, const obs::Hook& hook) {
+                  PathScheduler& scheduler, Transport& t,
+                  const obs::Hook& hook) {
   t.resolve.assign(emissions.size(), 0.0);
   t.delivered.assign(emissions.size(), 0);
   for (auto& events : t.path_events) events.clear();
@@ -86,7 +87,8 @@ void transmit_all(const std::vector<Emission>& emissions, PathSet& paths,
 
 /// Queue one deadline event per source (paced) or block (RSE), or one for
 /// the whole stream (LDGM).
-void push_deadlines(const StreamCode& code, const std::vector<Emission>& emissions,
+void push_deadlines(const StreamCode& code,
+                    const std::vector<Emission>& emissions,
                     const std::vector<std::size_t>& slid_after,
                     const Transport& transport, std::vector<double>& deadline,
                     Resequencer& queue) {
@@ -159,7 +161,8 @@ MpathTrialResult run_mpath_trial(const MpathTrialConfig& cfg,
 
   StreamCode& code = ws.stream.code;
   hook.timed(obs::Phase::kEncode, [&] { code.build(cfg.stream, seed); });
-  if (!code.paced()) hook.timed(obs::Phase::kSchedule, [&] { code.schedule(); });
+  if (!code.paced())
+    hook.timed(obs::Phase::kSchedule, [&] { code.schedule(); });
   StreamReceiver& receiver = ws.stream.receiver;
   receiver.reset(code, hook);
 

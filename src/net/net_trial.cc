@@ -97,7 +97,9 @@ class WireLink {
     ++result_.reports_received;
   }
 
-  [[nodiscard]] ChannelEstimate estimate() const { return estimator_.estimate(); }
+  [[nodiscard]] ChannelEstimate estimate() const {
+    return estimator_.estimate();
+  }
 
  private:
   /// Receives one datagram at `end` and parses it: nullopt when nothing

@@ -140,6 +140,10 @@ class SlidingWindowDecoder {
   [[nodiscard]] const SlidingWindowConfig& config() const noexcept {
     return config_;
   }
+  /// Payload bytes per symbol; 0 in structure-only mode.
+  [[nodiscard]] std::size_t symbol_size() const noexcept {
+    return symbol_size_;
+  }
 
   /// Restart for a new stream under a (possibly different) configuration,
   /// keeping the solver scratch allocations — the trial-workspace path.

@@ -156,7 +156,7 @@ void StreamReceiver::reset(const StreamCode& code, const obs::Hook& hook,
 
   switch (scheme_) {
     case StreamScheme::kSlidingWindow:
-      if (sliding_ && payload_bytes == payload_bytes_)
+      if (sliding_ && sliding_->symbol_size() == payload_bytes)
         sliding_->reset(code.sliding());
       else
         sliding_.emplace(code.sliding(), payload_bytes);

@@ -134,7 +134,8 @@ struct StreamTrialResult {
   bool all_delivered = false;    ///< no source was released as lost
 };
 
-/// One packet of the emission plan, in the fields a wire frame carries.
+/// One packet of the emission plan: the id, kind and coverage a wire
+/// frame carries (a replication frame names `dup` in its span).
 struct Emission {
   /// Source seq; S + repair seq for a paced repair; the code's PacketId
   /// (sources [0, S), parity from S up) for the block schemes.
@@ -267,7 +268,8 @@ void StreamCode::walk(Plan& plan) const {
 class StreamReceiver {
  public:
   /// Payload mode's consumer of every released source's bytes.
-  using Sink = std::function<void(std::uint64_t, std::span<const std::uint8_t>)>;
+  using Sink =
+      std::function<void(std::uint64_t, std::span<const std::uint8_t>)>;
 
   /// Starts a trial of `code`, which must stay alive and unchanged until
   /// the trial ends: every source sent at its send slot, fresh decoders.
@@ -290,14 +292,17 @@ class StreamReceiver {
 
   /// Block schemes: has every source been released?  The carousel's stop
   /// rule (standing in for the receiver's ACK stream).
-  [[nodiscard]] bool complete() const noexcept { return released_ == sources_; }
+  [[nodiscard]] bool complete() const noexcept {
+    return released_ == sources_;
+  }
 
   /// The tracker's summary plus the link's packet counts.
   [[nodiscard]] StreamTrialResult result(std::uint64_t sent,
                                          std::uint64_t received) const;
 
  private:
-  void available(std::uint64_t s, double t, std::span<const std::uint8_t> bytes);
+  void available(std::uint64_t s, double t,
+                 std::span<const std::uint8_t> bytes);
   void rse_packet(PacketId id, std::span<const std::uint8_t> payload, double t);
   void lose(PacketId src, double t);
 

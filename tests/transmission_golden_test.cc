@@ -155,7 +155,8 @@ TEST(TransmissionGolden, StreamTrials) {
   std::vector<StreamTrialConfig> configs = {
       small_stream(StreamScheme::kSlidingWindow, StreamScheduling::kSequential),
       small_stream(StreamScheme::kReplication, StreamScheduling::kSequential)};
-  for (const StreamScheme scheme : {StreamScheme::kBlockRse, StreamScheme::kLdgm})
+  for (const StreamScheme scheme :
+       {StreamScheme::kBlockRse, StreamScheme::kLdgm})
     for (const StreamScheduling sched :
          {StreamScheduling::kSequential, StreamScheduling::kInterleaved,
           StreamScheduling::kCarousel})
@@ -163,8 +164,10 @@ TEST(TransmissionGolden, StreamTrials) {
   ASSERT_EQ(configs.size(), std::size(cases));
   for (std::size_t i = 0; i < configs.size(); ++i) {
     GilbertModel channel(0.05, 0.3);
-    check(cases[i], golden([&] { return run_stream_trial(configs[i], channel, 40 + i); },
-                           add_result));
+    const auto trial = [&] {
+      return run_stream_trial(configs[i], channel, 40 + i);
+    };
+    check(cases[i], golden(trial, add_result));
   }
 }
 
@@ -219,7 +222,8 @@ TEST(TransmissionGolden, MpathTrials) {
           h.add(r.reordered);
           h.add(r.reordered_fraction);
         };
-        check(cases[i], golden([&] { return run_mpath_trial(cfg, 60 + i); }, add));
+        check(cases[i],
+              golden([&] { return run_mpath_trial(cfg, 60 + i); }, add));
         ++i;
       }
   EXPECT_EQ(i, std::size(cases));

@@ -231,7 +231,8 @@ struct Args {
                    "fecsched_cli %s: --%s: expected an unsigned integer up "
                    "to %llu, got '%s'\n",
                    cmd.c_str(), key.c_str(),
-                   static_cast<unsigned long long>(std::numeric_limits<T>::max()),
+                   static_cast<unsigned long long>(
+                       std::numeric_limits<T>::max()),
                    v->c_str());
       std::exit(2);
     }
