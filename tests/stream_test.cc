@@ -4,6 +4,7 @@
 // and stream-trial sanity.
 
 #include <algorithm>
+#include <span>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -527,6 +528,30 @@ TEST(StreamTrial, LdgmDecodedEventsAscendWithinEachSlot) {
     EXPECT_EQ(decoded, result.delay.delivered) << "seed " << seed;
   }
   EXPECT_GT(multi_source_slots, 0u) << "no cascade recovered two sources";
+}
+
+TEST(StreamReceiver, ReusedAcrossTrialsDecodesAtEachTrialsPayloadSize) {
+  // One receiver, as a workspace keeps it: a structure-only sliding trial,
+  // a payload-mode LDGM trial, then a payload-mode sliding trial, which
+  // must not inherit the first trial's structure-only decoder.
+  StreamTrialConfig cfg;
+  cfg.source_count = 20;
+  cfg.window = 8;
+  const StreamCode sliding(cfg, 1);
+  cfg.scheme = StreamScheme::kLdgm;
+  const StreamCode ldgm(cfg, 1);
+  const obs::Hook hook;
+  StreamReceiver rx;
+  rx.reset(sliding, hook);
+  rx.reset(ldgm, hook, 16, [](std::uint64_t, std::span<const std::uint8_t>) {});
+  std::vector<std::size_t> released_bytes;
+  rx.reset(sliding, hook, 16,
+           [&](std::uint64_t, std::span<const std::uint8_t> bytes) {
+             released_bytes.push_back(bytes.size());
+           });
+  const std::vector<std::uint8_t> payload(16, 7);
+  rx.on_packet(Emission{0}, payload, 0.0);
+  EXPECT_EQ(released_bytes, std::vector<std::size_t>{16});
 }
 
 // ------------------------------------------------------ delay grid / hook
