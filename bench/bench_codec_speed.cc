@@ -383,7 +383,7 @@ int run_json_mode(const std::string& json_path, bool check, double min_time,
                   })});
     const Measurement& batch = rates.at("gf256_addmul_batch");
     const bool simd = b == gf::Backend::kSsse3 || b == gf::Backend::kAvx2 ||
-                      b == gf::Backend::kNeon;
+                      b == gf::Backend::kGfni || b == gf::Backend::kNeon;
     const auto roofline = [&](const std::string& op) {
       const auto it = addmuls_per_byte.find(op);
       return it == addmuls_per_byte.end()

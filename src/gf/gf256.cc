@@ -11,14 +11,13 @@ namespace {
 
 Tables build_tables() {
   Tables t{};
-  constexpr unsigned kPrimPoly = 0x11d;  // x^8+x^4+x^3+x^2+1
   unsigned x = 1;
   for (int i = 0; i < kGroupOrder; ++i) {
     t.exp[static_cast<std::size_t>(i)] = static_cast<std::uint8_t>(x);
     t.exp[static_cast<std::size_t>(i + kGroupOrder)] = static_cast<std::uint8_t>(x);
     t.log[x] = static_cast<std::uint16_t>(i);
     x <<= 1;
-    if (x & 0x100) x ^= kPrimPoly;
+    if (x & 0x100) x ^= kPrimitivePoly;
   }
   t.log[0] = 0xffff;  // sentinel: log of zero is undefined
   for (int a = 0; a < kFieldSize; ++a) {

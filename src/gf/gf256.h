@@ -21,6 +21,8 @@ namespace fecsched::gf {
 inline constexpr int kFieldSize = 256;
 /// Multiplicative group order (non-zero elements).
 inline constexpr int kGroupOrder = 255;
+/// The field polynomial x^8+x^4+x^3+x^2+1.
+inline constexpr unsigned kPrimitivePoly = 0x11d;
 
 namespace detail {
 struct Tables {

@@ -146,6 +146,7 @@ const Kernels* lookup(Backend b) noexcept {
     case Backend::kXor64: return &kXor64Kernels;
     case Backend::kSsse3: return detail::ssse3_kernels();
     case Backend::kAvx2: return detail::avx2_kernels();
+    case Backend::kGfni: return detail::gfni_kernels();
     case Backend::kNeon: return detail::neon_kernels();
   }
   return nullptr;
@@ -160,7 +161,8 @@ const Kernels* pick_default() noexcept {
       // crash — the debugging aid must never take the process down.
     }
   }
-  for (Backend b : {Backend::kAvx2, Backend::kNeon, Backend::kSsse3}) {
+  for (Backend b :
+       {Backend::kGfni, Backend::kAvx2, Backend::kNeon, Backend::kSsse3}) {
     if (const Kernels* k = lookup(b)) return k;
   }
   return &kXor64Kernels;

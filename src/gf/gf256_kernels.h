@@ -24,11 +24,21 @@
 //    registers while it accumulates every (src, coeff) term — one dst
 //    load/store per chunk instead of one per term, and one table
 //    broadcast per term per 256 B.
+//  * kGfni   — GFNI on AVX-512: multiplying by c is an 8x8 bit matrix
+//    over GF(2), so one vgf2p8affineqb multiplies 64 bytes, where the
+//    split-nibble path spends seven vector ops per 32.  Tails are
+//    byte-masked vectors, and addmul_batch keeps sixteen destination
+//    vectors (1 KiB) in registers per pass over the terms, reading a
+//    source that starts 16, 32 or 48 bytes into a cache line (heap rows)
+//    as whole lines realigned with valignd.  Needs GFNI and AVX-512BW;
+//    hosts without both run avx2 or ssse3.
 //  * kNeon   — vqtbl1q_u8 split-nibble on aarch64 (compiled out on x86).
 //
-// Selection happens once per process (CPUID probing, best backend wins)
-// and can be overridden with the environment variable
-// FECSCHED_GF_BACKEND=scalar|xor64|ssse3|avx2|neon for debugging, or
+// Selection happens once per process (CPUID probing; the first supported
+// of gfni, avx2, neon, ssse3, else xor64) and can be overridden with the
+// environment variable
+// FECSCHED_GF_BACKEND=scalar|xor64|ssse3|avx2|gfni|neon for debugging
+// (an unsupported name falls back to the probe), or
 // programmatically with force_backend() (tests and benches iterate every
 // host-supported backend that way).  All backends produce bit-identical
 // output: GF(2^8) arithmetic is exact and XOR accumulation is
@@ -50,12 +60,12 @@
 namespace fecsched::gf {
 
 /// Kernel implementation families, weakest first.  kNeon is aarch64-only;
-/// kSsse3/kAvx2 are x86-only; kScalar and kXor64 run everywhere.
-enum class Backend { kScalar, kXor64, kSsse3, kAvx2, kNeon };
+/// kSsse3/kAvx2/kGfni are x86-only; kScalar and kXor64 run everywhere.
+enum class Backend { kScalar, kXor64, kSsse3, kAvx2, kGfni, kNeon };
 
 inline constexpr Backend kAllBackends[] = {
     Backend::kScalar, Backend::kXor64, Backend::kSsse3, Backend::kAvx2,
-    Backend::kNeon};
+    Backend::kGfni,   Backend::kNeon};
 
 [[nodiscard]] constexpr std::string_view to_string(Backend b) noexcept {
   switch (b) {
@@ -63,6 +73,7 @@ inline constexpr Backend kAllBackends[] = {
     case Backend::kXor64: return "xor64";
     case Backend::kSsse3: return "ssse3";
     case Backend::kAvx2: return "avx2";
+    case Backend::kGfni: return "gfni";
     case Backend::kNeon: return "neon";
   }
   return "?";
@@ -96,10 +107,11 @@ struct Kernels {
                    std::size_t len) = nullptr;
   /// dst[i] ^= XOR over t of terms[t].coeff * terms[t].src[i] — one fused
   /// pass over dst for all `count` terms (any count; RSE runs 100-255).
-  /// The SIMD backends fetch the nibble tables once per call, with no call
-  /// per term or chunk, and keep a block of dst in registers while every
-  /// term accumulates into it (AVX2 256 B, SSSE3 64 B, NEON 16 B); the
-  /// bytes past the last whole vector run per term.
+  /// The SIMD backends make no call per term or chunk, and keep a block
+  /// of dst in registers while every term accumulates into it (GFNI
+  /// 1 KiB, AVX2 256 B, SSSE3 64 B, NEON 16 B).  GFNI finishes with one
+  /// byte-masked vector through every term; the split-nibble backends run
+  /// the bytes past the last whole vector per term.
   void (*addmul_batch)(std::uint8_t* dst, const AddmulTerm* terms,
                        std::size_t count, std::size_t len) = nullptr;
 };
@@ -129,7 +141,8 @@ void force_backend(Backend b);
 namespace detail {
 /// Split-nibble product tables: for coefficient c,
 /// lo[x] = c * x and hi[x] = c * (x << 4) for x in [0, 16), so
-/// c * b == lo[b & 15] ^ hi[b >> 4].  Shared by every SIMD backend.
+/// c * b == lo[b & 15] ^ hi[b >> 4].  Shared by the split-nibble
+/// backends (ssse3, avx2, neon); gfni builds its own bit matrices.
 struct alignas(16) NibbleRow {
   std::uint8_t lo[16];
   std::uint8_t hi[16];
@@ -138,9 +151,11 @@ struct alignas(16) NibbleRow {
 
 // Per-TU backend probes: non-null iff compiled in and the CPU supports
 // the instruction set.  Defined in gf256_ssse3.cc / gf256_avx2.cc /
-// gf256_neon.cc so only those TUs carry target-specific code.
+// gf256_gfni.cc / gf256_neon.cc so only those TUs carry target-specific
+// code.
 [[nodiscard]] const Kernels* ssse3_kernels() noexcept;
 [[nodiscard]] const Kernels* avx2_kernels() noexcept;
+[[nodiscard]] const Kernels* gfni_kernels() noexcept;
 [[nodiscard]] const Kernels* neon_kernels() noexcept;
 }  // namespace detail
 

@@ -5,6 +5,7 @@
 // trial workspaces must never change a trial result bit).
 
 #include <algorithm>
+#include <cstdlib>
 #include <cstring>
 #include <numeric>
 #include <vector>
@@ -73,9 +74,23 @@ TEST(Gf256Kernels, BackendFromName) {
   EXPECT_EQ(gf::backend_from_name("xor64"), Backend::kXor64);
   EXPECT_EQ(gf::backend_from_name("ssse3"), Backend::kSsse3);
   EXPECT_EQ(gf::backend_from_name("avx2"), Backend::kAvx2);
+  EXPECT_EQ(gf::backend_from_name("gfni"), Backend::kGfni);
   EXPECT_EQ(gf::backend_from_name("neon"), Backend::kNeon);
   EXPECT_FALSE(gf::backend_from_name("auto").has_value());
   EXPECT_FALSE(gf::backend_from_name("sse9").has_value());
+}
+
+TEST(Gf256Kernels, DefaultDispatchPicksGfniWhenSupported) {
+  // The probe order is the speedup: a slip that put avx2 first would keep
+  // every output and silently lose the gfni kernels.  Every test that
+  // forces a backend restores the one it found, so current_backend() is
+  // the probe's choice.
+  if (const char* env = std::getenv("FECSCHED_GF_BACKEND");
+      env != nullptr && *env != '\0')
+    GTEST_SKIP() << "FECSCHED_GF_BACKEND overrides the probe";
+  if (!gf::backend_supported(Backend::kGfni))
+    GTEST_SKIP() << "host lacks GFNI + AVX-512BW";
+  EXPECT_EQ(gf::current_backend(), Backend::kGfni);
 }
 
 // ------------------------------------- exhaustive backend equivalence

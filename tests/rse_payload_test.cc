@@ -2,7 +2,8 @@
 // kernel at the term counts RSE runs (up to 255) against sequential scalar
 // addmul, the padded-row Gauss-Jordan inversion at the padded-stride edges
 // on every backend, and the object codec (one generator per block
-// geometry) against a fresh RseCodec per block.
+// geometry) against a fresh RseCodec per block and, at codec_rse's
+// geometry, against the scalar backend's bytes.
 
 #include <algorithm>
 #include <cstring>
@@ -46,13 +47,20 @@ void for_each_backend(Fn&& fn) {
 TEST(Gf256Kernels, AddmulBatchUpTo255TermsMatchesScalarAddmul) {
   constexpr std::size_t kGuard = 32;
   constexpr std::size_t kMaxTerms = 255;
-  constexpr std::size_t kLens[] = {0, 1, 31, 32, 127, 128, 129, 1024, 1031};
-  constexpr std::size_t kStride = 1031 + 64;  // one source slot per term
+  // Around one vector, the 1 KiB register block (with a single vector or
+  // a masked tail past it) and two blocks.  The per-term source offsets
+  // below reach every byte position of a cache line, so gfni's realigned
+  // reads (sources 16, 32 or 48 bytes into a line) run too.
+  constexpr std::size_t kLens[] = {0,    1,    31,   32,   63,   64,
+                                   65,   127,  128,  129,  1024, 1031,
+                                   1087, 1088, 2048, 2111};
+  constexpr std::size_t kMaxLen = 2111;
+  constexpr std::size_t kStride = kMaxLen + 64;  // one source slot per term
   const Kernels& oracle = gf::kernels_for(Backend::kScalar);
   Rng rng(11);
   std::vector<std::uint8_t> pool(kMaxTerms * kStride);
   fill_bytes(pool, rng);
-  std::vector<std::uint8_t> dst_init(1031 + 64 + kGuard);
+  std::vector<std::uint8_t> dst_init(kMaxLen + 64 + kGuard);
   fill_bytes(dst_init, rng);
   std::vector<AddmulTerm> terms(kMaxTerms);
   for (std::size_t count = 0; count <= kMaxTerms; ++count) {
@@ -179,9 +187,11 @@ TEST(GfMatrixInvert, SingularAtLatePivotThrowsEveryBackend) {
 /// RseObjectDecoder under three loss patterns, feeding packets in
 /// interleaved order (one packet of each block in turn), so blocks with
 /// fewer source packets complete first.  Parity and decoded sources must
-/// equal a fresh RseCodec per block.
+/// equal a fresh RseCodec per block.  `bytes`, when given, receives every
+/// parity payload, then every source as decoded with all sources lost.
 void check_object(std::uint32_t k, double ratio, std::size_t symbol,
-                  std::uint64_t seed) {
+                  std::uint64_t seed,
+                  std::vector<std::vector<std::uint8_t>>* bytes = nullptr) {
   const auto plan = std::make_shared<const RsePlan>(k, ratio);
   Rng rng(seed);
   std::vector<std::vector<std::uint8_t>> source(k,
@@ -196,9 +206,11 @@ void check_object(std::uint32_t k, double ratio, std::size_t symbol,
         source.begin() + blk.source_offset,
         source.begin() + blk.source_offset + blk.k);
     const auto parity = fresh.encode(block_source);
-    for (std::uint32_t i = 0; i < blk.n - blk.k; ++i)
+    for (std::uint32_t i = 0; i < blk.n - blk.k; ++i) {
       ASSERT_EQ(encoder.payload(blk.parity_offset + i), parity[i])
           << "block " << b << " parity " << i;
+      if (bytes) bytes->push_back(parity[i]);
+    }
   }
 
   enum class Loss { kEverySource, kRandom, kNone };
@@ -226,6 +238,9 @@ void check_object(std::uint32_t k, double ratio, std::size_t symbol,
         ASSERT_EQ(decoded[j], source[blk.source_offset + j]);
       }
     }
+    if (bytes && loss == Loss::kEverySource)
+      for (PacketId s = 0; s < k; ++s)
+        bytes->push_back(decoder.source_symbol(s));
   }
 }
 
@@ -238,7 +253,19 @@ TEST(RseObject, TwoGeometryPlanMatchesFreshCodecPerBlock) {
   EXPECT_EQ(plan.block(10).k, 102u);
   EXPECT_EQ(plan.block(11).k, 101u);
   EXPECT_EQ(plan.block(80).k, 101u);
-  check_object(8192, 2.5, 24, 14);
+  // At codec_rse's 1 KiB symbols, on every backend: each backend's parity
+  // and its decode with every source lost must be the scalar backend's
+  // bytes, not only its own fresh codec's.
+  std::vector<std::vector<std::uint8_t>> scalar_bytes;
+  for_each_backend([&](Backend b) {
+    std::vector<std::vector<std::uint8_t>> bytes;
+    check_object(8192, 2.5, 1024, 14, &bytes);
+    if (b == Backend::kScalar) {
+      scalar_bytes = std::move(bytes);
+    } else {
+      EXPECT_TRUE(bytes == scalar_bytes) << "backend " << gf::to_string(b);
+    }
+  });
 }
 
 TEST(RseObject, SmallPlanMatchesFreshCodecPerBlock) {

@@ -39,9 +39,13 @@ ctest --output-on-failure --no-tests=error \
 #    end-to-end RSE encode/decode over the scalar baseline; on every SIMD
 #    backend addmul_batch at least at the single-row addmul rate per byte
 #    and RSE encode at >= 0.7 of the batch-kernel roofline) — skipped when
-#    google-benchmark was unavailable at build time;
+#    google-benchmark was unavailable at build time.  Its JSON names the
+#    backends this host runs, which the net gate below loops over;
+gf_backends=""
 if [ -x ./bench_codec_speed ]; then
   ./bench_codec_speed --json BENCH_codec_speed.json --check --min-time=0.1
+  gf_backends=$(python3 -c 'import json, sys
+print(" ".join(json.load(open(sys.argv[1]))["backends"]))' BENCH_codec_speed.json)
 fi
 # 3. bit-identity of one grid, stream and mpath point: the default
 #    (auto-dispatched) backend and the forced-scalar backend must both
@@ -374,21 +378,24 @@ echo "robustness gate: kill-resume bit-identical on both backends, SIGINT drains
 #    semantics, impairment-shim substream identity, and the seven
 #    sim-vs-wire parity oracles);
 ctest --output-on-failure --no-tests=error -R 'Net'
-# 2. loopback smoke over real UDP sockets: the run must byte-verify every
+# 2. loopback smoke over real UDP sockets: each run must byte-verify every
 #    delivered source payload against the sender's ground truth and match
-#    its simulation twin exactly on every trial — under the default and
-#    forced-scalar GF backends (the wire carries codec output, so backend
-#    divergence would surface here as a payload mismatch);
-./fecsched_cli net --p=0.02 --q=0.4 --sources=800 --trials=3 \
-  --report-interval=200 --net-dump=BENCH_net_dump.json > BENCH_net_out.txt
-grep -q 'byte-verified payloads: .* (0 mismatches, 0 frames rejected)' \
-  BENCH_net_out.txt
-grep -q 'parity: 3/3 trials match the simulation twin exactly' \
-  BENCH_net_out.txt
-FECSCHED_GF_BACKEND=scalar ./fecsched_cli net --p=0.02 --q=0.4 \
-  --sources=800 --trials=3 --report-interval=200 > BENCH_net_scalar.txt
-grep -q 'parity: 3/3 trials match the simulation twin exactly' \
-  BENCH_net_scalar.txt
+#    its simulation twin exactly on every trial — on every GF backend the
+#    codec bench found on this host, or on the default ("auto") and
+#    forced-scalar backends when that bench was skipped (the wire carries
+#    codec output, so backend divergence would surface here as a payload
+#    mismatch).  The list is never hard-coded: an unsupported
+#    FECSCHED_GF_BACKEND falls back to the probe, so a fixed list could
+#    report coverage that never ran;
+for backend in ${gf_backends:-auto scalar}; do
+  FECSCHED_GF_BACKEND=$backend ./fecsched_cli net --p=0.02 --q=0.4 \
+    --sources=800 --trials=3 --report-interval=200 \
+    --net-dump=BENCH_net_dump.json > "BENCH_net_$backend.txt"
+  grep -q 'byte-verified payloads: .* (0 mismatches, 0 frames rejected)' \
+    "BENCH_net_$backend.txt"
+  grep -q 'parity: 3/3 trials match the simulation twin exactly' \
+    "BENCH_net_$backend.txt"
+done
 # 3. the --net-dump artifact goes through durable::write_file (temp +
 #    fsync + rename), so a crash injected at the durable.write fault
 #    point must leave no dump file behind — and the successful run above
@@ -417,7 +424,7 @@ rm -f BENCH_net_ledger.jsonl
 ./bench_packetize --k=2000 --trials=30 --ledger=BENCH_net_ledger.jsonl \
   > /dev/null
 grep -q '"kind":"bench","label":"bench_packetize"' BENCH_net_ledger.jsonl
-echo "net gate: wire round-trips fuzz-clean, loopback matches simulation on both backends"
+echo "net gate: wire round-trips fuzz-clean, loopback matches simulation on backends: ${gf_backends:-auto scalar}"
 
 # Sanitizer gate: the decoders, receivers and observers, the GF kernels,
 # RSE codec and payload sessions, the grid trial loop, and the engines
