@@ -47,21 +47,30 @@ if [ -x ./bench_codec_speed ]; then
   gf_backends=$(python3 -c 'import json, sys
 print(" ".join(json.load(open(sys.argv[1]))["backends"]))' BENCH_codec_speed.json)
 fi
-# 3. bit-identity of one grid, stream and mpath point: the default
+# 3. bit-identity of one grid, stream, mpath and net point: the default
 #    (auto-dispatched) backend and the forced-scalar backend must both
-#    reproduce the pinned scalar-path outputs byte for byte.
+#    reproduce the pinned scalar-path outputs byte for byte.  The net
+#    point runs on the in-memory transport, which makes its text and
+#    --json outputs deterministic.
+net_point="--p=0.02 --q=0.4 --sources=800 --trials=3 --report-interval=200 --transport=memory"
 ./fecsched_cli sweep --code=rse --tx=1 --ratio=1.5 --k=400 --trials=3 \
   | cmp - ../tools/pinned/grid_point.txt
 ./fecsched_cli stream --p=0.02 --q=0.4 --sources=800 --trials=3 \
   | cmp - ../tools/pinned/stream_point.txt
 ./fecsched_cli mpath --p=0.02 --q=0.4 --sources=600 --trials=2 \
   | cmp - ../tools/pinned/mpath_point.txt
+./fecsched_cli net $net_point | cmp - ../tools/pinned/net_point.txt
+./fecsched_cli net $net_point --json | cmp - ../tools/pinned/net_point.json
 FECSCHED_GF_BACKEND=scalar ./fecsched_cli sweep --code=rse --tx=1 --ratio=1.5 --k=400 --trials=3 \
   | cmp - ../tools/pinned/grid_point.txt
 FECSCHED_GF_BACKEND=scalar ./fecsched_cli stream --p=0.02 --q=0.4 --sources=800 --trials=3 \
   | cmp - ../tools/pinned/stream_point.txt
 FECSCHED_GF_BACKEND=scalar ./fecsched_cli mpath --p=0.02 --q=0.4 --sources=600 --trials=2 \
   | cmp - ../tools/pinned/mpath_point.txt
+FECSCHED_GF_BACKEND=scalar ./fecsched_cli net $net_point \
+  | cmp - ../tools/pinned/net_point.txt
+FECSCHED_GF_BACKEND=scalar ./fecsched_cli net $net_point --json \
+  | cmp - ../tools/pinned/net_point.json
 echo "codec gate: kernels bit-identical, perf criteria met"
 
 # Scenario API gate (src/api/, -Werror via CMake):
