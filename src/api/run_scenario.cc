@@ -26,7 +26,6 @@
 #include "util/interrupt.h"
 #include "util/parallel.h"
 #include "util/rng.h"
-#include "util/stats.h"
 #include "util/watchdog.h"
 
 namespace fecsched::api {
@@ -112,6 +111,19 @@ GridRunOptions to_grid_options(const ScenarioSpec& spec,
   return opt;
 }
 
+/// The resolved channel point and run shape every engine's result starts
+/// from.
+ScenarioResult result_header(const ScenarioSpec& spec) {
+  ScenarioResult result;
+  result.engine = spec.engine;
+  const ChannelPoint pt = spec.channel.point();
+  result.p = pt.p;
+  result.q = pt.q;
+  result.trials = spec.run.trials;
+  result.seed = spec.run.seed;
+  return result;
+}
+
 // ---------------------------------------------------------------- grid
 
 /// The grid engines' one sweep call: plain Experiment::run, or the
@@ -131,38 +143,56 @@ GridResult run_grid_result(const ScenarioSpec& spec, const RunControl& control,
 
 ScenarioResult run_grid_engine(const ScenarioSpec& spec,
                                const RunControl& control) {
-  ScenarioResult result;
-  result.engine = spec.engine;
-  const ChannelPoint pt = spec.channel.point();
-  result.p = pt.p;
-  result.q = pt.q;
-  result.trials = spec.run.trials;
-  result.seed = spec.run.seed;
-
+  ScenarioResult result = result_header(spec);
   const ExperimentConfig cfg = to_experiment_config(spec);
-  const Experiment experiment(cfg);
   result.grid_config = cfg;
-  result.grid_n_total = experiment.n_total();
-  result.grid = run_grid_result(spec, control, experiment);
-
-  RunningStats inefficiency;
-  RunningStats received;
-  std::uint32_t peak_memory = 0;
-  for (const CellResult& cell : result.grid->cells) {
-    if (cell.reportable()) inefficiency.add(cell.inefficiency.mean());
-    if (cell.trials > 0) received.add(cell.received_ratio.mean());
-    peak_memory = std::max(peak_memory, cell.peak_memory_symbols);
-  }
-  if (inefficiency.count() > 0)
-    result.summary.inefficiency = inefficiency.mean();
-  if (received.count() > 0) result.summary.received_ratio = received.mean();
-  result.summary.sent_ratio =
-      static_cast<double>(experiment.n_total()) / static_cast<double>(cfg.k);
-  result.summary.peak_memory_symbols = peak_memory;
+  result.grid = run_grid_result(spec, control, Experiment(cfg));
   return result;
 }
 
-// -------------------------------------------------------------- stream
+// ------------------------------------------------------ serial engines
+
+/// The serial engines' one trial loop: `count` trials under the trial
+/// ordinals first, first + 1, ..., each bounded by the watchdog deadline
+/// and counted by one progress tick.  An interrupt drains it before the
+/// next trial.  The caller announces its total up front so the progress
+/// ETA has a denominator.
+template <typename Trial>
+void run_serial_trials(std::uint32_t count, std::uint64_t first,
+                       const RunControl& control, Trial&& trial) {
+  ParallelObserver* const progress = parallel_observer();
+  for (std::uint32_t t = 0; t < count; ++t) {
+    if (interrupt::interrupted()) break;
+    const obs::TrialScope trial_scope(first + t);
+    const watchdog::TrialGuard deadline(control.trial_timeout_ms);
+    trial(t);
+    if (progress != nullptr) progress->on_item_done();
+  }
+}
+
+/// One merged outcome per variant, variant after variant: trial t of
+/// variant v runs under ordinal v * trials + t, and `trial(v, t)` returns
+/// what Outcome::add folds in.  An interrupt keeps the variants begun.
+template <typename Outcome, typename Variant, typename Trial>
+std::vector<Outcome> run_variants(const std::vector<Variant>& variants,
+                                  std::uint32_t trials,
+                                  const RunControl& control, Trial&& trial) {
+  std::vector<Outcome> outcomes;
+  for (std::size_t v = 0; v < variants.size(); ++v) {
+    if (interrupt::interrupted()) break;
+    Outcome& outcome = outcomes.emplace_back();
+    outcome.variant = variants[v];
+    run_serial_trials(trials, std::uint64_t{v} * trials, control,
+                      [&](std::uint32_t t) { outcome.add(trial(v, t)); });
+    outcome.finish();
+  }
+  return outcomes;
+}
+
+void announce_trials(std::uint64_t total) {
+  if (ParallelObserver* const progress = parallel_observer())
+    progress->on_batch(total);
+}
 
 /// The single-point stream/mpath engines merge every trial's full delay
 /// distribution (the CLI's histogram output), so they carry the CLI's
@@ -182,6 +212,8 @@ void check_single_point_spec(const ScenarioSpec& spec) {
         "distribution is held in memory)");
 }
 
+// -------------------------------------------------------------- stream
+
 std::vector<StreamVariant> stream_variants(const ScenarioSpec& spec) {
   if (spec.code.name.empty()) return StreamGridConfig::default_variants();
   const StreamScheme scheme = registry().stream_scheme(spec.code.name);
@@ -189,128 +221,45 @@ std::vector<StreamVariant> stream_variants(const ScenarioSpec& spec) {
   return {{std::string(to_string(scheme)), scheme, sched}};
 }
 
-void fill_delay_summary(ScenarioSummary& summary,
-                        const std::vector<double>& sorted_delays, double mean,
-                        double residual_mean_run,
-                        std::uint64_t residual_max_run, std::uint64_t delivered,
-                        std::uint64_t lost) {
-  summary.delay_mean = mean;
-  summary.delay_p50 = sorted_percentile(sorted_delays, 0.50);
-  summary.delay_p95 = sorted_percentile(sorted_delays, 0.95);
-  summary.delay_p99 = sorted_percentile(sorted_delays, 0.99);
-  summary.delay_max = sorted_delays.empty() ? 0.0 : sorted_delays.back();
-  summary.residual_mean_run = residual_mean_run;
-  summary.residual_max_run = residual_max_run;
-  summary.lost_fraction =
-      delivered + lost
-          ? static_cast<double>(lost) / static_cast<double>(delivered + lost)
-          : 0.0;
-}
-
 ScenarioResult run_stream_engine(const ScenarioSpec& spec,
                                  const RunControl& control) {
   check_single_point_spec(spec);
-  ScenarioResult result;
-  result.engine = spec.engine;
-  const ChannelPoint pt = spec.channel.point();
-  result.p = pt.p;
-  result.q = pt.q;
-  result.trials = spec.run.trials;
-  result.seed = spec.run.seed;
-
+  ScenarioResult result = result_header(spec);
   const StreamTrialConfig base = to_stream_config(spec);
   result.stream_base = base;
   const std::vector<StreamVariant> variants = stream_variants(spec);
   // Validate every variant before running any trial.
+  std::vector<StreamTrialConfig> configs;
   for (const StreamVariant& v : variants) {
-    StreamTrialConfig cfg = base;
+    StreamTrialConfig& cfg = configs.emplace_back(base);
     cfg.scheme = v.scheme;
     cfg.scheduling = v.scheduling;
     cfg.validate();
   }
 
-  // Serial loop, but still visible to a --progress meter: one tick per
-  // (variant, trial), announced up front so the ETA has a denominator.
-  ParallelObserver* const progress = parallel_observer();
-  if (progress != nullptr)
-    progress->on_batch(variants.size() * spec.run.trials);
-
-  for (std::size_t v = 0; v < variants.size(); ++v) {
-    if (interrupt::interrupted()) break;
-    StreamOutcome outcome;
-    outcome.variant = variants[v];
-    StreamTrialConfig cfg = base;
-    cfg.scheme = variants[v].scheme;
-    cfg.scheduling = variants[v].scheduling;
-    for (std::uint32_t t = 0; t < spec.run.trials; ++t) {
-      if (interrupt::interrupted()) break;
-      const obs::TrialScope trial_scope(
-          static_cast<std::uint64_t>(v) * spec.run.trials + t);
-      const watchdog::TrialGuard deadline(control.trial_timeout_ms);
-      const auto channel =
-          registry().make_channel(spec.channel.model, {pt.p, pt.q});
-      const StreamTrialResult r =
-          run_stream_trial(cfg, *channel, derive_seed(spec.run.seed, {v, t}));
-      outcome.delays.insert(outcome.delays.end(), r.delays.begin(),
-                            r.delays.end());
-      outcome.delivered += r.delay.delivered;
-      outcome.lost += r.residual.lost;
-      outcome.residual_runs += r.residual.runs;
-      outcome.residual_max_run =
-          std::max(outcome.residual_max_run, r.residual.max_run_length);
-      const auto delivered = static_cast<double>(r.delay.delivered);
-      outcome.delay_sum += r.delay.mean * delivered;
-      outcome.transport_sum += r.delay.mean_transport * delivered;
-      outcome.hol_sum += r.delay.mean_hol * delivered;
-      outcome.overhead_actual_sum += r.overhead_actual;
-      outcome.packets_sent += r.packets_sent;
-      outcome.packets_received += r.packets_received;
-      ++outcome.trials;
-      if (progress != nullptr) progress->on_item_done();
-    }
-    std::sort(outcome.delays.begin(), outcome.delays.end());
-    result.stream.push_back(std::move(outcome));
-  }
-
-  // An interrupt can drain the run before any variant completes; a
-  // summary over nothing stays empty (the CLI does not print interrupted
-  // results anyway).
-  if (!result.stream.empty()) {
-    const StreamOutcome& first = result.stream.front();
-    fill_delay_summary(result.summary, first.delays, first.mean(),
-                       first.mean_residual_run(), first.residual_max_run,
-                       first.delivered, first.lost);
-    const double produced =
-        static_cast<double>(base.source_count) * first.trials;
-    if (produced > 0.0) {
-      result.summary.sent_ratio =
-          static_cast<double>(first.packets_sent) / produced;
-      result.summary.received_ratio =
-          static_cast<double>(first.packets_received) / produced;
-    }
-  }
+  announce_trials(variants.size() * spec.run.trials);
+  result.stream = run_variants<StreamOutcome>(
+      variants, spec.run.trials, control, [&](std::size_t v, std::uint32_t t) {
+        const auto channel =
+            registry().make_channel(spec.channel.model, {result.p, result.q});
+        return run_stream_trial(configs[v], *channel,
+                                derive_seed(spec.run.seed, {v, t}));
+      });
   return result;
 }
 
 // ----------------------------------------------------------------- net
 
-/// The wire twin of run_stream_engine: the same serial (variant, trial)
-/// accounting, but every trial crosses a real transport via
-/// run_net_trial.  When spec.net.parity is on (the default), each trial
-/// is re-run through run_stream_trial with the same seed and a fresh
-/// channel, and any divergence in the delivered-delay distribution is
-/// counted — the sim-vs-wire parity contract is tolerance ZERO.
+/// The wire twin of run_stream_engine: the same serial trial loop, but
+/// every trial crosses a real transport via run_net_trial.  When
+/// spec.net.parity is on (the default), each trial is re-run through
+/// run_stream_trial with the same seed and a fresh channel, and any
+/// divergence in the delivered-delay distribution is counted — the
+/// sim-vs-wire parity contract is tolerance ZERO.
 ScenarioResult run_net_engine(const ScenarioSpec& spec,
                               const RunControl& control) {
   check_single_point_spec(spec);
-  ScenarioResult result;
-  result.engine = spec.engine;
-  const ChannelPoint pt = spec.channel.point();
-  result.p = pt.p;
-  result.q = pt.q;
-  result.trials = spec.run.trials;
-  result.seed = spec.run.seed;
-
+  ScenarioResult result = result_header(spec);
   const net::NetTrialConfig base = to_net_config(spec);
   base.validate();
   result.net_base = base;
@@ -318,38 +267,18 @@ ScenarioResult run_net_engine(const ScenarioSpec& spec,
   NetRunStats stats;
   Json dump_trials = Json::array();
 
-  ParallelObserver* const progress = parallel_observer();
-  if (progress != nullptr) progress->on_batch(spec.run.trials);
-
-  StreamOutcome outcome;
+  announce_trials(spec.run.trials);
+  StreamOutcome& outcome = result.stream.emplace_back();
   outcome.variant = {std::string(to_string(base.stream.scheme)),
                      base.stream.scheme, base.stream.scheduling};
-  for (std::uint32_t t = 0; t < spec.run.trials; ++t) {
-    if (interrupt::interrupted()) break;
-    const obs::TrialScope trial_scope(t);
-    const watchdog::TrialGuard deadline(control.trial_timeout_ms);
+  run_serial_trials(spec.run.trials, 0, control, [&](std::uint32_t t) {
     const std::uint64_t seed = derive_seed(spec.run.seed, {0, t});
     const auto channel =
-        registry().make_channel(spec.channel.model, {pt.p, pt.q});
+        registry().make_channel(spec.channel.model, {result.p, result.q});
     const net::NetTrialResult r =
         net::run_net_trial(base, *channel, seed, /*object_id=*/t);
-
     const StreamTrialResult& sr = r.stream;
-    outcome.delays.insert(outcome.delays.end(), sr.delays.begin(),
-                          sr.delays.end());
-    outcome.delivered += sr.delay.delivered;
-    outcome.lost += sr.residual.lost;
-    outcome.residual_runs += sr.residual.runs;
-    outcome.residual_max_run =
-        std::max(outcome.residual_max_run, sr.residual.max_run_length);
-    const auto delivered = static_cast<double>(sr.delay.delivered);
-    outcome.delay_sum += sr.delay.mean * delivered;
-    outcome.transport_sum += sr.delay.mean_transport * delivered;
-    outcome.hol_sum += sr.delay.mean_hol * delivered;
-    outcome.overhead_actual_sum += sr.overhead_actual;
-    outcome.packets_sent += sr.packets_sent;
-    outcome.packets_received += sr.packets_received;
-    ++outcome.trials;
+    outcome.add(sr);
 
     stats.datagrams_sent += r.datagrams_sent;
     stats.datagrams_dropped += r.datagrams_dropped;
@@ -364,7 +293,7 @@ ScenarioResult run_net_engine(const ScenarioSpec& spec,
       // The twin consumes the exact channel substream the wire run drew
       // (fresh model, same seed), so every field must match exactly.
       const auto twin =
-          registry().make_channel(spec.channel.model, {pt.p, pt.q});
+          registry().make_channel(spec.channel.model, {result.p, result.q});
       const StreamTrialResult sim =
           run_stream_trial(base.stream, *twin, seed);
       ++stats.parity_trials;
@@ -392,24 +321,9 @@ ScenarioResult run_net_engine(const ScenarioSpec& spec,
       entry.set("all_delivered", Json(sr.all_delivered));
       dump_trials.push_back(std::move(entry));
     }
-    if (progress != nullptr) progress->on_item_done();
-  }
-  std::sort(outcome.delays.begin(), outcome.delays.end());
-  result.stream.push_back(std::move(outcome));
+  });
+  outcome.finish();
   result.net = stats;
-
-  const StreamOutcome& first = result.stream.front();
-  if (first.trials > 0) {
-    fill_delay_summary(result.summary, first.delays, first.mean(),
-                       first.mean_residual_run(), first.residual_max_run,
-                       first.delivered, first.lost);
-    const double produced =
-        static_cast<double>(base.stream.source_count) * first.trials;
-    result.summary.sent_ratio =
-        static_cast<double>(first.packets_sent) / produced;
-    result.summary.received_ratio =
-        static_cast<double>(first.packets_received) / produced;
-  }
 
   if (!spec.net.dump.empty()) {
     // Through durable::write_file, so the artifact rides the same
@@ -436,14 +350,7 @@ std::vector<MpathVariant> mpath_variants(const ScenarioSpec& spec) {
 ScenarioResult run_mpath_engine(const ScenarioSpec& spec,
                                 const RunControl& control) {
   check_single_point_spec(spec);
-  ScenarioResult result;
-  result.engine = spec.engine;
-  const ChannelPoint pt = spec.channel.point();
-  result.p = pt.p;
-  result.q = pt.q;
-  result.trials = spec.run.trials;
-  result.seed = spec.run.seed;
-
+  ScenarioResult result = result_header(spec);
   MpathTrialConfig base = to_mpath_config(spec);
   if (base.paths.empty())
     throw std::invalid_argument("mpath scenario needs at least one path");
@@ -454,30 +361,24 @@ ScenarioResult run_mpath_engine(const ScenarioSpec& spec,
     cfg.validate();
   }
 
-  // One progress tick per trial, warm-up probes included, announced up
-  // front so the ETA has a denominator.
-  ParallelObserver* const progress = parallel_observer();
-  if (progress != nullptr)
-    progress->on_batch(variants.size() * spec.run.trials +
-                       (spec.adapt.enabled ? spec.adapt.warmup : 0));
+  // Warm-up probes count as trials too.
+  const std::uint64_t measured =
+      std::uint64_t{variants.size()} * spec.run.trials;
+  announce_trials(measured + (spec.adapt.enabled ? spec.adapt.warmup : 0));
 
   if (spec.adapt.enabled) {
     // Warm up a PathAdapter on round-robin probe trials (every path sees
     // traffic), then let src/adapt/ pick repair weights and the window.
+    // Probe ordinals continue past the measured trials so their trace
+    // events are distinguishable.
     PathAdapter adapter(base.paths.size());
     MpathTrialConfig probe = base;
     probe.scheduler = PathScheduling::kRoundRobin;
-    for (std::uint32_t t = 0; t < spec.adapt.warmup; ++t) {
-      if (interrupt::interrupted()) break;
-      // Warm-up trial ordinals continue past the variant trials so trace
-      // events from probes are distinguishable from measured trials.
-      const obs::TrialScope trial_scope(
-          static_cast<std::uint64_t>(variants.size()) * spec.run.trials + t);
-      const watchdog::TrialGuard deadline(control.trial_timeout_ms);
-      adapter.observe(
-          run_mpath_trial(probe, derive_seed(spec.run.seed, {99, t})));
-      if (progress != nullptr) progress->on_item_done();
-    }
+    run_serial_trials(spec.adapt.warmup, measured, control,
+                      [&](std::uint32_t t) {
+                        adapter.observe(run_mpath_trial(
+                            probe, derive_seed(spec.run.seed, {99, t})));
+                      });
     AdaptiveController controller;
     adapter.apply(base, controller);
     if (obs::Observer* o = obs::current(); o != nullptr)
@@ -486,72 +387,14 @@ ScenarioResult run_mpath_engine(const ScenarioSpec& spec,
     result.mpath_warmup = spec.adapt.warmup;
   }
 
-  for (std::size_t v = 0; v < variants.size(); ++v) {
-    if (interrupt::interrupted()) break;
-    MpathOutcome outcome;
-    outcome.variant = variants[v];
-    MpathTrialConfig cfg = base;
-    cfg.scheduler = variants[v].scheduler;
-    for (std::uint32_t t = 0; t < spec.run.trials; ++t) {
-      if (interrupt::interrupted()) break;
-      const obs::TrialScope trial_scope(
-          static_cast<std::uint64_t>(v) * spec.run.trials + t);
-      const watchdog::TrialGuard deadline(control.trial_timeout_ms);
-      const MpathTrialResult r =
-          run_mpath_trial(cfg, derive_seed(spec.run.seed, {v, t}));
-      outcome.delays.insert(outcome.delays.end(), r.stream.delays.begin(),
-                            r.stream.delays.end());
-      outcome.delivered += r.stream.delay.delivered;
-      outcome.lost += r.stream.residual.lost;
-      outcome.residual_runs += r.stream.residual.runs;
-      outcome.residual_max_run =
-          std::max(outcome.residual_max_run, r.stream.residual.max_run_length);
-      const auto delivered = static_cast<double>(r.stream.delay.delivered);
-      outcome.delay_sum += r.stream.delay.mean * delivered;
-      outcome.hol_sum += r.stream.delay.mean_hol * delivered;
-      outcome.reordered_fraction_sum += r.reordered_fraction;
-      outcome.overhead_actual_sum += r.stream.overhead_actual;
-      outcome.packets_sent += r.stream.packets_sent;
-      outcome.packets_received += r.stream.packets_received;
-      if (outcome.paths.empty()) {
-        outcome.paths = r.paths;
-      } else {
-        for (std::size_t i = 0; i < r.paths.size(); ++i) {
-          outcome.paths[i].sent += r.paths[i].sent;
-          outcome.paths[i].lost += r.paths[i].lost;
-          outcome.paths[i].mean_queue_wait += r.paths[i].mean_queue_wait;
-          outcome.paths[i].mean_transit += r.paths[i].mean_transit;
-        }
-      }
-      ++outcome.trials;
-      if (progress != nullptr) progress->on_item_done();
-    }
-    // The per-path means were summed per trial; normalise.
-    for (PathStats& path : outcome.paths) {
-      path.mean_queue_wait /= static_cast<double>(outcome.trials);
-      path.mean_transit /= static_cast<double>(outcome.trials);
-    }
-    std::sort(outcome.delays.begin(), outcome.delays.end());
-    result.mpath.push_back(std::move(outcome));
-  }
+  std::vector<MpathTrialConfig> configs;
+  for (const MpathVariant& v : variants)
+    configs.emplace_back(base).scheduler = v.scheduler;
+  result.mpath = run_variants<MpathOutcome>(
+      variants, spec.run.trials, control, [&](std::size_t v, std::uint32_t t) {
+        return run_mpath_trial(configs[v], derive_seed(spec.run.seed, {v, t}));
+      });
   result.mpath_base = std::move(base);
-
-  // See run_stream_engine: an interrupt can leave no completed variant.
-  if (!result.mpath.empty()) {
-    const MpathOutcome& first = result.mpath.front();
-    fill_delay_summary(result.summary, first.delays, first.mean(),
-                       first.mean_residual_run(), first.residual_max_run,
-                       first.delivered, first.lost);
-    const double produced =
-        static_cast<double>(result.mpath_base->stream.source_count) *
-        first.trials;
-    if (produced > 0.0) {
-      result.summary.sent_ratio =
-          static_cast<double>(first.packets_sent) / produced;
-      result.summary.received_ratio =
-          static_cast<double>(first.packets_received) / produced;
-    }
-  }
   return result;
 }
 
@@ -570,30 +413,11 @@ std::vector<std::pair<double, double>> adaptive_points(
 }
 
 ScenarioResult run_adaptive_engine(const ScenarioSpec& spec) {
-  ScenarioResult result;
-  result.engine = spec.engine;
-  const ChannelPoint pt = spec.channel.point();
-  result.p = pt.p;
-  result.q = pt.q;
-  result.trials = spec.run.trials;
-  result.seed = spec.run.seed;
-
+  ScenarioResult result = result_header(spec);
   AdaptiveCompareConfig cfg = to_adaptive_config(spec);
   cfg.validate();
   result.adaptive = run_adaptive_compare(adaptive_points(spec), cfg);
   result.adaptive_config = std::move(cfg);
-
-  RunningStats steady;
-  RunningStats sent_ratio;
-  for (const AdaptiveComparePoint& point : result.adaptive) {
-    if (point.adaptive_steady.count() > 0)
-      steady.add(point.adaptive_steady.mean());
-    for (const AdaptiveTrajectoryPoint& step : point.trajectory)
-      sent_ratio.add(static_cast<double>(step.n_sent) /
-                     static_cast<double>(result.adaptive_config->k));
-  }
-  if (steady.count() > 0) result.summary.inefficiency = steady.mean();
-  if (sent_ratio.count() > 0) result.summary.sent_ratio = sent_ratio.mean();
   return result;
 }
 
@@ -601,6 +425,47 @@ ScenarioSweepResult run_scenario_sweep_engines(const ScenarioSpec& spec,
                                                const RunControl& control);
 
 }  // namespace
+
+void DelayOutcome::add(const StreamTrialResult& r) {
+  delays.insert(delays.end(), r.delays.begin(), r.delays.end());
+  delivered += r.delay.delivered;
+  lost += r.residual.lost;
+  residual_runs += r.residual.runs;
+  residual_max_run = std::max(residual_max_run, r.residual.max_run_length);
+  const auto weight = static_cast<double>(r.delay.delivered);
+  delay_sum += r.delay.mean * weight;
+  transport_sum += r.delay.mean_transport * weight;
+  hol_sum += r.delay.mean_hol * weight;
+  overhead_actual_sum += r.overhead_actual;
+  packets_sent += r.packets_sent;
+  packets_received += r.packets_received;
+  ++trials;
+}
+
+void DelayOutcome::finish() { std::sort(delays.begin(), delays.end()); }
+
+void MpathOutcome::add(const MpathTrialResult& r) {
+  DelayOutcome::add(r.stream);
+  reordered_fraction_sum += r.reordered_fraction;
+  if (paths.empty()) {
+    paths = r.paths;
+    return;
+  }
+  for (std::size_t i = 0; i < r.paths.size(); ++i) {
+    paths[i].sent += r.paths[i].sent;
+    paths[i].lost += r.paths[i].lost;
+    paths[i].mean_queue_wait += r.paths[i].mean_queue_wait;
+    paths[i].mean_transit += r.paths[i].mean_transit;
+  }
+}
+
+void MpathOutcome::finish() {
+  DelayOutcome::finish();
+  for (PathStats& path : paths) {
+    path.mean_queue_wait /= static_cast<double>(trials);
+    path.mean_transit /= static_cast<double>(trials);
+  }
+}
 
 std::string scenario_fingerprint(const ScenarioSpec& spec) {
   // Hash the spec with the obs section reset to defaults so

@@ -201,11 +201,11 @@ struct ScenarioSpec {
 
 // ------------------------------------------------------------- result
 
-/// Merged per-variant outcome of a streaming scenario over all trials.
-/// Transport/HOL sums are weighted by each trial's delivered count so the
-/// documented identity mean == mean_transport + mean_hol survives merging.
-struct StreamOutcome {
-  StreamVariant variant;
+/// Merged outcome of a streaming engine's trials for one variant:
+/// in-order delivery delay and post-FEC residual-loss runs.  Transport/HOL
+/// sums are weighted by each trial's delivered count so the documented
+/// identity mean == mean_transport + mean_hol survives merging.
+struct DelayOutcome {
   std::vector<double> delays;  ///< all delivered delays, sorted ascending
   std::uint64_t delivered = 0;
   std::uint64_t lost = 0;
@@ -218,6 +218,11 @@ struct StreamOutcome {
   std::uint64_t packets_sent = 0;
   std::uint64_t packets_received = 0;
   std::uint32_t trials = 0;
+
+  /// Fold one trial in.
+  void add(const StreamTrialResult& r);
+  /// Close the fold once every trial is in: sort `delays`.
+  void finish();
 
   [[nodiscard]] double mean() const {
     return delays.empty() ? 0.0
@@ -236,36 +241,22 @@ struct StreamOutcome {
   }
 };
 
-/// Merged per-scheduler outcome of a multipath scenario (the multipath
-/// analogue of StreamOutcome, plus reordering and per-path aggregates).
-struct MpathOutcome {
-  MpathVariant variant;
-  std::vector<double> delays;  ///< all delivered delays, sorted ascending
-  std::uint64_t delivered = 0;
-  std::uint64_t lost = 0;
-  std::uint64_t residual_runs = 0;
-  std::uint64_t residual_max_run = 0;
-  double delay_sum = 0.0;
-  double hol_sum = 0.0;  ///< per-trial mean x delivered, summed
-  double reordered_fraction_sum = 0.0;
-  double overhead_actual_sum = 0.0;
-  std::uint64_t packets_sent = 0;
-  std::uint64_t packets_received = 0;
-  std::vector<PathStats> paths;  ///< counters summed, means averaged
-  std::uint32_t trials = 0;
+/// Merged per-variant outcome of a streaming scenario over all trials.
+struct StreamOutcome : DelayOutcome {
+  StreamVariant variant;
+};
 
-  [[nodiscard]] double mean() const {
-    return delays.empty() ? 0.0
-                          : delay_sum / static_cast<double>(delays.size());
-  }
-  [[nodiscard]] double mean_hol() const {
-    return delivered ? hol_sum / static_cast<double>(delivered) : 0.0;
-  }
-  [[nodiscard]] double mean_residual_run() const {
-    return residual_runs ? static_cast<double>(lost) /
-                               static_cast<double>(residual_runs)
-                         : 0.0;
-  }
+/// Merged per-scheduler outcome of a multipath scenario: the delay
+/// outcome plus reordering and per-path aggregates.
+struct MpathOutcome : DelayOutcome {
+  MpathVariant variant;
+  double reordered_fraction_sum = 0.0;
+  std::vector<PathStats> paths;  ///< counters summed, means averaged
+
+  /// Fold one trial in (per-path means are summed until finish()).
+  void add(const MpathTrialResult& r);
+  /// DelayOutcome::finish, and divide the summed per-path means by trials.
+  void finish();
 };
 
 /// Aggregated wire-side counters of a net scenario (all trials), plus
@@ -283,38 +274,18 @@ struct NetRunStats {
   ChannelEstimate estimate;           ///< last trial's wire-fed estimate
 };
 
-/// Engine-independent headline numbers.  Every field is optional-tagged:
-/// an engine fills what it measures (the grid engine has no delay axis,
-/// the streaming engines no decode inefficiency).
-struct ScenarioSummary {
-  std::optional<double> inefficiency;        ///< mean n_needed/k
-  std::optional<double> sent_ratio;          ///< packets sent / k (or sources)
-  std::optional<double> received_ratio;      ///< packets received / sources
-  std::optional<double> delay_mean;          ///< in-order delivery (slots)
-  std::optional<double> delay_p50;
-  std::optional<double> delay_p95;
-  std::optional<double> delay_p99;
-  std::optional<double> delay_max;
-  std::optional<double> residual_mean_run;   ///< post-FEC loss burst length
-  std::optional<std::uint64_t> residual_max_run;
-  std::optional<double> lost_fraction;       ///< undelivered sources
-  std::optional<std::uint64_t> peak_memory_symbols;  ///< decoder working set
-};
-
-/// What one scenario produced: the unified summary plus the engine's
-/// full payload (exactly one engine section is populated).
+/// What one scenario produced: the resolved point and run shape plus the
+/// engine's full payload (exactly one engine section is populated).
 struct ScenarioResult {
   std::string engine;
   double p = 0.0;  ///< resolved channel point
   double q = 1.0;
   std::uint32_t trials = 0;
   std::uint64_t seed = 0;
-  ScenarioSummary summary;
 
   // engine == "grid"
   std::optional<GridResult> grid;
   std::optional<ExperimentConfig> grid_config;
-  std::uint32_t grid_n_total = 0;
 
   // engine == "stream"
   std::vector<StreamOutcome> stream;

@@ -310,11 +310,6 @@ TEST(ScenarioOracle, GridEngineMatchesExperimentRun) {
     expect_stats_equal(got.inefficiency, want.inefficiency);
     expect_stats_equal(got.received_ratio, want.received_ratio);
   }
-  // Unified summary tagging: the grid engine reports decode-side fields,
-  // never the delay axis.
-  EXPECT_TRUE(result.summary.sent_ratio.has_value());
-  EXPECT_TRUE(result.summary.peak_memory_symbols.has_value());
-  EXPECT_FALSE(result.summary.delay_mean.has_value());
 }
 
 TEST(ScenarioOracle, StreamEngineMatchesLegacyTrialLoop) {
@@ -356,9 +351,6 @@ TEST(ScenarioOracle, StreamEngineMatchesLegacyTrialLoop) {
     EXPECT_EQ(got.lost, lost);
     EXPECT_EQ(got.delay_sum, delay_sum);
   }
-  EXPECT_TRUE(result.summary.delay_p99.has_value());
-  EXPECT_TRUE(result.summary.lost_fraction.has_value());
-  EXPECT_FALSE(result.summary.inefficiency.has_value());
 }
 
 TEST(ScenarioOracle, MpathEngineMatchesLegacyTrialLoop) {
@@ -432,8 +424,6 @@ TEST(ScenarioOracle, AdaptiveEngineMatchesRunAdaptiveCompare) {
                 legacy[i].trajectory[t].n_sent);
     }
   }
-  EXPECT_TRUE(result.summary.inefficiency.has_value());
-  EXPECT_FALSE(result.summary.delay_mean.has_value());
 }
 
 // --------------------------------------------------------- sweep oracles

@@ -334,16 +334,10 @@ TEST(LedgerProgress, GridSweepTicksOncePerCell) {
   EXPECT_EQ(meter.done(), meter.total());
 }
 
-TEST(LedgerProgress, StreamTrialsAllCounted) {
-  ScenarioSpec spec;
-  spec.engine = "stream";
-  spec.code.name = "sliding-window";
-  spec.channel.p = 0.05;
-  spec.channel.q = 0.25;
-  spec.run.sources = 300;
-  spec.run.trials = 4;
-  spec.run.seed = 0x57e4a9edULL;
-
+/// A serial engine announces `announced` trials up front and ticks once
+/// per trial it runs, so a finished run drains the total exactly.
+void expect_all_trials_counted(const ScenarioSpec& spec,
+                               std::uint64_t announced) {
   std::ostringstream sink;
   obs::ProgressOptions opt;
   opt.sink = &sink;
@@ -351,10 +345,41 @@ TEST(LedgerProgress, StreamTrialsAllCounted) {
   obs::ProgressMeter meter(opt);
   const ScenarioResult result = api::run_scenario(spec);
   meter.finish();
-  ASSERT_FALSE(result.stream.empty());
-  // One tick per (variant, trial): the announced total is fully drained.
-  EXPECT_EQ(meter.total(), result.stream.size() * spec.run.trials);
+  EXPECT_EQ(meter.total(), announced);
   EXPECT_EQ(meter.done(), meter.total());
+}
+
+ScenarioSpec serial_spec(const std::string& engine) {
+  ScenarioSpec spec;
+  spec.engine = engine;
+  spec.code.name = "sliding-window";
+  spec.channel.p = 0.05;
+  spec.channel.q = 0.25;
+  spec.run.sources = 300;
+  spec.run.trials = 4;
+  spec.run.seed = 0x57e4a9edULL;
+  return spec;
+}
+
+TEST(LedgerProgress, StreamTrialsAllCounted) {
+  expect_all_trials_counted(serial_spec("stream"), 4);
+}
+
+TEST(LedgerProgress, NetTrialsAllCounted) {
+  ScenarioSpec spec = serial_spec("net");
+  spec.net.transport = "memory";
+  expect_all_trials_counted(spec, 4);
+}
+
+// mpath announces two loops: every scheduler's trials, plus the adapt
+// warm-up probes.
+TEST(LedgerProgress, MpathTrialsAndWarmupAllCounted) {
+  ScenarioSpec spec = serial_spec("mpath");
+  spec.paths.list = {{5.0, 1.0}, {45.0, 1.0}};
+  spec.adapt.enabled = true;
+  spec.adapt.warmup = 2;
+  expect_all_trials_counted(
+      spec, MpathSweepConfig::default_variants().size() * 4 + 2);
 }
 
 TEST(LedgerProgress, ScopedInstallRestoresPreviousObserver) {
