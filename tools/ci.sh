@@ -92,15 +92,21 @@ done
 #    Integer flags parse whole and range-checked (the bench scale-flag
 #    rule): a value too wide for its field, a sign or trailing characters
 #    exit 2 naming the flag, never run with a truncated or wrapped value;
-#    and a grid with zero trials per cell exits 2 naming run.trials
-#    instead of printing an all-"-" table;
+#    number flags parse whole and finite the same way (plan and limits
+#    reject the appended --sources, so they run without it); and a grid
+#    with zero trials per cell exits 2 naming run.trials instead of
+#    printing an all-"-" table;
 for input in "stream --window=4294967297" "stream --window=-1" \
     "stream --window=12abc" "stream --window=abc" \
-    "stream --trace-sample=4294967297" "net --payload-bytes=4294967297"; do
+    "stream --trace-sample=4294967297" "net --payload-bytes=4294967297" \
+    "stream --p=0.05abc" "plan --p=abc" "limits --ratio=abc"; do
   set -- $input
+  case $1 in
+    plan|limits) extra="" ;;
+    *) extra="--sources=100 --trials=1" ;;
+  esac
   rc=0
-  ./fecsched_cli "$@" --sources=100 --trials=1 > /dev/null \
-    2> BENCH_flag_err.txt || rc=$?
+  ./fecsched_cli "$@" $extra > /dev/null 2> BENCH_flag_err.txt || rc=$?
   if [ "$rc" -ne 2 ] || ! grep -q -- "${2%%=*}" BENCH_flag_err.txt; then
     echo "BUG: fecsched_cli $input exited $rc, want 2 naming the flag"
     exit 1

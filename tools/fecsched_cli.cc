@@ -211,9 +211,18 @@ struct Args {
       if (k == key) out.push_back(v);
     return out;
   }
+  /// The whole value of --key as a finite number (std::from_chars):
+  /// trailing characters, inf or nan exit 2 naming the flag, never run
+  /// with a truncated value.  Range checks stay with the field.
   [[nodiscard]] double number(const std::string& key, double fallback) const {
     const auto v = get(key);
-    return v ? std::stod(*v) : fallback;
+    return v ? to_number(key, *v) : fallback;
+  }
+  /// Every value of a repeated --key, each parsed as number() does.
+  [[nodiscard]] std::vector<double> numbers(const std::string& key) const {
+    std::vector<double> out;
+    for (const std::string& v : get_all(key)) out.push_back(to_number(key, v));
+    return out;
   }
   /// The whole value of --key as an unsigned integer that fits T (the
   /// bench::parse_uint_flag rule); a sign, trailing characters or a value
@@ -224,19 +233,33 @@ struct Args {
     const auto v = get(key);
     if (!v) return fallback;
     T out{};
-    const char* last = v->data() + v->size();
-    const auto [end, ec] = std::from_chars(v->data(), last, out);
-    if (ec != std::errc() || end != last) {
-      std::fprintf(stderr,
-                   "fecsched_cli %s: --%s: expected an unsigned integer up "
-                   "to %llu, got '%s'\n",
-                   cmd.c_str(), key.c_str(),
-                   static_cast<unsigned long long>(
-                       std::numeric_limits<T>::max()),
-                   v->c_str());
-      std::exit(2);
-    }
+    if (!parse_whole(*v, out))
+      reject(key,
+             "an unsigned integer up to " +
+                 std::to_string(std::numeric_limits<T>::max()),
+             *v);
     return out;
+  }
+
+ private:
+  [[nodiscard]] double to_number(const std::string& key,
+                                 const std::string& v) const {
+    double out = 0.0;
+    if (!parse_whole(v, out) || !std::isfinite(out))
+      reject(key, "a finite number", v);
+    return out;
+  }
+  template <typename T>
+  [[nodiscard]] static bool parse_whole(const std::string& v, T& out) {
+    const char* last = v.data() + v.size();
+    const auto [end, ec] = std::from_chars(v.data(), last, out);
+    return ec == std::errc() && end == last;
+  }
+  [[noreturn]] void reject(const std::string& key, const std::string& expected,
+                           const std::string& v) const {
+    std::fprintf(stderr, "fecsched_cli %s: --%s: expected %s, got '%s'\n",
+                 cmd.c_str(), key.c_str(), expected.c_str(), v.c_str());
+    std::exit(2);
   }
 };
 
@@ -282,21 +305,6 @@ bool maybe_dump_spec(const Args& args, const api::ScenarioSpec& spec) {
 }
 
 // ------------------------------------------------- spec builders
-
-/// Channel flags shared by the engine subcommands.  Either explicit
-/// (p, q) or the recommendation-space (p_global, burst) coordinates;
-/// `default_*` carry each subcommand's historical fallbacks.
-void build_channel(const Args& args, api::ChannelSpec& channel,
-                   double default_p, double default_q, double default_pg,
-                   double default_burst) {
-  if (args.get("pglobal") || args.get("burst")) {
-    channel.p_global = args.number("pglobal", default_pg);
-    channel.mean_burst = args.number("burst", default_burst);
-  } else {
-    channel.p = args.number("p", default_p);
-    channel.q = args.number("q", default_q);
-  }
-}
 
 /// Observability flags shared by every engine subcommand (and `run`,
 /// where they override the stored spec's obs section): --metrics,
@@ -417,7 +425,7 @@ void write_obs_outputs(const ObsOutputs& outputs,
 /// so stdout/JSON stay byte-identical to a run without the new flags.
 api::ScenarioResult run_scenario_with_outputs(
     const api::ScenarioSpec& spec, const ObsOutputs& outputs, bool user_obs,
-    const api::RunControl& control = {}) {
+    const api::RunControl& control) {
   std::optional<obs::ProgressMeter> meter;
   if (outputs.progress) {
     obs::ProgressOptions popt;
@@ -450,69 +458,61 @@ api::ScenarioSpec build_sweep_spec(const Args& args) {
   spec.run.trials = args.integer<std::uint32_t>("trials", 30);
   spec.run.seed = args.integer<std::uint64_t>("seed", 0x5eedf00dULL);
   spec.sweep.grid = "paper";
-  apply_obs_flags(args, spec.obs);
+  return spec;
+}
+
+/// The flags stream, net and mpath share: the channel point, either
+/// explicit (p, q) or the recommendation-space (p_global, burst), and the
+/// stream code and run shape.  `trials`, `seed` and `burst` are each
+/// subcommand's historical defaults.
+api::ScenarioSpec build_streaming_spec(const Args& args, std::string engine,
+                                       std::uint32_t trials,
+                                       std::uint64_t seed, double burst) {
+  api::ScenarioSpec spec;
+  spec.engine = std::move(engine);
+  if (args.get("pglobal") || args.get("burst")) {
+    spec.channel.p_global = args.number("pglobal", 0.02);
+    spec.channel.mean_burst = args.number("burst", burst);
+  } else {
+    spec.channel.p = args.number("p", 0.01);
+    spec.channel.q = args.number("q", 0.5);
+  }
+  spec.run.sources = args.integer<std::uint32_t>("sources", 2000);
+  spec.code.overhead = args.number("overhead", 0.25);
+  spec.code.window = args.integer<std::uint32_t>("window", 64);
+  spec.code.block_k = args.integer<std::uint32_t>("blockk", 64);
+  spec.run.trials = args.integer<std::uint32_t>("trials", trials);
+  spec.run.seed = args.integer<std::uint64_t>("seed", seed);
+  if (const auto s = args.get("sched")) spec.tx.stream = *s;
+  if (const auto s = args.get("scheme")) spec.code.name = *s;
   return spec;
 }
 
 api::ScenarioSpec build_stream_spec(const Args& args) {
-  api::ScenarioSpec spec;
-  spec.engine = "stream";
-  build_channel(args, spec.channel, 0.01, 0.5, 0.02, 1.0);
-  spec.run.sources = args.integer<std::uint32_t>("sources", 2000);
-  spec.code.overhead = args.number("overhead", 0.25);
-  spec.code.window = args.integer<std::uint32_t>("window", 64);
-  spec.code.block_k = args.integer<std::uint32_t>("blockk", 64);
-  spec.run.trials = args.integer<std::uint32_t>("trials", 8);
-  spec.run.seed = args.integer<std::uint64_t>("seed", 0x57e4a9edULL);
-  if (const auto s = args.get("sched")) spec.tx.stream = *s;
-  if (const auto s = args.get("scheme")) spec.code.name = *s;
-  apply_obs_flags(args, spec.obs);
-  return spec;
+  return build_streaming_spec(args, "stream", 8, 0x57e4a9edULL, 1.0);
 }
 
 api::ScenarioSpec build_net_spec(const Args& args) {
-  api::ScenarioSpec spec;
-  spec.engine = "net";
-  build_channel(args, spec.channel, 0.01, 0.5, 0.02, 1.0);
-  spec.run.sources = args.integer<std::uint32_t>("sources", 2000);
-  spec.code.overhead = args.number("overhead", 0.25);
-  spec.code.window = args.integer<std::uint32_t>("window", 64);
-  spec.code.block_k = args.integer<std::uint32_t>("blockk", 64);
-  spec.run.trials = args.integer<std::uint32_t>("trials", 4);
-  spec.run.seed = args.integer<std::uint64_t>("seed", 0x0e7f10adULL);
-  if (const auto s = args.get("sched")) spec.tx.stream = *s;
-  if (const auto s = args.get("scheme")) spec.code.name = *s;
+  api::ScenarioSpec spec =
+      build_streaming_spec(args, "net", 4, 0x0e7f10adULL, 1.0);
   if (const auto s = args.get("transport")) spec.net.transport = *s;
   spec.net.payload_bytes = args.integer<std::uint32_t>("payload-bytes", 64);
   spec.net.report_interval = args.integer<std::uint32_t>("report-interval", 0);
   if (args.get("no-parity")) spec.net.parity = false;
   if (const auto s = args.get("net-dump")) spec.net.dump = *s;
-  apply_obs_flags(args, spec.obs);
   return spec;
 }
 
 api::ScenarioSpec build_mpath_spec(const Args& args) {
-  api::ScenarioSpec spec;
-  spec.engine = "mpath";
-  build_channel(args, spec.channel, 0.01, 0.5, 0.02, 2.0);
-  spec.run.sources = args.integer<std::uint32_t>("sources", 2000);
-  spec.code.overhead = args.number("overhead", 0.25);
-  spec.code.window = args.integer<std::uint32_t>("window", 64);
-  spec.code.block_k = args.integer<std::uint32_t>("blockk", 64);
-  spec.run.trials = args.integer<std::uint32_t>("trials", 8);
-  spec.run.seed = args.integer<std::uint64_t>("seed", 0x3147a7b5ULL);
+  api::ScenarioSpec spec =
+      build_streaming_spec(args, "mpath", 8, 0x3147a7b5ULL, 2.0);
   spec.adapt.enabled = args.get("adapt").has_value();
   spec.adapt.warmup = args.integer<std::uint32_t>("warmup", 5);
-  if (const auto s = args.get("sched")) spec.tx.stream = *s;
-  if (const auto s = args.get("scheme")) spec.code.name = *s;
   if (const auto s = args.get("scheduler")) spec.paths.scheduler = *s;
 
-  std::vector<double> delays;
-  for (const auto& v : args.get_all("delay")) delays.push_back(std::stod(v));
+  std::vector<double> delays = args.numbers("delay");
   if (delays.empty()) delays = {5.0, 45.0};
-  std::vector<double> capacities;
-  for (const auto& v : args.get_all("capacity"))
-    capacities.push_back(std::stod(v));
+  const std::vector<double> capacities = args.numbers("capacity");
   for (std::size_t i = 0; i < delays.size(); ++i) {
     const double capacity =
         i < capacities.size()
@@ -520,7 +520,6 @@ api::ScenarioSpec build_mpath_spec(const Args& args) {
             : (capacities.empty() ? 1.0 : capacities.back());
     spec.paths.list.push_back({delays[i], capacity});
   }
-  apply_obs_flags(args, spec.obs);
   return spec;
 }
 
@@ -536,14 +535,11 @@ api::ScenarioSpec build_adapt_spec(const Args& args) {
     spec.channel.p = args.number("p", 0.0);
     spec.channel.q = args.number("q", 1.0);
   } else {
-    for (const auto& v : args.get_all("pglobal"))
-      spec.sweep.p_globals.push_back(std::stod(v));
-    for (const auto& v : args.get_all("burst"))
-      spec.sweep.bursts.push_back(std::stod(v));
+    spec.sweep.p_globals = args.numbers("pglobal");
+    spec.sweep.bursts = args.numbers("burst");
     if (spec.sweep.p_globals.empty()) spec.sweep.p_globals = {0.05, 0.1, 0.2};
     if (spec.sweep.bursts.empty()) spec.sweep.bursts = {1.0, 4.0, 10.0};
   }
-  apply_obs_flags(args, spec.obs);
   return spec;
 }
 
@@ -660,24 +656,6 @@ int print_grid_result(const Args& args, const api::ScenarioResult& result) {
   return 0;
 }
 
-int cmd_sweep(const Args& args) {
-  api::ScenarioResult result;
-  try {
-    api::ScenarioSpec spec = build_sweep_spec(args);
-    if (maybe_dump_spec(args, spec)) return 0;
-    const ObsOutputs outputs = parse_obs_outputs(args);
-    const api::RunControl control = parse_run_control(args);
-    const bool user_obs = spec.obs.enabled();
-    force_obs_collection(outputs, spec.obs);
-    result = run_scenario_with_outputs(spec, outputs, user_obs, control);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "sweep: %s\n", e.what());
-    return 2;
-  }
-  if (interrupt::interrupted()) return finish_interrupted("sweep");
-  return print_grid_result(args, result);
-}
-
 // ------------------------------------------- planning subcommands
 
 int cmd_plan(const Args& args) {
@@ -752,10 +730,9 @@ int cmd_universal(const Args& args) {
 }
 
 int cmd_limits(const Args& args) {
-  auto ratios = args.get_all("ratio");
-  if (ratios.empty()) ratios = {"1.5", "2.5"};
-  for (const auto& rs : ratios) {
-    const double ratio = std::stod(rs);
+  std::vector<double> ratios = args.numbers("ratio");
+  if (ratios.empty()) ratios = {1.5, 2.5};
+  for (const double ratio : ratios) {
     std::printf("# FEC expansion ratio %.2f: q_limit(p) — decoding "
                 "impossible below\n# p q_limit\n",
                 ratio);
@@ -919,23 +896,6 @@ int print_adapt_result(const Args& args, const api::ScenarioResult& result) {
   return 0;
 }
 
-int cmd_adapt(const Args& args) {
-  api::ScenarioResult result;
-  try {
-    api::ScenarioSpec spec = build_adapt_spec(args);
-    if (maybe_dump_spec(args, spec)) return 0;
-    const ObsOutputs outputs = parse_obs_outputs(args);
-    const bool user_obs = spec.obs.enabled();
-    force_obs_collection(outputs, spec.obs);
-    result = run_scenario_with_outputs(spec, outputs, user_obs);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "adapt: %s\n", e.what());
-    return 2;
-  }
-  if (interrupt::interrupted()) return finish_interrupted("adapt");
-  return print_adapt_result(args, result);
-}
-
 // ------------------------------------------------------------- stream
 
 void write_histogram(std::ostream& os, const std::vector<double>& delays) {
@@ -951,14 +911,40 @@ void write_histogram(std::ostream& os, const std::vector<double>& delays) {
   os << "]}";
 }
 
+/// `{"sources":S,"trials":T,"seed":X,"p":P,"q":Q,"p_global":G`, the head
+/// every streaming --json document opens with.
+void write_point_head(std::ostream& os, std::uint32_t sources,
+                      const api::ScenarioResult& result) {
+  const double p = result.p, q = result.q;
+  os << "{\"sources\":" << sources << ",\"trials\":" << result.trials
+     << ",\"seed\":" << result.seed << ",\"p\":" << format_fixed(p, 6)
+     << ",\"q\":" << format_fixed(q, 6) << ",\"p_global\":"
+     << format_fixed(global_loss_probability(p, q), 4);
+}
+
+/// `"delay":{"delivered":...,"max":M`, left open for the engine's means.
+void write_delay_head(std::ostream& os, const api::DelayOutcome& o) {
+  os << "\"delay\":{\"delivered\":" << o.delivered << ",\"lost\":" << o.lost
+     << ",\"mean\":" << format_fixed(o.mean(), 4) << ",\"p50\":"
+     << format_fixed(sorted_percentile(o.delays, 0.50), 4) << ",\"p95\":"
+     << format_fixed(sorted_percentile(o.delays, 0.95), 4) << ",\"p99\":"
+     << format_fixed(sorted_percentile(o.delays, 0.99), 4) << ",\"max\":"
+     << format_fixed(o.delays.empty() ? 0.0 : o.delays.back(), 4);
+}
+
+/// `,"residual":{...}`: the post-FEC loss runs.
+void write_residual(std::ostream& os, const api::DelayOutcome& o) {
+  os << ",\"residual\":{\"lost\":" << o.lost << ",\"runs\":"
+     << o.residual_runs << ",\"mean_run_length\":"
+     << format_fixed(o.mean_residual_run(), 2) << ",\"max_run_length\":"
+     << o.residual_max_run << "}";
+}
+
 void write_stream_json(std::ostream& os, const api::ScenarioResult& result) {
   const StreamTrialConfig& base = *result.stream_base;
-  const double p = result.p, q = result.q;
-  os << "{\"sources\":" << base.source_count << ",\"trials\":"
-     << result.trials << ",\"seed\":" << result.seed << ",\"p\":"
-     << format_fixed(p, 6) << ",\"q\":" << format_fixed(q, 6)
-     << ",\"p_global\":" << format_fixed(global_loss_probability(p, q), 4)
-     << ",\"mean_burst\":" << format_fixed(q > 0 ? 1.0 / q : 0.0, 2)
+  write_point_head(os, base.source_count, result);
+  os << ",\"mean_burst\":"
+     << format_fixed(result.q > 0 ? 1.0 / result.q : 0.0, 2)
      << ",\"overhead\":" << format_fixed(base.overhead, 4) << ",\"window\":"
      << base.window << ",\"block_k\":" << base.block_k << ",\"variants\":[";
   bool first = true;
@@ -969,24 +955,34 @@ void write_stream_json(std::ostream& os, const api::ScenarioResult& result) {
     os << "\n{\"scheme\":\"" << json_escape(to_string(o.variant.scheme))
        << "\",\"scheduling\":\"" << json_escape(to_string(o.variant.scheduling))
        << "\",\"overhead_actual\":" << format_fixed(o.overhead_actual_sum / t, 4)
-       << ",\"delay\":{\"delivered\":" << o.delivered << ",\"lost\":" << o.lost
-       << ",\"mean\":" << format_fixed(o.mean(), 4) << ",\"p50\":"
-       << format_fixed(sorted_percentile(o.delays, 0.50), 4) << ",\"p95\":"
-       << format_fixed(sorted_percentile(o.delays, 0.95), 4) << ",\"p99\":"
-       << format_fixed(sorted_percentile(o.delays, 0.99), 4) << ",\"max\":"
-       << format_fixed(o.delays.empty() ? 0.0 : o.delays.back(), 4)
-       << ",\"mean_transport\":" << format_fixed(o.mean_transport(), 4)
-       << ",\"mean_hol\":" << format_fixed(o.mean_hol(), 4) << "}"
-       << ",\"residual\":{\"lost\":" << o.lost << ",\"runs\":"
-       << o.residual_runs << ",\"mean_run_length\":"
-       << format_fixed(o.mean_residual_run(), 2)
-       << ",\"max_run_length\":" << o.residual_max_run << "}";
+       << ",";
+    write_delay_head(os, o);
+    os << ",\"mean_transport\":" << format_fixed(o.mean_transport(), 4)
+       << ",\"mean_hol\":" << format_fixed(o.mean_hol(), 4) << "}";
+    write_residual(os, o);
     // The full merged delay distribution, binned to integer slots.
     write_histogram(os, o.delays);
   }
   os << "\n]";
   write_obs_json(os, result);
   os << "}\n";
+}
+
+/// The stream and net engines' delay table: one row per variant.
+void print_delay_table(const std::vector<api::StreamOutcome>& outcomes) {
+  std::printf("%-26s %9s %9s %9s %9s %10s %8s\n", "scheme+scheduling", "mean",
+              "p95", "p99", "max", "resid-run", "lost%");
+  for (const api::StreamOutcome& o : outcomes) {
+    const std::string label = std::string(to_string(o.variant.scheme)) + "/" +
+                              std::string(to_string(o.variant.scheduling));
+    std::printf("%-26s %9.2f %9.2f %9.2f %9.2f %10.2f %7.3f%%\n",
+                label.c_str(), o.mean(), sorted_percentile(o.delays, 0.95),
+                sorted_percentile(o.delays, 0.99),
+                o.delays.empty() ? 0.0 : o.delays.back(),
+                o.mean_residual_run(),
+                100.0 * static_cast<double>(o.lost) /
+                    (static_cast<double>(o.delivered + o.lost)));
+  }
 }
 
 int print_stream_result(const Args& args, const api::ScenarioResult& result) {
@@ -1003,41 +999,11 @@ int print_stream_result(const Args& args, const api::ScenarioResult& result) {
               result.trials);
   std::printf("channel: p=%.4f q=%.4f (p_global=%.4f, mean burst %.2f)\n\n",
               p, q, global_loss_probability(p, q), q > 0 ? 1.0 / q : 0.0);
-  std::printf("%-26s %9s %9s %9s %9s %10s %8s\n", "scheme+scheduling", "mean",
-              "p95", "p99", "max", "resid-run", "lost%");
-  for (const api::StreamOutcome& o : result.stream) {
-    const std::string label = std::string(to_string(o.variant.scheme)) + "/" +
-                              std::string(to_string(o.variant.scheduling));
-    std::printf("%-26s %9.2f %9.2f %9.2f %9.2f %10.2f %7.3f%%\n",
-                label.c_str(), o.mean(), sorted_percentile(o.delays, 0.95),
-                sorted_percentile(o.delays, 0.99),
-                o.delays.empty() ? 0.0 : o.delays.back(),
-                o.mean_residual_run(),
-                100.0 * static_cast<double>(o.lost) /
-                    (static_cast<double>(o.delivered + o.lost)));
-  }
+  print_delay_table(result.stream);
   std::printf("\n(delays in channel packet slots; in-order release; "
               "resid-run = mean post-FEC loss burst)\n");
   print_observability(result);
   return 0;
-}
-
-int cmd_stream(const Args& args) {
-  api::ScenarioResult result;
-  try {
-    api::ScenarioSpec spec = build_stream_spec(args);
-    if (maybe_dump_spec(args, spec)) return 0;
-    const ObsOutputs outputs = parse_obs_outputs(args);
-    const api::RunControl control = parse_run_control(args);
-    const bool user_obs = spec.obs.enabled();
-    force_obs_collection(outputs, spec.obs);
-    result = run_scenario_with_outputs(spec, outputs, user_obs, control);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "stream: %s\n", e.what());
-    return 2;
-  }
-  if (interrupt::interrupted()) return finish_interrupted("stream");
-  return print_stream_result(args, result);
 }
 
 // ---------------------------------------------------------------- net
@@ -1046,13 +1012,9 @@ void write_net_json(std::ostream& os, const api::ScenarioResult& result) {
   const net::NetTrialConfig& base = *result.net_base;
   const api::NetRunStats& stats = *result.net;
   const api::StreamOutcome& o = result.stream.front();
-  const double p = result.p, q = result.q;
   const double t = o.trials ? static_cast<double>(o.trials) : 1.0;
-  os << "{\"sources\":" << base.stream.source_count << ",\"trials\":"
-     << result.trials << ",\"seed\":" << result.seed << ",\"p\":"
-     << format_fixed(p, 6) << ",\"q\":" << format_fixed(q, 6)
-     << ",\"p_global\":" << format_fixed(global_loss_probability(p, q), 4)
-     << ",\"overhead\":" << format_fixed(base.stream.overhead, 4)
+  write_point_head(os, base.stream.source_count, result);
+  os << ",\"overhead\":" << format_fixed(base.stream.overhead, 4)
      << ",\"window\":" << base.stream.window << ",\"block_k\":"
      << base.stream.block_k << ",\"scheme\":\""
      << json_escape(to_string(base.stream.scheme)) << "\",\"scheduling\":\""
@@ -1072,16 +1034,10 @@ void write_net_json(std::ostream& os, const api::ScenarioResult& result) {
      << format_fixed(stats.estimate.mean_burst, 4) << ",\"observations\":"
      << stats.estimate.observations << "}"
      << ",\"overhead_actual\":" << format_fixed(o.overhead_actual_sum / t, 4)
-     << ",\"delay\":{\"delivered\":" << o.delivered << ",\"lost\":" << o.lost
-     << ",\"mean\":" << format_fixed(o.mean(), 4) << ",\"p50\":"
-     << format_fixed(sorted_percentile(o.delays, 0.50), 4) << ",\"p95\":"
-     << format_fixed(sorted_percentile(o.delays, 0.95), 4) << ",\"p99\":"
-     << format_fixed(sorted_percentile(o.delays, 0.99), 4) << ",\"max\":"
-     << format_fixed(o.delays.empty() ? 0.0 : o.delays.back(), 4) << "}"
-     << ",\"residual\":{\"lost\":" << o.lost << ",\"runs\":"
-     << o.residual_runs << ",\"mean_run_length\":"
-     << format_fixed(o.mean_residual_run(), 2) << ",\"max_run_length\":"
-     << o.residual_max_run << "}";
+     << ",";
+  write_delay_head(os, o);
+  os << "}";
+  write_residual(os, o);
   write_obs_json(os, result);
   // write_histogram's trailing '}' closes the root object.
   write_histogram(os, o.delays);
@@ -1098,7 +1054,7 @@ int print_net_result(const Args& args, const api::ScenarioResult& result) {
   }
   const double p = result.p, q = result.q;
   std::printf("net: %u sources over %s loopback, scheme %s/%s, overhead "
-              "%.3f, window %u, block_k %u, payload %u B, %u trials\n",
+              "%.3f, window %u, block_k %u, payload %zu B, %u trials\n",
               base.stream.source_count, base.transport.c_str(),
               std::string(to_string(base.stream.scheme)).c_str(),
               std::string(to_string(base.stream.scheduling)).c_str(),
@@ -1107,16 +1063,7 @@ int print_net_result(const Args& args, const api::ScenarioResult& result) {
   std::printf("channel (emulated at the sender): p=%.4f q=%.4f "
               "(p_global=%.4f, mean burst %.2f)\n\n",
               p, q, global_loss_probability(p, q), q > 0 ? 1.0 / q : 0.0);
-  std::printf("%-26s %9s %9s %9s %9s %10s %8s\n", "scheme+scheduling", "mean",
-              "p95", "p99", "max", "resid-run", "lost%");
-  const std::string label = std::string(to_string(o.variant.scheme)) + "/" +
-                            std::string(to_string(o.variant.scheduling));
-  std::printf("%-26s %9.2f %9.2f %9.2f %9.2f %10.2f %7.3f%%\n", label.c_str(),
-              o.mean(), sorted_percentile(o.delays, 0.95),
-              sorted_percentile(o.delays, 0.99),
-              o.delays.empty() ? 0.0 : o.delays.back(), o.mean_residual_run(),
-              100.0 * static_cast<double>(o.lost) /
-                  (static_cast<double>(o.delivered + o.lost)));
+  print_delay_table(result.stream);
   std::printf("\nwire: %llu datagrams sent, %llu dropped by the impairment "
               "shim, %llu bytes framed\n",
               static_cast<unsigned long long>(stats.datagrams_sent),
@@ -1146,34 +1093,13 @@ int print_net_result(const Args& args, const api::ScenarioResult& result) {
   return stats.payload_mismatches == 0 && stats.parity_failures == 0 ? 0 : 1;
 }
 
-int cmd_net(const Args& args) {
-  api::ScenarioResult result;
-  try {
-    api::ScenarioSpec spec = build_net_spec(args);
-    if (maybe_dump_spec(args, spec)) return 0;
-    const ObsOutputs outputs = parse_obs_outputs(args);
-    const api::RunControl control = parse_run_control(args);
-    const bool user_obs = spec.obs.enabled();
-    force_obs_collection(outputs, spec.obs);
-    result = run_scenario_with_outputs(spec, outputs, user_obs, control);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "net: %s\n", e.what());
-    return 2;
-  }
-  if (interrupt::interrupted()) return finish_interrupted("net");
-  return print_net_result(args, result);
-}
-
 // -------------------------------------------------------------- mpath
 
 void write_mpath_json(std::ostream& os, const api::ScenarioResult& result) {
   const MpathTrialConfig& base = *result.mpath_base;
-  const double p = result.p, q = result.q;
-  os << "{\"sources\":" << base.stream.source_count << ",\"trials\":"
-     << result.trials << ",\"seed\":" << result.seed << ",\"p\":"
-     << format_fixed(p, 6) << ",\"q\":" << format_fixed(q, 6)
-     << ",\"p_global\":" << format_fixed(global_loss_probability(p, q), 4)
-     << ",\"mean_burst\":" << format_fixed(q > 0 ? 1.0 / q : 0.0, 2)
+  write_point_head(os, base.stream.source_count, result);
+  os << ",\"mean_burst\":"
+     << format_fixed(result.q > 0 ? 1.0 / result.q : 0.0, 2)
      << ",\"overhead\":" << format_fixed(base.stream.overhead, 4)
      << ",\"window\":" << base.stream.window << ",\"scheme\":\""
      << json_escape(to_string(base.stream.scheme)) << "\",\"paths\":[";
@@ -1201,18 +1127,11 @@ void write_mpath_json(std::ostream& os, const api::ScenarioResult& result) {
        << "\",\"overhead_actual\":"
        << format_fixed(o.overhead_actual_sum / t, 4)
        << ",\"reordered_fraction\":"
-       << format_fixed(o.reordered_fraction_sum / t, 4)
-       << ",\"delay\":{\"delivered\":" << o.delivered << ",\"lost\":"
-       << o.lost << ",\"mean\":" << format_fixed(o.mean(), 4) << ",\"p50\":"
-       << format_fixed(sorted_percentile(o.delays, 0.50), 4) << ",\"p95\":"
-       << format_fixed(sorted_percentile(o.delays, 0.95), 4) << ",\"p99\":"
-       << format_fixed(sorted_percentile(o.delays, 0.99), 4) << ",\"max\":"
-       << format_fixed(o.delays.empty() ? 0.0 : o.delays.back(), 4)
-       << ",\"mean_hol\":" << format_fixed(o.mean_hol(), 4) << "}"
-       << ",\"residual\":{\"lost\":" << o.lost << ",\"runs\":"
-       << o.residual_runs << ",\"mean_run_length\":"
-       << format_fixed(o.mean_residual_run(), 2) << ",\"max_run_length\":"
-       << o.residual_max_run << "},\"per_path\":[";
+       << format_fixed(o.reordered_fraction_sum / t, 4) << ",";
+    write_delay_head(os, o);
+    os << ",\"mean_hol\":" << format_fixed(o.mean_hol(), 4) << "}";
+    write_residual(os, o);
+    os << ",\"per_path\":[";
     for (std::size_t i = 0; i < o.paths.size(); ++i) {
       if (i) os << ",";
       os << "{\"label\":\"" << json_escape(o.paths[i].label)
@@ -1297,61 +1216,56 @@ int print_mpath_result(const Args& args, const api::ScenarioResult& result) {
   return 0;
 }
 
-int cmd_mpath(const Args& args) {
-  api::ScenarioResult result;
+// ------------------------------------------- the engine subcommands
+
+/// `run`'s spec: the stored document --spec names ('-' = stdin).
+api::ScenarioSpec load_spec(const Args& args) {
+  const auto path = args.get("spec");
+  if (!path)
+    throw std::invalid_argument("run requires --spec=<file.json> ('-' = stdin)");
+  // --spec=- reads the document from stdin, so generators pipe straight
+  // into runs; parse errors then point at "<stdin>:line:col".
+  const bool from_stdin = *path == "-";
+  const std::string source = from_stdin ? "<stdin>" : *path;
+  const std::string text = [&] {
+    if (from_stdin)
+      return std::string(std::istreambuf_iterator<char>(std::cin),
+                         std::istreambuf_iterator<char>());
+    std::ifstream in(*path);
+    if (!in) throw std::invalid_argument("cannot open " + *path);
+    return std::string(std::istreambuf_iterator<char>(in),
+                       std::istreambuf_iterator<char>());
+  }();
   try {
-    api::ScenarioSpec spec = build_mpath_spec(args);
-    if (maybe_dump_spec(args, spec)) return 0;
-    const ObsOutputs outputs = parse_obs_outputs(args);
-    const api::RunControl control = parse_run_control(args);
-    const bool user_obs = spec.obs.enabled();
-    force_obs_collection(outputs, spec.obs);
-    result = run_scenario_with_outputs(spec, outputs, user_obs, control);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "mpath: %s\n", e.what());
-    return 2;
+    return api::ScenarioSpec::from_json(text);
+  } catch (const api::JsonParseError& e) {
+    // The parser reports a byte offset; name the spot in the file the
+    // way a compiler would.
+    const auto [line, col] = api::json_line_col(text, e.offset());
+    throw std::invalid_argument(source + ":" + std::to_string(line) + ":" +
+                                std::to_string(col) + ": " + e.what());
   }
-  if (interrupt::interrupted()) return finish_interrupted("mpath");
-  return print_mpath_result(args, result);
 }
 
-// --------------------------------------------------- run / list
+int print_result(const Args& args, const api::ScenarioResult& result) {
+  if (result.engine == "grid") return print_grid_result(args, result);
+  if (result.engine == "stream") return print_stream_result(args, result);
+  if (result.engine == "net") return print_net_result(args, result);
+  if (result.engine == "mpath") return print_mpath_result(args, result);
+  return print_adapt_result(args, result);
+}
 
-int cmd_run(const Args& args) {
+/// sweep, adapt, stream, net, mpath and run: build the spec (`run` loads
+/// it), apply the obs flags, then dump it, or run it with the cross-run
+/// outputs and crash-safety controls and print the result by engine.
+template <api::ScenarioSpec (*Build)(const Args&)>
+int cmd_engine(const Args& args) {
   api::ScenarioResult result;
-  std::string engine;
   try {
-    const auto path = args.get("spec");
-    if (!path)
-      throw std::invalid_argument("run requires --spec=<file.json> ('-' = stdin)");
-    // --spec=- reads the document from stdin, so generators pipe straight
-    // into runs; parse errors then point at "<stdin>:line:col".
-    const bool from_stdin = *path == "-";
-    const std::string source = from_stdin ? "<stdin>" : *path;
-    const std::string text = [&] {
-      if (from_stdin)
-        return std::string(std::istreambuf_iterator<char>(std::cin),
-                           std::istreambuf_iterator<char>());
-      std::ifstream in(*path);
-      if (!in) throw std::invalid_argument("cannot open " + *path);
-      return std::string(std::istreambuf_iterator<char>(in),
-                         std::istreambuf_iterator<char>());
-    }();
-    api::ScenarioSpec spec = [&] {
-      try {
-        return api::ScenarioSpec::from_json(text);
-      } catch (const api::JsonParseError& e) {
-        // The parser reports a byte offset; name the spot in the file the
-        // way a compiler would.
-        const auto [line, col] = api::json_line_col(text, e.offset());
-        throw std::invalid_argument(source + ":" + std::to_string(line) + ":" +
-                                    std::to_string(col) + ": " + e.what());
-      }
-    }();
+    api::ScenarioSpec spec = Build(args);
     apply_obs_flags(args, spec.obs);
-    engine = spec.engine;
     if (maybe_dump_spec(args, spec)) return 0;
-    if (args.get("json") && engine == "grid")
+    if (args.get("json") && spec.engine == "grid")
       throw std::invalid_argument(
           "--json is not supported for the grid engine (the paper table is "
           "the output)");
@@ -1361,15 +1275,11 @@ int cmd_run(const Args& args) {
     force_obs_collection(outputs, spec.obs);
     result = run_scenario_with_outputs(spec, outputs, user_obs, control);
   } catch (const std::exception& e) {
-    std::fprintf(stderr, "run: %s\n", e.what());
+    std::fprintf(stderr, "%s: %s\n", args.cmd.c_str(), e.what());
     return 2;
   }
-  if (interrupt::interrupted()) return finish_interrupted("run");
-  if (engine == "grid") return print_grid_result(args, result);
-  if (engine == "stream") return print_stream_result(args, result);
-  if (engine == "mpath") return print_mpath_result(args, result);
-  if (engine == "net") return print_net_result(args, result);
-  return print_adapt_result(args, result);
+  if (interrupt::interrupted()) return finish_interrupted(args.cmd.c_str());
+  return print_result(args, result);
 }
 
 // --------------------------------------------- history / compare
@@ -1472,6 +1382,8 @@ int cmd_compare(const Args& args) {
     return 2;
   }
 }
+
+// --------------------------------------------------------------- list
 
 int cmd_list(const Args& args) {
   const api::Registry& reg = api::registry();
@@ -1605,7 +1517,7 @@ struct Command {
   "ledger", "progress", "profile-out", "metrics-out", "timeline-out"
 
 const Command kCommands[] = {
-    {"sweep", cmd_sweep,
+    {"sweep", cmd_engine<build_sweep_spec>,
      {"code", "tx", "ratio", "k", "trials", "seed", "gnuplot", "dump-spec",
       "checkpoint", "resume", "trial-timeout-ms", FECSCHED_OBS_FLAGS,
       FECSCHED_OBS_OUT_FLAGS}},
@@ -1614,24 +1526,24 @@ const Command kCommands[] = {
     {"universal", cmd_universal, {"k", "trials"}},
     {"limits", cmd_limits, {"ratio"}},
     {"fit", cmd_fit, {"trace"}},
-    {"adapt", cmd_adapt,
+    {"adapt", cmd_engine<build_adapt_spec>,
      {"p", "q", "pglobal", "burst", "k", "objects", "warmup", "seed", "json",
       "dump-spec", FECSCHED_OBS_FLAGS, FECSCHED_OBS_OUT_FLAGS}},
-    {"stream", cmd_stream,
+    {"stream", cmd_engine<build_stream_spec>,
      {"p", "q", "pglobal", "burst", "scheme", "sched", "overhead", "window",
       "blockk", "sources", "trials", "seed", "json", "dump-spec",
       "trial-timeout-ms", FECSCHED_OBS_FLAGS, FECSCHED_OBS_OUT_FLAGS}},
-    {"net", cmd_net,
+    {"net", cmd_engine<build_net_spec>,
      {"p", "q", "pglobal", "burst", "scheme", "sched", "overhead", "window",
       "blockk", "sources", "trials", "seed", "payload-bytes", "transport",
       "report-interval", "no-parity", "net-dump", "json", "dump-spec",
       "trial-timeout-ms", FECSCHED_OBS_FLAGS, FECSCHED_OBS_OUT_FLAGS}},
-    {"mpath", cmd_mpath,
+    {"mpath", cmd_engine<build_mpath_spec>,
      {"p", "q", "pglobal", "burst", "delay", "capacity", "scheduler",
       "scheme", "sched", "adapt", "warmup", "overhead", "window", "blockk",
       "sources", "trials", "seed", "json", "dump-spec", "trial-timeout-ms",
       FECSCHED_OBS_FLAGS, FECSCHED_OBS_OUT_FLAGS}},
-    {"run", cmd_run,
+    {"run", cmd_engine<load_spec>,
      {"spec", "json", "gnuplot", "dump-spec", "checkpoint", "resume",
       "trial-timeout-ms", FECSCHED_OBS_FLAGS, FECSCHED_OBS_OUT_FLAGS}},
     {"history", cmd_history,
