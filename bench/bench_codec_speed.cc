@@ -421,39 +421,41 @@ int run_json_mode(const std::string& json_path, bool check, double min_time,
     std::cerr << "bench_codec_speed: cannot write " << json_path << "\n";
     return 1;
   }
-  bench::JsonWriter json(file);
-  json.begin_object();
-  json.key("bench").value("codec_speed");
-  json.key("symbol_size").value(std::uint64_t{kSymbolSize});
-  json.key("default_backend").value(std::string(gf::to_string(original)));
-  bench::write_manifest_block(json, /*threads=*/1);  // single-threaded bench
-  json.key("backends").begin_array();
-  for (const gf::Backend b : backends) json.value(std::string(gf::to_string(b)));
-  json.end_array();
-  json.key("perf_counters").begin_object();
-  json.key("available").value(perf.available());
-  json.key("status").value(perf.status());
-  json.end_object();
-  json.key("results").begin_array();
+  api::Json doc = api::Json::object();
+  doc.set("bench", api::Json("codec_speed"));
+  doc.set("symbol_size", api::Json::integer(kSymbolSize));
+  doc.set("default_backend", api::Json(std::string(gf::to_string(original))));
+  doc.set("manifest", bench::manifest_block(/*threads=*/1));  // single-threaded
+  api::Json names = api::Json::array();
+  for (const gf::Backend b : backends)
+    names.push_back(api::Json(std::string(gf::to_string(b))));
+  doc.set("backends", std::move(names));
+  api::Json counters = api::Json::object();
+  counters.set("available", api::Json(perf.available()));
+  counters.set("status", api::Json(perf.status()));
+  doc.set("perf_counters", std::move(counters));
+  // Every number below is finite (Json would write a non-finite one as
+  // 0): rates divide bytes by at least min_time / 10 seconds, and ratios
+  // divide only by positive rates.
+  api::Json rows = api::Json::array();
   for (const OpResult& r : results) {
-    json.begin_object();
-    json.key("op").value(r.op);
-    json.key("backend").value(r.backend);
-    json.key("bytes_per_second").value(r.bytes_per_second);
+    api::Json row = api::Json::object();
+    row.set("op", api::Json(r.op));
+    row.set("backend", api::Json(r.backend));
+    row.set("bytes_per_second", api::Json(r.bytes_per_second));
     if (r.roofline_fraction > 0.0)
-      json.key("roofline_fraction").value(r.roofline_fraction);
+      row.set("roofline_fraction", api::Json(r.roofline_fraction));
     if (perf.available()) {
-      json.key("cycles_per_byte").value(r.cycles_per_byte);
-      json.key("cache_miss_per_byte").value(r.cache_miss_per_byte);
+      row.set("cycles_per_byte", api::Json(r.cycles_per_byte));
+      row.set("cache_miss_per_byte", api::Json(r.cache_miss_per_byte));
     }
-    json.end_object();
+    rows.push_back(std::move(row));
   }
-  json.end_array();
-  json.key("speedup_best_simd_over_scalar").begin_object();
-  for (const auto& [op, s] : speedup) json.key(op).value(s);
-  json.end_object();
-  json.end_object();
-  file << "\n";
+  doc.set("results", std::move(rows));
+  api::Json simd_speedups = api::Json::object();
+  for (const auto& [op, s] : speedup) simd_speedups.set(op, api::Json(s));
+  doc.set("speedup_best_simd_over_scalar", std::move(simd_speedups));
+  file << doc.dump(0) << "\n";
 
   for (const OpResult& r : results) {
     std::cout << r.op << " [" << r.backend << "]: "

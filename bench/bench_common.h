@@ -154,112 +154,20 @@ auto parallel_map(std::uint32_t count, unsigned threads, Fn&& fn)
   return results;
 }
 
-/// Minimal streaming JSON emitter for the benches' machine-readable
-/// outputs (e.g. bench_codec_speed --json): objects, arrays, string /
-/// number / bool values with automatic comma placement.  Strings escape
-/// quotes, backslashes and control characters (below 0x20, as JSON
-/// unicode escapes).
-class JsonWriter {
- public:
-  explicit JsonWriter(std::ostream& out) : out_(out) {}
-
-  JsonWriter& begin_object() { return open('{'); }
-  JsonWriter& end_object() { return close('}'); }
-  JsonWriter& begin_array() { return open('['); }
-  JsonWriter& end_array() { return close(']'); }
-
-  JsonWriter& key(const std::string& name) {
-    comma();
-    write_string(name);
-    out_ << ':';
-    pending_value_ = true;
-    return *this;
-  }
-  JsonWriter& value(const std::string& v) {
-    comma();
-    write_string(v);
-    return *this;
-  }
-  JsonWriter& value(const char* v) { return value(std::string(v)); }
-  JsonWriter& value(double v) {
-    comma();
-    // NaN/Inf are not JSON; emit null so downstream parsers keep working.
-    // Finite values go through the shortest-round-trip formatter so bench
-    // JSON carries full precision (ostream defaults to 6 significant
-    // digits, which silently truncates throughput numbers).
-    if (std::isfinite(v))
-      out_ << api::Json::format_double(v);
-    else
-      out_ << "null";
-    return *this;
-  }
-  JsonWriter& value(std::uint64_t v) {
-    comma();
-    out_ << v;
-    return *this;
-  }
-  JsonWriter& value(bool v) {
-    comma();
-    out_ << (v ? "true" : "false");
-    return *this;
-  }
-
- private:
-  JsonWriter& open(char c) {
-    comma();
-    out_ << c;
-    need_comma_.push_back(false);
-    return *this;
-  }
-  JsonWriter& close(char c) {
-    out_ << c;
-    need_comma_.pop_back();
-    return *this;
-  }
-  void comma() {
-    if (pending_value_) {
-      pending_value_ = false;  // the value right after a key
-      return;
-    }
-    if (!need_comma_.empty()) {
-      if (need_comma_.back()) out_ << ',';
-      need_comma_.back() = true;
-    }
-  }
-  void write_string(const std::string& s) {
-    out_ << '"';
-    for (const char c : s) {
-      const auto u = static_cast<unsigned char>(c);
-      if (u < 0x20) {  // raw control characters are not legal in JSON
-        char buf[8];
-        std::snprintf(buf, sizeof buf, "\\u%04x", u);
-        out_ << buf;
-        continue;
-      }
-      if (c == '"' || c == '\\') out_ << '\\';
-      out_ << c;
-    }
-    out_ << '"';
-  }
-
-  std::ostream& out_;
-  std::vector<bool> need_comma_;
-  bool pending_value_ = false;
-};
-
-/// Emit the shared `"manifest"` block of a bench --json document: which
+/// The shared `"manifest"` object of a bench --json document: which
 /// code (api version), which GF(256) backend, and how many threads the
 /// numbers were produced with.  Mirrors the run-manifest fields that are
 /// attribution rather than measurement, so bench JSON carries the same
 /// provenance vocabulary as `fecsched_cli ... --json`.
-inline void write_manifest_block(JsonWriter& json, unsigned threads) {
-  json.key("manifest").begin_object();
-  json.key("api").value(std::string(api::kVersion));
-  json.key("gf").value(std::string(gf::to_string(gf::current_backend())));
-  json.key("threads").value(std::uint64_t{threads});
-  json.key("hardware_threads")
-      .value(std::uint64_t{std::thread::hardware_concurrency()});
-  json.end_object();
+inline api::Json manifest_block(unsigned threads) {
+  api::Json manifest = api::Json::object();
+  manifest.set("api", api::Json(std::string(api::kVersion)));
+  manifest.set("gf",
+               api::Json(std::string(gf::to_string(gf::current_backend()))));
+  manifest.set("threads", api::Json::integer(threads));
+  manifest.set("hardware_threads",
+               api::Json::integer(std::thread::hardware_concurrency()));
+  return manifest;
 }
 
 /// A kind="bench" ledger record.  The fingerprint hashes the bench's
@@ -317,27 +225,32 @@ inline void print_banner(const std::string& title, const Scale& s) {
             << "==================================================================\n";
 }
 
+/// Print a sweep in the paper's appendix format, optionally followed by
+/// its n_received/k ceiling.
+inline void print_grid(const GridResult& grid, const std::string& caption,
+                       bool print_received_ratio) {
+  TableOptions topt;
+  topt.caption = caption;
+  std::cout << "\n";
+  write_paper_table(std::cout, grid, topt);
+  if (!print_received_ratio) return;
+  std::cout << "\n# n_received/k ceiling for the same sweep ('-' never "
+               "printed: counts all trials)\n";
+  GridResult ceiling = grid;
+  for (auto& cell : ceiling.cells) {
+    cell.inefficiency = cell.received_ratio;
+    cell.failures = 0;  // the ceiling exists for failed trials too
+  }
+  write_paper_table(std::cout, ceiling, {});
+}
+
 /// Run one experiment sweep and print it in the paper's appendix format.
 inline GridResult run_and_print(const ExperimentConfig& cfg,
                                 const GridSpec& spec, const Scale& s,
                                 const std::string& caption,
                                 bool print_received_ratio = false) {
-  const Experiment experiment(cfg);
-  const GridResult grid = experiment.run(spec, run_options(s));
-  TableOptions topt;
-  topt.caption = caption;
-  std::cout << "\n";
-  write_paper_table(std::cout, grid, topt);
-  if (print_received_ratio) {
-    std::cout << "\n# n_received/k ceiling for the same sweep ('-' never "
-                 "printed: counts all trials)\n";
-    GridResult ceiling = grid;
-    for (auto& cell : ceiling.cells) {
-      cell.inefficiency = cell.received_ratio;
-      cell.failures = 0;  // the ceiling exists for failed trials too
-    }
-    write_paper_table(std::cout, ceiling, {});
-  }
+  GridResult grid = Experiment(cfg).run(spec, run_options(s));
+  print_grid(grid, caption, print_received_ratio);
   return grid;
 }
 
@@ -375,20 +288,7 @@ inline GridResult run_and_print(const api::ScenarioSpec& spec,
                                 const std::string& caption,
                                 bool print_received_ratio = false) {
   GridResult grid = *api::run_scenario_sweep(spec).grid;
-  TableOptions topt;
-  topt.caption = caption;
-  std::cout << "\n";
-  write_paper_table(std::cout, grid, topt);
-  if (print_received_ratio) {
-    std::cout << "\n# n_received/k ceiling for the same sweep ('-' never "
-                 "printed: counts all trials)\n";
-    GridResult ceiling = grid;
-    for (auto& cell : ceiling.cells) {
-      cell.inefficiency = cell.received_ratio;
-      cell.failures = 0;  // the ceiling exists for failed trials too
-    }
-    write_paper_table(std::cout, ceiling, {});
-  }
+  print_grid(grid, caption, print_received_ratio);
   return grid;
 }
 
