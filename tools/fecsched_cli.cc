@@ -1247,14 +1247,6 @@ api::ScenarioSpec load_spec(const Args& args) {
   }
 }
 
-int print_result(const Args& args, const api::ScenarioResult& result) {
-  if (result.engine == "grid") return print_grid_result(args, result);
-  if (result.engine == "stream") return print_stream_result(args, result);
-  if (result.engine == "net") return print_net_result(args, result);
-  if (result.engine == "mpath") return print_mpath_result(args, result);
-  return print_adapt_result(args, result);
-}
-
 /// sweep, adapt, stream, net, mpath and run: build the spec (`run` loads
 /// it), apply the obs flags, then dump it, or run it with the cross-run
 /// outputs and crash-safety controls and print the result by engine.
@@ -1279,7 +1271,11 @@ int cmd_engine(const Args& args) {
     return 2;
   }
   if (interrupt::interrupted()) return finish_interrupted(args.cmd.c_str());
-  return print_result(args, result);
+  if (result.engine == "grid") return print_grid_result(args, result);
+  if (result.engine == "stream") return print_stream_result(args, result);
+  if (result.engine == "net") return print_net_result(args, result);
+  if (result.engine == "mpath") return print_mpath_result(args, result);
+  return print_adapt_result(args, result);
 }
 
 // --------------------------------------------- history / compare
