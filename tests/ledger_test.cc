@@ -343,7 +343,7 @@ void expect_all_trials_counted(const ScenarioSpec& spec,
   opt.sink = &sink;
   opt.force_tty = 0;
   obs::ProgressMeter meter(opt);
-  const ScenarioResult result = api::run_scenario(spec);
+  (void)api::run_scenario(spec);
   meter.finish();
   EXPECT_EQ(meter.total(), announced);
   EXPECT_EQ(meter.done(), meter.total());
