@@ -174,7 +174,24 @@ EOF
 #    armed must stay within 2% of the pre-obs hot loop, and plain
 #    --profile (per-packet phases timed on one call in 64) within 1.5x;
 ./bench_obs_overhead --k=1000 --trials=10 --check
-# 5. the bench scale flags parse whole and range-checked: a value too
+# 5. the profiled grid's deterministic accounting: a profiled RSE and
+#    LDGM sweep keep their phase call counts, counters and gauges (the
+#    awk filter drops every timing) on the default and forced-scalar GF
+#    backends;
+profile_counts='/^-- observability --/{on=1;next}
+  on&&($1=="counter"||$1=="gauge"){print $1,$2,$3;next}
+  on&&$1!="manifest:"&&$1!="phase"&&NF>=4{print "phase",$1,$2}'
+rse_profile="--code=rse --tx=2 --ratio=1.5 --k=400 --trials=3 --profile"
+ldgm_profile="--code=ldgm-triangle --tx=4 --ratio=2.5 --k=400 --trials=3 --profile"
+{ ./fecsched_cli sweep $rse_profile | awk "$profile_counts"
+  ./fecsched_cli sweep $ldgm_profile | awk "$profile_counts"
+} | cmp - ../tools/pinned/grid_profile_counts.txt
+{ FECSCHED_GF_BACKEND=scalar ./fecsched_cli sweep $rse_profile \
+    | awk "$profile_counts"
+  FECSCHED_GF_BACKEND=scalar ./fecsched_cli sweep $ldgm_profile \
+    | awk "$profile_counts"
+} | cmp - ../tools/pinned/grid_profile_counts.txt
+# 6. the bench scale flags parse whole and range-checked: a value too
 #    wide for its field, trailing characters and a negative seed must
 #    exit 2 naming the flag, never run with a truncated or wrapped value.
 for arg in --k=4294967297 --k=12abc --seed=-1; do
@@ -460,7 +477,8 @@ cmake -B .asan_build -S . \
 sanitized="stream_test mpath_test net_test fuzz_robustness_test obs_test
   gf256_kernels_test gf256_test rse_test rse_payload_test session_test
   trial_grid_test experiment_test hotpath_obs_test api_test
-  transmission_golden_test"
+  transmission_golden_test channel_test util_test sched_test
+  block_partition_test"
 cmake --build .asan_build -j "$(nproc)" --target $sanitized
 for t in $sanitized; do
   ASAN_OPTIONS=abort_on_error=1 UBSAN_OPTIONS=print_stacktrace=1 \
