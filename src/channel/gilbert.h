@@ -12,6 +12,8 @@
 
 #pragma once
 
+#include <cstdint>
+
 #include "channel/loss_model.h"
 #include "util/rng.h"
 
@@ -34,7 +36,19 @@ class GilbertModel final : public LossModel {
   /// Stationary loss probability p/(p+q); 0 when p = q = 0.
   [[nodiscard]] double global_loss_probability() const noexcept;
 
-  [[nodiscard]] bool lost() override;
+  /// The current state decides the current packet's fate, then the chain
+  /// advances on one uniform draw u: into loss when u < p, out of it when
+  /// u < q.  Both comparisons run and the state picks one, so the draw
+  /// has no data-dependent branch.  Inline: the grid engine calls it once
+  /// per packet through a GilbertModel&.
+  [[nodiscard]] bool lost() override {
+    const bool erased = in_loss_state_;
+    const std::uint64_t u = rng_() >> 11;  // uniform01() is u * 2^-53
+    const bool enter = u < p_below_;
+    const bool stay = u >= q_below_;
+    in_loss_state_ = (erased & stay) | (!erased & enter);
+    return erased;
+  }
   void reset(std::uint64_t seed) override;
 
   /// One explicit Markov step: given that the previous packet's fate was
@@ -46,6 +60,10 @@ class GilbertModel final : public LossModel {
  private:
   double p_;
   double q_;
+  // ceil(prob * 2^53): for prob in [0, 1], (rng() >> 11) < ceil(prob *
+  // 2^53) is exactly rng.bernoulli(prob), the integer draw it scales.
+  std::uint64_t p_below_ = 0;
+  std::uint64_t q_below_ = 0;
   bool in_loss_state_ = false;
   Rng rng_;
 };

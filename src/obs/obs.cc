@@ -111,15 +111,19 @@ Report Session::finish() {
     merged.merge_from(o.metrics_);
     for (std::size_t p = 0; p < kPhaseCount; ++p) {
       const PhaseStats& s = o.phases_[p];
+      const PhaseStats& pass = o.passes_[p];
       const std::uint64_t timed = o.timed_calls_[p];
-      report.phases[p].calls += s.calls;
-      // Sampled phases: scale this lane's timed calls up to all its calls.
+      report.phases[p].calls += pass.calls + s.calls;
+      // Pass-timed calls are exact.  Sampled phases scale this lane's
+      // timed calls up to all its sampled calls (the calls timed one by
+      // one, outside any pass).
       report.phases[p].ns +=
-          timed == 0 || timed == s.calls
-              ? s.ns
-              : static_cast<std::uint64_t>(std::llround(
-                    static_cast<double>(s.ns) * static_cast<double>(s.calls) /
-                    static_cast<double>(timed)));
+          pass.ns +
+          (timed == 0 || timed == s.calls
+               ? s.ns
+               : static_cast<std::uint64_t>(std::llround(
+                     static_cast<double>(s.ns) * static_cast<double>(s.calls) /
+                     static_cast<double>(timed))));
     }
     report.events.insert(report.events.end(), o.events_.begin(), o.events_.end());
     if (cfg_.timeline) {

@@ -122,6 +122,14 @@ class Observer {
     phases_[i].ns += ns;
     ++timed_calls_[i];
   }
+  /// `calls` calls of `p` timed whole, as one pass of `ns` (plain
+  /// --profile around Hook::timed_pass).  Kept apart from the sampled
+  /// calls: these ns are exact and never scaled.
+  void pass_time(Phase p, std::uint64_t calls, std::uint64_t ns) noexcept {
+    PhaseStats& s = passes_[static_cast<std::size_t>(p)];
+    s.calls += calls;
+    s.ns += ns;
+  }
 
   /// Counter values before a phase body runs (zeros when the group is
   /// unavailable — the matching perf_add still counts the read).
@@ -203,7 +211,8 @@ class Observer {
   Config cfg_;
   ObsClock::time_point epoch_;
   MetricsRegistry metrics_;
-  std::array<PhaseStats, kPhaseCount> phases_{};
+  std::array<PhaseStats, kPhaseCount> phases_{};  ///< per-call hooks
+  std::array<PhaseStats, kPhaseCount> passes_{};  ///< pass-timed calls
   std::array<std::uint64_t, kPhaseCount> timed_calls_{};
   std::array<std::uint64_t, kPhaseCount> sample_mask_{};  ///< 0 = every call
   std::array<PerfPhase, kPhaseCount> perf_phases_{};
@@ -414,26 +423,37 @@ class Hook {
   /// Transparent to f's return value (including references).
   template <typename F>
   decltype(auto) timed(Phase phase, F&& f) const {
-    using R = decltype(std::forward<F>(f)());
     // Watchdog poll site: before the profiling early-out, so the
     // per-trial deadline is enforced even on unprofiled runs.
     watchdog::poll();
-    if (!profiling_ || !o_->phase_call(phase)) return std::forward<F>(f)();
-    PerfValues before{};
-    if (counters_) o_->perf_read(before);
-    const ObsClock::time_point t0 = ObsClock::now();
-    if constexpr (std::is_void_v<R>) {
-      std::forward<F>(f)();
-      finish_phase(phase, t0, before);
-    } else if constexpr (std::is_reference_v<R>) {
-      R r = std::forward<F>(f)();
-      finish_phase(phase, t0, before);
-      return static_cast<R>(r);
-    } else {
-      R r = std::forward<F>(f)();
-      finish_phase(phase, t0, before);
-      return r;
+    return timed_call(phase, std::forward<F>(f));
+  }
+
+  /// Run body(0), body(1), ... until a call returns false or `max` calls
+  /// have run; returns the number of calls.  Each call counts as one call
+  /// of `phase`.  Plain --profile times the whole pass with one clock
+  /// pair (exact ns, nothing sampled); a timeline or counters session
+  /// times every call as timed() does, so each call still owns one span
+  /// and one counter read.  The watchdog is polled once, before the pass.
+  template <typename Body>
+  std::uint64_t timed_pass(Phase phase, std::uint64_t max, Body&& body) const {
+    watchdog::poll();
+    std::uint64_t i = 0;
+    if (!profiling_) {
+      while (i < max && body(i++)) {
+      }
+      return i;
     }
+    if (timeline_ || counters_) {
+      while (i < max && timed_call(phase, [&] { return body(i++); })) {
+      }
+      return i;
+    }
+    const ObsClock::time_point t0 = ObsClock::now();
+    while (i < max && body(i++)) {
+    }
+    o_->pass_time(phase, i, elapsed_ns(t0, ObsClock::now()));
+    return i;
   }
 
   // Trace emitters: no-ops unless this trial is sampled.
@@ -457,13 +477,38 @@ class Hook {
   }
 
  private:
+  [[nodiscard]] static std::uint64_t elapsed_ns(ObsClock::time_point t0,
+                                                ObsClock::time_point t1) noexcept {
+    return static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0).count());
+  }
+
+  /// timed() without the watchdog poll.
+  template <typename F>
+  decltype(auto) timed_call(Phase phase, F&& f) const {
+    using R = decltype(std::forward<F>(f)());
+    if (!profiling_ || !o_->phase_call(phase)) return std::forward<F>(f)();
+    PerfValues before{};
+    if (counters_) o_->perf_read(before);
+    const ObsClock::time_point t0 = ObsClock::now();
+    if constexpr (std::is_void_v<R>) {
+      std::forward<F>(f)();
+      finish_phase(phase, t0, before);
+    } else if constexpr (std::is_reference_v<R>) {
+      R r = std::forward<F>(f)();
+      finish_phase(phase, t0, before);
+      return static_cast<R>(r);
+    } else {
+      R r = std::forward<F>(f)();
+      finish_phase(phase, t0, before);
+      return r;
+    }
+  }
+
   void finish_phase(Phase phase, ObsClock::time_point t0,
                     const PerfValues& before) const {
     const ObsClock::time_point t1 = ObsClock::now();
-    o_->phase_time(phase, static_cast<std::uint64_t>(
-                              std::chrono::duration_cast<std::chrono::nanoseconds>(
-                                  t1 - t0)
-                                  .count()));
+    o_->phase_time(phase, elapsed_ns(t0, t1));
     if (counters_) o_->perf_add(phase, before);
     if (timeline_) o_->span_phase(phase, t0, t1);
   }

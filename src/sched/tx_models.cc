@@ -1,6 +1,7 @@
 #include "sched/tx_models.h"
 
 #include <cmath>
+#include <numeric>
 #include <stdexcept>
 
 namespace fecsched {
@@ -8,7 +9,9 @@ namespace fecsched {
 namespace {
 
 void append_range(std::vector<PacketId>& out, PacketId first, PacketId last) {
-  for (PacketId id = first; id < last; ++id) out.push_back(id);
+  const std::size_t at = out.size();
+  out.resize(at + (last - first));
+  std::iota(out.begin() + static_cast<std::ptrdiff_t>(at), out.end(), first);
 }
 
 }  // namespace

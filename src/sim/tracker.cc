@@ -1,5 +1,6 @@
 #include "sim/tracker.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace fecsched {
@@ -7,25 +8,19 @@ namespace fecsched {
 RseTracker::RseTracker(std::shared_ptr<const RsePlan> plan)
     : plan_(std::move(plan)) {
   if (!plan_) throw std::invalid_argument("RseTracker: null plan");
+  block_of_.resize(plan_->n());
+  block_k_.resize(plan_->block_count());
+  for (std::uint32_t b = 0; b < plan_->block_count(); ++b) {
+    const BlockInfo& blk = plan_->block(b);
+    block_k_[b] = blk.k;
+    std::fill_n(block_of_.begin() + blk.source_offset, blk.k, b);
+    std::fill_n(block_of_.begin() + blk.parity_offset, blk.n - blk.k, b);
+  }
   seen_.assign(plan_->n(), 0);
   received_per_block_.assign(plan_->block_count(), 0);
 }
 
-void RseTracker::on_packet(PacketId id) {
-  if (id >= plan_->n()) throw std::invalid_argument("RseTracker: bad id");
-  if (seen_[id]) return;
-  seen_[id] = 1;
-  const BlockPosition pos = plan_->position(id);
-  const std::uint32_t block_k = plan_->block(pos.block).k;
-  const std::uint32_t have = received_per_block_[pos.block];
-  if (have >= block_k) return;  // block already solved: nothing buffered
-  ++received_per_block_[pos.block];
-  ++buffered_;
-  if (have + 1 == block_k) {
-    ++satisfied_blocks_;
-    buffered_ -= block_k;  // the solver consumes the pending buffer
-  }
-}
+void RseTracker::bad_id() { throw std::invalid_argument("RseTracker: bad id"); }
 
 void RseTracker::reset() {
   std::fill(seen_.begin(), seen_.end(), 0);

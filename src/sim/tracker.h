@@ -56,20 +56,47 @@ class ErasureTracker {
 /// MDS per-block counting tracker for blocked Reed-Solomon.
 class RseTracker final : public ErasureTracker {
  public:
+  /// Tabulates the block of every packet id and the k of every block, so
+  /// on_packet is two table reads instead of RsePlan::position's search.
   explicit RseTracker(std::shared_ptr<const RsePlan> plan);
 
-  void on_packet(PacketId id) override;
+  /// Inline and branch-free past the id check: the grid engine calls it
+  /// once per received packet through an RseTracker&.
+  void on_packet(PacketId id) override {
+    if (id >= block_of_.size()) bad_id();
+    const std::uint32_t b = block_of_[id];
+    const std::uint32_t block_k = block_k_[b];
+    const std::uint32_t have = received_per_block_[b];
+    // A packet counts once, and only towards a block still short of k_b
+    // (a solved block buffers nothing).
+    const std::uint32_t useful = (seen_[id] == 0) & (have < block_k);
+    seen_[id] = 1;
+    received_per_block_[b] = have + useful;
+    buffered_ += useful;
+    // The k_b-th packet solves the block: the solver consumes the buffer.
+    const std::uint32_t solves = useful & (have + 1 == block_k);
+    satisfied_blocks_ += solves;
+    buffered_ -= solves * block_k;
+  }
   [[nodiscard]] bool complete() const override {
-    return satisfied_blocks_ == plan_->block_count();
+    return satisfied_blocks_ == block_k_.size();
   }
   void reset() override;
   /// Packets buffered in not-yet-solved blocks.
   [[nodiscard]] std::uint32_t working_memory_symbols() const override {
     return buffered_;
   }
+  /// The block of packet `id` as on_packet reads it (id < n).
+  [[nodiscard]] std::uint32_t block_of(PacketId id) const {
+    return block_of_.at(id);
+  }
 
  private:
+  [[noreturn]] static void bad_id();
+
   std::shared_ptr<const RsePlan> plan_;
+  std::vector<std::uint32_t> block_of_;  ///< by packet id
+  std::vector<std::uint32_t> block_k_;   ///< by block
   std::vector<char> seen_;
   std::vector<std::uint32_t> received_per_block_;
   std::uint32_t satisfied_blocks_ = 0;

@@ -3,70 +3,77 @@
 #include <algorithm>
 #include <vector>
 
+#include "channel/gilbert.h"
+
 namespace fecsched {
 
 namespace {
 
-/// Hook policy of the plain loop: every hook compiles away.
+/// The schedule slot of every packet the channel pass let through, in
+/// transmission order; reused by every trial on this thread.  uint32
+/// stores cannot alias the generator state the next draw reads, which a
+/// byte-per-packet fate array would.
+thread_local std::vector<std::uint32_t> t_arrived;
+
+/// Hook policy of the plain trial: each pass is a plain loop.
 struct Dormant {
-  template <typename Draw>
-  bool arrives(double, PacketId, Draw&& lost) const {
-    return !lost();
+  template <typename Body>
+  std::uint64_t pass(obs::Phase, std::uint64_t max, Body&& body) const {
+    std::uint64_t i = 0;
+    while (i < max && body(i++)) {
+    }
+    return i;
   }
-  template <typename Decode>
-  void decode(Decode&& f) const {
-    f();
-  }
-  void decoded(double, PacketId) const {}
-  void finish(const TrialResult&, double) const {}
+  void finish(const TrialResult&, std::span<const PacketId>,
+              std::span<const std::uint32_t>) const {}
 };
 
-/// Hook policy of the observed loop: trace events, phase timing, and per
-/// source delivery fates for the release events and grid.* metrics.
+/// Hook policy of the observed trial: each pass is profiled whole
+/// (obs::Hook::timed_pass), and once both passes are done the trace
+/// events, per-source releases and grid.* metrics are written from the
+/// arrival list.
 class Observed {
  public:
-  Observed(std::uint32_t k, const obs::Hook& hook)
-      : k_(k), hook_(hook), got_(k, 0) {}
+  Observed(std::uint32_t k, const obs::Hook& hook) : k_(k), hook_(hook) {}
 
-  template <typename Draw>
-  bool arrives(double slot, PacketId id, Draw&& lost) {
-    const bool repair = id >= k_;
-    hook_.sent(slot, id, repair);
-    if (hook_.timed(obs::Phase::kChannelDraw, lost)) {
-      hook_.lost(slot, id, repair);
-      return false;
+  template <typename Body>
+  std::uint64_t pass(obs::Phase phase, std::uint64_t max, Body&& body) const {
+    return hook_.timed_pass(phase, max, body);
+  }
+
+  void finish(const TrialResult& r, std::span<const PacketId> schedule,
+              std::span<const std::uint32_t> arrived) const {
+    // Each source is released at the end of the schedule: received
+    // directly, or recovered because the whole object decoded.  Partial
+    // (undecoded) LDGM recovery is not credited — the grid engine's
+    // completion rule is all-or-nothing.  A decoded object releases every
+    // source, so only an undecoded one needs the per-source fates.
+    std::vector<char> got;
+    if (!r.decoded) {
+      got.assign(k_ + 1, 0);  // got[k_] absorbs every repair id
+      for (const std::uint32_t slot : arrived)
+        got[std::min(schedule[slot], k_)] = 1;
+      got.pop_back();
     }
-    hook_.received(slot, id, repair);
-    if (!repair) got_[id] = 1;
-    return true;
-  }
-  template <typename Decode>
-  void decode(Decode&& f) const {
-    hook_.timed(obs::Phase::kDecode, f);
-  }
-  void decoded(double slot, PacketId id) const { hook_.decoded(slot, id); }
-
-  /// Each source is released at the end of the schedule: received
-  /// directly, or recovered because the whole object decoded.  Partial
-  /// (undecoded) LDGM recovery is not credited — the grid engine's
-  /// completion rule is all-or-nothing.
-  void finish(const TrialResult& r, double end_slot) const {
+    if (hook_.tracing()) {
+      trace_slots(r, schedule, arrived);
+      const auto end_slot = static_cast<double>(schedule.size());
+      for (std::uint32_t s = 0; s < k_; ++s)
+        hook_.released(end_slot, s, r.decoded || got[s] != 0, 0.0);
+    }
+    // Residual loss runs over the sources in object order, counted
+    // without branching on each source's fate.
     std::uint64_t residual_lost = 0;
     std::uint64_t residual_runs = 0;
     std::uint64_t max_run = 0;
     std::uint64_t run = 0;
-    for (std::uint32_t s = 0; s < k_; ++s) {
-      const bool ok = r.decoded || got_[s] != 0;
-      hook_.released(end_slot, s, ok, 0.0);
-      if (!ok) {
-        ++residual_lost;
-        max_run = std::max(max_run, ++run);
-      } else if (run > 0) {
-        ++residual_runs;
-        run = 0;
-      }
+    for (const char ok : got) {
+      const std::uint64_t lost = ok == 0;
+      residual_lost += lost;
+      residual_runs += lost & (run == 0);  // a run starts here
+      run = (run + 1) & (0 - lost);
+      max_run = std::max(max_run, run);
     }
-    if (run > 0) ++residual_runs;
 
     hook_.count("grid.trials");
     hook_.count("grid.packets_sent", r.n_sent);
@@ -79,48 +86,99 @@ class Observed {
   }
 
  private:
-  std::uint32_t k_;
-  const obs::Hook& hook_;
-  std::vector<char> got_;
-};
-
-template <typename Hooks>
-TrialResult replay(ErasureTracker& tracker, std::span<const PacketId> schedule,
-                   LossModel& channel, Hooks& hooks) {
-  TrialResult r;
-  r.n_sent = static_cast<std::uint32_t>(schedule.size());
-  r.peak_memory_symbols = tracker.working_memory_symbols();
-  for (const PacketId& id : schedule) {
-    const auto slot = static_cast<double>(&id - schedule.data());
-    if (!hooks.arrives(slot, id, [&] { return channel.lost(); })) continue;
-    ++r.n_received;
-    if (r.decoded) continue;  // drain remaining losses for n_received only
-    hooks.decode([&] { tracker.on_packet(id); });
-    r.peak_memory_symbols =
-        std::max(r.peak_memory_symbols, tracker.working_memory_symbols());
-    if (tracker.complete()) {
-      r.decoded = true;
-      r.n_needed = r.n_received;
-      hooks.decoded(slot, id);
+  /// Symbol-lifecycle events in slot order: sent, then lost or received,
+  /// then decoded at the arrival that completed the object.
+  void trace_slots(const TrialResult& r, std::span<const PacketId> schedule,
+                   std::span<const std::uint32_t> arrived) const {
+    std::size_t next = 0;
+    for (std::uint32_t i = 0; i < schedule.size(); ++i) {
+      const auto slot = static_cast<double>(i);
+      const PacketId id = schedule[i];
+      const bool repair = id >= k_;
+      hook_.sent(slot, id, repair);
+      if (next < arrived.size() && arrived[next] == i) {
+        hook_.received(slot, id, repair);
+        if (++next == r.n_needed && r.decoded) hook_.decoded(slot, id);
+      } else {
+        hook_.lost(slot, id, repair);
+      }
     }
   }
-  hooks.finish(r, static_cast<double>(schedule.size()));
+
+  std::uint32_t k_;
+  const obs::Hook& hook_;
+};
+
+/// One trial in two passes.  The channel pass draws every scheduled
+/// packet's fate in transmission order, decoded or not (n_received counts
+/// the whole schedule).  The tracker pass feeds the arrivals, duplicates
+/// included, until the tracker completes: n_needed is the number fed.
+template <typename Tracker, typename Channel, typename Hooks>
+TrialResult replay(Tracker& tracker, std::span<const PacketId> schedule,
+                   Channel& channel, const Hooks& hooks) {
+  TrialResult r;
+  r.n_sent = static_cast<std::uint32_t>(schedule.size());
+  t_arrived.resize(schedule.size());
+  std::uint32_t* const arrived = t_arrived.data();
+  std::uint32_t m = 0;
+  hooks.pass(obs::Phase::kChannelDraw, r.n_sent, [&](std::uint64_t i) {
+    arrived[m] = static_cast<std::uint32_t>(i);
+    m += !channel.lost();
+    return true;
+  });
+  r.n_received = m;
+
+  std::uint32_t peak = tracker.working_memory_symbols();
+  const std::uint64_t fed =
+      hooks.pass(obs::Phase::kDecode, m, [&](std::uint64_t j) {
+        tracker.on_packet(schedule[arrived[j]]);
+        peak = std::max(peak, tracker.working_memory_symbols());
+        return !tracker.complete();
+      });
+  r.peak_memory_symbols = peak;
+  r.decoded = fed != 0 && tracker.complete();
+  if (r.decoded) r.n_needed = static_cast<std::uint32_t>(fed);
+  hooks.finish(r, schedule, {arrived, m});
   return r;
+}
+
+/// Dispatch once per trial to the concrete (final) tracker type, so the
+/// tracker pass calls on_packet directly; other trackers run the same
+/// template through the base class.
+template <typename Channel, typename Hooks>
+TrialResult on_tracker(ErasureTracker& tracker,
+                       std::span<const PacketId> schedule, Channel& channel,
+                       const Hooks& hooks) {
+  if (auto* t = dynamic_cast<RseTracker*>(&tracker))
+    return replay(*t, schedule, channel, hooks);
+  if (auto* t = dynamic_cast<LdgmTracker*>(&tracker))
+    return replay(*t, schedule, channel, hooks);
+  if (auto* t = dynamic_cast<ReplicationTracker*>(&tracker))
+    return replay(*t, schedule, channel, hooks);
+  return replay(tracker, schedule, channel, hooks);
+}
+
+/// The same for the channel: the Gilbert draw inlines into the channel
+/// pass; every other loss model is called through LossModel.
+template <typename Hooks>
+TrialResult dispatch(ErasureTracker& tracker, std::span<const PacketId> schedule,
+                     LossModel& channel, const Hooks& hooks) {
+  if (auto* g = dynamic_cast<GilbertModel*>(&channel))
+    return on_tracker(tracker, schedule, *g, hooks);
+  return on_tracker(tracker, schedule, channel, hooks);
 }
 
 }  // namespace
 
 TrialResult run_trial(ErasureTracker& tracker,
                       std::span<const PacketId> schedule, LossModel& channel) {
-  Dormant hooks;
-  return replay(tracker, schedule, channel, hooks);
+  return dispatch(tracker, schedule, channel, Dormant{});
 }
 
 TrialResult run_trial(ErasureTracker& tracker,
                       std::span<const PacketId> schedule, LossModel& channel,
                       std::uint32_t k, const obs::Hook& hook) {
-  Observed hooks(k, hook);
-  return replay(tracker, schedule, channel, hooks);
+  return dispatch(tracker, schedule, channel, Observed(k, hook));
 }
 
 }  // namespace fecsched

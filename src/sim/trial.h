@@ -38,20 +38,28 @@ struct TrialResult {
 ///
 /// Every delivered packet counts towards n_received (duplicates too — they
 /// consume channel capacity); the tracker decides which ones carry new
-/// information.  The run continues after decoding completes so n_received
-/// reflects the full transmission (used by the paper's n_received/k
-/// curves).
+/// information.  The channel draws every scheduled packet, decoded or not,
+/// so n_received reflects the full transmission (used by the paper's
+/// n_received/k curves).
+///
+/// A trial runs in two passes: the channel pass draws each packet's fate
+/// in transmission order and lists the arrivals; the tracker pass feeds
+/// the arrivals in that order until the tracker completes.  Each trial
+/// dispatches once to the concrete GilbertModel and RSE, LDGM or
+/// replication tracker, so both passes call them directly; any other
+/// loss model or tracker runs the same passes through the base class.
 [[nodiscard]] TrialResult run_trial(ErasureTracker& tracker,
                                     std::span<const PacketId> schedule,
                                     LossModel& channel);
 
-/// The same loop with observability through `hook`: identical channel
+/// The same trial with observability through `hook`: identical channel
 /// draws and tracker calls (bit-identical TrialResult), plus channel-draw
-/// and decode phase timing, symbol-lifecycle trace events (ids below `k`
-/// are sources), a release event per source and the grid.* metrics.
-/// Both overloads instantiate one replay loop on a hook policy; the
-/// dormant one compiles to the plain loop, so engines take this overload
-/// only when the hook is engaged.
+/// and decode phase timing (one call per draw and per packet fed;
+/// obs::Hook::timed_pass), symbol-lifecycle trace events in slot order
+/// (ids below `k` are sources), a release event per source and the grid.*
+/// metrics.  Both overloads instantiate one replay on a hook policy; the
+/// dormant one compiles to the plain passes, so engines take this
+/// overload only when the hook is engaged.
 [[nodiscard]] TrialResult run_trial(ErasureTracker& tracker,
                                     std::span<const PacketId> schedule,
                                     LossModel& channel, std::uint32_t k,

@@ -2,48 +2,7 @@
 
 #include <stdexcept>
 
-#ifdef _MSC_VER
-#include <intrin.h>
-#endif
-
 namespace fecsched {
-
-namespace {
-
-// 64x64 -> 128 bit multiply, portable.
-struct U128 {
-  std::uint64_t hi;
-  std::uint64_t lo;
-};
-
-inline U128 mul_64x64(std::uint64_t a, std::uint64_t b) noexcept {
-#ifdef __SIZEOF_INT128__
-  const unsigned __int128 r = static_cast<unsigned __int128>(a) * b;
-  return {static_cast<std::uint64_t>(r >> 64), static_cast<std::uint64_t>(r)};
-#else
-  const std::uint64_t a_lo = a & 0xffffffffULL, a_hi = a >> 32;
-  const std::uint64_t b_lo = b & 0xffffffffULL, b_hi = b >> 32;
-  const std::uint64_t p0 = a_lo * b_lo;
-  const std::uint64_t p1 = a_lo * b_hi;
-  const std::uint64_t p2 = a_hi * b_lo;
-  const std::uint64_t p3 = a_hi * b_hi;
-  const std::uint64_t mid = p1 + (p0 >> 32) + (p2 & 0xffffffffULL);
-  return {p3 + (p1 >> 32) + (p2 >> 32) + (mid >> 32),
-          (mid << 32) | (p0 & 0xffffffffULL)};
-#endif
-}
-
-}  // namespace
-
-std::uint64_t Rng::below(std::uint64_t bound) noexcept {
-  // Lemire, "Fast Random Integer Generation in an Interval" (2019).
-  U128 m = mul_64x64((*this)(), bound);
-  if (m.lo < bound) {
-    const std::uint64_t threshold = (0 - bound) % bound;
-    while (m.lo < threshold) m = mul_64x64((*this)(), bound);
-  }
-  return m.hi;
-}
 
 std::vector<std::uint32_t>
 sample_without_replacement(std::uint32_t population, std::uint32_t count, Rng& rng) {

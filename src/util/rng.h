@@ -37,6 +37,33 @@ derive_seed(std::uint64_t master, std::initializer_list<std::uint64_t> path) noe
   return s;
 }
 
+namespace detail {
+
+/// 64x64 -> 128 bit multiply, portable.
+struct U128 {
+  std::uint64_t hi;
+  std::uint64_t lo;
+};
+
+[[nodiscard]] inline U128 mul_64x64(std::uint64_t a, std::uint64_t b) noexcept {
+#ifdef __SIZEOF_INT128__
+  const unsigned __int128 r = static_cast<unsigned __int128>(a) * b;
+  return {static_cast<std::uint64_t>(r >> 64), static_cast<std::uint64_t>(r)};
+#else
+  const std::uint64_t a_lo = a & 0xffffffffULL, a_hi = a >> 32;
+  const std::uint64_t b_lo = b & 0xffffffffULL, b_hi = b >> 32;
+  const std::uint64_t p0 = a_lo * b_lo;
+  const std::uint64_t p1 = a_lo * b_hi;
+  const std::uint64_t p2 = a_hi * b_lo;
+  const std::uint64_t p3 = a_hi * b_hi;
+  const std::uint64_t mid = p1 + (p0 >> 32) + (p2 & 0xffffffffULL);
+  return {p3 + (p1 >> 32) + (p2 >> 32) + (mid >> 32),
+          (mid << 32) | (p0 & 0xffffffffULL)};
+#endif
+}
+
+}  // namespace detail
+
 /// xoshiro256** PRNG.  Satisfies std::uniform_random_bit_generator.
 class Rng {
  public:
@@ -69,8 +96,17 @@ class Rng {
   }
 
   /// Uniform integer in [0, bound).  bound must be > 0.
-  /// Lemire's nearly-divisionless rejection method: unbiased.
-  std::uint64_t below(std::uint64_t bound) noexcept;
+  /// Lemire's nearly-divisionless rejection method: unbiased.  Inline:
+  /// the schedule shuffles call it once per packet.
+  std::uint64_t below(std::uint64_t bound) noexcept {
+    // Lemire, "Fast Random Integer Generation in an Interval" (2019).
+    detail::U128 m = detail::mul_64x64((*this)(), bound);
+    if (m.lo < bound) {
+      const std::uint64_t threshold = (0 - bound) % bound;
+      while (m.lo < threshold) m = detail::mul_64x64((*this)(), bound);
+    }
+    return m.hi;
+  }
 
   /// Uniform integer in [lo, hi] inclusive.  Requires lo <= hi.
   std::uint64_t between(std::uint64_t lo, std::uint64_t hi) noexcept {

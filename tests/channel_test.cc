@@ -14,6 +14,7 @@
 #include "channel/nstate.h"
 #include "channel/trace.h"
 #include "sim/analytic.h"
+#include "util/rng.h"
 
 namespace fecsched {
 namespace {
@@ -208,6 +209,27 @@ TEST(GilbertModel, SameSeedSameSequence) {
   int same = 0;
   for (int i = 0; i < 1000; ++i) same += a.lost() == b.lost() ? 1 : 0;
   EXPECT_LT(same, 1000);
+}
+
+// lost() draws once per packet and compares against both p and q; the
+// fates must be those of the two-branch rule
+// `in ? !bernoulli(q) : bernoulli(p)` on the same generator stream,
+// including the probabilities at and next to 0 and 1.
+TEST(GilbertModel, BranchFreeDrawMatchesTwoBranchRule) {
+  const double probs[] = {0.0, 1e-300, 0.01, 0.5, std::nextafter(1.0, 0.0), 1.0};
+  for (const double p : probs) {
+    for (const double q : probs) {
+      GilbertModel model(p, q);
+      model.reset(0xd1ce);
+      Rng rng(0xd1ce);  // the model's generator, copied by seed
+      bool in = rng.bernoulli(model.global_loss_probability());
+      for (int i = 0; i < 100000; ++i) {
+        const bool want = in;
+        in = in ? !rng.bernoulli(q) : rng.bernoulli(p);
+        ASSERT_EQ(model.lost(), want) << "p=" << p << " q=" << q << " draw " << i;
+      }
+    }
+  }
 }
 
 // ----------------------------------------------------------- N-state

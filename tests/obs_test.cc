@@ -198,6 +198,85 @@ TEST(ObsSession, PlainProfileSamplesScheduleAndMatrixInvert) {
   EXPECT_GE(report.phases[invert].ns, 130u * 200'000u);
 }
 
+// Hook::timed_pass runs body(i) until it returns false or `max` calls
+// have run, and counts every call.  Plain --profile times the pass whole
+// (exact calls, unscaled ns); timeline and counters sessions time each
+// call, one span and one counter read apiece.
+TEST(ObsSession, TimedPassWithoutSessionRunsBodyOnly) {
+  ASSERT_EQ(obs::current(), nullptr);
+  const obs::Hook hook;
+  std::vector<std::uint64_t> seen;
+  const std::uint64_t n = hook.timed_pass(obs::Phase::kDecode, 10, [&](std::uint64_t i) {
+    seen.push_back(i);
+    return i < 3;
+  });
+  EXPECT_EQ(n, 4u);
+  EXPECT_EQ(seen, (std::vector<std::uint64_t>{0, 1, 2, 3}));
+  EXPECT_EQ(hook.timed_pass(obs::Phase::kDecode, 0, [](std::uint64_t) { return true; }),
+            0u);
+}
+
+TEST(ObsSession, TimedPassUnderPlainProfileIsExactAndUnscaled) {
+  const auto decode = static_cast<std::size_t>(obs::Phase::kDecode);
+  obs::Session session(obs::Config{.metrics = true, .profile = true});
+  std::uint64_t n = 0;
+  {
+    const obs::TrialScope scope(0);
+    const obs::Hook hook;
+    // Only call 1 spins: a sampler timing ordinals 0, 64, 128 would miss
+    // it, the pass's one clock pair cannot.
+    n = hook.timed_pass(obs::Phase::kDecode, 200, [&](std::uint64_t i) {
+      if (i == 1) spin_us(200);
+      return i + 1 < 130;
+    });
+  }
+  const obs::Report report = session.finish();
+  EXPECT_EQ(n, 130u);
+  EXPECT_EQ(report.phases[decode].calls, 130u);
+  EXPECT_GE(report.phases[decode].ns, 200'000u);
+}
+
+TEST(ObsSession, TimedPassUnderTimelineAndCountersTimesEachCall) {
+  const auto decode = static_cast<std::size_t>(obs::Phase::kDecode);
+  const auto run = [](const obs::Config& cfg) {
+    obs::Session session(cfg);
+    {
+      const obs::TrialScope scope(0);
+      const obs::Hook hook;
+      EXPECT_EQ(hook.timed_pass(obs::Phase::kDecode, 10,
+                                [](std::uint64_t i) { return i < 6; }),
+                7u);
+    }
+    return session.finish();
+  };
+  const obs::Report timeline = run(obs::Config{.profile = true, .timeline = true});
+  EXPECT_EQ(timeline.phases[decode].calls, 7u);
+  std::uint64_t spans = 0;
+  for (const obs::TimelineSpan& s : timeline.spans)
+    spans += s.kind == obs::SpanKind::kPhase && s.phase == obs::Phase::kDecode ? 1 : 0;
+  EXPECT_EQ(spans, 7u);
+
+  const obs::Report counters = run(obs::Config{.profile = true, .counters = true});
+  EXPECT_EQ(counters.phases[decode].calls, 7u);
+  EXPECT_EQ(counters.perf.phases[decode].reads, 7u);
+}
+
+// One observer holding both kinds of call of one phase: the pass-timed
+// ns add as they are, and only the sampled part scales (130 calls, three
+// of them timed at 7 ns each: 7 * 3 * 130 / 3 = 910).
+TEST(ObsSession, PassTimedCallsAreNotScaledWithSampledOnes) {
+  const auto decode = static_cast<std::size_t>(obs::Phase::kDecode);
+  obs::Session session(obs::Config{.profile = true});
+  obs::Observer* o = obs::current();
+  ASSERT_NE(o, nullptr);
+  o->pass_time(obs::Phase::kDecode, 1000, 5000);
+  for (int i = 0; i < 130; ++i)
+    if (o->phase_call(obs::Phase::kDecode)) o->phase_time(obs::Phase::kDecode, 7);
+  const obs::Report report = session.finish();
+  EXPECT_EQ(report.phases[decode].calls, 1130u);
+  EXPECT_EQ(report.phases[decode].ns, 5000u + 910u);
+}
+
 TEST(ObsSession, TraceSamplingKeepsEveryNthTrial) {
   obs::Session session(obs::Config{.trace = true, .trace_sample = 2});
   for (std::uint64_t t = 0; t < 4; ++t) {

@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <functional>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <utility>
 
@@ -310,6 +311,26 @@ TEST(TrialOracle, RseMatchesReferenceLoop) {
                 " max_block_n=" + std::to_string(max_block_n),
             *plan, [&] { return std::make_unique<RseTracker>(plan); });
         if (HasFatalFailure()) return;
+      }
+    }
+  }
+}
+
+// RseTracker tabulates each packet's block at construction; the table
+// must agree with RsePlan::position for every id, and ids past n still
+// throw.
+TEST(TrialOracle, RseBlockTableMatchesPlanPosition) {
+  for (const std::uint32_t k : {1u, 170u, 171u, 4000u}) {
+    for (const double ratio : {1.0, 1.5, 2.5}) {
+      for (const std::uint32_t max_block_n : {255u, 40u}) {
+        const auto plan = std::make_shared<const RsePlan>(k, ratio, max_block_n);
+        RseTracker tracker(plan);
+        for (PacketId id = 0; id < plan->n(); ++id)
+          ASSERT_EQ(tracker.block_of(id), plan->position(id).block)
+              << "k=" << k << " ratio=" << ratio << " cap=" << max_block_n
+              << " id=" << id;
+        EXPECT_THROW(tracker.on_packet(plan->n()), std::invalid_argument);
+        EXPECT_THROW(tracker.on_packet(0xffffffffu), std::invalid_argument);
       }
     }
   }

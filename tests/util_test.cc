@@ -54,6 +54,41 @@ TEST(Rng, BelowOneIsAlwaysZero) {
   for (int i = 0; i < 100; ++i) EXPECT_EQ(rng.below(1), 0u);
 }
 
+// Pinned outputs of Lemire's method, so an edit to Rng::below cannot
+// move any schedule.  The raw draw counts pin the rejection loop: bound
+// 2^63 + 1 rejects about half its draws.
+TEST(Rng, BelowIsPinned) {
+  struct Case {
+    std::uint64_t bound;
+    std::vector<std::uint64_t> values;
+    int raw_draws;
+  };
+  const std::vector<Case> cases = {
+      {1, {0, 0, 0, 0, 0, 0, 0, 0}, 8},
+      {3, {1, 1, 1, 0, 1, 1, 2, 0}, 8},
+      {(std::uint64_t{1} << 32) + 1,
+       {2120386697u, 2400932257u, 1974580911u, 1189018142u, 2030009566u,
+        1672368052u, 3341595024u, 688035750u},
+       8},
+      {(std::uint64_t{1} << 63) + 1,
+       {2553397018404165453u, 3591383046360603410u, 7176020672553876711u,
+        8821875977989938862u, 7398403140117048163u, 7771027365940258791u,
+        7676369599593514730u, 4136477816266808017u},
+       23},
+  };
+  for (const Case& c : cases) {
+    Rng rng(0x5eed);
+    for (const std::uint64_t want : c.values) EXPECT_EQ(rng.below(c.bound), want);
+    // Count the raw outputs below() consumed: step a fresh generator
+    // until it reaches the one the draws left behind.
+    Rng probe(0x5eed);
+    const std::uint64_t next = rng();
+    int used = 0;
+    while (probe() != next && used < 1000) ++used;
+    EXPECT_EQ(used, c.raw_draws) << "bound " << c.bound;
+  }
+}
+
 TEST(Rng, BelowIsRoughlyUniform) {
   Rng rng(11);
   constexpr int kBuckets = 10;
