@@ -7,6 +7,7 @@
 #include "channel/gilbert.h"
 #include "obs/obs.h"
 #include "sim/experiment.h"
+#include "sim/stream_delay.h"
 #include "util/parallel.h"
 #include "util/rng.h"
 
@@ -97,14 +98,9 @@ std::vector<std::pair<double, double>> burst_grid(
   std::vector<std::pair<double, double>> points;
   points.reserve(p_globals.size() * bursts.size());
   for (const double p_global : p_globals) {
-    if (!(p_global >= 0.0 && p_global < 1.0))
-      throw std::invalid_argument("burst_grid: p_global must be in [0, 1)");
     for (const double burst : bursts) {
-      if (!(burst >= 1.0))
-        throw std::invalid_argument("burst_grid: mean burst must be >= 1");
-      const double q = 1.0 / burst;
-      const double p = p_global * q / (1.0 - p_global);
-      points.emplace_back(p, q);
+      const ChannelPoint pt = gilbert_point(p_global, burst);
+      points.emplace_back(pt.p, pt.q);
     }
   }
   return points;

@@ -107,8 +107,9 @@ struct AdaptiveCompareConfig {
     const AdaptiveCompareConfig& config);
 
 /// Build (p, q) points from (p_global, mean_burst) coordinates — the
-/// grid the recommendations are phrased in: q = 1/burst,
-/// p = p_global * q / (1 - p_global).
+/// grid the recommendations are phrased in — with gilbert_point, whose
+/// rules they follow: it throws std::invalid_argument for a point that is
+/// not a Gilbert channel.
 [[nodiscard]] std::vector<std::pair<double, double>> burst_grid(
     const std::vector<double>& p_globals, const std::vector<double>& bursts);
 

@@ -1,6 +1,8 @@
 #include "sim/stream_delay.h"
 
+#include <sstream>
 #include <stdexcept>
+#include <string>
 
 #include "channel/gilbert.h"
 #include "util/rng.h"
@@ -36,16 +38,28 @@ std::vector<StreamVariant> StreamGridConfig::default_variants() {
   };
 }
 
+namespace {
+
+std::string number(double v) {
+  std::ostringstream out;
+  out << v;
+  return out.str();
+}
+
+}  // namespace
+
 ChannelPoint gilbert_point(double p_global, double mean_burst) {
-  if (p_global < 0.0 || p_global >= 1.0)
+  if (!(p_global >= 0.0 && p_global < 1.0))
     throw std::invalid_argument("gilbert_point: p_global must be in [0, 1)");
-  if (mean_burst < 1.0)
+  if (!(mean_burst >= 1.0))
     throw std::invalid_argument("gilbert_point: mean_burst must be >= 1");
   const double q = 1.0 / mean_burst;
   const double p = p_global * q / (1.0 - p_global);
   if (p > 1.0)
     throw std::invalid_argument(
-        "gilbert_point: (p_global, mean_burst) is not a Gilbert channel");
+        "gilbert_point: (p_global " + number(p_global) + ", mean_burst " +
+        number(mean_burst) + ") is not a Gilbert channel (p = " +
+        number(p) + " > 1)");
   return {p, q};
 }
 

@@ -118,6 +118,15 @@ rc=0
 if [ "$rc" -ne 2 ] || ! grep -q 'run.trials' BENCH_flag_err.txt; then
   echo "BUG: sweep --trials=0 exited $rc, want 2 naming run.trials"; exit 1
 fi
+#    an adaptive point that is not a Gilbert channel (p_global 0.9 at
+#    burst 1 needs p = 9) exits 2 saying so, before any trial runs;
+rc=0
+./fecsched_cli adapt --pglobal=0.9 --burst=1 > /dev/null \
+  2> BENCH_flag_err.txt || rc=$?
+if [ "$rc" -ne 2 ] || ! grep -q 'not a Gilbert channel' BENCH_flag_err.txt; then
+  echo "BUG: adapt --pglobal=0.9 --burst=1 exited $rc, want 2 naming the point"
+  exit 1
+fi
 # 3. run_scenario bit-identity: replaying the pinned spec documents
 #    through `run --spec` must reproduce the pinned pre-API outputs byte
 #    for byte (one grid, one stream, one mpath, one adaptive point), and
