@@ -439,20 +439,16 @@ class Hook {
   std::uint64_t timed_pass(Phase phase, std::uint64_t max, Body&& body) const {
     watchdog::poll();
     std::uint64_t i = 0;
-    if (!profiling_) {
-      while (i < max && body(i++)) {
-      }
-      return i;
-    }
     if (timeline_ || counters_) {
       while (i < max && timed_call(phase, [&] { return body(i++); })) {
       }
       return i;
     }
-    const ObsClock::time_point t0 = ObsClock::now();
+    const ObsClock::time_point t0 =
+        profiling_ ? ObsClock::now() : ObsClock::time_point{};
     while (i < max && body(i++)) {
     }
-    o_->pass_time(phase, i, elapsed_ns(t0, ObsClock::now()));
+    if (profiling_) o_->pass_time(phase, i, elapsed_ns(t0, ObsClock::now()));
     return i;
   }
 

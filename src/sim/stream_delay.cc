@@ -1,10 +1,10 @@
 #include "sim/stream_delay.h"
 
-#include <sstream>
 #include <stdexcept>
 #include <string>
 
 #include "channel/gilbert.h"
+#include "sim/table_io.h"
 #include "util/rng.h"
 
 namespace fecsched {
@@ -38,16 +38,6 @@ std::vector<StreamVariant> StreamGridConfig::default_variants() {
   };
 }
 
-namespace {
-
-std::string number(double v) {
-  std::ostringstream out;
-  out << v;
-  return out.str();
-}
-
-}  // namespace
-
 ChannelPoint gilbert_point(double p_global, double mean_burst) {
   if (!(p_global >= 0.0 && p_global < 1.0))
     throw std::invalid_argument("gilbert_point: p_global must be in [0, 1)");
@@ -57,9 +47,9 @@ ChannelPoint gilbert_point(double p_global, double mean_burst) {
   const double p = p_global * q / (1.0 - p_global);
   if (p > 1.0)
     throw std::invalid_argument(
-        "gilbert_point: (p_global " + number(p_global) + ", mean_burst " +
-        number(mean_burst) + ") is not a Gilbert channel (p = " +
-        number(p) + " > 1)");
+        "gilbert_point: (p_global " + format_fixed(p_global, 4) +
+        ", mean_burst " + format_fixed(mean_burst, 4) +
+        ") is not a Gilbert channel (p = " + format_fixed(p, 4) + " > 1)");
   return {p, q};
 }
 

@@ -5,19 +5,18 @@
 
 namespace fecsched {
 
-RseTracker::RseTracker(std::shared_ptr<const RsePlan> plan)
-    : plan_(std::move(plan)) {
-  if (!plan_) throw std::invalid_argument("RseTracker: null plan");
-  block_of_.resize(plan_->n());
-  block_k_.resize(plan_->block_count());
-  for (std::uint32_t b = 0; b < plan_->block_count(); ++b) {
-    const BlockInfo& blk = plan_->block(b);
+RseTracker::RseTracker(std::shared_ptr<const RsePlan> plan) {
+  if (!plan) throw std::invalid_argument("RseTracker: null plan");
+  block_of_.resize(plan->n());
+  block_k_.resize(plan->block_count());
+  for (std::uint32_t b = 0; b < plan->block_count(); ++b) {
+    const BlockInfo& blk = plan->block(b);
     block_k_[b] = blk.k;
     std::fill_n(block_of_.begin() + blk.source_offset, blk.k, b);
     std::fill_n(block_of_.begin() + blk.parity_offset, blk.n - blk.k, b);
   }
-  seen_.assign(plan_->n(), 0);
-  received_per_block_.assign(plan_->block_count(), 0);
+  seen_.assign(plan->n(), 0);
+  received_per_block_.assign(plan->block_count(), 0);
 }
 
 void RseTracker::bad_id() { throw std::invalid_argument("RseTracker: bad id"); }

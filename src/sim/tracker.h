@@ -94,7 +94,6 @@ class RseTracker final : public ErasureTracker {
  private:
   [[noreturn]] static void bad_id();
 
-  std::shared_ptr<const RsePlan> plan_;
   std::vector<std::uint32_t> block_of_;  ///< by packet id
   std::vector<std::uint32_t> block_k_;   ///< by block
   std::vector<char> seen_;
