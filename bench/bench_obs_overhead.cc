@@ -12,7 +12,8 @@
 //   enabled    a metrics session armed: TrialScope + engaged Hook into
 //              run_trial's observed instantiation (what --metrics costs)
 //   profile    metrics + profiling session (what plain --profile costs:
-//              per-packet phases timed on one call in 64, the rest
+//              the grid trial's channel_draw and decode timed per pass,
+//              other per-packet phases on one call in 64, the rest
 //              counted)
 //   timeline   metrics + profiling + span-ring session (what
 //              --timeline-out costs: every phase/trial pushes a span)

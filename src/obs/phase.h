@@ -46,7 +46,10 @@ inline constexpr std::size_t kPhaseCount = 10;
 
 /// Plain `--profile` times each per-packet phase on one call in this
 /// many per observer (call ordinals 0, 64, 128, ...) and scales its `ns`
-/// by calls / timed calls; call counts stay exact.  Those bodies cost
+/// by calls / timed calls; call counts stay exact.  The grid engine's
+/// channel_draw and decode are timed per pass instead (Hook::timed_pass:
+/// one clock pair around a trial's draws, one around its tracker feed),
+/// so their `ns` are exact.  Those bodies cost
 /// about as much as the clock pair around them, so timing every call
 /// would distort the run being measured.  A timeline or counters session
 /// times every call: each call owns one span and one counter read.

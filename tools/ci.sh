@@ -181,7 +181,8 @@ EOF
 ./trace_stats BENCH_obs_grid.jsonl
 # 4. the overhead budgets: the product per-trial path with no session
 #    armed must stay within 2% of the pre-obs hot loop, and plain
-#    --profile (per-packet phases timed on one call in 64) within 1.5x;
+#    --profile (the grid's channel_draw and decode timed per pass, other
+#    per-packet phases on one call in 64) within 1.5x;
 ./bench_obs_overhead --k=1000 --trials=10 --check
 # 5. the profiled grid's deterministic accounting: a profiled RSE and
 #    LDGM sweep keep their phase call counts, counters and gauges (the
