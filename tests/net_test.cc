@@ -496,6 +496,63 @@ TEST(NetSenderTest, PayloadsAreDeterministicPerSourceAndSeed) {
   EXPECT_NE(a, b);
 }
 
+// FNV-1a (64-bit): a compact pin for a generated byte string.
+std::uint64_t fnv1a(std::span<const std::uint8_t> bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const std::uint8_t b : bytes) {
+    h ^= b;
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+TEST(NetSenderTest, PayloadBytesArePinned) {
+  // The sender and the receiver's verification share source_payload, so
+  // byte verification, NetParity and the pinned net outputs cannot see a
+  // change to the byte stream it generates; these hashes can.  Lengths
+  // cover empty, a partial first word, whole words, a partial tail word
+  // and the largest payload.
+  struct Pin {
+    std::uint64_t seed, s;
+    std::size_t bytes;
+    std::uint64_t fnv;
+  };
+  static constexpr Pin kPins[] = {
+      {1, 0, 0, 0xcbf29ce484222325ull},
+      {1, 0, 1, 0xaf645e4c8602c972ull},
+      {1, 0, 7, 0x0c76188108939e26ull},
+      {1, 0, 8, 0xc04a3c4192d67dfbull},
+      {1, 0, 9, 0x94a1636c82766700ull},
+      {1, 0, 1024, 0x5de4a2662d5e9f0bull},
+      {1, 0, 1031, 0x5b04953b439d26a7ull},
+      {1, 0, 1400, 0xd58a8d140bd7a047ull},
+      {9, 4, 0, 0xcbf29ce484222325ull},
+      {9, 4, 1, 0xaf647e4c8602ffd2ull},
+      {9, 4, 7, 0xa55d1e6b1828a476ull},
+      {9, 4, 8, 0x25ded3fa0d0ee92cull},
+      {9, 4, 9, 0x688c22e430578483ull},
+      {9, 4, 1024, 0x8f3580be0a6651acull},
+      {9, 4, 1031, 0xbaedbd8f55acdf6full},
+      {9, 4, 1400, 0xea03802dfda2c936ull},
+      {0x5eed5eed, 799, 0, 0xcbf29ce484222325ull},
+      {0x5eed5eed, 799, 1, 0xaf64074c8602359dull},
+      {0x5eed5eed, 799, 7, 0x53b2d0e87dd7fabaull},
+      {0x5eed5eed, 799, 8, 0x10d3a70dd5fef244ull},
+      {0x5eed5eed, 799, 9, 0x96975e82a03612e6ull},
+      {0x5eed5eed, 799, 1024, 0xfc7c440ca1e453bbull},
+      {0x5eed5eed, 799, 1031, 0x9f3bb1fd48f8dafeull},
+      {0x5eed5eed, 799, 1400, 0x113850390e2dbf62ull},
+  };
+  std::vector<std::uint8_t> payload;
+  for (const Pin& pin : kPins) {
+    NetSender::source_payload(pin.seed, pin.s, pin.bytes, payload);
+    ASSERT_EQ(payload.size(), pin.bytes);
+    EXPECT_EQ(fnv1a(payload), pin.fnv)
+        << "seed " << pin.seed << " source " << pin.s << " bytes "
+        << pin.bytes;
+  }
+}
+
 // ------------------------------------------------------------ faultpoints
 
 TEST(NetFault, SendAndRecvPointsFire) {
