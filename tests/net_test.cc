@@ -164,6 +164,33 @@ TEST(NetWire, NamedRejectionReasons) {
   EXPECT_EQ(parse(bad, parsed), WireError::kBadPadding);
 }
 
+TEST(NetWire, RoundTripAtEveryPayloadLength) {
+  // Every payload length puts the payload CRC through each split between
+  // the CRC's 64-byte, 16-byte and byte-at-a-time steps.
+  Rng rng(19);
+  DataFrame f = random_data_frame(rng);
+  std::vector<std::uint8_t> buf;
+  ParsedFrame parsed;
+  for (std::size_t len = 0; len <= kMaxPayload; ++len) {
+    f.payload.resize(len);
+    for (auto& b : f.payload) b = static_cast<std::uint8_t>(rng());
+    pack(f, buf);
+    ASSERT_EQ(parse(buf, parsed), WireError::kOk) << "length " << len;
+    ASSERT_EQ(parsed.data, f) << "length " << len;
+  }
+  for (const std::size_t len : std::initializer_list<std::size_t>{
+           1, 15, 16, 17, 63, 64, 65, 1024, kMaxPayload}) {
+    f.payload.resize(len);
+    pack(f, buf);
+    for (const std::size_t at : {std::size_t{0}, len / 2, len - 1}) {
+      std::vector<std::uint8_t> bad = buf;
+      bad[kHeaderSize + at] ^= 0x10;
+      EXPECT_EQ(parse(bad, parsed), WireError::kPayloadCrcMismatch)
+          << "length " << len << " byte " << at;
+    }
+  }
+}
+
 TEST(NetWire, RandomGarbageNeverCrashes) {
   Rng rng(17);
   ParsedFrame parsed;

@@ -1,12 +1,16 @@
-// Unit tests for the deterministic PRNG and the statistics helpers.
+// Unit tests for the deterministic PRNG, the statistics helpers and
+// CRC-32 against its byte-at-a-time table loop.
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <set>
+#include <span>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "util/crc32.h"
 #include "util/rng.h"
 #include "util/stats.h"
 
@@ -252,6 +256,68 @@ TEST(RunningStats, MergeWithEmpty) {
   EXPECT_DOUBLE_EQ(a.mean(), mean);
   empty.merge(a);
   EXPECT_DOUBLE_EQ(empty.mean(), mean);
+}
+
+// The reflected 0xEDB88320 table loop, one lookup per byte: the oracle
+// for every path crc32_update may take.  `c` is the running register
+// (pre- and post-inverted by the caller).
+std::uint32_t table_loop(std::uint32_t c, std::span<const std::uint8_t> data) {
+  static const std::array<std::uint32_t, 256> table = [] {
+    std::array<std::uint32_t, 256> t{};
+    for (std::uint32_t i = 0; i < 256; ++i) {
+      std::uint32_t r = i;
+      for (int bit = 0; bit < 8; ++bit)
+        r = (r & 1) ? 0xedb88320u ^ (r >> 1) : r >> 1;
+      t[i] = r;
+    }
+    return t;
+  }();
+  for (const std::uint8_t byte : data)
+    c = table[(c ^ byte) & 0xffu] ^ (c >> 8);
+  return c;
+}
+
+std::uint32_t reference_crc32(std::uint32_t crc,
+                              std::span<const std::uint8_t> data) {
+  return table_loop(crc ^ 0xffffffffu, data) ^ 0xffffffffu;
+}
+
+std::vector<std::uint8_t> random_bytes(std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<std::uint8_t> out(n);
+  for (auto& b : out) b = static_cast<std::uint8_t>(rng());
+  return out;
+}
+
+TEST(Crc32Oracle, MatchesTableLoopAtEveryLengthAndOffset) {
+  // Every length up to 2112 (past the 44-byte wire header, every payload
+  // length up to kMaxPayload, and the 15/16/63/64/65 fold boundaries) at
+  // every source offset 0..63, so each alignment of the 16-byte loads is
+  // met.  The oracle runs along the prefix one byte at a time.
+  constexpr std::size_t kMaxLen = 2112;
+  const std::vector<std::uint8_t> buf = random_bytes(64 + kMaxLen, 0xc4c);
+  for (std::size_t offset = 0; offset < 64; ++offset) {
+    std::uint32_t c = 0xffffffffu;
+    for (std::size_t len = 0; len <= kMaxLen; ++len) {
+      const std::span<const std::uint8_t> data(buf.data() + offset, len);
+      ASSERT_EQ(crc32(data), c ^ 0xffffffffu)
+          << "offset " << offset << " length " << len;
+      if (len < kMaxLen) c = table_loop(c, {buf.data() + offset + len, 1});
+    }
+  }
+}
+
+TEST(Crc32Oracle, ChainsAtEverySplitPoint) {
+  // Splitting the input anywhere must not change the CRC, so every fold
+  // and tail boundary is crossed mid-stream with a non-trivial register.
+  const std::vector<std::uint8_t> buf = random_bytes(1100, 0x5b11);
+  const std::span<const std::uint8_t> all(buf);
+  const std::uint32_t whole = reference_crc32(0, all);
+  ASSERT_EQ(crc32(all), whole);
+  for (std::size_t split = 0; split <= all.size(); ++split) {
+    const std::uint32_t head = crc32_update(0, all.first(split));
+    ASSERT_EQ(crc32_update(head, all.subspan(split)), whole) << split;
+  }
 }
 
 }  // namespace
