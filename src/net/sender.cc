@@ -1,5 +1,7 @@
 #include "net/sender.h"
 
+#include <bit>
+#include <cstring>
 #include <stdexcept>
 
 #include "util/rng.h"
@@ -9,13 +11,22 @@ namespace fecsched::net {
 void NetSender::source_payload(std::uint64_t seed, std::uint64_t s,
                                std::size_t bytes,
                                std::vector<std::uint8_t>& out) {
+  // Each generator word, least significant byte first.  Whole words go
+  // out as one 8-byte store: byte-wide stores through `out` may alias the
+  // generator state, so the compiler would reload it after every byte.
   Rng rng(derive_seed(seed, {4, s}));
   out.resize(bytes);
-  std::uint64_t word = 0;
-  for (std::size_t i = 0; i < bytes; ++i) {
-    if (i % 8 == 0) word = rng();
-    out[i] = static_cast<std::uint8_t>(word >> (8 * (i % 8)));
+  std::uint8_t* const p = out.data();
+  std::size_t i = 0;
+  for (; i + 8 <= bytes; i += 8) {
+    std::uint64_t w = rng();
+    if constexpr (std::endian::native == std::endian::big)
+      w = __builtin_bswap64(w);
+    std::memcpy(p + i, &w, 8);
   }
+  if (i < bytes)
+    for (std::uint64_t w = rng(); i < bytes; ++i, w >>= 8)
+      p[i] = static_cast<std::uint8_t>(w);
 }
 
 NetSender::NetSender(const StreamCode& code, std::size_t payload_bytes,
