@@ -469,13 +469,16 @@ grep -q '"kind":"bench","label":"bench_packetize"' BENCH_net_ledger.jsonl
 echo "net gate: wire round-trips fuzz-clean, loopback matches simulation on backends: ${gf_backends:-auto scalar}"
 
 # Sanitizer gate: the decoders, receivers and observers, the GF kernels,
-# RSE codec and payload sessions, the grid trial loop, and the engines
-# over the transmission core (golden table, scenario API), again under
+# RSE codec and payload sessions, the grid trial loop, the engines over
+# the transmission core (golden table, scenario API), and both CRC-32
+# callers (the net wire format and the FLUTE LCT header), again under
 # AddressSanitizer + UndefinedBehaviorSanitizer, with libstdc++'s bounds
 # assertions on (the sliding-window decoder indexes its state by seq; the
 # inversion indexes padded rows and the batch kernels run blocked loop
-# bounds), from a second build of the library and those test binaries
-# only (benches, examples and tools off) in .asan_build/.
+# bounds; on a PCLMULQDQ host the CRC fold's unaligned 16-byte loads run
+# under ASan through util_test, net_test and flute_test), from a second
+# build of the library and those test binaries only (benches, examples
+# and tools off) in .asan_build/.
 # -fno-sanitize-recover=all makes every report abort its binary, so any
 # report fails CI.
 cd ..
@@ -488,7 +491,7 @@ sanitized="stream_test mpath_test net_test fuzz_robustness_test obs_test
   gf256_kernels_test gf256_test rse_test rse_payload_test session_test
   trial_grid_test experiment_test hotpath_obs_test api_test
   transmission_golden_test channel_test util_test sched_test
-  block_partition_test"
+  block_partition_test flute_test"
 cmake --build .asan_build -j "$(nproc)" --target $sanitized
 for t in $sanitized; do
   ASAN_OPTIONS=abort_on_error=1 UBSAN_OPTIONS=print_stacktrace=1 \
