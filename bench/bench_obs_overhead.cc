@@ -289,9 +289,10 @@ int main(int argc, char** argv) {
       return 1;
     }
     std::cout << "CHECK OK: disabled-mode overhead (paired) "
-              << off_overhead_paired * 100.0 << "% < 2%, --profile " << prof_x << "x <= " << kProfileBudgetX
-              << "x (timeline " << tl_overhead * 100.0 << "%, counters "
-              << ctr_overhead * 100.0 << "% when enabled)\n";
+              << off_overhead_paired * 100.0 << "% < 2%, --profile "
+              << prof_x << "x <= " << kProfileBudgetX << "x (timeline "
+              << tl_overhead * 100.0 << "%, counters " << ctr_overhead * 100.0
+              << "% when enabled)\n";
   }
   return 0;
 }
