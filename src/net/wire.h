@@ -15,7 +15,9 @@
 //
 // Layout is fixed little-endian with two CRC-32s (util/crc32): one over
 // the header, one over the payload, so header corruption and payload
-// corruption are rejected by distinct named reasons.  parse() is strict:
+// corruption are rejected by distinct named reasons.  The 44-byte header
+// CRC takes util/crc32's table loop; a payload of 64 bytes or more takes
+// its carry-less-multiply fold where the CPU has PCLMULQDQ.  parse() is strict:
 // every malformed frame is rejected with a WireError naming the reason,
 // and no input — truncated, oversized, bit-flipped, random — may crash
 // or yield a frame that did not round-trip byte-identically.
