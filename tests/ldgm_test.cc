@@ -300,5 +300,74 @@ TEST(LdgmCode, TinyCode) {
   EXPECT_EQ(code.matrix().col_degree(0), 2u);
 }
 
+// FNV-1a (64-bit) over the shape, nnz and every row() and col() span
+// (length, then members): a compact pin for a whole graph in both
+// orientations.
+std::uint64_t graph_fnv1a(const SparseBinaryMatrix& h) {
+  std::uint64_t x = 0xcbf29ce484222325ull;
+  const auto mix = [&x](std::uint64_t v) {
+    for (int b = 0; b < 8; ++b) {
+      x ^= (v >> (8 * b)) & 0xff;
+      x *= 0x100000001b3ull;
+    }
+  };
+  mix(h.rows());
+  mix(h.cols());
+  mix(h.nnz());
+  for (std::uint32_t r = 0; r < h.rows(); ++r) {
+    mix(h.row(r).size());
+    for (std::uint32_t c : h.row(r)) mix(c);
+  }
+  for (std::uint32_t c = 0; c < h.cols(); ++c) {
+    mix(h.col(c).size());
+    for (std::uint32_t r : h.col(c)) mix(r);
+  }
+  return x;
+}
+
+TEST(LdgmCode, GraphsArePinned) {
+  // Every engine and bench builds its graphs through SparseBinaryMatrix, and
+  // sender and receiver share the construction, so no end-to-end output
+  // would see a reordered row or column; these hashes can.  Geometries:
+  // the smallest codes, the Fig. 2 graph, the grid's k=4000 graphs and the
+  // largest stream graph, per variant; then a Triangle with three extras
+  // per row (duplicate entries) and an irregular code.
+  struct Pin {
+    LdgmVariant variant;
+    std::uint32_t k, n;
+    std::uint64_t fnv;
+  };
+  static constexpr Pin kPins[] = {
+      {LdgmVariant::kIdentity, 1, 4, 0xdc50ff6b22de6844ull},
+      {LdgmVariant::kIdentity, 7, 12, 0x65ff77d3fc459236ull},
+      {LdgmVariant::kIdentity, 400, 600, 0x664ebf3ce4614924ull},
+      {LdgmVariant::kIdentity, 4000, 10000, 0x3660b1b1f5891fc3ull},
+      {LdgmVariant::kIdentity, 10000, 12500, 0x5590c1863bf8b174ull},
+      {LdgmVariant::kStaircase, 1, 4, 0xebc0c5817707c82aull},
+      {LdgmVariant::kStaircase, 7, 12, 0xb8af9b3f622295baull},
+      {LdgmVariant::kStaircase, 400, 600, 0x4b14b2a1e78e2ca3ull},
+      {LdgmVariant::kStaircase, 4000, 10000, 0x27c0e979b975db37ull},
+      {LdgmVariant::kStaircase, 10000, 12500, 0x2135355dd2471b66ull},
+      {LdgmVariant::kTriangle, 1, 4, 0x0475c6ad2f1ac24eull},
+      {LdgmVariant::kTriangle, 7, 12, 0x157cbf803835420eull},
+      {LdgmVariant::kTriangle, 400, 600, 0x3897871b401f4991ull},
+      {LdgmVariant::kTriangle, 4000, 10000, 0x9ca8f5863777d96bull},
+      {LdgmVariant::kTriangle, 10000, 12500, 0x8a60f9cf26f8fd45ull},
+  };
+  for (const Pin& pin : kPins) {
+    const LdgmCode code(make_params(pin.k, pin.n, pin.variant));
+    EXPECT_EQ(graph_fnv1a(code.matrix()), pin.fnv)
+        << to_string(pin.variant) << " k " << pin.k << " n " << pin.n;
+  }
+
+  auto dense = make_params(400, 600, LdgmVariant::kTriangle);
+  dense.triangle_extra_per_row = 3;
+  EXPECT_EQ(graph_fnv1a(LdgmCode(dense).matrix()), 0x8387445c530196a2ull);
+
+  auto irregular = make_params(1000, 2000, LdgmVariant::kStaircase, 33);
+  irregular.irregular_left_degrees = {{2, 0.5}, {3, 0.3}, {7, 0.2}};
+  EXPECT_EQ(graph_fnv1a(LdgmCode(irregular).matrix()), 0x6a2e055ab20df1beull);
+}
+
 }  // namespace
 }  // namespace fecsched
