@@ -5,6 +5,20 @@
 
 namespace fecsched {
 
+namespace {
+
+// Turns per-bucket counts (count of b in ptr[b], ptr.back() == 0) into
+// bucket ends: ptr[b] = end of bucket b, ptr.back() = total.  Scattering
+// with `out[--ptr[b]] = x` then leaves ptr[b] = start of bucket b, the CSR
+// offsets, and fills each bucket back to front.
+void counts_to_ends(std::vector<std::uint32_t>& ptr) {
+  std::uint32_t total = 0;
+  for (std::size_t b = 0; b + 1 < ptr.size(); ++b) ptr[b] = total += ptr[b];
+  ptr.back() = total;
+}
+
+}  // namespace
+
 SparseBinaryMatrix::SparseBinaryMatrix(std::uint32_t rows, std::uint32_t cols,
                                        std::vector<Entry> entries)
     : rows_(rows), cols_(cols) {
@@ -12,29 +26,51 @@ SparseBinaryMatrix::SparseBinaryMatrix(std::uint32_t rows, std::uint32_t cols,
     if (e.row >= rows || e.col >= cols)
       throw std::invalid_argument("SparseBinaryMatrix: entry out of range");
 
-  std::sort(entries.begin(), entries.end(), [](const Entry& a, const Entry& b) {
-    return a.row != b.row ? a.row < b.row : a.col < b.col;
-  });
-  entries.erase(std::unique(entries.begin(), entries.end(),
-                            [](const Entry& a, const Entry& b) {
-                              return a.row == b.row && a.col == b.col;
-                            }),
-                entries.end());
-
+  // Bucket the row ids by column.  The entries are released as soon as
+  // they are bucketed, so the peak stays below entries + CSR + CSC.
+  const auto total = static_cast<std::uint32_t>(entries.size());
   row_ptr_.assign(rows_ + 1, 0);
-  row_cols_.reserve(entries.size());
-  for (const Entry& e : entries) {
-    ++row_ptr_[e.row + 1];
-    row_cols_.push_back(e.col);
-  }
-  for (std::uint32_t r = 0; r < rows_; ++r) row_ptr_[r + 1] += row_ptr_[r];
-
   col_ptr_.assign(cols_ + 1, 0);
-  for (const Entry& e : entries) ++col_ptr_[e.col + 1];
-  for (std::uint32_t c = 0; c < cols_; ++c) col_ptr_[c + 1] += col_ptr_[c];
-  col_rows_.resize(entries.size());
-  std::vector<std::uint32_t> next(col_ptr_.begin(), col_ptr_.end() - 1);
-  for (const Entry& e : entries) col_rows_[next[e.col]++] = e.row;
+  for (const Entry& e : entries) {
+    ++row_ptr_[e.row];
+    ++col_ptr_[e.col];
+  }
+  counts_to_ends(row_ptr_);
+  counts_to_ends(col_ptr_);
+  std::vector<std::uint32_t> rows_by_col(total);
+  for (const Entry& e : entries) rows_by_col[--col_ptr_[e.col]] = e.row;
+  std::vector<Entry>().swap(entries);
+
+  // Scatter into rows, columns visited last to first: every row's columns
+  // come out ascending, so duplicates sit next to each other.
+  row_cols_.resize(total);
+  for (std::uint32_t c = cols_; c-- > 0;)
+    for (std::uint32_t i = col_ptr_[c]; i < col_ptr_[c + 1]; ++i)
+      row_cols_[--row_ptr_[rows_by_col[i]]] = c;
+
+  // Collapse the duplicates in place.
+  std::uint32_t kept = 0;
+  for (std::uint32_t r = 0; r < rows_; ++r) {
+    const std::uint32_t begin = row_ptr_[r];
+    const std::uint32_t end = row_ptr_[r + 1];
+    row_ptr_[r] = kept;
+    for (std::uint32_t i = begin; i < end; ++i)
+      if (i == begin || row_cols_[i] != row_cols_[kept - 1])
+        row_cols_[kept++] = row_cols_[i];
+  }
+  row_ptr_[rows_] = kept;
+  row_cols_.resize(kept);
+
+  // CSC from the deduplicated rows, rows visited last to first: every
+  // column's rows come out ascending.  It reuses the bucket array.
+  std::fill(col_ptr_.begin(), col_ptr_.end(), 0);
+  for (const std::uint32_t c : row_cols_) ++col_ptr_[c];
+  counts_to_ends(col_ptr_);
+  col_rows_ = std::move(rows_by_col);
+  col_rows_.resize(kept);
+  for (std::uint32_t r = rows_; r-- > 0;)
+    for (std::uint32_t i = row_ptr_[r]; i < row_ptr_[r + 1]; ++i)
+      col_rows_[--col_ptr_[row_cols_[i]]] = r;
 }
 
 std::span<const std::uint32_t> SparseBinaryMatrix::row(std::uint32_t r) const {

@@ -21,6 +21,12 @@ class SparseBinaryMatrix {
 
   /// Build from an edge list.  Duplicate (row, col) entries are collapsed
   /// (binary matrix).  Entries must lie inside rows x cols (checked).
+  /// Counting passes, no comparison sort: the row ids are bucketed by
+  /// column, scattered into rows column by column (so each row's columns
+  /// come out ascending and duplicates adjacent), deduplicated in place,
+  /// and the CSC is filled from the rows in row order.  O(nnz + rows +
+  /// cols) for any row length; the entry list is released after the first
+  /// pass, so the peak stays under entries + CSR + CSC.
   SparseBinaryMatrix(std::uint32_t rows, std::uint32_t cols,
                      std::vector<Entry> entries);
 
