@@ -26,6 +26,7 @@
 #include "util/interrupt.h"
 #include "util/parallel.h"
 #include "util/rng.h"
+#include "util/stats.h"
 #include "util/watchdog.h"
 
 namespace fecsched::api {
@@ -442,7 +443,7 @@ void DelayOutcome::add(const StreamTrialResult& r) {
   ++trials;
 }
 
-void DelayOutcome::finish() { std::sort(delays.begin(), delays.end()); }
+void DelayOutcome::finish() { sort_doubles(delays); }
 
 void MpathOutcome::add(const MpathTrialResult& r) {
   DelayOutcome::add(r.stream);

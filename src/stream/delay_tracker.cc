@@ -91,7 +91,7 @@ DelaySummary DelayTracker::summary() const {
   s.lost = residual_.lost;
   if (delays_.empty()) return s;
   std::vector<double> sorted = delays_;
-  std::sort(sorted.begin(), sorted.end());
+  sort_doubles(sorted);
   double sum = 0.0;
   for (double d : sorted) sum += d;
   const double n = static_cast<double>(sorted.size());

@@ -14,6 +14,15 @@ namespace fecsched {
 [[nodiscard]] double sorted_percentile(const std::vector<double>& sorted,
                                        double pct) noexcept;
 
+/// Sorts `v` ascending in linear time: an LSD radix sort on order-preserving
+/// 64-bit keys (the bits with the sign bit flipped for values >= +0.0, every
+/// bit flipped below), one counting pass per key byte that varies across
+/// `v`.  For any input without NaN the result equals std::sort's; where
+/// std::sort leaves -0.0 and +0.0 in either order, -0.0 comes first here.
+/// Allocates one v.size()-element scratch buffer per call (none when every
+/// element has the same bits) and keeps nothing between calls.
+void sort_doubles(std::vector<double>& v);
+
 /// Welford online accumulator for mean / variance / extrema.
 /// Numerically stable; O(1) memory regardless of sample count.
 class RunningStats {

@@ -1,9 +1,12 @@
-// Unit tests for the deterministic PRNG, the statistics helpers and
-// CRC-32 against its byte-at-a-time table loop.
+// Unit tests for the deterministic PRNG, the statistics helpers,
+// sort_doubles against std::sort, and CRC-32 against its byte-at-a-time
+// table loop.
 
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <set>
 #include <span>
 #include <vector>
@@ -256,6 +259,102 @@ TEST(RunningStats, MergeWithEmpty) {
   EXPECT_DOUBLE_EQ(a.mean(), mean);
   empty.merge(a);
   EXPECT_DOUBLE_EQ(empty.mean(), mean);
+}
+
+// ------------------------------------------------------------ sort_doubles
+
+// Delay-like and adversarial inputs for the sort oracle.  None holds -0.0:
+// std::sort may leave it on either side of +0.0.
+enum class Shape {
+  kAllEqual,
+  kMostlyZero,
+  kIntegers,
+  kFractional,
+  kNearSorted,
+  kWideRange,
+  kNegatives,
+};
+
+std::vector<double> sort_input(Shape shape, std::size_t n, Rng& rng) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kTiny = std::numeric_limits<double>::denorm_min();
+  std::vector<double> v(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    double& x = v[i];
+    switch (shape) {
+      case Shape::kAllEqual:
+        x = 37.5;
+        break;
+      case Shape::kMostlyZero:  // most sliding-window delays are 0 slots
+        x = rng.below(10) < 9 ? 0.0 : static_cast<double>(rng.below(8));
+        break;
+      case Shape::kIntegers:
+        x = static_cast<double>(rng.below(12001));
+        break;
+      case Shape::kFractional:
+        x = rng.uniform01() * 400.0;
+        break;
+      case Shape::kNearSorted:
+        x = static_cast<double>(i) * 0.25;
+        break;
+      case Shape::kWideRange:  // 1e-300..1e300, subnormals, +inf
+        switch (rng.below(8)) {
+          case 0: x = kTiny * static_cast<double>(rng.below(1000)); break;
+          case 1: x = kInf; break;
+          case 2: x = std::numeric_limits<double>::max(); break;
+          default:
+            x = rng.uniform01() * std::pow(10.0, static_cast<double>(
+                                                     rng.below(601)) - 300.0);
+        }
+        break;
+      case Shape::kNegatives:  // both signs, -inf and negative subnormals
+        switch (rng.below(8)) {
+          case 0: x = -kTiny * static_cast<double>(1 + rng.below(1000)); break;
+          case 1: x = rng.below(2) ? -kInf : kInf; break;
+          default: x = (rng.uniform01() - 0.5) * 2e6;
+        }
+        break;
+    }
+  }
+  if (shape == Shape::kNearSorted)
+    for (std::size_t swaps = n / 50; swaps-- > 0;)
+      std::swap(v[rng.below(n)], v[rng.below(n)]);
+  return v;
+}
+
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
+TEST(SortDoublesOracle, MatchesStdSortBitForBit) {
+  std::vector<std::size_t> sizes;
+  for (std::size_t n = 0; n <= 70; ++n) sizes.push_back(n);
+  sizes.push_back(10000);
+  sizes.push_back(30000);
+  Rng rng(0x5047);
+  for (const Shape shape :
+       {Shape::kAllEqual, Shape::kMostlyZero, Shape::kIntegers,
+        Shape::kFractional, Shape::kNearSorted, Shape::kWideRange,
+        Shape::kNegatives}) {
+    for (const std::size_t n : sizes) {
+      std::vector<double> v = sort_input(shape, n, rng);
+      std::vector<double> expected = v;
+      std::sort(expected.begin(), expected.end());
+      sort_doubles(v);
+      ASSERT_TRUE(same_bits(v, expected))
+          << "shape " << static_cast<int>(shape) << " size " << n;
+    }
+  }
+}
+
+TEST(SortDoublesOracle, NegativeZeroBeforePositiveZero) {
+  std::vector<double> v = {0.0, -0.0, 1.0, -0.0, 0.0, -1.0, 0.0};
+  sort_doubles(v);
+  EXPECT_TRUE(same_bits(v, {-1.0, -0.0, -0.0, 0.0, 0.0, 0.0, 1.0}));
+  EXPECT_TRUE(std::signbit(v[1]) && std::signbit(v[2]));
+  EXPECT_FALSE(std::signbit(v[3]) || std::signbit(v[4]) || std::signbit(v[5]));
 }
 
 // The reflected 0xEDB88320 table loop, one lookup per byte: the oracle
