@@ -25,6 +25,17 @@ void PeelingDecoder::rebind(const SparseBinaryMatrix& h, std::uint32_t k,
   known_.resize(h.cols());
   row_unknowns_.resize(h.rows());
   row_xor_id_.resize(h.rows());
+  // Every variable unknown: each row's degree and the XOR of its column
+  // ids.  reset() copies this instead of walking H once per trial.
+  initial_unknowns_.resize(h.rows());
+  initial_xor_id_.resize(h.rows());
+  for (std::uint32_t r = 0; r < h.rows(); ++r) {
+    const auto cols = h.row(r);
+    initial_unknowns_[r] = static_cast<std::uint32_t>(cols.size());
+    std::uint32_t x = 0;
+    for (std::uint32_t c : cols) x ^= c;
+    initial_xor_id_[r] = x;
+  }
   if (symbol_size_ > 0) {
     symbols_.resize(static_cast<std::size_t>(h.cols()) * symbol_size_);
     row_acc_.resize(static_cast<std::size_t>(h.rows()) * symbol_size_);
@@ -37,13 +48,10 @@ void PeelingDecoder::rebind(const SparseBinaryMatrix& h, std::uint32_t k,
 
 void PeelingDecoder::reset() {
   std::fill(known_.begin(), known_.end(), 0);
-  for (std::uint32_t r = 0; r < h_->rows(); ++r) {
-    const auto cols = h_->row(r);
-    row_unknowns_[r] = static_cast<std::uint32_t>(cols.size());
-    std::uint32_t x = 0;
-    for (std::uint32_t c : cols) x ^= c;
-    row_xor_id_[r] = x;
-  }
+  std::copy(initial_unknowns_.begin(), initial_unknowns_.end(),
+            row_unknowns_.begin());
+  std::copy(initial_xor_id_.begin(), initial_xor_id_.end(),
+            row_xor_id_.begin());
   if (symbol_size_ > 0) {
     std::fill(symbols_.begin(), symbols_.end(), 0);
     std::fill(row_acc_.begin(), row_acc_.end(), 0);

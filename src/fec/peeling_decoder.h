@@ -16,7 +16,9 @@
 //
 // Per-row state is O(1): an unknown-counter plus the XOR of unknown
 // variable ids, which yields the last unknown's id without scanning the
-// row.  Total work is O(nnz) across a whole decode.
+// row.  Total work is O(nnz) across a whole decode.  rebind() computes the
+// all-unknown row state once per matrix, so reset() is two array copies
+// rather than a walk over H.
 
 #pragma once
 
@@ -112,6 +114,8 @@ class PeelingDecoder {
   std::vector<char> known_;                 // per variable
   std::vector<std::uint32_t> row_unknowns_; // per equation
   std::vector<std::uint32_t> row_xor_id_;   // XOR of unknown ids per equation
+  std::vector<std::uint32_t> initial_unknowns_;  // row degrees, for reset()
+  std::vector<std::uint32_t> initial_xor_id_;    // XOR of each row's ids
   std::vector<std::uint8_t> symbols_;       // n * symbol_size (payload mode)
   std::vector<std::uint8_t> row_acc_;       // rows * symbol_size (payload mode)
   std::vector<std::uint32_t> ready_rows_;   // scratch stack
