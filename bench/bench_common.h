@@ -27,6 +27,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <exception>
 #include <iostream>
 #include <limits>
 #include <string>
@@ -206,13 +207,20 @@ inline obs::LedgerRecord make_bench_record(const std::string& name,
 
 /// Append a bench provenance record when the scale carries a ledger path
 /// (--ledger= / FECSCHED_LEDGER); with no ledger configured this is free.
+/// A ledger that cannot take the record ends the bench like a bad flag:
+/// `<name>: --ledger: <reason>` on stderr and exit 2.
 inline void append_bench_record(const Scale& s, const std::string& name,
                                 unsigned threads, double wall_seconds,
                                 api::Json extra = api::Json()) {
   if (s.ledger.empty()) return;
-  obs::append_record(
-      s.ledger, make_bench_record(name, s, threads, wall_seconds,
-                                  std::move(extra)));
+  try {
+    obs::append_record(
+        s.ledger, make_bench_record(name, s, threads, wall_seconds,
+                                    std::move(extra)));
+  } catch (const std::exception& e) {
+    std::cerr << name << ": --ledger: " << e.what() << "\n";
+    std::exit(2);
+  }
 }
 
 inline void print_banner(const std::string& title, const Scale& s) {
