@@ -224,6 +224,15 @@ if [ -x ./bench_codec_speed ]; then
     exit 1
   fi
 fi
+#    A ledger that cannot take the bench's record likewise exits 2 naming
+#    --ledger, after the measurement, never an uncaught exception.
+rc=0
+./bench_packetize --k=200 --trials=10 --ledger=/dev/null > /dev/null \
+  2> BENCH_scale_err.txt || rc=$?
+if [ "$rc" -ne 2 ] || ! grep -q -- --ledger BENCH_scale_err.txt; then
+  echo "BUG: bench_packetize --ledger=/dev/null exited $rc, want 2 naming the flag"
+  exit 1
+fi
 echo "observability gate: traces validate, residuals cross-check, disabled path free"
 
 # Cross-run observability gate (obs/ledger.h, obs/regress.h,
@@ -470,15 +479,18 @@ echo "net gate: wire round-trips fuzz-clean, loopback matches simulation on back
 
 # Sanitizer gate: the decoders, receivers and observers, the GF kernels,
 # RSE codec and payload sessions, the grid trial loop, the engines over
-# the transmission core (golden table, scenario API), and both CRC-32
-# callers (the net wire format and the FLUTE LCT header), again under
+# the transmission core (golden table, scenario API), both CRC-32 callers
+# (the net wire format and the FLUTE LCT header), and the LDGM graph
+# build with its peeling and Gaussian-elimination decoders, again under
 # AddressSanitizer + UndefinedBehaviorSanitizer, with libstdc++'s bounds
 # assertions on (the sliding-window decoder indexes its state by seq; the
 # inversion indexes padded rows and the batch kernels run blocked loop
 # bounds; on a PCLMULQDQ host the CRC fold's unaligned 16-byte loads run
-# under ASan through util_test, net_test and flute_test), from a second
-# build of the library and those test binaries only (benches, examples
-# and tools off) in .asan_build/.
+# under ASan through util_test, net_test and flute_test; the matrix's
+# counting passes scatter through computed offsets, and sort_doubles
+# through its radix buckets in util_test), from a second build of the
+# library and those test binaries only (benches, examples and tools off)
+# in .asan_build/.
 # -fno-sanitize-recover=all makes every report abort its binary, so any
 # report fails CI.
 cd ..
@@ -491,7 +503,8 @@ sanitized="stream_test mpath_test net_test fuzz_robustness_test obs_test
   gf256_kernels_test gf256_test rse_test rse_payload_test session_test
   trial_grid_test experiment_test hotpath_obs_test api_test
   transmission_golden_test channel_test util_test sched_test
-  block_partition_test flute_test"
+  block_partition_test flute_test sparse_matrix_test ldgm_test
+  irregular_ldgm_test peeling_test ge_test"
 cmake --build .asan_build -j "$(nproc)" --target $sanitized
 for t in $sanitized; do
   ASAN_OPTIONS=abort_on_error=1 UBSAN_OPTIONS=print_stacktrace=1 \
