@@ -1,6 +1,7 @@
 #include "fec/sparse_matrix.h"
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
 
 namespace fecsched {
@@ -22,6 +23,8 @@ void counts_to_ends(std::vector<std::uint32_t>& ptr) {
 SparseBinaryMatrix::SparseBinaryMatrix(std::uint32_t rows, std::uint32_t cols,
                                        std::vector<Entry> entries)
     : rows_(rows), cols_(cols) {
+  if (entries.size() > std::numeric_limits<std::uint32_t>::max())
+    throw std::invalid_argument("SparseBinaryMatrix: offsets are 32-bit");
   for (const Entry& e : entries)
     if (e.row >= rows || e.col >= cols)
       throw std::invalid_argument("SparseBinaryMatrix: entry out of range");
