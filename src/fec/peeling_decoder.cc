@@ -23,8 +23,6 @@ void PeelingDecoder::rebind(const SparseBinaryMatrix& h, std::uint32_t k,
   k_ = k;
   symbol_size_ = symbol_size;
   known_.resize(h.cols());
-  row_unknowns_.resize(h.rows());
-  row_xor_id_.resize(h.rows());
   // Every variable unknown: each row's degree and the XOR of its column
   // ids.  reset() copies this instead of walking H once per trial.
   initial_unknowns_.resize(h.rows());
@@ -48,10 +46,8 @@ void PeelingDecoder::rebind(const SparseBinaryMatrix& h, std::uint32_t k,
 
 void PeelingDecoder::reset() {
   std::fill(known_.begin(), known_.end(), 0);
-  std::copy(initial_unknowns_.begin(), initial_unknowns_.end(),
-            row_unknowns_.begin());
-  std::copy(initial_xor_id_.begin(), initial_xor_id_.end(),
-            row_xor_id_.begin());
+  row_unknowns_ = initial_unknowns_;
+  row_xor_id_ = initial_xor_id_;
   if (symbol_size_ > 0) {
     std::fill(symbols_.begin(), symbols_.end(), 0);
     std::fill(row_acc_.begin(), row_acc_.end(), 0);

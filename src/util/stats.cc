@@ -13,8 +13,8 @@ namespace {
 
 constexpr std::uint64_t kSignBit = std::uint64_t{1} << 63;
 
-// Keys live in the doubles' own storage while the sort runs; memcpy moves
-// the bits without a floating-point load.
+// Keys live in the doubles' own storage while the sort runs, moved by
+// memcpy rather than read through a cast pointer.
 std::uint64_t load_bits(const double* p) noexcept {
   std::uint64_t bits;
   std::memcpy(&bits, p, sizeof bits);
@@ -71,13 +71,9 @@ void sort_doubles(std::vector<double>& v) {
     store_bits(data + i, key);
     varying |= key ^ first;
   }
-  std::unique_ptr<double[]> scratch;
+  const auto scratch = std::make_unique_for_overwrite<double[]>(n);
   double* src = data;
-  double* dst = nullptr;
-  if (varying != 0) {
-    scratch = std::make_unique_for_overwrite<double[]>(n);
-    dst = scratch.get();
-  }
+  double* dst = scratch.get();
   for (unsigned shift = 0; shift < 64; shift += 8) {
     if (((varying >> shift) & 0xff) == 0) continue;
     radix_pass(src, dst, n, shift);

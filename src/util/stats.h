@@ -19,8 +19,8 @@ namespace fecsched {
 /// bit flipped below), one counting pass per key byte that varies across
 /// `v`.  For any input without NaN the result equals std::sort's; where
 /// std::sort leaves -0.0 and +0.0 in either order, -0.0 comes first here.
-/// Allocates one v.size()-element scratch buffer per call (none when every
-/// element has the same bits) and keeps nothing between calls.
+/// Allocates one v.size()-element scratch buffer per call and keeps
+/// nothing between calls.
 void sort_doubles(std::vector<double>& v);
 
 /// Welford online accumulator for mean / variance / extrema.
