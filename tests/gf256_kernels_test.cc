@@ -484,29 +484,45 @@ TEST(TrialWorkspace, StreamTrialReuseIsBitIdentical) {
 }
 
 TEST(TrialWorkspace, MpathTrialReuseIsBitIdentical) {
+  // One workspace through 1-, 3- and then 2-path sets: a trial on fewer
+  // paths must not see what a wider one left behind.
+  const std::vector<std::vector<PathSpec>> path_sets = {
+      {PathSpec::gilbert(0.05, 0.4, 5.0, 1.0)},
+      {PathSpec::gilbert(0.05, 0.4, 5.0, 0.5),
+       PathSpec::gilbert(0.05, 0.4, 20.0, 1.0),
+       PathSpec::gilbert(0.05, 0.4, 45.0, 1.0)},
+      {PathSpec::gilbert(0.05, 0.4, 5.0, 1.0),
+       PathSpec::gilbert(0.05, 0.4, 45.0, 1.0)}};
   MpathTrialWorkspace ws;
   for (const StreamScheme scheme :
        {StreamScheme::kSlidingWindow, StreamScheme::kReplication,
         StreamScheme::kBlockRse, StreamScheme::kLdgm}) {
-    MpathTrialConfig cfg;
-    cfg.stream.scheme = scheme;
-    cfg.stream.scheduling = StreamScheduling::kSequential;
-    cfg.stream.source_count = 300;
-    cfg.stream.overhead = 0.25;
-    cfg.stream.window = 32;
-    cfg.stream.block_k = 32;
-    cfg.paths = {PathSpec::gilbert(0.05, 0.4, 5.0, 1.0),
-                 PathSpec::gilbert(0.05, 0.4, 45.0, 1.0)};
-    cfg.scheduler = PathScheduling::kRoundRobin;
-    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
-      const MpathTrialResult fresh = run_mpath_trial(cfg, seed);
-      const MpathTrialResult reused = run_mpath_trial(cfg, seed, ws);
-      expect_same_stream_result(fresh.stream, reused.stream);
-      EXPECT_EQ(fresh.reordered, reused.reordered);
-      ASSERT_EQ(fresh.path_reports.size(), reused.path_reports.size());
-      for (std::size_t i = 0; i < fresh.paths.size(); ++i) {
-        EXPECT_EQ(fresh.paths[i].sent, reused.paths[i].sent);
-        EXPECT_EQ(fresh.paths[i].lost, reused.paths[i].lost);
+    for (const std::vector<PathSpec>& paths : path_sets) {
+      MpathTrialConfig cfg;
+      cfg.stream.scheme = scheme;
+      cfg.stream.scheduling = StreamScheduling::kSequential;
+      cfg.stream.source_count = 300;
+      cfg.stream.overhead = 0.25;
+      cfg.stream.window = 32;
+      cfg.stream.block_k = 32;
+      cfg.paths = paths;
+      cfg.scheduler = PathScheduling::kRoundRobin;
+      for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+        const MpathTrialResult fresh = run_mpath_trial(cfg, seed);
+        const MpathTrialResult reused = run_mpath_trial(cfg, seed, ws);
+        expect_same_stream_result(fresh.stream, reused.stream);
+        EXPECT_EQ(fresh.reordered, reused.reordered);
+        ASSERT_EQ(fresh.paths.size(), paths.size());
+        ASSERT_EQ(reused.paths.size(), paths.size());
+        ASSERT_EQ(reused.path_reports.size(), paths.size());
+        for (std::size_t i = 0; i < paths.size(); ++i) {
+          EXPECT_EQ(fresh.paths[i].sent, reused.paths[i].sent);
+          EXPECT_EQ(fresh.paths[i].lost, reused.paths[i].lost);
+          EXPECT_EQ(fresh.path_reports[i].ok_to_loss,
+                    reused.path_reports[i].ok_to_loss);
+          EXPECT_EQ(fresh.path_reports[i].loss_to_ok,
+                    reused.path_reports[i].loss_to_ok);
+        }
       }
     }
   }

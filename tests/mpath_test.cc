@@ -5,6 +5,8 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -19,6 +21,7 @@
 #include "sim/mpath_sweep.h"
 #include "sim/stream_delay.h"
 #include "stream/stream_trial.h"
+#include "util/rng.h"
 
 namespace fecsched {
 namespace {
@@ -150,6 +153,90 @@ TEST(Resequencer, OrdersByTimePhaseOrder) {
   EXPECT_EQ(events[1].value, 13u);  // then order 2
   EXPECT_EQ(events[2].value, 11u);  // then order 5
   EXPECT_EQ(events[3].value, 10u);  // t=2 last
+}
+
+/// The sort-based drain: every event in (time, phase, order) order.  The
+/// oracle for the resequencer's replay order.
+std::vector<RxEvent> sorted_drain(std::vector<RxEvent> events) {
+  std::sort(events.begin(), events.end(),
+            [](const RxEvent& a, const RxEvent& b) {
+              return std::tie(a.time, a.phase, a.order) <
+                     std::tie(b.time, b.phase, b.order);
+            });
+  return events;
+}
+
+/// The resequencer calls the oracle test makes.
+void start_runs(Resequencer& rq, std::size_t /*runs*/) { rq.clear(); }
+void push_run(Resequencer& rq, std::size_t /*run*/, const RxEvent& ev) {
+  rq.push(ev);
+}
+std::vector<RxEvent> drained(Resequencer& rq) { return rq.drain(); }
+
+/// Random runs as a multipath trial pushes them: each run in
+/// (time, phase, order) order except, in some cases, one run pushed
+/// shuffled.  Times sit on a half-slot grid, so equal times within and
+/// across runs are common; both phases occur, and every (time, phase,
+/// order) key is unique, as the trial's keys are.
+TEST(Resequencer, MergeMatchesSortedDrain) {
+  Rng rng(0x5e9u);
+  Resequencer rq;  // reused: no case may see another's events
+  constexpr std::size_t kSizes[] = {0, 1, 2, 5000};
+  for (int c = 0; c < 48; ++c) {
+    const std::size_t runs = 1 + c % 6;
+    std::vector<std::vector<RxEvent>> run(runs);
+    std::size_t total = 0;
+    for (std::size_t r = 0; r < runs; ++r) {
+      const std::size_t n = rng.bernoulli(0.3) ? kSizes[rng.below(4)]
+                                               : rng.below(5001);
+      double t = static_cast<double>(rng.below(8));
+      for (std::size_t i = 0; i < n; ++i) {
+        t += 0.5 * static_cast<double>(rng.below(4));
+        RxEvent ev;
+        ev.time = t;
+        ev.phase = static_cast<std::uint32_t>(rng.below(2));
+        ev.kind = static_cast<std::uint32_t>(r);
+        ev.value = total + i;
+        run[r].push_back(ev);
+      }
+      total += n;
+    }
+    // Unique orders, then each run in key order.
+    std::vector<std::uint64_t> orders(total);
+    for (std::size_t i = 0; i < total; ++i) orders[i] = i;
+    shuffle(std::span<std::uint64_t>(orders), rng);
+    std::size_t next = 0;
+    for (std::vector<RxEvent>& events : run) {
+      for (RxEvent& ev : events) ev.order = orders[next++];
+      events = sorted_drain(std::move(events));
+    }
+    const bool shuffled = c % 3 == 2;
+    if (shuffled)
+      shuffle(std::span<RxEvent>(run[rng.below(runs)]), rng);
+
+    start_runs(rq, runs);
+    std::vector<RxEvent> all;
+    std::vector<std::size_t> cursor(runs, 0);
+    for (std::size_t left = total; left > 0; --left) {
+      std::size_t r = rng.below(runs);
+      while (cursor[r] == run[r].size()) r = (r + 1) % runs;
+      const RxEvent& ev = run[r][cursor[r]++];
+      push_run(rq, r, ev);
+      all.push_back(ev);
+    }
+    ASSERT_EQ(rq.size(), total);
+    const std::vector<RxEvent> want = sorted_drain(all);
+    const std::vector<RxEvent> got = drained(rq);
+    ASSERT_EQ(got.size(), want.size()) << "case " << c;
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      ASSERT_EQ(std::tie(got[i].time, got[i].phase, got[i].order,
+                         got[i].kind, got[i].value),
+                std::tie(want[i].time, want[i].phase, want[i].order,
+                         want[i].kind, want[i].value))
+          << "case " << c << " (" << runs << " runs"
+          << (shuffled ? ", one shuffled" : "") << "), event " << i;
+    }
+  }
 }
 
 // ------------------------------------------------- degenerate-config oracle

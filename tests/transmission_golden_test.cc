@@ -18,6 +18,7 @@
 #include <string>
 #include <string_view>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "channel/gilbert.h"
@@ -189,18 +190,54 @@ TEST(TransmissionGolden, MpathTrials) {
       {"earliest-arrival/block-rse/interleaved", 0x35ae617e6d83eda6ULL},
       {"earliest-arrival/ldgm/sequential", 0xac1b0fa94d301f39ULL},
       {"earliest-arrival/ldgm/interleaved", 0x230798537b3ed25eULL},
+      {"weighted/3-path/sliding-window/sequential", 0xb7a467f7bbd057a8ULL},
+      {"weighted/3-path/sliding-window/interleaved", 0x3b9450d41e14d155ULL},
+      {"weighted/3-path/replication/sequential", 0xe1354eb9fa90db7eULL},
+      {"weighted/3-path/replication/interleaved", 0x7e18def28431587eULL},
+      {"weighted/3-path/block-rse/sequential", 0x504398192cec6915ULL},
+      {"weighted/3-path/block-rse/interleaved", 0x614eb4fdbe4f554aULL},
+      {"weighted/3-path/ldgm/sequential", 0x8272bc163faf61a5ULL},
+      {"weighted/3-path/ldgm/interleaved", 0xf739a376fd3dd8b8ULL},
+      {"split/3-path/sliding-window/sequential", 0x706a056c4a12e010ULL},
+      {"split/3-path/sliding-window/interleaved", 0xcae91c42a5ffc6deULL},
+      {"split/3-path/replication/sequential", 0x899807d5428f982fULL},
+      {"split/3-path/replication/interleaved", 0x0b488bc82a85c7fcULL},
+      {"split/3-path/block-rse/sequential", 0xb7df6334835f5ad6ULL},
+      {"split/3-path/block-rse/interleaved", 0x527ad74fb5ea106aULL},
+      {"split/3-path/ldgm/sequential", 0xb1f3214d00d99b0aULL},
+      {"split/3-path/ldgm/interleaved", 0xf27c38002292703dULL},
+      {"earliest-arrival/3-path/sliding-window/sequential", 0x452e4d5d442cca9cULL},
+      {"earliest-arrival/3-path/sliding-window/interleaved", 0x1b0fdc6aee138c62ULL},
+      {"earliest-arrival/3-path/replication/sequential", 0x1f24ed7fac0d698eULL},
+      {"earliest-arrival/3-path/replication/interleaved", 0x6279c18f2771f36fULL},
+      {"earliest-arrival/3-path/block-rse/sequential", 0x767567fe21083f65ULL},
+      {"earliest-arrival/3-path/block-rse/interleaved", 0xb2f712ef007698c6ULL},
+      {"earliest-arrival/3-path/ldgm/sequential", 0xbecc29e5bc0cc242ULL},
+      {"earliest-arrival/3-path/ldgm/interleaved", 0x679c17a42920486eULL},
   };
+  // Two unqueued paths, and three paths whose fastest one carries half a
+  // packet per slot, so its departures queue behind each other.
+  const std::vector<PathSpec> two = {PathSpec::gilbert(0.05, 0.3, 5.0, 1.0),
+                                     PathSpec::gilbert(0.05, 0.3, 45.0, 1.0)};
+  const std::vector<PathSpec> three = {
+      PathSpec::gilbert(0.05, 0.3, 5.0, 0.5),
+      PathSpec::gilbert(0.05, 0.3, 20.0, 1.0),
+      PathSpec::gilbert(0.05, 0.3, 45.0, 1.0)};
+  const std::pair<PathScheduling, const std::vector<PathSpec>*> setups[] = {
+      {PathScheduling::kRoundRobin, &two},
+      {PathScheduling::kEarliestArrival, &two},
+      {PathScheduling::kWeighted, &three},
+      {PathScheduling::kSplit, &three},
+      {PathScheduling::kEarliestArrival, &three}};
   std::size_t i = 0;
-  for (const PathScheduling scheduler :
-       {PathScheduling::kRoundRobin, PathScheduling::kEarliestArrival})
+  for (const auto& [scheduler, paths] : setups)
     for (const StreamScheme scheme : kSchemes)
       for (const StreamScheduling sched :
            {StreamScheduling::kSequential, StreamScheduling::kInterleaved}) {
         ASSERT_LT(i, std::size(cases));
         MpathTrialConfig cfg;
         cfg.stream = small_stream(scheme, sched);
-        cfg.paths = {PathSpec::gilbert(0.05, 0.3, 5.0, 1.0),
-                     PathSpec::gilbert(0.05, 0.3, 45.0, 1.0)};
+        cfg.paths = *paths;
         cfg.scheduler = scheduler;
         const auto add = [](Hash& h, const MpathTrialResult& r) {
           add_result(h, r.stream);
