@@ -75,17 +75,17 @@ TEST(Analytic, Fig6BoundaryShape) {
 TEST(OptimalNsent, ValidatesInput) {
   NsentRequest r;
   r.k = 0;
-  EXPECT_THROW(optimal_nsent(r), std::invalid_argument);
+  EXPECT_THROW((void)optimal_nsent(r), std::invalid_argument);
   r.k = 10;
   r.inefficiency = 0.5;
-  EXPECT_THROW(optimal_nsent(r), std::invalid_argument);
+  EXPECT_THROW((void)optimal_nsent(r), std::invalid_argument);
   r.inefficiency = 1.0;
   r.p = 0.5;
   r.q = 0.0;
-  EXPECT_THROW(optimal_nsent(r), std::invalid_argument);  // p_global = 1
+  EXPECT_THROW((void)optimal_nsent(r), std::invalid_argument);  // p_global = 1
   r.q = 0.5;
   r.tolerance_fraction = -0.1;
-  EXPECT_THROW(optimal_nsent(r), std::invalid_argument);
+  EXPECT_THROW((void)optimal_nsent(r), std::invalid_argument);
 }
 
 TEST(OptimalNsent, PerfectChannelIsExactlyInefTimesK) {
@@ -137,7 +137,7 @@ TEST(OptimalNsentBytes, RejectsZeroPayload) {
   ByteNsentRequest r;
   r.object_bytes = 1000;
   r.packet_payload_bytes = 0;
-  EXPECT_THROW(optimal_nsent_bytes(r), std::invalid_argument);
+  EXPECT_THROW((void)optimal_nsent_bytes(r), std::invalid_argument);
 }
 
 TEST(OptimalNsentBytes, RoundsObjectUp) {

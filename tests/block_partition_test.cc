@@ -126,13 +126,13 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(RsePlan, PositionRejectsBadId) {
   const RsePlan plan(100, 1.5);
-  EXPECT_THROW(plan.position(plan.n()), std::invalid_argument);
+  EXPECT_THROW((void)plan.position(plan.n()), std::invalid_argument);
 }
 
 TEST(RsePlan, PacketIdRejectsBadIndex) {
   const RsePlan plan(100, 1.5);
-  EXPECT_THROW(plan.packet_id(0, plan.block(0).n), std::invalid_argument);
-  EXPECT_THROW(plan.packet_id(plan.block_count(), 0), std::out_of_range);
+  EXPECT_THROW((void)plan.packet_id(0, plan.block(0).n), std::invalid_argument);
+  EXPECT_THROW((void)plan.packet_id(plan.block_count(), 0), std::out_of_range);
 }
 
 TEST(RsePlan, RoundRobinOrderWithinBlockIsSequential) {

@@ -122,7 +122,9 @@ TEST(GilbertModel, QZeroAbsorbs) {
   bool seen_loss = false;
   for (int i = 0; i < 10000; ++i) {
     const bool lost = ch.lost();
-    if (seen_loss) ASSERT_TRUE(lost) << "packet " << i;
+    if (seen_loss) {
+      ASSERT_TRUE(lost) << "packet " << i;
+    }
     seen_loss |= lost;
   }
   EXPECT_TRUE(seen_loss);

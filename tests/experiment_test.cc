@@ -149,7 +149,9 @@ TEST(TxModel5, InterleavingBeatsSequentialForRseUnderBursts) {
   }
   ASSERT_EQ(ok_i, 10);
   EXPECT_LT(ineff_i, 1.25);
-  if (ok_s == 10) EXPECT_GT(ineff_s, ineff_i);
+  if (ok_s == 10) {
+    EXPECT_GT(ineff_s, ineff_i);
+  }
 }
 
 // Sec. 4.8 / Fig. 13: under Tx_model_6, Staircase beats Triangle
@@ -186,7 +188,9 @@ TEST(TxModel2, RandomParityBeatsSequentialParityForLdgm) {
     if (r2.decoded) i2 += (r2.inefficiency(5000) - i2) / ++n2;
   }
   ASSERT_EQ(n2, 10);
-  if (n1 == 10) EXPECT_LE(i2, i1 + 1e-9);
+  if (n1 == 10) {
+    EXPECT_LE(i2, i1 + 1e-9);
+  }
 }
 
 TEST(Experiment, NSentTruncationAppliesToSchedule) {

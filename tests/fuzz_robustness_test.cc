@@ -327,12 +327,14 @@ TEST(FuzzTrialWorkspace, SlidingDecoderResetMatchesFreshDecoder) {
       }
       if ((s + 1) % cfg.repair_interval == 0) {
         const RepairPacket r = encoder.make_repair();
-        if (rng.below(4) != 0)
+        if (rng.below(4) != 0) {
           ASSERT_EQ(fresh.on_repair(r), reused->on_repair(r));
+        }
       }
-      if (s + 1 > cfg.window)
+      if (s + 1 > cfg.window) {
         ASSERT_EQ(fresh.give_up_before(s + 1 - cfg.window),
                   reused->give_up_before(s + 1 - cfg.window));
+      }
     }
     ASSERT_EQ(fresh.known_count(), reused->known_count());
     ASSERT_EQ(fresh.lost_count(), reused->lost_count());

@@ -203,7 +203,9 @@ TEST(LdgmTriangle, ContainsStaircaseAndOnlyFillsBelow) {
   const auto& h = code.matrix();
   for (std::uint32_t i = 0; i < 60; ++i) {
     EXPECT_TRUE(h.at(i, 100 + i));
-    if (i >= 1) EXPECT_TRUE(h.at(i, 100 + i - 1));
+    if (i >= 1) {
+      EXPECT_TRUE(h.at(i, 100 + i - 1));
+    }
     // Nothing above the diagonal.
     for (std::uint32_t j = i + 1; j < 60; ++j) EXPECT_FALSE(h.at(i, 100 + j));
   }

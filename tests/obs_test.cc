@@ -459,10 +459,10 @@ TEST(ObsTrace, EventJsonRoundTrip) {
 TEST(ObsTrace, EventJsonRejectsSchemaViolations) {
   api::Json j = obs::event_to_json(obs::TraceEvent{});
   j.set("bogus", api::Json::integer(1));
-  EXPECT_THROW(obs::event_from_json(j), std::invalid_argument);
+  EXPECT_THROW((void)obs::event_from_json(j), std::invalid_argument);
   api::Json unknown = api::Json::object();
   unknown.set("ev", api::Json("teleported"));
-  EXPECT_THROW(obs::event_from_json(unknown), std::invalid_argument);
+  EXPECT_THROW((void)obs::event_from_json(unknown), std::invalid_argument);
 }
 
 TEST(ObsTrace, FileRoundTrip) {

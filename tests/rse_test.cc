@@ -54,8 +54,8 @@ TEST(RseCodec, ParityRowsNonTrivial) {
 
 TEST(RseCodec, CoefficientRangeChecked) {
   const RseCodec codec(5, 12);
-  EXPECT_THROW(codec.coefficient(12, 0), std::invalid_argument);
-  EXPECT_THROW(codec.coefficient(0, 5), std::invalid_argument);
+  EXPECT_THROW((void)codec.coefficient(12, 0), std::invalid_argument);
+  EXPECT_THROW((void)codec.coefficient(0, 5), std::invalid_argument);
 }
 
 TEST(RseCodec, EncodeMatchesCoefficients) {
