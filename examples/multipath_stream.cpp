@@ -51,26 +51,30 @@ RunOutcome run(PathScheduling mode,
   SlidingWindowEncoder encoder(config, kSliceBytes);
   SlidingWindowDecoder decoder(config, kSliceBytes);
   DelayTracker tracker;
+  // One run per path (a FIFO path delivers in time order) plus one run of
+  // deadlines.
   Resequencer queue;
+  queue.reset(paths.size() + 1);
 
   // Sender pass: sources with interleaved repairs, one emission per slot,
-  // each mapped to a path.  Arrivals and per-source decode deadlines (one
-  // step past the last packet that could still recover the source) are
-  // collected for the resequenced receiver replay below.
+  // each mapped to a path.  Arrivals (into their path's run) and
+  // per-source decode deadlines (one step past the last packet that could
+  // still recover the source) are collected for the resequenced receiver
+  // replay below.
   const std::uint32_t W = config.window;
   const std::uint32_t interval = config.repair_interval;
   std::vector<RepairPacket> repairs;
   std::vector<double> resolve;     // (would-be) arrival time per emission
-  std::vector<char> delivered;
   std::vector<std::uint64_t> kind;  // source seq, or ~repair index
   std::vector<std::size_t> source_emission(kSlices);
   std::vector<std::size_t> repair_emission;
   const auto emit = [&](bool is_repair, std::uint64_t id) {
-    const double slot = static_cast<double>(resolve.size());
-    const Transmission tx =
-        paths.transmit(scheduler.pick(paths, slot, is_repair), slot);
+    const std::size_t e = resolve.size();
+    const double slot = static_cast<double>(e);
+    const std::size_t path = scheduler.pick(paths, slot, is_repair);
+    const Transmission tx = paths.transmit(path, slot);
+    if (!tx.lost) queue.push(path, tx.arrival, 1, e, 0, e);
     resolve.push_back(tx.arrival);
-    delivered.push_back(tx.lost ? 0 : 1);
     kind.push_back(is_repair ? ~id : id);
   };
   const auto emit_repair = [&] {
@@ -88,8 +92,6 @@ RunOutcome run(PathScheduling mode,
   for (std::uint32_t i = 0; i < (W + interval - 1) / interval; ++i)
     emit_repair();
 
-  for (std::size_t e = 0; e < resolve.size(); ++e)
-    if (delivered[e]) queue.push(resolve[e], 1, e, 0, e);
   std::vector<double> deadline(kSlices);
   for (std::uint32_t s = 0; s < kSlices; ++s)
     deadline[s] = std::max(resolve[source_emission[s]],
@@ -104,7 +106,7 @@ RunOutcome run(PathScheduling mode,
   double prefix_max = 0.0;
   for (std::uint32_t s = 0; s < kSlices; ++s) {
     prefix_max = std::max(prefix_max, deadline[s]);
-    queue.push(prefix_max + 1.0, 0, s, 1, s);
+    queue.push(paths.size(), prefix_max + 1.0, 0, s, 1, s);
   }
 
   // Receiver pass: resequenced replay with byte verification.
@@ -122,20 +124,20 @@ RunOutcome run(PathScheduling mode,
       out.corrupt += ok ? 0 : 1;
     }
   };
-  for (const RxEvent& ev : queue.drain()) {
-    if (ev.kind == 1) {  // deadline
-      for (std::uint64_t seq : decoder.give_up_before(ev.value + 1))
-        tracker.on_lost(seq, ev.time);
+  for (const RxEvent* ev : queue.drain()) {
+    if (ev->kind == 1) {  // deadline
+      for (std::uint64_t seq : decoder.give_up_before(ev->value + 1))
+        tracker.on_lost(seq, ev->time);
       continue;
     }
-    const std::uint64_t e = ev.value;
+    const std::uint64_t e = ev->value;
     if (any && e < max_emission) ++out.reordered;
     max_emission = std::max(max_emission, e);
     any = true;
     if (kind[e] < kSlices)
-      absorb(decoder.on_source(kind[e], slices[kind[e]]), ev.time);
+      absorb(decoder.on_source(kind[e], slices[kind[e]]), ev->time);
     else
-      absorb(decoder.on_repair(repairs[~kind[e]]), ev.time);
+      absorb(decoder.on_repair(repairs[~kind[e]]), ev->time);
   }
   out.delay = tracker.summary();
   out.lost = out.delay.lost;

@@ -53,12 +53,13 @@ struct PlanRecorder {
 };
 
 /// Dispatch every emission through the scheduler and the paths, filling
-/// the workspace transport buffers in place.
+/// the workspace transport buffers in place and pushing each delivered
+/// packet's arrival into its path's run of `queue` (run contract: see the
+/// header).
 void transmit_all(const std::vector<Emission>& emissions, PathSet& paths,
-                  PathScheduler& scheduler, Transport& t,
-                  const obs::Hook& hook) {
+                  PathScheduler& scheduler, std::uint32_t arrival_phase,
+                  Transport& t, Resequencer& queue, const obs::Hook& hook) {
   t.resolve.assign(emissions.size(), 0.0);
-  t.delivered.assign(emissions.size(), 0);
   for (auto& events : t.path_events) events.clear();
   t.path_events.resize(paths.size());
   for (std::size_t e = 0; e < emissions.size(); ++e) {
@@ -71,7 +72,7 @@ void transmit_all(const std::vector<Emission>& emissions, PathSet& paths,
       return paths.transmit(path, slot);
     });
     t.resolve[e] = tx.arrival;
-    t.delivered[e] = tx.lost ? 0 : 1;
+    if (!tx.lost) queue.push(path, tx.arrival, arrival_phase, e, kArrival, e);
     t.path_events[path].push_back(tx.lost);
     if (hook.tracing()) {
       const std::uint64_t id = emissions[e].id;
@@ -86,12 +87,12 @@ void transmit_all(const std::vector<Emission>& emissions, PathSet& paths,
 }
 
 /// Queue one deadline event per source (paced) or block (RSE), or one for
-/// the whole stream (LDGM).
+/// the whole stream (LDGM), into run `run`.
 void push_deadlines(const StreamCode& code,
                     const std::vector<Emission>& emissions,
                     const std::vector<std::size_t>& slid_after,
                     const Transport& transport, std::vector<double>& deadline,
-                    Resequencer& queue) {
+                    Resequencer& queue, std::size_t run) {
   const std::uint32_t S = code.config().source_count;
   const std::vector<double>& resolve = transport.resolve;
   if (code.paced()) {
@@ -124,7 +125,7 @@ void push_deadlines(const StreamCode& code,
     double prefix_max = 0.0;
     for (std::uint32_t s = 0; s < S; ++s) {
       prefix_max = std::max(prefix_max, deadline[s]);
-      queue.push(prefix_max + 1.0, 0, s, kDeadline, s);
+      queue.push(run, prefix_max + 1.0, 0, s, kDeadline, s);
     }
     return;
   }
@@ -140,10 +141,10 @@ void push_deadlines(const StreamCode& code,
       deadline[b] = std::max(deadline[b], resolve[e]);
     }
     for (std::uint32_t b = 0; b < plan->block_count(); ++b)
-      queue.push(deadline[b], 1, b, kDeadline, b);
+      queue.push(run, deadline[b], 1, b, kDeadline, b);
   } else {
-    queue.push(*std::max_element(resolve.begin(), resolve.end()) + 1.0, 1, 0,
-               kDeadline, 0);
+    queue.push(run, *std::max_element(resolve.begin(), resolve.end()) + 1.0,
+               1, 0, kDeadline, 0);
   }
 }
 
@@ -171,34 +172,31 @@ MpathTrialResult run_mpath_trial(const MpathTrialConfig& cfg,
   PlanRecorder recorder{ws.emissions, ws.slid_after};
   code.walk(recorder);
   const std::vector<Emission>& emissions = ws.emissions;
-  transmit_all(emissions, paths, scheduler, ws.transport, hook);
-  const Transport& transport = ws.transport;
-
   Resequencer& queue = ws.queue;
-  queue.clear();
-  const std::uint32_t arrival_phase = code.paced() ? 1 : 0;
-  for (std::size_t e = 0; e < emissions.size(); ++e)
-    if (transport.delivered[e])
-      queue.push(transport.resolve[e], arrival_phase, e, kArrival, e);
-  push_deadlines(code, emissions, ws.slid_after, transport, ws.deadline, queue);
+  queue.reset(paths.size() + 1);
+  transmit_all(emissions, paths, scheduler, code.paced() ? 1 : 0,
+               ws.transport, queue, hook);
+  const Transport& transport = ws.transport;
+  push_deadlines(code, emissions, ws.slid_after, transport, ws.deadline, queue,
+                 paths.size());
 
   std::uint64_t received = 0, reordered = 0, max_arrived = 0;
   bool any_arrived = false;
-  const std::vector<RxEvent>& rx = hook.timed(
+  const std::vector<const RxEvent*>& rx = hook.timed(
       obs::Phase::kResequence,
-      [&]() -> const std::vector<RxEvent>& { return queue.drain(); });
-  for (const RxEvent& ev : rx) {
-    const double t = ev.time;
-    if (ev.kind == kDeadline) {
+      [&]() -> const std::vector<const RxEvent*>& { return queue.drain(); });
+  for (const RxEvent* ev : rx) {
+    const double t = ev->time;
+    if (ev->kind == kDeadline) {
       if (code.paced())
-        receiver.give_up_before(ev.value + 1, t);
+        receiver.give_up_before(ev->value + 1, t);
       else if (code.rse())
-        receiver.release_block(static_cast<std::uint32_t>(ev.value), t);
+        receiver.release_block(static_cast<std::uint32_t>(ev->value), t);
       else
         receiver.flush(t);
       continue;
     }
-    const std::uint64_t e = ev.value;
+    const std::uint64_t e = ev->value;
     ++received;
     if (any_arrived && e < max_arrived) ++reordered;
     max_arrived = std::max(max_arrived, e);

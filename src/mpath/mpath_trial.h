@@ -27,6 +27,18 @@
 // source can time out earlier — its declaration waits so no
 // still-coverable predecessor is discarded).
 //
+// Resequencer runs: the driver pushes each delivered packet's arrival
+// into its path's run as the path transmits it, and every deadline into
+// one more run.  A path is a FIFO link — departures strictly increase
+// with the production slot and the propagation delay is constant — so
+// its arrivals come in time order, with emission order breaking equal
+// times.  The paced deadlines are running prefix maxima pushed by
+// source, so they never decrease, and LDGM pushes one.  Only the RSE
+// block deadlines (a block ends with its latest arrival, and under
+// interleaving or reordering a later block can end first) may come out
+// of order; Resequencer::drain sorts that run, about one event per
+// block, and merges the rest as they are.
+//
 // Degenerate-config oracle: a 1-path PathSet with zero delay and unit
 // capacity reproduces run_stream_trial *bit-identically* — same channel
 // substream (mpath/path seeding), same emission slots, same
@@ -52,7 +64,6 @@ namespace detail {
 /// mpath_trial.cc.
 struct MpathTransport {
   std::vector<double> resolve;    ///< (would-be) arrival time, by emission
-  std::vector<char> delivered;    ///< channel verdict, by emission
   std::vector<std::vector<bool>> path_events;  ///< loss trace per path
 };
 }  // namespace detail
@@ -98,7 +109,7 @@ struct MpathTrialWorkspace {
   std::vector<std::size_t> slid_after;  ///< paced: by source, see .cc
   detail::MpathTransport transport;
   std::vector<double> deadline;
-  Resequencer queue;
+  Resequencer queue;  ///< one run per path, then one of deadlines
 };
 
 /// Run one multipath trial.  All randomness (path channels, schedules,

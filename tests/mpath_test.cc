@@ -143,16 +143,17 @@ TEST(PathScheduler, EarliestArrivalPrefersFastUntilBacklogged) {
 
 TEST(Resequencer, OrdersByTimePhaseOrder) {
   Resequencer rq;
-  rq.push(2.0, 1, 0, 0, 10);
-  rq.push(1.0, 1, 5, 0, 11);
-  rq.push(1.0, 0, 9, 1, 12);
-  rq.push(1.0, 1, 2, 0, 13);
+  rq.reset(1);
+  rq.push(0, 2.0, 1, 0, 0, 10);
+  rq.push(0, 1.0, 1, 5, 0, 11);
+  rq.push(0, 1.0, 0, 9, 1, 12);
+  rq.push(0, 1.0, 1, 2, 0, 13);
   const auto& events = rq.drain();
   ASSERT_EQ(events.size(), 4u);
-  EXPECT_EQ(events[0].value, 12u);  // phase 0 first at t=1
-  EXPECT_EQ(events[1].value, 13u);  // then order 2
-  EXPECT_EQ(events[2].value, 11u);  // then order 5
-  EXPECT_EQ(events[3].value, 10u);  // t=2 last
+  EXPECT_EQ(events[0]->value, 12u);  // phase 0 first at t=1
+  EXPECT_EQ(events[1]->value, 13u);  // then order 2
+  EXPECT_EQ(events[2]->value, 11u);  // then order 5
+  EXPECT_EQ(events[3]->value, 10u);  // t=2 last
 }
 
 /// The sort-based drain: every event in (time, phase, order) order.  The
@@ -167,11 +168,15 @@ std::vector<RxEvent> sorted_drain(std::vector<RxEvent> events) {
 }
 
 /// The resequencer calls the oracle test makes.
-void start_runs(Resequencer& rq, std::size_t /*runs*/) { rq.clear(); }
-void push_run(Resequencer& rq, std::size_t /*run*/, const RxEvent& ev) {
-  rq.push(ev);
+void start_runs(Resequencer& rq, std::size_t runs) { rq.reset(runs); }
+void push_run(Resequencer& rq, std::size_t run, const RxEvent& ev) {
+  rq.push(run, ev);
 }
-std::vector<RxEvent> drained(Resequencer& rq) { return rq.drain(); }
+std::vector<RxEvent> drained(Resequencer& rq) {
+  std::vector<RxEvent> events;
+  for (const RxEvent* ev : rq.drain()) events.push_back(*ev);
+  return events;
+}
 
 /// Random runs as a multipath trial pushes them: each run in
 /// (time, phase, order) order except, in some cases, one run pushed
