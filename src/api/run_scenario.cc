@@ -366,6 +366,9 @@ ScenarioResult run_mpath_engine(const ScenarioSpec& spec,
   const std::uint64_t measured =
       std::uint64_t{variants.size()} * spec.run.trials;
   announce_trials(measured + (spec.adapt.enabled ? spec.adapt.warmup : 0));
+  // Every probe and measured trial runs in one workspace (the trials are
+  // serial; reuse saves allocations and changes no output).
+  MpathTrialWorkspace ws;
 
   if (spec.adapt.enabled) {
     // Warm up a PathAdapter on round-robin probe trials (every path sees
@@ -378,7 +381,7 @@ ScenarioResult run_mpath_engine(const ScenarioSpec& spec,
     run_serial_trials(spec.adapt.warmup, measured, control,
                       [&](std::uint32_t t) {
                         adapter.observe(run_mpath_trial(
-                            probe, derive_seed(spec.run.seed, {99, t})));
+                            probe, derive_seed(spec.run.seed, {99, t}), ws));
                       });
     AdaptiveController controller;
     adapter.apply(base, controller);
@@ -393,7 +396,8 @@ ScenarioResult run_mpath_engine(const ScenarioSpec& spec,
     configs.emplace_back(base).scheduler = v.scheduler;
   result.mpath = run_variants<MpathOutcome>(
       variants, spec.run.trials, control, [&](std::size_t v, std::uint32_t t) {
-        return run_mpath_trial(configs[v], derive_seed(spec.run.seed, {v, t}));
+        return run_mpath_trial(configs[v], derive_seed(spec.run.seed, {v, t}),
+                               ws);
       });
   result.mpath_base = std::move(base);
   return result;

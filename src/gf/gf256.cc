@@ -9,7 +9,7 @@ namespace detail {
 
 namespace {
 
-Tables build_tables() {
+constexpr Tables build_tables() {
   Tables t{};
   unsigned x = 1;
   for (int i = 0; i < kGroupOrder; ++i) {
@@ -35,31 +35,28 @@ Tables build_tables() {
 
 }  // namespace
 
-const Tables& tables() noexcept {
-  static const Tables t = build_tables();
-  return t;
-}
+constinit const Tables kTables = build_tables();
 
 }  // namespace detail
 
 std::uint8_t div(std::uint8_t a, std::uint8_t b) {
   if (b == 0) throw std::domain_error("gf256: division by zero");
   if (a == 0) return 0;
-  const auto& t = detail::tables();
+  const auto& t = detail::kTables;
   const int e = t.log[a] - t.log[b] + kGroupOrder;
   return t.exp[static_cast<std::size_t>(e % kGroupOrder)];
 }
 
 std::uint8_t inv(std::uint8_t a) {
   if (a == 0) throw std::domain_error("gf256: inverse of zero");
-  const auto& t = detail::tables();
+  const auto& t = detail::kTables;
   return t.exp[static_cast<std::size_t>((kGroupOrder - t.log[a]) % kGroupOrder)];
 }
 
 std::uint8_t pow(std::uint8_t a, unsigned exponent) noexcept {
   if (exponent == 0) return 1;
   if (a == 0) return 0;
-  const auto& t = detail::tables();
+  const auto& t = detail::kTables;
   // log(a^exponent) = log(a)*exponent mod 255; compute in 64 bits to be safe.
   const std::uint64_t le =
       (static_cast<std::uint64_t>(t.log[a]) * exponent) % kGroupOrder;

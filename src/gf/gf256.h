@@ -3,8 +3,8 @@
 // The field is built over the primitive polynomial x^8+x^4+x^3+x^2+1
 // (0x11d), the same one used by Rizzo's classic erasure codec ("Effective
 // erasure codes for reliable computer communication protocols", CCR 1997).
-// Multiplication and division go through log/exp tables computed once at
-// static-initialisation time.  The bulk operations (addmul/scale/xor_into)
+// Multiplication and division go through log/exp tables computed at
+// compile time.  The bulk operations (addmul/scale/xor_into)
 // are thin validating wrappers over the SIMD-dispatched kernel engine in
 // gf/gf256_kernels.h — scalar product-row tables, 64-bit-wide XOR, or
 // split-nibble pshufb/vtbl backends selected once per process.
@@ -32,7 +32,9 @@ struct Tables {
   // mul_row[c] = full product row {c*0, c*1, ..., c*255}.
   std::array<std::array<std::uint8_t, kFieldSize>, kFieldSize> mul_row;
 };
-const Tables& tables() noexcept;
+/// Filled at compile time (gf256.cc), so a read is a plain load: no
+/// initialisation guard, no call.
+extern constinit const Tables kTables;
 }  // namespace detail
 
 /// Field addition == subtraction == XOR.
@@ -42,7 +44,7 @@ const Tables& tables() noexcept;
 
 /// Field multiplication.
 [[nodiscard]] inline std::uint8_t mul(std::uint8_t a, std::uint8_t b) noexcept {
-  return detail::tables().mul_row[a][b];
+  return detail::kTables.mul_row[a][b];
 }
 
 /// Field division a/b.  b must be non-zero (checked: throws std::domain_error).
@@ -56,7 +58,7 @@ const Tables& tables() noexcept;
 
 /// The primitive element alpha = 2 raised to power e (e taken mod 255).
 [[nodiscard]] inline std::uint8_t alpha_pow(unsigned e) noexcept {
-  return detail::tables().exp[e % kGroupOrder];
+  return detail::kTables.exp[e % kGroupOrder];
 }
 
 /// dst ^= coeff * src, element-wise over equal-length spans.

@@ -65,7 +65,7 @@ void avx2_addmul(std::uint8_t* dst, const std::uint8_t* src, std::size_t len,
         reinterpret_cast<__m256i*>(dst + i),
         _mm256_xor_si256(d, mul_chunk(v, tlo, thi, mask)));
   }
-  const auto& row = tables().mul_row[coeff];
+  const auto& row = kTables.mul_row[coeff];
   for (; i < len; ++i) dst[i] ^= row[src[i]];
 }
 
@@ -83,7 +83,7 @@ void avx2_scale(std::uint8_t* dst, std::size_t len, std::uint8_t coeff) {
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i),
                         mul_chunk(v, tlo, thi, mask));
   }
-  const auto& row = tables().mul_row[coeff];
+  const auto& row = kTables.mul_row[coeff];
   for (; i < len; ++i) dst[i] = row[dst[i]];
 }
 

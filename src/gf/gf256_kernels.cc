@@ -23,7 +23,7 @@ namespace {
 
 const NibbleRow* build_nibble_rows() {
   static NibbleRow rows[256];
-  const auto& t = tables();
+  const auto& t = kTables;
   for (int c = 0; c < 256; ++c) {
     for (int x = 0; x < 16; ++x) {
       rows[c].lo[x] = t.mul_row[static_cast<std::size_t>(c)]
@@ -58,14 +58,14 @@ void scalar_addmul(std::uint8_t* dst, const std::uint8_t* src,
     for (std::size_t i = 0; i < len; ++i) dst[i] ^= src[i];
     return;
   }
-  const auto& row = detail::tables().mul_row[coeff];
+  const auto& row = detail::kTables.mul_row[coeff];
   for (std::size_t i = 0; i < len; ++i) dst[i] ^= row[src[i]];
 }
 
 void scalar_scale(std::uint8_t* dst, std::size_t len, std::uint8_t coeff) {
   if (coeff == 1 || len == 0) return;
   assert(dst != nullptr);
-  const auto& row = detail::tables().mul_row[coeff];
+  const auto& row = detail::kTables.mul_row[coeff];
   for (std::size_t i = 0; i < len; ++i) dst[i] = row[dst[i]];
 }
 
@@ -115,7 +115,7 @@ void xor64_addmul(std::uint8_t* dst, const std::uint8_t* src, std::size_t len,
     xor64_words(dst, src, len);
     return;
   }
-  const auto& row = detail::tables().mul_row[coeff];
+  const auto& row = detail::kTables.mul_row[coeff];
   for (std::size_t i = 0; i < len; ++i) dst[i] ^= row[src[i]];
 }
 

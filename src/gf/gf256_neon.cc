@@ -46,7 +46,7 @@ void neon_addmul(std::uint8_t* dst, const std::uint8_t* src, std::size_t len,
   for (; i + 16 <= len; i += 16)
     vst1q_u8(dst + i, veorq_u8(vld1q_u8(dst + i),
                                mul_chunk(vld1q_u8(src + i), tlo, thi, mask)));
-  const auto& row = tables().mul_row[coeff];
+  const auto& row = kTables.mul_row[coeff];
   for (; i < len; ++i) dst[i] ^= row[src[i]];
 }
 
@@ -60,7 +60,7 @@ void neon_scale(std::uint8_t* dst, std::size_t len, std::uint8_t coeff) {
   std::size_t i = 0;
   for (; i + 16 <= len; i += 16)
     vst1q_u8(dst + i, mul_chunk(vld1q_u8(dst + i), tlo, thi, mask));
-  const auto& row = tables().mul_row[coeff];
+  const auto& row = kTables.mul_row[coeff];
   for (; i < len; ++i) dst[i] = row[dst[i]];
 }
 

@@ -55,7 +55,7 @@ void ssse3_addmul(std::uint8_t* dst, const std::uint8_t* src, std::size_t len,
     _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + i),
                      _mm_xor_si128(d, prod));
   }
-  const auto& row = tables().mul_row[coeff];
+  const auto& row = kTables.mul_row[coeff];
   for (; i < len; ++i) dst[i] ^= row[src[i]];
 }
 
@@ -76,7 +76,7 @@ void ssse3_scale(std::uint8_t* dst, std::size_t len, std::uint8_t coeff) {
                      _mm_xor_si128(_mm_shuffle_epi8(tlo, lo),
                                    _mm_shuffle_epi8(thi, hi)));
   }
-  const auto& row = tables().mul_row[coeff];
+  const auto& row = kTables.mul_row[coeff];
   for (; i < len; ++i) dst[i] = row[dst[i]];
 }
 

@@ -140,8 +140,7 @@ auto SlidingWindowDecoder::first_row_from(std::uint64_t seq)
 }
 
 void SlidingWindowDecoder::learn(std::uint64_t seq,
-                                 std::vector<std::uint8_t> payload,
-                                 std::vector<std::uint64_t>& newly) {
+                                 std::vector<std::uint8_t> payload) {
   if (fate_.size() <= seq) fate_.resize(seq + 1, 0);
   fate_[seq] = 1;
   ++known_n_;
@@ -149,7 +148,7 @@ void SlidingWindowDecoder::learn(std::uint64_t seq,
     if (symbols_.size() <= seq) symbols_.resize(seq + 1);
     symbols_[seq] = std::move(payload);
   }
-  newly.push_back(seq);
+  newly_.push_back(seq);
 }
 
 void SlidingWindowDecoder::add_row(Row& dst, const Row& src, std::uint8_t f) {
@@ -192,13 +191,13 @@ void SlidingWindowDecoder::insert_row(Row row) {
   rows_.insert(pos, std::move(row));
 }
 
-void SlidingWindowDecoder::harvest(std::vector<std::uint64_t>& newly) {
+void SlidingWindowDecoder::harvest() {
   // A single-term row's pivot is zero in every other row, so learning it
   // frees nothing further.
   auto out = rows_.begin();
   for (Row& row : rows_) {
     if (row.terms.size() == 1) {
-      learn(row.pivot(), std::move(row.rhs), newly);
+      learn(row.pivot(), std::move(row.rhs));
       continue;
     }
     if (&*out != &row) *out = std::move(row);
@@ -207,14 +206,14 @@ void SlidingWindowDecoder::harvest(std::vector<std::uint64_t>& newly) {
   rows_.erase(out, rows_.end());
 }
 
-std::vector<std::uint64_t> SlidingWindowDecoder::on_source(
+const std::vector<std::uint64_t>& SlidingWindowDecoder::on_source(
     std::uint64_t seq, std::span<const std::uint8_t> payload) {
-  std::vector<std::uint64_t> newly;
-  if (fate(seq) != 0) return newly;  // duplicate or past the deadline
+  newly_.clear();
+  if (fate(seq) != 0) return newly_;  // duplicate or past the deadline
   if (symbol_size_ > 0 && payload.size() != symbol_size_)
     throw std::invalid_argument(
         "SlidingWindowDecoder::on_source: payload size mismatch");
-  learn(seq, {payload.begin(), payload.end()}, newly);
+  learn(seq, {payload.begin(), payload.end()});
   // Only rows pivoted at or before seq can hold it; the last of them may
   // be the one pivoted on seq.
   const auto end = first_row_from(seq + 1);
@@ -230,7 +229,7 @@ std::vector<std::uint64_t> SlidingWindowDecoder::on_source(
     if (symbol_size_ > 0) gf::addmul(it->rhs, symbols_[seq], t->second);
     it->terms.erase(t);
   }
-  if (!phase_scope) return newly;
+  if (!phase_scope) return newly_;
   if (pivoted) {
     // The row lost its pivot; its other terms are free columns, so it
     // re-enters the system as a freshly reduced row.
@@ -238,13 +237,13 @@ std::vector<std::uint64_t> SlidingWindowDecoder::on_source(
     rows_.erase(std::prev(end));
     insert_row(std::move(row));
   }
-  harvest(newly);
-  return newly;
+  harvest();
+  return newly_;
 }
 
-std::vector<std::uint64_t> SlidingWindowDecoder::on_repair(
+const std::vector<std::uint64_t>& SlidingWindowDecoder::on_repair(
     const RepairPacket& repair) {
-  std::vector<std::uint64_t> newly;
+  newly_.clear();
   if (symbol_size_ > 0 && repair.payload.size() != symbol_size_)
     throw std::invalid_argument(
         "SlidingWindowDecoder::on_repair: payload size mismatch");
@@ -258,7 +257,7 @@ std::vector<std::uint64_t> SlidingWindowDecoder::on_repair(
     // trails the newest repair window) this cannot happen; under
     // reordering, the expired term could only be eliminated against
     // another repair covering it, a pairing this decoder does not chase.
-    if (f == 2) return newly;
+    if (f == 2) return newly_;
     if (f == 0)
       row.terms.emplace_back(
           s, sliding_coefficient(config_, repair.repair_seq, s));
@@ -266,7 +265,7 @@ std::vector<std::uint64_t> SlidingWindowDecoder::on_repair(
       gf::addmul(row.rhs, symbols_[s],
                  sliding_coefficient(config_, repair.repair_seq, s));
   }
-  if (row.terms.empty()) return newly;  // fully redundant
+  if (row.terms.empty()) return newly_;  // fully redundant
   const obs::PhaseScope phase_scope(obs::current(), obs::Phase::kMatrixInvert);
   // Forward-reduce against the pivot rows.  A pivot row's other terms are
   // free columns, so eliminating one pivot never brings in another, and
@@ -275,22 +274,22 @@ std::vector<std::uint64_t> SlidingWindowDecoder::on_repair(
     const auto t = find_term(row.terms, it->pivot());
     if (t != row.terms.end()) add_row(row, *it, t->second);
   }
-  if (row.terms.empty()) return newly;  // a combination of pending rows
+  if (row.terms.empty()) return newly_;  // a combination of pending rows
   insert_row(std::move(row));
-  harvest(newly);
-  return newly;
+  harvest();
+  return newly_;
 }
 
-std::vector<std::uint64_t> SlidingWindowDecoder::give_up_before(
+const std::vector<std::uint64_t>& SlidingWindowDecoder::give_up_before(
     std::uint64_t horizon) {
-  std::vector<std::uint64_t> newly_lost;
-  if (horizon <= horizon_) return newly_lost;
+  newly_.clear();
+  if (horizon <= horizon_) return newly_;
   if (fate_.size() < horizon) fate_.resize(horizon, 0);
   for (std::uint64_t seq = horizon_; seq < horizon; ++seq) {
     if (fate_[seq] == 0) {
       fate_[seq] = 2;
       ++lost_n_;
-      newly_lost.push_back(seq);
+      newly_.push_back(seq);
     }
   }
   horizon_ = horizon;
@@ -302,7 +301,7 @@ std::vector<std::uint64_t> SlidingWindowDecoder::give_up_before(
   // participating pivot — so such rows can never help determine a
   // still-live source.  They are the rows pivoted below the horizon.
   rows_.erase(rows_.begin(), first_row_from(horizon));
-  return newly_lost;
+  return newly_;
 }
 
 // ------------------------------------------------------- support structure

@@ -149,20 +149,26 @@ class SlidingWindowDecoder {
   /// keeping the solver scratch allocations — the trial-workspace path.
   void reset(const SlidingWindowConfig& config);
 
+  // on_source, on_repair and give_up_before return the decoder's own
+  // buffer, refilled in place, so a call allocates nothing for it once the
+  // buffer has grown.  The reference stays valid as long as the decoder,
+  // but its contents hold only until the next of these three calls on the
+  // same decoder; copy them to keep them longer.
+
   /// Feed one received source packet.  Returns the source seqs that became
   /// known as a result (the packet itself if new, plus any recoveries its
   /// substitution cascaded; empty for a duplicate).
-  std::vector<std::uint64_t> on_source(
+  const std::vector<std::uint64_t>& on_source(
       std::uint64_t seq, std::span<const std::uint8_t> payload = {});
 
   /// Feed one received repair packet.  Returns newly recovered source seqs.
-  std::vector<std::uint64_t> on_repair(const RepairPacket& repair);
+  const std::vector<std::uint64_t>& on_repair(const RepairPacket& repair);
 
   /// Advance the decoding deadline: every still-unknown source seq below
   /// `horizon` is declared unrecoverable and the equations pinned on it
   /// are discarded.  Returns the seqs newly declared lost (ascending).
   /// The horizon never moves backwards.
-  std::vector<std::uint64_t> give_up_before(std::uint64_t horizon);
+  const std::vector<std::uint64_t>& give_up_before(std::uint64_t horizon);
 
   [[nodiscard]] std::uint64_t horizon() const noexcept { return horizon_; }
   [[nodiscard]] bool is_known(std::uint64_t seq) const;
@@ -194,15 +200,15 @@ class SlidingWindowDecoder {
   }
   /// The first row pivoted at or after `seq`.
   std::vector<Row>::iterator first_row_from(std::uint64_t seq);
-  void learn(std::uint64_t seq, std::vector<std::uint8_t> payload,
-             std::vector<std::uint64_t>& newly);
+  /// Mark `seq` known and append it to newly_.
+  void learn(std::uint64_t seq, std::vector<std::uint8_t> payload);
   /// dst += f * src, over the terms and (payload mode) the rhs.
   void add_row(Row& dst, const Row& src, std::uint8_t f);
   /// Normalise `row`, whose terms are all free columns, eliminate its
   /// pivot from the earlier rows and insert it in pivot order.
   void insert_row(Row row);
   /// Learn every single-term row (ascending seq) and drop it.
-  void harvest(std::vector<std::uint64_t>& newly);
+  void harvest();
 
   SlidingWindowConfig config_;
   std::size_t symbol_size_;
@@ -215,6 +221,7 @@ class SlidingWindowDecoder {
   std::vector<std::vector<std::uint8_t>> symbols_;
   std::vector<Row> rows_;  // ascending by pivot
   std::vector<Term> scratch_terms_;  // add_row's merge buffer
+  std::vector<std::uint64_t> newly_;  // the seqs the last call returns
 };
 
 /// The binary support structure of the repairs a paced stream would emit:

@@ -196,8 +196,8 @@ void StreamReceiver::on_packet(const Emission& packet,
                                double t) {
   switch (scheme_) {
     case StreamScheme::kSlidingWindow: {
-      const std::vector<std::uint64_t> newly =
-          hook_.timed(obs::Phase::kDecode, [&] {
+      const std::vector<std::uint64_t>& newly = hook_.timed(
+          obs::Phase::kDecode, [&]() -> const std::vector<std::uint64_t>& {
             if (!packet.repair) return sliding_->on_source(packet.id, payload);
             repair_.repair_seq = packet.id - sources_;
             repair_.first = packet.first;
@@ -274,9 +274,10 @@ void StreamReceiver::lose(PacketId src, double t) {
 
 void StreamReceiver::give_up_before(std::uint64_t horizon, double t) {
   if (scheme_ == StreamScheme::kSlidingWindow) {
-    for (std::uint64_t s : hook_.timed(obs::Phase::kDecode, [&] {
-           return sliding_->give_up_before(horizon);
-         }))
+    for (std::uint64_t s : hook_.timed(
+             obs::Phase::kDecode, [&]() -> const std::vector<std::uint64_t>& {
+               return sliding_->give_up_before(horizon);
+             }))
       tracker_.on_lost(s, t);
     return;
   }
