@@ -3,7 +3,8 @@
 # configure + build + ctest.  The build promotes warnings to errors for
 # the new scenario-API (src/api/), adaptive (src/adapt/), streaming
 # (src/stream/), multipath (src/mpath/) and net (src/net/) subsystems via
-# CMake source properties; everything else builds with -Wall -Wextra.
+# CMake source properties, and for every test target; everything else
+# builds with -Wall -Wextra.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -477,19 +478,22 @@ rm -f BENCH_net_ledger.jsonl
 grep -q '"kind":"bench","label":"bench_packetize"' BENCH_net_ledger.jsonl
 echo "net gate: wire round-trips fuzz-clean, loopback matches simulation on backends: ${gf_backends:-auto scalar}"
 
-# Sanitizer gate: the decoders, receivers and observers, the GF kernels,
-# RSE codec and payload sessions, the grid trial loop, the engines over
-# the transmission core (golden table, scenario API), both CRC-32 callers
-# (the net wire format and the FLUTE LCT header), and the LDGM graph
-# build with its peeling and Gaussian-elimination decoders, again under
+# Sanitizer gate: every test binary — the decoders, receivers and
+# observers, the GF kernels, RSE codec and payload sessions, the grid
+# trial loop, the engines over the transmission core (golden table,
+# scenario API), both CRC-32 callers (the net wire format and the FLUTE
+# LCT header), the LDGM graph build with its peeling and
+# Gaussian-elimination decoders, the planners, the adaptive controller,
+# the ledger and the robustness suites — again under
 # AddressSanitizer + UndefinedBehaviorSanitizer, with libstdc++'s bounds
 # assertions on (the sliding-window decoder indexes its state by seq; the
 # inversion indexes padded rows and the batch kernels run blocked loop
 # bounds; on a PCLMULQDQ host the CRC fold's unaligned 16-byte loads run
 # under ASan through util_test, net_test and flute_test; the matrix's
 # counting passes scatter through computed offsets, and sort_doubles
-# through its radix buckets in util_test), from a second build of the
-# library and those test binaries only (benches, examples and tools off)
+# through its radix buckets in util_test; the resequencer's run merge
+# walks raw run pointers in mpath_test), from a second build of the
+# library and the test binaries only (benches, examples and tools off)
 # in .asan_build/.
 # -fno-sanitize-recover=all makes every report abort its binary, so any
 # report fails CI.
@@ -504,7 +508,9 @@ sanitized="stream_test mpath_test net_test fuzz_robustness_test obs_test
   trial_grid_test experiment_test hotpath_obs_test api_test
   transmission_golden_test channel_test util_test sched_test
   block_partition_test flute_test sparse_matrix_test ldgm_test
-  irregular_ldgm_test peeling_test ge_test"
+  irregular_ldgm_test peeling_test ge_test adapt_test analytic_nsent_test
+  broadcast_memory_test ledger_test planner_test robustness_test
+  universal_planner_test"
 cmake --build .asan_build -j "$(nproc)" --target $sanitized
 for t in $sanitized; do
   ASAN_OPTIONS=abort_on_error=1 UBSAN_OPTIONS=print_stacktrace=1 \
