@@ -167,17 +167,6 @@ std::vector<RxEvent> sorted_drain(std::vector<RxEvent> events) {
   return events;
 }
 
-/// The resequencer calls the oracle test makes.
-void start_runs(Resequencer& rq, std::size_t runs) { rq.reset(runs); }
-void push_run(Resequencer& rq, std::size_t run, const RxEvent& ev) {
-  rq.push(run, ev);
-}
-std::vector<RxEvent> drained(Resequencer& rq) {
-  std::vector<RxEvent> events;
-  for (const RxEvent* ev : rq.drain()) events.push_back(*ev);
-  return events;
-}
-
 /// Random runs as a multipath trial pushes them: each run in
 /// (time, phase, order) order except, in some cases, one run pushed
 /// shuffled.  Times sit on a half-slot grid, so equal times within and
@@ -219,19 +208,20 @@ TEST(Resequencer, MergeMatchesSortedDrain) {
     if (shuffled)
       shuffle(std::span<RxEvent>(run[rng.below(runs)]), rng);
 
-    start_runs(rq, runs);
+    rq.reset(runs);
     std::vector<RxEvent> all;
     std::vector<std::size_t> cursor(runs, 0);
     for (std::size_t left = total; left > 0; --left) {
       std::size_t r = rng.below(runs);
       while (cursor[r] == run[r].size()) r = (r + 1) % runs;
       const RxEvent& ev = run[r][cursor[r]++];
-      push_run(rq, r, ev);
+      rq.push(r, ev);
       all.push_back(ev);
     }
     ASSERT_EQ(rq.size(), total);
     const std::vector<RxEvent> want = sorted_drain(all);
-    const std::vector<RxEvent> got = drained(rq);
+    std::vector<RxEvent> got;
+    for (const RxEvent* ev : rq.drain()) got.push_back(*ev);
     ASSERT_EQ(got.size(), want.size()) << "case " << c;
     for (std::size_t i = 0; i < want.size(); ++i) {
       ASSERT_EQ(std::tie(got[i].time, got[i].phase, got[i].order,
