@@ -31,11 +31,16 @@ void NetSender::source_payload(std::uint64_t seed, std::uint64_t s,
 
 NetSender::NetSender(const StreamCode& code, std::size_t payload_bytes,
                      std::uint64_t seed, std::uint32_t object_id)
-    : code_(code), object_id_(object_id) {
-  const std::uint32_t S = code.config().source_count;
-  payloads_.resize(S);
-  for (std::uint32_t s = 0; s < S; ++s)
-    source_payload(seed, s, payload_bytes, payloads_[s]);
+    : code_(code),
+      payload_bytes_(payload_bytes),
+      seed_(seed),
+      object_id_(object_id) {
+  const auto all_sources = [&] {
+    std::vector<std::vector<std::uint8_t>> sources(code.config().source_count);
+    for (std::uint64_t s = 0; s < sources.size(); ++s)
+      source_payload(seed, s, payload_bytes, sources[s]);
+    return sources;
+  };
   switch (code.config().scheme) {
     case StreamScheme::kSlidingWindow:
       encoder_.emplace(code.sliding(), payload_bytes);
@@ -44,10 +49,10 @@ NetSender::NetSender(const StreamCode& code, std::size_t payload_bytes,
       break;
     case StreamScheme::kBlockRse:
       // The encoder keeps the one copy of every payload it sends.
-      rse_.emplace(code.rse(), payloads_);
-      payloads_ = {};
+      rse_.emplace(code.rse(), all_sources());
       break;
     case StreamScheme::kLdgm:
+      payloads_ = all_sources();
       parity_ = code.ldgm()->encode(payloads_);
       break;
   }
@@ -64,9 +69,11 @@ void NetSender::frame(const Emission& e, DataFrame& out) {
   out.span_last = 0;
   if (rse_) {
     out.payload = rse_->payload(static_cast<PacketId>(e.id));
+  } else if (!code_.paced()) {
+    out.payload = e.repair ? parity_[e.id - S] : payloads_[e.id];
   } else if (!e.repair) {
-    out.payload = payloads_[e.id];
-    if (encoder_) encoder_->push_source(payloads_[e.id]);
+    source_payload(seed_, e.id, payload_bytes_, out.payload);
+    if (encoder_) encoder_->push_source(out.payload);
   } else if (encoder_) {
     encoder_->make_repair(repair_);
     if (S + repair_.repair_seq != e.id || repair_.last != e.last)
@@ -74,13 +81,11 @@ void NetSender::frame(const Emission& e, DataFrame& out) {
     out.span_first = repair_.first;
     out.span_last = repair_.last;
     out.payload = repair_.payload;
-  } else if (code_.paced()) {
+  } else {
     // Replication: the frame names the source it duplicates.
     out.span_first = e.dup;
     out.span_last = e.dup;
-    out.payload = payloads_[e.dup];
-  } else {
-    out.payload = parity_[e.id - S];
+    source_payload(seed_, e.dup, payload_bytes_, out.payload);
   }
 }
 

@@ -11,7 +11,9 @@
 // Source payloads are synthesized deterministically from the trial seed
 // (substream {4, s}), so the receiver can regenerate the expected bytes
 // of ANY source — including FEC-recovered ones it never saw on the wire
-// — and byte-verify the whole stream end to end.
+// — and byte-verify the whole stream end to end.  The paced schemes
+// generate each source when it is framed; only the block encoders, which
+// need every source before the first parity, hold them all.
 
 #pragma once
 
@@ -28,8 +30,8 @@ namespace fecsched::net {
 
 class NetSender {
  public:
-  /// Synthesizes the source payloads and builds the sliding encoder or
-  /// the block parity for `code`, which must outlive the sender.
+  /// Builds the sliding encoder, or synthesizes the source payloads and
+  /// the block parity, for `code`, which must outlive the sender.
   NetSender(const StreamCode& code, std::size_t payload_bytes,
             std::uint64_t seed, std::uint32_t object_id);
 
@@ -45,9 +47,11 @@ class NetSender {
 
  private:
   const StreamCode& code_;
+  std::size_t payload_bytes_;
+  std::uint64_t seed_;
   std::uint32_t object_id_;
 
-  std::vector<std::vector<std::uint8_t>> payloads_;  ///< sources; not RSE
+  std::vector<std::vector<std::uint8_t>> payloads_;  ///< LDGM sources
   std::vector<std::vector<std::uint8_t>> parity_;    ///< LDGM ids [S, n)
   std::optional<RseObjectEncoder> rse_;  ///< RSE sources and parity
   std::optional<SlidingWindowEncoder> encoder_;
