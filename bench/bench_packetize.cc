@@ -127,10 +127,11 @@ int main(int argc, char** argv) {
     for (std::uint32_t r = 0; r < reps; ++r)
       rtt_runs.push_back(timed([&] {
         for (std::uint32_t i = 0; i < pings; ++i) {
-          if (!pair.a->send(packed[i % packed.size()])) std::abort();
-          if (pair.b->recv({rx.data(), rx.size()}, 1000) < 0) std::abort();
-          if (!pair.b->send(packed[i % packed.size()])) std::abort();
-          if (pair.a->recv({rx.data(), rx.size()}, 1000) < 0) std::abort();
+          const std::vector<std::uint8_t>& frame = packed[i % packed.size()];
+          if (!pair.a->send(frame, frame.size())) std::abort();
+          if (pair.b->recv(rx, 1000).bytes < 0) std::abort();
+          if (!pair.b->send(frame, frame.size())) std::abort();
+          if (pair.a->recv(rx, 1000).bytes < 0) std::abort();
         }
       }));
     rtt_us[t] = median(rtt_runs) / pings * 1e6;

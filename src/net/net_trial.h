@@ -6,10 +6,15 @@
 // substream (derive_seed(seed, {0}), drawn once per datagram in
 // transmission order by the ImpairmentShim) — but its link sends every
 // surviving symbol across a socket as a wire.h frame and parses it back
-// before it reaches the decoders.  The slot loop is lockstep, one frame
-// per slot, so the delivered-delay distribution matches the simulation
-// EXACTLY (tolerance zero) — the sim-vs-wire parity gate in ci.sh pins
-// this.
+// before it reaches the decoders.  The link works ahead of the slot
+// loop in batches: it frames, draws and packs the next emissions of the
+// recorded plan, sends the survivors in one segmented send (up to
+// kMaxSegments datagrams, kMaxSegmentBytes bytes) and reads them back,
+// then hands the receiver one frame per slot, in slot order.  No arrival
+// is deferred past its slot, so the delivered-delay distribution matches
+// the simulation EXACTLY (tolerance zero) — the sim-vs-wire parity gate
+// in ci.sh pins this.  A carousel, whose end depends on the receiver,
+// moves one datagram per call.
 //
 // Because impairment is injected above a lossless transport, a datagram
 // the shim passed MUST arrive; a timeout or parse failure on the

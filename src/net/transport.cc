@@ -6,8 +6,6 @@
 #include <string>
 #include <vector>
 
-#include "net/udp_endpoint.h"
-
 namespace fecsched::net {
 
 namespace {
@@ -16,17 +14,19 @@ class UdpTransport final : public Transport {
  public:
   explicit UdpTransport(UdpEndpoint endpoint) : ep_(std::move(endpoint)) {}
 
-  bool send(std::span<const std::uint8_t> datagram) override {
-    return ep_.try_send(datagram);
+  bool send(std::span<const std::uint8_t> data, std::size_t segment) override {
+    return ep_.try_send(data, segment);
   }
 
-  std::ptrdiff_t recv(std::span<std::uint8_t> buf, int timeout_ms) override {
+  Segments recv(std::span<std::uint8_t> buf, int timeout_ms) override {
     // Drain first: loopback delivery usually beats the poll() syscall.
-    const std::ptrdiff_t n = ep_.try_recv(buf);
-    if (n >= 0) return n;
-    if (!ep_.wait_readable(timeout_ms)) return -1;
+    const Segments got = ep_.try_recv(buf);
+    if (got.bytes >= 0) return got;
+    if (!ep_.wait_readable(timeout_ms)) return {};
     return ep_.try_recv(buf);
   }
+
+  bool coalesce() override { return ep_.enable_gro(); }
 
  private:
   UdpEndpoint ep_;
@@ -43,23 +43,33 @@ class MemoryTransport final : public Transport {
   MemoryTransport(std::shared_ptr<MemoryQueues> queues, bool is_a)
       : queues_(std::move(queues)), is_a_(is_a) {}
 
-  bool send(std::span<const std::uint8_t> datagram) override {
+  bool send(std::span<const std::uint8_t> data, std::size_t segment) override {
+    if (segment == 0)
+      throw std::invalid_argument("memory transport: zero segment size");
     auto& q = is_a_ ? queues_->a_to_b : queues_->b_to_a;
-    q.emplace_back(datagram.begin(), datagram.end());
+    std::size_t off = 0;
+    do {
+      const std::size_t n = std::min(segment, data.size() - off);
+      q.emplace_back(data.begin() + static_cast<std::ptrdiff_t>(off),
+                     data.begin() + static_cast<std::ptrdiff_t>(off + n));
+      off += n;
+    } while (off < data.size());
     return true;
   }
 
-  std::ptrdiff_t recv(std::span<std::uint8_t> buf, int) override {
-    // The lockstep driver never waits on the memory pipe: a frame is
-    // either already queued or will never arrive, so the timeout is moot.
+  Segments recv(std::span<std::uint8_t> buf, int) override {
+    // The net trial never waits on the memory pipe: a frame is either
+    // already queued or will never arrive, so the timeout is moot.
     auto& q = is_a_ ? queues_->b_to_a : queues_->a_to_b;
-    if (q.empty()) return -1;
+    if (q.empty()) return {};
     const std::vector<std::uint8_t>& d = q.front();
     const std::size_t n = std::min(d.size(), buf.size());
     std::copy_n(d.begin(), n, buf.begin());
     q.pop_front();
-    return static_cast<std::ptrdiff_t>(n);
+    return {static_cast<std::ptrdiff_t>(n), n};
   }
+
+  bool coalesce() override { return false; }
 
  private:
   std::shared_ptr<MemoryQueues> queues_;

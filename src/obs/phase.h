@@ -22,8 +22,8 @@ enum class Phase : std::uint8_t {
   kMatrixInvert,  ///< GF(256) dense solves inside decode
   kResequence,    ///< multipath arrival reordering (Resequencer::drain)
   kNetPack,       ///< wire-format frame building (net/wire.h)
-  kNetSend,       ///< UDP sendto on the loopback pair (net/udp_endpoint.h)
-  kNetRecv,       ///< UDP recvfrom / poll on the loopback pair
+  kNetSend,       ///< one segmented UDP send per batch (net/udp_endpoint.h)
+  kNetRecv,       ///< one UDP read (coalesced under GRO) / poll per call
   kNetUnpack,     ///< wire-format frame parsing at the receiver
 };
 inline constexpr std::size_t kPhaseCount = 10;

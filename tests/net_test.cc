@@ -1,7 +1,7 @@
 // Net subsystem (src/net/): wire-format round trips and strict rejection,
-// transport pairs, impairment substream fidelity, sim-vs-wire parity of
-// the lockstep trial across every scheme, the LossReport reverse path,
-// and the net.send / net.recv fault points.
+// transport pairs and segmented UDP sends, impairment substream fidelity,
+// sim-vs-wire parity of the batched trial across every scheme, the
+// LossReport reverse path, and the net.send / net.recv fault points.
 
 #include <algorithm>
 #include <chrono>
@@ -19,6 +19,7 @@
 #include "net/receiver.h"
 #include "net/sender.h"
 #include "net/transport.h"
+#include "net/udp_endpoint.h"
 #include "net/wire.h"
 #include "util/crc32.h"
 #include "util/faultpoint.h"
@@ -223,15 +224,30 @@ void round_trip_pair(std::string_view name) {
   TransportPair pair = make_transport_pair(name);
   const std::vector<std::uint8_t> ping = {1, 2, 3, 4};
   const std::vector<std::uint8_t> pong = {9, 8, 7};
-  ASSERT_TRUE(pair.a->send(ping));
+  ASSERT_TRUE(pair.a->send(ping, ping.size()));
   std::uint8_t buf[64];
-  ASSERT_EQ(pair.b->recv(buf, 1000), 4);
+  Segments got = pair.b->recv(buf, 1000);
+  ASSERT_EQ(got.bytes, 4);
+  EXPECT_EQ(got.segment, 4u);
   EXPECT_TRUE(std::equal(ping.begin(), ping.end(), buf));
-  ASSERT_TRUE(pair.b->send(pong));
-  ASSERT_EQ(pair.a->recv(buf, 1000), 3);
+  ASSERT_TRUE(pair.b->send(pong, pong.size()));
+  got = pair.a->recv(buf, 1000);
+  ASSERT_EQ(got.bytes, 3);
   EXPECT_TRUE(std::equal(pong.begin(), pong.end(), buf));
+  // Three 2-byte datagrams in one send, without coalesced reads: one
+  // datagram per recv, in send order.
+  const std::vector<std::uint8_t> three = {1, 2, 3, 4, 5, 6};
+  ASSERT_TRUE(pair.a->send(three, 2));
+  for (std::uint8_t i = 0; i < 3; ++i) {
+    got = pair.b->recv(buf, 1000);
+    ASSERT_EQ(got.bytes, 2) << "datagram " << int{i};
+    EXPECT_EQ(got.segment, 2u);
+    EXPECT_EQ(buf[0], 2 * i + 1);
+    EXPECT_EQ(buf[1], 2 * i + 2);
+  }
   // Nothing queued: a bounded wait, not a hang.
-  EXPECT_EQ(pair.a->recv(buf, 10), -1);
+  EXPECT_EQ(pair.a->recv(buf, 10).bytes, -1);
+  EXPECT_EQ(pair.b->recv(buf, 10).bytes, -1);
 }
 
 TEST(NetTransport, MemoryPairRoundTrip) { round_trip_pair("memory"); }
@@ -240,6 +256,110 @@ TEST(NetTransport, UdpLoopbackPairRoundTrip) { round_trip_pair("udp"); }
 
 TEST(NetTransport, UnknownNameThrows) {
   EXPECT_THROW(make_transport_pair("tcp"), std::invalid_argument);
+}
+
+/// A connected loopback pair of bare endpoints.
+struct EndpointPair {
+  UdpEndpoint a, b;
+  EndpointPair() {
+    a.connect_to(b.port());
+    b.connect_to(a.port());
+  }
+};
+
+/// Datagram `i` of a test burst: `bytes` bytes that name it.
+std::vector<std::uint8_t> numbered_datagram(std::size_t i, std::size_t bytes) {
+  std::vector<std::uint8_t> d(bytes);
+  for (std::size_t j = 0; j < bytes; ++j)
+    d[j] = static_cast<std::uint8_t>(i * 31 + j);
+  return d;
+}
+
+/// Reads at `end` until `count` datagrams arrived, checking each against
+/// numbered_datagram; returns how many reads it took.
+std::size_t read_datagrams(UdpEndpoint& end, std::size_t count,
+                           std::size_t segment, std::size_t last_bytes) {
+  std::vector<std::uint8_t> buf(kMaxSegmentBytes);
+  std::size_t reads = 0, seen = 0;
+  while (seen < count) {
+    Segments got = end.try_recv(buf);
+    if (got.bytes < 0) {
+      if (!end.wait_readable(1000)) {
+        ADD_FAILURE() << "datagram " << seen << " lost";
+        return reads;
+      }
+      got = end.try_recv(buf);
+    }
+    if (got.bytes < 0) continue;
+    ++reads;
+    if (got.segment == 0) {
+      ADD_FAILURE() << "read " << reads << " reports no segment size";
+      return reads;
+    }
+    for (std::size_t off = 0; off < static_cast<std::size_t>(got.bytes);
+         off += got.segment, ++seen) {
+      const std::size_t n =
+          std::min(got.segment, static_cast<std::size_t>(got.bytes) - off);
+      const std::size_t want = seen + 1 == count ? last_bytes : segment;
+      EXPECT_EQ(n, want) << "datagram " << seen;
+      const std::vector<std::uint8_t> expect = numbered_datagram(seen, want);
+      EXPECT_TRUE(std::equal(expect.begin(), expect.end(), buf.begin() + off))
+          << "datagram " << seen;
+    }
+  }
+  EXPECT_EQ(seen, count);
+  EXPECT_EQ(end.try_recv(buf).bytes, -1) << "more datagrams than sent";
+  return reads;
+}
+
+// One segmented send of N equal datagrams (the net link's batch, here
+// the largest 1024-byte-payload one) arrives whole and in order: in
+// fewer reads than datagrams once the receiving end coalesces, one
+// datagram per read when it does not.  A one-segment buffer, and one
+// shorter than its segment size, go out as a single datagram.
+TEST(NetUdpEndpoint, SegmentedSendArrivesInOrderWithAndWithoutGro) {
+  constexpr std::size_t kSegment = kDataOverhead + 1024;
+  constexpr std::size_t kCount = kMaxSegmentBytes / kSegment;
+  std::vector<std::uint8_t> burst;
+  for (std::size_t i = 0; i < kCount; ++i) {
+    const std::vector<std::uint8_t> d = numbered_datagram(i, kSegment);
+    burst.insert(burst.end(), d.begin(), d.end());
+  }
+  for (const bool gro : {false, true}) {
+    SCOPED_TRACE(gro ? "GRO on" : "GRO off");
+    EndpointPair pair;
+    if (gro && !pair.b.enable_gro())
+      GTEST_SKIP() << "the kernel refuses UDP_GRO";
+    ASSERT_TRUE(pair.a.try_send(burst, kSegment));
+    const std::size_t reads =
+        read_datagrams(pair.b, kCount, kSegment, kSegment);
+    if (gro)
+      EXPECT_LT(reads, kCount);
+    else
+      EXPECT_EQ(reads, kCount);
+
+    // A last datagram shorter than the rest.
+    ASSERT_TRUE(pair.a.try_send({burst.data(), 3 * kSegment - 100}, kSegment));
+    (void)read_datagrams(pair.b, 3, kSegment, kSegment - 100);
+
+    // One segment, and one datagram shorter than its segment size.
+    ASSERT_TRUE(pair.a.try_send({burst.data(), kSegment}, kSegment));
+    EXPECT_EQ(read_datagrams(pair.b, 1, kSegment, kSegment), 1u);
+    ASSERT_TRUE(pair.a.try_send({burst.data(), 40}, kSegment));
+    EXPECT_EQ(read_datagrams(pair.b, 1, 40, 40), 1u);
+  }
+}
+
+TEST(NetUdpEndpoint, SendsOverTheSegmentLimitsThrow) {
+  EndpointPair pair;
+  const std::vector<std::uint8_t> data(kMaxSegments + 1);
+  EXPECT_THROW((void)pair.a.try_send(data, 0), std::invalid_argument);
+  EXPECT_THROW((void)pair.a.try_send(data, 1), std::invalid_argument);
+  const std::vector<std::uint8_t> big(kMaxSegmentBytes + 1);
+  EXPECT_THROW((void)pair.a.try_send(big, big.size()), std::invalid_argument);
+  // Nothing went out.
+  std::uint8_t buf[8];
+  EXPECT_EQ(pair.b.try_recv(buf).bytes, -1);
 }
 
 // ------------------------------------------------------------- impairment
@@ -336,18 +456,99 @@ TEST(NetParity, LdgmInterleavedMatchesSimulation) {
       small_config(StreamScheme::kLdgm, StreamScheduling::kInterleaved), 107);
 }
 
+/// Every field of two trial results is identical.
+void expect_same_result(const NetTrialResult& a, const NetTrialResult& b) {
+  const StreamTrialResult &x = a.stream, &y = b.stream;
+  EXPECT_EQ(x.delay.delivered, y.delay.delivered);
+  EXPECT_EQ(x.delay.lost, y.delay.lost);
+  EXPECT_EQ(x.delay.mean, y.delay.mean);
+  EXPECT_EQ(x.delay.p50, y.delay.p50);
+  EXPECT_EQ(x.delay.p95, y.delay.p95);
+  EXPECT_EQ(x.delay.p99, y.delay.p99);
+  EXPECT_EQ(x.delay.max, y.delay.max);
+  EXPECT_EQ(x.delay.mean_transport, y.delay.mean_transport);
+  EXPECT_EQ(x.delay.mean_hol, y.delay.mean_hol);
+  EXPECT_EQ(x.residual.lost, y.residual.lost);
+  EXPECT_EQ(x.residual.runs, y.residual.runs);
+  EXPECT_EQ(x.residual.max_run_length, y.residual.max_run_length);
+  EXPECT_EQ(x.residual.mean_run_length, y.residual.mean_run_length);
+  EXPECT_EQ(x.delays, y.delays);
+  EXPECT_EQ(x.packets_sent, y.packets_sent);
+  EXPECT_EQ(x.packets_received, y.packets_received);
+  EXPECT_EQ(x.overhead_actual, y.overhead_actual);
+  EXPECT_EQ(x.all_delivered, y.all_delivered);
+  EXPECT_EQ(a.datagrams_sent, b.datagrams_sent);
+  EXPECT_EQ(a.datagrams_dropped, b.datagrams_dropped);
+  EXPECT_EQ(a.bytes_sent, b.bytes_sent);
+  EXPECT_EQ(a.sources_verified, b.sources_verified);
+  EXPECT_EQ(a.payload_mismatches, b.payload_mismatches);
+  EXPECT_EQ(a.frames_rejected, b.frames_rejected);
+  EXPECT_EQ(a.reports_sent, b.reports_sent);
+  EXPECT_EQ(a.reports_received, b.reports_received);
+  const ChannelEstimate &e = a.estimate, &f = b.estimate;
+  EXPECT_EQ(e.p, f.p);
+  EXPECT_EQ(e.q, f.q);
+  EXPECT_EQ(e.p_global, f.p_global);
+  EXPECT_EQ(e.mean_burst, f.mean_burst);
+  EXPECT_EQ(e.bursty, f.bursty);
+  EXPECT_EQ(e.burst_z, f.burst_z);
+  EXPECT_EQ(e.observations, f.observations);
+  EXPECT_EQ(e.confidence, f.confidence);
+}
+
+void expect_udp_identical_to_memory(NetTrialConfig cfg, std::uint64_t seed) {
+  cfg.transport = "memory";
+  GilbertModel ch_mem(0.05, 0.3);
+  const NetTrialResult mem = run_net_trial(cfg, ch_mem, seed);
+  cfg.transport = "udp";
+  GilbertModel ch_udp(0.05, 0.3);
+  const NetTrialResult udp = run_net_trial(cfg, ch_udp, seed);
+  expect_same_result(udp, mem);
+  EXPECT_EQ(udp.payload_mismatches, 0u);
+  EXPECT_EQ(udp.frames_rejected, 0u);
+  EXPECT_GT(udp.reports_received, 1u);
+}
+
+// Every plan the memory parity tests take, over real sockets.
 TEST(NetParity, UdpTransportIdenticalToMemory) {
+  const struct {
+    StreamScheme scheme;
+    StreamScheduling sched;
+  } plans[] = {
+      {StreamScheme::kSlidingWindow, StreamScheduling::kSequential},
+      {StreamScheme::kReplication, StreamScheduling::kSequential},
+      {StreamScheme::kBlockRse, StreamScheduling::kSequential},
+      {StreamScheme::kBlockRse, StreamScheduling::kInterleaved},
+      {StreamScheme::kBlockRse, StreamScheduling::kCarousel},
+      {StreamScheme::kLdgm, StreamScheduling::kSequential},
+      {StreamScheme::kLdgm, StreamScheduling::kInterleaved},
+  };
+  std::uint64_t seed = 55;
+  for (const auto& plan : plans) {
+    SCOPED_TRACE(std::string(to_string(plan.scheme)) + " " +
+                 std::string(to_string(plan.sched)));
+    NetTrialConfig cfg = small_config(plan.scheme, plan.sched);
+    cfg.report_interval = 50;
+    expect_udp_identical_to_memory(cfg, seed++);
+  }
+}
+
+// The batch edges: the largest payload (the fewest datagrams per send), a
+// stream that ends in a partial batch, and reports due mid-batch.
+TEST(NetParity, UdpBatchEdgesIdenticalToMemoryAndSimulation) {
   NetTrialConfig cfg =
       small_config(StreamScheme::kSlidingWindow, StreamScheduling::kSequential);
-  GilbertModel ch_mem(0.05, 0.3);
-  GilbertModel ch_udp(0.05, 0.3);
-  const NetTrialResult mem = run_net_trial(cfg, ch_mem, 55);
-  cfg.transport = "udp";
-  const NetTrialResult udp = run_net_trial(cfg, ch_udp, 55);
-  EXPECT_EQ(udp.stream.delays, mem.stream.delays);
-  EXPECT_EQ(udp.bytes_sent, mem.bytes_sent);
-  EXPECT_EQ(udp.datagrams_sent, mem.datagrams_sent);
-  EXPECT_EQ(udp.payload_mismatches, 0u);
+  cfg.payload_bytes = kMaxPayload;
+  cfg.stream.source_count = 1000;
+  cfg.report_interval = 100;
+  const std::size_t batch = kMaxSegmentBytes / (kDataOverhead + kMaxPayload);
+  ASSERT_EQ(batch, 45u);
+  ASSERT_NE(cfg.report_interval % batch, 0u);
+  expect_parity(cfg, 56);
+  GilbertModel channel(0.05, 0.3);
+  ASSERT_NE(run_net_trial(cfg, channel, 56).stream.packets_sent % batch, 0u)
+      << "the last batch must be partial";
+  expect_udp_identical_to_memory(cfg, 56);
 }
 
 // ----------------------------------------------------- reverse-path loop
