@@ -1,11 +1,14 @@
 // bench_packetize — wire-format and loopback-transport throughput.
 //
-// Three measurements, all on the src/net/ hot path:
+// Four measurements, all on the src/net/ hot path:
 //
 //   pack     DataFrame -> wire bytes (header assembly + two CRC32s)
 //   unpack   wire bytes -> ParsedFrame (bounds checks + CRC verification)
 //   rtt      one datagram out and back across a loopback pair
 //            (udp sockets and the in-process memory transport)
+//   burst    one-way frames per second across a udp loopback pair: the
+//            net link's batch in one segmented send with coalesced reads,
+//            against the same frames one datagram per send
 //
 // Scale: --k is repurposed as the number of frames per measurement and
 // --trials as the number of repetitions (the median is reported).  A
@@ -139,7 +142,60 @@ int main(int argc, char** argv) {
                 (std::string("rtt ") + names[t]).c_str(), rtt_us[t] * 1000.0,
                 "-");
   }
-  std::printf("\n(rtt in ns/round trip; sink=%llu keeps the loops live)\n",
+
+  // One-way burst over one udp pair whose receiving end coalesces reads:
+  // `batch` frames in one segmented send against one datagram per send,
+  // each burst drained before the next, the two paths alternating in
+  // every repetition.  `batch` is the net link's for this frame size.
+  const std::size_t frame_bytes = net::kDataOverhead + kPayloadBytes;
+  const std::size_t batch =
+      std::min(net::kMaxSegments, net::kMaxSegmentBytes / frame_bytes);
+  std::vector<std::uint8_t> burst;
+  for (std::size_t i = 0; i < batch; ++i)
+    burst.insert(burst.end(), packed[i % packed.size()].begin(),
+                 packed[i % packed.size()].end());
+  const std::uint32_t bursts =
+      std::max<std::uint32_t>(1, frames / static_cast<std::uint32_t>(batch));
+  const double burst_frames = static_cast<double>(bursts) *
+                              static_cast<double>(batch);
+  net::TransportPair pair = net::make_transport_pair("udp");
+  const bool coalesced = pair.b->coalesce();
+  std::vector<std::uint8_t> rx(net::kMaxSegmentBytes);
+  const auto drain = [&] {
+    for (std::size_t got = 0; got < burst.size();) {
+      const net::Segments read = pair.b->recv(rx, 1000);
+      if (read.bytes < 0) std::abort();
+      got += static_cast<std::size_t>(read.bytes);
+    }
+  };
+  std::vector<double> segmented_runs, datagram_runs;
+  for (std::uint32_t r = 0; r < reps; ++r) {
+    segmented_runs.push_back(timed([&] {
+      for (std::uint32_t b = 0; b < bursts; ++b) {
+        if (!pair.a->send(burst, frame_bytes)) std::abort();
+        drain();
+      }
+    }));
+    datagram_runs.push_back(timed([&] {
+      for (std::uint32_t b = 0; b < bursts; ++b) {
+        for (std::size_t off = 0; off < burst.size(); off += frame_bytes)
+          if (!pair.a->send({burst.data() + off, frame_bytes}, frame_bytes))
+            std::abort();
+        drain();
+      }
+    }));
+  }
+  const double segmented_fps = burst_frames / median(segmented_runs);
+  const double datagram_fps = burst_frames / median(datagram_runs);
+  const double burst_mb = burst_frames * static_cast<double>(frame_bytes) / 1e6;
+  std::printf("%-22s %12.0f %14.1f\n",
+              ("burst udp x" + std::to_string(batch) + " seg").c_str(),
+              1e9 / segmented_fps, burst_mb / median(segmented_runs));
+  std::printf("%-22s %12.0f %14.1f\n", "burst udp 1/call",
+              1e9 / datagram_fps, burst_mb / median(datagram_runs));
+  std::printf("\n(rtt in ns/round trip; burst in ns/frame one way, %s "
+              "reads; sink=%llu keeps the loops live)\n",
+              coalesced ? "coalesced" : "uncoalesced",
               static_cast<unsigned long long>(sink));
 
   const double wall =
@@ -150,6 +206,10 @@ int main(int argc, char** argv) {
   extra.set("unpack_mb_s", api::Json(wire_mb / unpack_s));
   extra.set("rtt_udp_us", api::Json(rtt_us[0]));
   extra.set("rtt_memory_us", api::Json(rtt_us[1]));
+  extra.set("burst_segmented_fps", api::Json(segmented_fps));
+  extra.set("burst_datagram_fps", api::Json(datagram_fps));
+  extra.set("burst_batch", api::Json::integer(std::uint64_t{batch}));
+  extra.set("burst_coalesced", api::Json(coalesced));
   extra.set("payload_bytes", api::Json::integer(std::uint64_t{kPayloadBytes}));
   extra.set("frames", api::Json::integer(std::uint64_t{frames}));
   bench::append_bench_record(s, "bench_packetize", 1, wall, std::move(extra));
