@@ -427,8 +427,9 @@ echo "robustness gate: kill-resume bit-identical on both backends, SIGINT drains
 
 # Net gate (src/net/, -Werror via CMake — README "Real transport"):
 # 1. the net test suite (wire-format fuzz/property suite, transport
-#    semantics, impairment-shim substream identity, and the seven
-#    sim-vs-wire parity oracles);
+#    semantics and the segmented UDP path, impairment-shim substream
+#    identity, the sim-vs-wire parity oracles, and UDP against memory on
+#    every plan and at the batch edges);
 ctest --output-on-failure --no-tests=error -R 'Net'
 # 2. loopback smoke over real UDP sockets: each run must byte-verify every
 #    delivered source payload against the sender's ground truth and match
@@ -438,15 +439,21 @@ ctest --output-on-failure --no-tests=error -R 'Net'
 #    codec output, so backend divergence would surface here as a payload
 #    mismatch).  The list is never hard-coded: an unsupported
 #    FECSCHED_GF_BACKEND falls back to the probe, so a fixed list could
-#    report coverage that never ran;
+#    report coverage that never ran.  Each backend also runs a block-RSE
+#    carousel: the one plan that ends on the receiver's state, so its link
+#    moves one datagram per call while the others send in batches;
 for backend in ${gf_backends:-auto scalar}; do
   FECSCHED_GF_BACKEND=$backend ./fecsched_cli net --p=0.02 --q=0.4 \
     --sources=800 --trials=3 --report-interval=200 \
     --net-dump=BENCH_net_dump.json > "BENCH_net_$backend.txt"
-  grep -q 'byte-verified payloads: .* (0 mismatches, 0 frames rejected)' \
-    "BENCH_net_$backend.txt"
-  grep -q 'parity: 3/3 trials match the simulation twin exactly' \
-    "BENCH_net_$backend.txt"
+  FECSCHED_GF_BACKEND=$backend ./fecsched_cli net --p=0.02 --q=0.4 \
+    --sources=800 --trials=3 --report-interval=200 --scheme=block-rse \
+    --sched=carousel > "BENCH_net_carousel_$backend.txt"
+  for out in "BENCH_net_$backend.txt" "BENCH_net_carousel_$backend.txt"; do
+    grep -q 'byte-verified payloads: .* (0 mismatches, 0 frames rejected)' \
+      "$out"
+    grep -q 'parity: 3/3 trials match the simulation twin exactly' "$out"
+  done
 done
 # 3. the --net-dump artifact goes through durable::write_file (temp +
 #    fsync + rename), so a crash injected at the durable.write fault
