@@ -3,6 +3,7 @@
 // random erasure patterns, alongside structural and error-handling tests.
 
 #include <numeric>
+#include <span>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -69,6 +70,69 @@ TEST(RseCodec, EncodeMatchesCoefficients) {
     for (std::uint32_t j = 0; j < 4; ++j)
       gf::addmul(expected, src[j], codec.coefficient(4 + i, j));
     EXPECT_EQ(parity[i], expected);
+  }
+}
+
+// FNV-1a (64-bit): a compact pin for a byte string.
+std::uint64_t fnv1a(std::span<const std::uint8_t> bytes,
+                    std::uint64_t h = 0xcbf29ce484222325ull) {
+  for (const std::uint8_t b : bytes) {
+    h ^= b;
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+// The generator's parity rows as one row-major (n-k) x k matrix.
+std::vector<std::uint8_t> parity_matrix(const RseCodec& codec) {
+  std::vector<std::uint8_t> m;
+  for (std::uint32_t i = codec.k(); i < codec.n(); ++i)
+    for (std::uint32_t j = 0; j < codec.k(); ++j)
+      m.push_back(codec.coefficient(i, j));
+  return m;
+}
+
+// Encoder and decoder share the generator and the matrix products, so a
+// round trip cannot see a change to either; these hashes, taken from the
+// seed codec, can.
+TEST(RseCodec, GeneratorIsPinned) {
+  struct Pin {
+    std::uint32_t k, n;
+    std::uint64_t fnv;  // every coefficient(i, j), row-major over n x k
+  };
+  static constexpr Pin kPins[] = {
+      {1, 2, 0x082f2307b4e88e77ull},
+      {8, 12, 0x778ece6bc321e967ull},
+      {64, 80, 0x358afca75183a46full},
+      {101, 252, 0xaacd4142b5d0cd7full},
+      {102, 255, 0x71e6176c46cdf36cull},
+      {170, 255, 0x2356f30951ce5606ull},
+      {255, 255, 0x0ff927811f8c8a2cull},
+  };
+  for (const Pin& pin : kPins) {
+    const RseCodec codec(pin.k, pin.n);
+    std::vector<std::uint8_t> all;
+    for (std::uint32_t i = 0; i < pin.n; ++i)
+      for (std::uint32_t j = 0; j < pin.k; ++j)
+        all.push_back(codec.coefficient(i, j));
+    EXPECT_EQ(fnv1a(all), pin.fnv) << "k=" << pin.k << " n=" << pin.n;
+  }
+}
+
+TEST(RseCodec, ParityBytesArePinned) {
+  struct Pin {
+    std::uint32_t k, n;
+    std::uint64_t fnv;  // every parity byte, parity 0 first
+  };
+  static constexpr Pin kPins[] = {{8, 12, 0xe1f54cf71d211829ull},
+                                  {102, 255, 0xe2de99c67da035c3ull}};
+  for (const Pin& pin : kPins) {
+    Rng rng(pin.k * 1000 + pin.n);
+    const RseCodec codec(pin.k, pin.n);
+    const auto parity = codec.encode(random_symbols(pin.k, 1024, rng));
+    std::uint64_t h = fnv1a({});
+    for (const auto& p : parity) h = fnv1a(p, h);
+    EXPECT_EQ(h, pin.fnv) << "k=" << pin.k << " n=" << pin.n;
   }
 }
 
@@ -235,6 +299,16 @@ TEST(GfMatrixInvert, SingularThrows) {
   EXPECT_THROW(gf256_invert_matrix(m, 2), std::invalid_argument);
   std::vector<std::uint8_t> zero(9, 0);
   EXPECT_THROW(gf256_invert_matrix(zero, 3), std::invalid_argument);
+}
+
+TEST(GfMatrixInvert, EverySourceLostSystemIsPinned) {
+  // The system decode_into inverts at (102, 255) with every source lost:
+  // the first 102 parity rows over all 102 columns.
+  const RseCodec codec(102, 255);
+  std::vector<std::uint8_t> m = parity_matrix(codec);
+  m.resize(std::size_t{102} * 102);
+  gf256_invert_matrix(m, 102);
+  EXPECT_EQ(fnv1a(m), 0xdf6b64f127ac6509ull);
 }
 
 TEST(GfMatrixInvert, DimensionMismatchThrows) {

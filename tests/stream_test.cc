@@ -181,6 +181,56 @@ TEST(SlidingWindow, EncoderWindowMatchesDeclaredSpan) {
   EXPECT_EQ(rp.payload.size(), 4u);
 }
 
+// FNV-1a (64-bit): a compact pin for a byte string.
+std::uint64_t fnv1a(std::span<const std::uint8_t> bytes,
+                    std::uint64_t h = 0xcbf29ce484222325ull) {
+  for (const std::uint8_t b : bytes) {
+    h ^= b;
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+// Encoder and decoder derive the same coefficients, so a round trip
+// cannot see a change to them; these hashes, taken from the seed code,
+// can.
+TEST(SlidingWindow, CoefficientsArePinned) {
+  std::vector<std::uint8_t> bytes;
+  for (const std::uint64_t seed : {0ull, 1ull, 0x57e4a11dull, ~0ull})
+    for (std::uint64_t r = 0; r < 40; r += 3)
+      for (std::uint64_t s = 0; s < 300; s += 7) {
+        SlidingWindowConfig cfg;
+        cfg.seed = seed;
+        bytes.push_back(sliding_coefficient(cfg, r, s));
+        cfg.coefficients = SlidingCoefficients::kBinary;
+        bytes.push_back(sliding_coefficient(cfg, r, s));
+      }
+  EXPECT_EQ(fnv1a(bytes), 0xa683980f9e078702ull);
+}
+
+TEST(SlidingWindow, RepairPayloadsArePinned) {
+  // Repairs over a window that is still filling, then full and sliding,
+  // in both coefficient modes.
+  for (const auto& [mode, pin] :
+       {std::pair{SlidingCoefficients::kRandomGf256, 0xe39774fdd972a586ull},
+        std::pair{SlidingCoefficients::kBinary, 0x28fed89eb93c9981ull}}) {
+    SlidingWindowConfig cfg;
+    cfg.window = 16;
+    cfg.repair_interval = 3;
+    cfg.coefficients = mode;
+    SlidingWindowEncoder enc(cfg, 100);
+    Rng rng(31);
+    std::vector<std::uint8_t> payload(100);
+    std::uint64_t h = fnv1a({});
+    for (int i = 0; i < 60; ++i) {
+      for (auto& b : payload) b = static_cast<std::uint8_t>(rng.below(256));
+      enc.push_source(payload);
+      if (i % 3 == 2) h = fnv1a(enc.make_repair().payload, h);
+    }
+    EXPECT_EQ(h, pin) << "binary=" << (mode == SlidingCoefficients::kBinary);
+  }
+}
+
 // ------------------------------------------------- dense reference
 
 // The decoder keeps its reduced row-echelon form incrementally; the dense
