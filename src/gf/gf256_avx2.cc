@@ -148,8 +148,10 @@ void avx2_addmul_batch(std::uint8_t* dst, const AddmulTerm* terms,
     avx2_addmul(dst + i, terms[t].src + i, len - i, terms[t].coeff);
 }
 
-constexpr Kernels kAvx2Kernels{Backend::kAvx2, "avx2",        avx2_addmul,
-                               avx2_scale,     avx2_xor_into, avx2_addmul_batch};
+constexpr Kernels kAvx2Kernels{
+    Backend::kAvx2, "avx2",        avx2_addmul,
+    avx2_scale,     avx2_xor_into, avx2_addmul_batch,
+    addmul_matrix_by_rows<avx2_addmul, avx2_addmul_batch>};
 
 }  // namespace
 

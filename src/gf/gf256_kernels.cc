@@ -133,12 +133,14 @@ void xor64_addmul_batch(std::uint8_t* dst, const AddmulTerm* terms,
 
 // --------------------------------------------------------------- dispatch
 
-constexpr Kernels kScalarKernels{Backend::kScalar, "scalar", scalar_addmul,
-                                 scalar_scale, scalar_xor_into,
-                                 scalar_addmul_batch};
-constexpr Kernels kXor64Kernels{Backend::kXor64, "xor64", xor64_addmul,
-                                scalar_scale, xor64_xor_into,
-                                xor64_addmul_batch};
+constexpr Kernels kScalarKernels{
+    Backend::kScalar,    "scalar",        scalar_addmul,
+    scalar_scale,        scalar_xor_into, scalar_addmul_batch,
+    detail::addmul_matrix_by_rows<scalar_addmul, scalar_addmul_batch>};
+constexpr Kernels kXor64Kernels{
+    Backend::kXor64,    "xor64",        xor64_addmul,
+    scalar_scale,       xor64_xor_into, xor64_addmul_batch,
+    detail::addmul_matrix_by_rows<xor64_addmul, xor64_addmul_batch>};
 
 const Kernels* lookup(Backend b) noexcept {
   switch (b) {

@@ -1,11 +1,12 @@
 // Runtime-dispatched GF(2^8) bulk-operation kernel engine.
 //
-// The four bulk kernels — addmul (dst ^= c*src), scale (dst = c*dst),
-// xor_into (dst ^= src) and the fused multi-source addmul_batch — are the
-// inner loops of every payload codec in this library: the RSE
-// encode/decode matrix products, the LDGM parity XORs, the peeling
-// decoder's check accumulators, and the sliding-window decoder's
-// Gauss-Jordan elimination.  Each backend implements all four:
+// The five bulk kernels — addmul (dst ^= c*src), scale (dst = c*dst),
+// xor_into (dst ^= src), the fused multi-source addmul_batch and the
+// multi-row addmul_matrix — are the inner loops of every payload codec in
+// this library: the RSE matrix products (encode, both decode products,
+// the generator) and its Gauss-Jordan inversion, the LDGM parity XORs,
+// the peeling decoder's check accumulators, and the sliding-window
+// decoder's elimination.  Each backend implements all five:
 //
 //  * kScalar — byte-at-a-time product-row table lookup.  This is the seed
 //    implementation, kept verbatim as the bit-exactness oracle every other
@@ -30,9 +31,18 @@
 //    byte-masked vectors, and addmul_batch keeps sixteen destination
 //    vectors (1 KiB) in registers per pass over the terms, reading a
 //    source that starts 16, 32 or 48 bytes into a cache line (heap rows)
-//    as whole lines realigned with valignd.  Needs GFNI and AVX-512BW;
-//    hosts without both run avx2 or ssse3.
+//    as whole lines realigned with valignd.  Its addmul_matrix holds a
+//    tile of 4 destination rows x 256 B in sixteen registers and runs
+//    column chunk by column chunk, so one chunk of every source (25.5 KiB
+//    at k = 102) stays in L1 while each loaded source vector feeds four
+//    rows.  Needs GFNI and AVX-512BW; hosts without both run avx2 or
+//    ssse3.
 //  * kNeon   — vqtbl1q_u8 split-nibble on aarch64 (compiled out on x86).
+//
+// Every backend but gfni runs addmul_matrix as one addmul_batch per
+// destination row (detail::addmul_matrix_by_rows): split-nibble
+// multiplication is bound by its shuffles, not by loads, so tiling rows
+// would gain little there.
 //
 // Selection happens once per process (CPUID probing; the first supported
 // of gfni, avx2, neon, ssse3, else xor64) and can be overridden with the
@@ -51,6 +61,7 @@
 
 #pragma once
 
+#include <algorithm>
 #include <cassert>
 #include <cstdint>
 #include <optional>
@@ -114,6 +125,15 @@ struct Kernels {
   /// the bytes past the last whole vector per term.
   void (*addmul_batch)(std::uint8_t* dst, const AddmulTerm* terms,
                        std::size_t count, std::size_t len) = nullptr;
+  /// dst[r][i] ^= XOR over t of coeffs[r * terms + t] * src[t][i] for r
+  /// in [0, rows) and i in [0, len): a dense rows x terms coefficient
+  /// matrix, row-major, times `terms` source rows.  Every RSE product and
+  /// each Gauss-Jordan pivot step is one call.  No dst row may overlap
+  /// another dst row or any src row.
+  void (*addmul_matrix)(std::uint8_t* const* dst,
+                        const std::uint8_t* const* src,
+                        const std::uint8_t* coeffs, std::size_t rows,
+                        std::size_t terms, std::size_t len) = nullptr;
 };
 
 /// The active kernel set (dispatched on first use; see force_backend).
@@ -148,6 +168,36 @@ struct alignas(16) NibbleRow {
   std::uint8_t hi[16];
 };
 [[nodiscard]] const NibbleRow* nibble_rows() noexcept;  // 256 entries
+
+/// addmul_matrix as one Batch (a backend's addmul_batch) call per dst row,
+/// zero coefficients dropped, or one Addmul call per row when there is one
+/// term (a Gauss-Jordan pivot step): the form every backend but gfni runs.
+template <void (*Addmul)(std::uint8_t*, const std::uint8_t*, std::size_t,
+                         std::uint8_t),
+          void (*Batch)(std::uint8_t*, const AddmulTerm*, std::size_t,
+                        std::size_t)>
+void addmul_matrix_by_rows(std::uint8_t* const* dst,
+                           const std::uint8_t* const* src,
+                           const std::uint8_t* coeffs, std::size_t rows,
+                           std::size_t terms, std::size_t len) {
+  if (terms == 1) {
+    for (std::size_t r = 0; r < rows; ++r) Addmul(dst[r], src[0], len, coeffs[r]);
+    return;
+  }
+  // Wider than any RSE block (k <= 255), so a codec row is one call.
+  constexpr std::size_t kMaxTerms = 256;
+  AddmulTerm batch[kMaxTerms];
+  for (std::size_t r = 0; r < rows; ++r) {
+    const std::uint8_t* row = coeffs + r * terms;
+    for (std::size_t t0 = 0; t0 < terms; t0 += kMaxTerms) {
+      const std::size_t end = std::min(terms, t0 + kMaxTerms);
+      std::size_t count = 0;
+      for (std::size_t t = t0; t < end; ++t)
+        if (row[t] != 0) batch[count++] = {src[t], row[t]};
+      Batch(dst[r], batch, count, len);
+    }
+  }
+}
 
 // Per-TU backend probes: non-null iff compiled in and the CPU supports
 // the instruction set.  Defined in gf256_ssse3.cc / gf256_avx2.cc /

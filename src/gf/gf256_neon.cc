@@ -98,8 +98,10 @@ void neon_addmul_batch(std::uint8_t* dst, const AddmulTerm* terms,
     neon_addmul(dst + i, terms[t].src + i, len - i, terms[t].coeff);
 }
 
-constexpr Kernels kNeonKernels{Backend::kNeon, "neon",        neon_addmul,
-                               neon_scale,     neon_xor_into, neon_addmul_batch};
+constexpr Kernels kNeonKernels{
+    Backend::kNeon, "neon",        neon_addmul,
+    neon_scale,     neon_xor_into, neon_addmul_batch,
+    addmul_matrix_by_rows<neon_addmul, neon_addmul_batch>};
 
 }  // namespace
 

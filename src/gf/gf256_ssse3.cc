@@ -148,9 +148,10 @@ void ssse3_addmul_batch(std::uint8_t* dst, const AddmulTerm* terms,
     ssse3_addmul(dst + i, terms[t].src + i, len - i, terms[t].coeff);
 }
 
-constexpr Kernels kSsse3Kernels{Backend::kSsse3,  "ssse3",
-                                ssse3_addmul,     ssse3_scale,
-                                ssse3_xor_into,   ssse3_addmul_batch};
+constexpr Kernels kSsse3Kernels{
+    Backend::kSsse3, "ssse3",        ssse3_addmul,
+    ssse3_scale,     ssse3_xor_into, ssse3_addmul_batch,
+    addmul_matrix_by_rows<ssse3_addmul, ssse3_addmul_batch>};
 
 }  // namespace
 

@@ -8,6 +8,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <numeric>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -211,6 +212,63 @@ TEST(Gf256Kernels, AddmulBatchMatchesSequentialAddmul) {
         ASSERT_EQ(got, expect)
             << "backend " << k.name << " len=" << len << " count=" << count;
       }
+    }
+  }
+}
+
+TEST(Gf256Kernels, AddmulMatrixMatchesScalarAddmul) {
+  // Every backend against sequential scalar addmul.  Rows cross every
+  // edge of a 4-row tile, lengths every edge of a 64-byte vector and a
+  // 256-byte chunk, coefficients include 0 and 1, and every src and dst
+  // row starts at its own offset inside a guarded, pre-filled buffer.
+  const Kernels& oracle = gf::kernels_for(Backend::kScalar);
+  const std::size_t kLengths[] = {0,   1,   63,   64,   65,   255,  256,
+                                  257, 1023, 1024, 1025, 1400};
+  const std::size_t kTerms[] = {0, 1, 2, 3, 4, 5, 102, 255};
+  std::vector<std::tuple<std::size_t, std::size_t, std::size_t>> shapes;
+  for (const std::size_t len : kLengths)
+    for (std::size_t rows = 1; rows <= 9; ++rows)
+      for (const std::size_t terms : kTerms) shapes.emplace_back(rows, terms, len);
+  // The codec's widths, at lengths up to one chunk past a vector, and the
+  // encode shape itself.
+  for (const std::size_t len : {0, 1, 63, 64, 65, 255, 256, 257})
+    for (const std::size_t rows : {153, 255})
+      for (const std::size_t terms : kTerms) shapes.emplace_back(rows, terms, len);
+  shapes.emplace_back(153, 102, 1024);
+  Rng rng(14);
+  for (const auto& [rows, terms, len] : shapes) {
+    const auto offset = [](std::size_t i) { return (i * 13) % 64; };
+    std::vector<std::vector<std::uint8_t>> srcs(terms);
+    std::vector<const std::uint8_t*> src_rows(terms);
+    for (std::size_t t = 0; t < terms; ++t) {
+      srcs[t].resize(offset(t) + len + kGuard);
+      fill_bytes(srcs[t], rng());
+      src_rows[t] = srcs[t].data() + offset(t);
+    }
+    std::vector<std::uint8_t> coeffs(rows * terms);
+    for (auto& c : coeffs)
+      c = static_cast<std::uint8_t>(rng.below(4) == 0 ? rng.below(2)
+                                                      : rng.below(256));
+    std::vector<std::vector<std::uint8_t>> expect(rows);
+    for (std::size_t r = 0; r < rows; ++r) {
+      expect[r].resize(kGuard + offset(r + 5) + len + kGuard);
+      fill_bytes(expect[r], rng());
+    }
+    const auto initial = expect;
+    for (std::size_t r = 0; r < rows; ++r)
+      for (std::size_t t = 0; t < terms; ++t)
+        oracle.addmul(expect[r].data() + kGuard + offset(r + 5), src_rows[t],
+                      len, coeffs[r * terms + t]);
+    for (const Backend b : gf::supported_backends()) {
+      const Kernels& k = gf::kernels_for(b);
+      auto got = initial;
+      std::vector<std::uint8_t*> dst_rows(rows);
+      for (std::size_t r = 0; r < rows; ++r)
+        dst_rows[r] = got[r].data() + kGuard + offset(r + 5);
+      k.addmul_matrix(dst_rows.data(), src_rows.data(), coeffs.data(), rows,
+                      terms, len);
+      ASSERT_EQ(got, expect) << "backend " << k.name << " rows=" << rows
+                             << " terms=" << terms << " len=" << len;
     }
   }
 }
