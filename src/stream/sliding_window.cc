@@ -21,12 +21,33 @@ void SlidingWindowConfig::validate() const {
         "SlidingWindowConfig: repair_interval must be >= 1");
 }
 
+namespace {
+
+/// The coefficients of one repair: derive_seed(seed, {repair_seq}) once,
+/// then one extend_seed per source, which is derive_seed(seed,
+/// {repair_seq, source_seq}).
+class RepairCoefficients {
+ public:
+  RepairCoefficients(const SlidingWindowConfig& cfg, std::uint64_t repair_seq)
+      : binary_(cfg.coefficients == SlidingCoefficients::kBinary),
+        prefix_(binary_ ? 0 : derive_seed(cfg.seed, {repair_seq})) {}
+
+  std::uint8_t operator()(std::uint64_t source_seq) const {
+    if (binary_) return 1;
+    return static_cast<std::uint8_t>(1 + extend_seed(prefix_, source_seq) % 255);
+  }
+
+ private:
+  bool binary_;
+  std::uint64_t prefix_;
+};
+
+}  // namespace
+
 std::uint8_t sliding_coefficient(const SlidingWindowConfig& cfg,
                                  std::uint64_t repair_seq,
                                  std::uint64_t source_seq) {
-  if (cfg.coefficients == SlidingCoefficients::kBinary) return 1;
-  const std::uint64_t h = derive_seed(cfg.seed, {repair_seq, source_seq});
-  return static_cast<std::uint8_t>(1 + h % 255);
+  return RepairCoefficients(cfg, repair_seq)(source_seq);
 }
 
 // ---------------------------------------------------------------- encoder
@@ -66,6 +87,7 @@ void SlidingWindowEncoder::make_repair(RepairPacket& out) {
   if (symbol_size_ > 0) {
     out.payload.assign(symbol_size_, 0);
     const gf::Kernels& eng = gf::kernels();
+    const RepairCoefficients coefficient(config_, out.repair_seq);
     constexpr std::size_t kBatch = 64;
     gf::AddmulTerm terms[kBatch];
     std::size_t nt = 0;
@@ -74,8 +96,7 @@ void SlidingWindowEncoder::make_repair(RepairPacket& out) {
         eng.addmul_batch(out.payload.data(), terms, nt, symbol_size_);
         nt = 0;
       }
-      terms[nt++] = {history_.row(seq % config_.window),
-                     sliding_coefficient(config_, out.repair_seq, seq)};
+      terms[nt++] = {history_.row(seq % config_.window), coefficient(seq)};
     }
     eng.addmul_batch(out.payload.data(), terms, nt, symbol_size_);
   } else {
@@ -247,25 +268,34 @@ const std::vector<std::uint64_t>& SlidingWindowDecoder::on_repair(
   if (symbol_size_ > 0 && repair.payload.size() != symbol_size_)
     throw std::invalid_argument(
         "SlidingWindowDecoder::on_repair: payload size mismatch");
+  // The span's fates first, so a repair that carries nothing costs no
+  // coefficient, copy or byte operation.  Pinned on an expired source:
+  // with in-order delivery (the horizon trails the newest repair window)
+  // this cannot happen; under reordering, the expired term could only be
+  // eliminated against another repair covering it, a pairing this
+  // decoder does not chase.
+  bool unknown = false;
+  for (std::uint64_t s = repair.first; s < repair.last; ++s) {
+    const std::uint8_t f = fate(s);
+    if (f == 2) return newly_;
+    unknown |= f == 0;
+  }
+  if (!unknown) return newly_;  // fully redundant
+  const RepairCoefficients coefficient(config_, repair.repair_seq);
   Row row;
   row.terms.reserve(std::min<std::uint64_t>(repair.last - repair.first,
                                             config_.window));
   row.rhs = repair.payload;
+  // The known sources' terms leave the equation in one batch.
+  scratch_batch_.clear();
   for (std::uint64_t s = repair.first; s < repair.last; ++s) {
-    const std::uint8_t f = fate(s);
-    // Pinned on an expired source: with in-order delivery (the horizon
-    // trails the newest repair window) this cannot happen; under
-    // reordering, the expired term could only be eliminated against
-    // another repair covering it, a pairing this decoder does not chase.
-    if (f == 2) return newly_;
-    if (f == 0)
-      row.terms.emplace_back(
-          s, sliding_coefficient(config_, repair.repair_seq, s));
+    if (fate(s) == 0)
+      row.terms.emplace_back(s, coefficient(s));
     else if (symbol_size_ > 0)
-      gf::addmul(row.rhs, symbols_[s],
-                 sliding_coefficient(config_, repair.repair_seq, s));
+      scratch_batch_.push_back({symbols_[s].data(), coefficient(s)});
   }
-  if (row.terms.empty()) return newly_;  // fully redundant
+  gf::kernels().addmul_batch(row.rhs.data(), scratch_batch_.data(),
+                             scratch_batch_.size(), symbol_size_);
   const obs::PhaseScope phase_scope(obs::current(), obs::Phase::kMatrixInvert);
   // Forward-reduce against the pivot rows.  A pivot row's other terms are
   // free columns, so eliminating one pivot never brings in another, and

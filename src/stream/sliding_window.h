@@ -45,6 +45,7 @@
 
 #include "fec/sparse_matrix.h"
 #include "fec/symbol_arena.h"
+#include "gf/gf256_kernels.h"
 
 namespace fecsched {
 
@@ -221,6 +222,7 @@ class SlidingWindowDecoder {
   std::vector<std::vector<std::uint8_t>> symbols_;
   std::vector<Row> rows_;  // ascending by pivot
   std::vector<Term> scratch_terms_;  // add_row's merge buffer
+  std::vector<gf::AddmulTerm> scratch_batch_;  // on_repair's known terms
   std::vector<std::uint64_t> newly_;  // the seqs the last call returns
 };
 

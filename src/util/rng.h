@@ -27,13 +27,21 @@ namespace fecsched {
   return x ^ (x >> 31);
 }
 
+/// One index of derive_seed's path: derive_seed(m, {a, b}) ==
+/// extend_seed(derive_seed(m, {a}), b), so seeds that share a path prefix
+/// can derive the prefix once.
+[[nodiscard]] constexpr std::uint64_t extend_seed(std::uint64_t seed,
+                                                  std::uint64_t idx) noexcept {
+  return splitmix64(seed ^ (idx + 0x9e3779b97f4a7c15ULL));
+}
+
 /// Derive an independent stream seed from a master seed and a sequence of
 /// indices (e.g. {cell_index, trial_index, component_tag}).  Any change in
 /// any index yields a statistically unrelated stream.
 [[nodiscard]] constexpr std::uint64_t
 derive_seed(std::uint64_t master, std::initializer_list<std::uint64_t> path) noexcept {
   std::uint64_t s = splitmix64(master);
-  for (std::uint64_t idx : path) s = splitmix64(s ^ (idx + 0x9e3779b97f4a7c15ULL));
+  for (std::uint64_t idx : path) s = extend_seed(s, idx);
   return s;
 }
 
