@@ -14,15 +14,19 @@
 //
 //   bench_codec_speed --json <out> [--check] [--min-time=SECONDS]
 //
-// measures gf256_addmul / gf256_addmul_batch / rse_encode / rse_decode /
-// ldgm_encode on EVERY backend the host supports and writes throughput
-// (bytes/s per op x backend) plus best-SIMD-over-scalar speedups as JSON
-// (recorded as BENCH_codec_speed.json).  gf256_addmul_batch is the RSE
-// encode shape — one parity row's 102 terms into one 1 KiB row — counted
-// in bytes of addmul work, and it is the ceiling each RSE row is held
-// to: an RSE row's roofline_fraction is its addmul work per second
-// (encode: n-k addmuls per source byte; decode with e sources erased: e)
-// divided by the batch rate.  Each backend's ops run in ten interleaved
+// measures gf256_addmul / gf256_addmul_batch / gf256_addmul_matrix /
+// gf256_invert / rse_encode / rse_decode / ldgm_encode on EVERY backend
+// the host supports and writes throughput (bytes/s per op x backend) plus
+// best-SIMD-over-scalar speedups as JSON (recorded as
+// BENCH_codec_speed.json).  gf256_addmul_batch is one parity row of the
+// RSE encode shape — 102 terms into one 1 KiB row — and
+// gf256_addmul_matrix the whole shape, 153 rows x 102 terms x 1 KiB, both
+// counted in bytes of addmul work.  The matrix row is the ceiling each
+// RSE row is held to: an RSE row's roofline_fraction is its addmul work
+// per second (encode: n-k addmuls per source byte; decode with e sources
+// erased: e) divided by the matrix rate.  gf256_invert inverts the
+// (102, 255) every-source-lost system and counts the matrix's 102 x 102
+// bytes per inversion.  Each backend's ops run in ten interleaved
 // rounds: a rate is an op's median round, and ratios (floors, roofline
 // fractions) are medians of round-by-round ratios, so a load change on a
 // shared host moves both sides alike.  On hosts that grant perf_event_open
@@ -31,10 +35,13 @@
 // the "perf_counters" block records why they are absent.  --check
 // enforces the perf acceptance criteria on SIMD-capable hosts (exit 1
 // when violated): >= 4x addmul and >= 1.5x end-to-end RSE encode/decode
-// for the best SIMD backend over scalar, and on every SIMD backend
+// for the best SIMD backend over scalar; on every SIMD backend
 // addmul_batch at least at the single-row addmul rate per byte and
-// rse_encode at a roofline fraction of at least 0.7.  --min-time must
-// be a finite number of seconds greater than 0 (else exit 2).
+// rse_encode at a roofline fraction of at least 0.7; and on gfni, whose
+// addmul_matrix is register-tiled, the matrix row at >= 1.3x the batch
+// row per byte and rse_decode at a roofline fraction of at least 0.6.
+// --min-time must be a finite number of seconds greater than 0 (else
+// exit 2).
 
 #include <benchmark/benchmark.h>
 
@@ -341,11 +348,26 @@ int run_json_mode(const std::string& json_path, bool check, double min_time,
   // applies the e x e inverse, e*(k-e) + e*e = e*k terms over k bytes.
   const std::map<std::string, double> addmuls_per_byte = {
       {"rse_encode", n - k}, {"rse_decode", block.erased}};
-  // The batch row: the first parity row's terms into one 1 KiB row.
+  // The matrix row: the generator's parity rows (the encode shape) into
+  // their own 1 KiB rows; the batch row: its first row into one.
+  std::vector<std::uint8_t> generator;
+  for (std::uint32_t i = k; i < n; ++i)
+    for (std::uint32_t j = 0; j < k; ++j)
+      generator.push_back(block.codec.coefficient(i, j));
   std::vector<gf::AddmulTerm> terms;
   for (std::uint32_t j = 0; j < k; ++j)
-    if (const std::uint8_t c = block.codec.coefficient(k, j); c != 0)
+    if (const std::uint8_t c = generator[j]; c != 0)
       terms.push_back({block.source_rows[j], c});
+  SymbolArena matrix_out;
+  matrix_out.configure(n - k, kSymbolSize);
+  std::vector<std::uint8_t*> matrix_rows;
+  for (std::uint32_t i = 0; i < n - k; ++i)
+    matrix_rows.push_back(matrix_out.row(i));
+  // The invert row: the system decode_into inverts with every source
+  // lost, the first k parity rows over all k columns.
+  const std::vector<std::uint8_t> system(
+      generator.begin(), generator.begin() + std::size_t{k} * k);
+  std::vector<std::uint8_t> inverse(system.size()), invert_scratch;
   const LdgmCode ldgm(ldgm_params(1020, 1.5, LdgmVariant::kStaircase));
   const auto ldgm_src = random_symbols(ldgm.k(), 3);
 
@@ -374,6 +396,18 @@ int run_json_mode(const std::string& json_path, bool check, double min_time,
                     gf::kernels().addmul_batch(dst.data(), terms.data(),
                                                terms.size(), kSymbolSize);
                   }),
+         timed_op("gf256_addmul_matrix", generator.size() * kSymbolSize,
+                  [&] {
+                    gf::kernels().addmul_matrix(
+                        matrix_rows.data(), block.source_rows.data(),
+                        generator.data(), n - k, k, kSymbolSize);
+                  }),
+         timed_op("gf256_invert", system.size(),
+                  [&] {
+                    std::copy(system.begin(), system.end(), inverse.begin());
+                    gf256_invert_matrix(std::span(inverse), k,
+                                        invert_scratch);
+                  }),
          timed_op("rse_encode", block.source_bytes(), [&] { block.encode(); }),
          timed_op("rse_decode", block.source_bytes(), [&] { block.decode(); }),
          timed_op("ldgm_encode",
@@ -382,13 +416,14 @@ int run_json_mode(const std::string& json_path, bool check, double min_time,
                     benchmark::DoNotOptimize(out);
                   })});
     const Measurement& batch = rates.at("gf256_addmul_batch");
+    const Measurement& matrix = rates.at("gf256_addmul_matrix");
     const bool simd = b == gf::Backend::kSsse3 || b == gf::Backend::kAvx2 ||
                       b == gf::Backend::kGfni || b == gf::Backend::kNeon;
     const auto roofline = [&](const std::string& op) {
       const auto it = addmuls_per_byte.find(op);
       return it == addmuls_per_byte.end()
                  ? 0.0
-                 : median_ratio(rates.at(op), batch, it->second);
+                 : median_ratio(rates.at(op), matrix, it->second);
     };
     for (const auto& [op, m] : rates) {
       results.push_back({op, name, m.bytes_per_second, m.cycles_per_byte,
@@ -399,7 +434,7 @@ int run_json_mode(const std::string& json_path, bool check, double min_time,
     }
     if (simd) {
       // The per-backend floors: batching must not cost throughput, and RSE
-      // encode must run near the batch kernel it is made of.
+      // encode must run near the matrix kernel it is made of.
       const double batch_x = median_ratio(batch, rates.at("gf256_addmul"));
       const double fraction = roofline("rse_encode");
       floors.push_back(name + ": gf256_addmul_batch at " +
@@ -408,6 +443,18 @@ int run_json_mode(const std::string& json_path, bool check, double min_time,
                        "fraction " +
                        std::to_string(fraction) + " (floor 0.7)");
       if (batch_x < 1.0 || fraction < 0.7) failures.push_back(floors.back());
+    }
+    if (b == gf::Backend::kGfni) {
+      // The tiled kernel must beat one batch per row, and decode (the
+      // inversion plus the solution product) must run near it.
+      const double matrix_x = median_ratio(matrix, batch);
+      const double fraction = roofline("rse_decode");
+      floors.push_back(name + ": gf256_addmul_matrix at " +
+                       std::to_string(matrix_x) +
+                       "x gf256_addmul_batch (floor 1.3x), rse_decode "
+                       "roofline fraction " +
+                       std::to_string(fraction) + " (floor 0.6)");
+      if (matrix_x < 1.3 || fraction < 0.6) failures.push_back(floors.back());
     }
   }
   gf::force_backend(original);
@@ -462,6 +509,10 @@ int run_json_mode(const std::string& json_path, bool check, double min_time,
               << r.bytes_per_second / 1e6 << " MB/s";
     if (r.roofline_fraction > 0.0)
       std::cout << "  (roofline fraction " << r.roofline_fraction << ")";
+    if (r.op == "gf256_invert")
+      std::cout << "  (" << 1e6 * static_cast<double>(system.size()) /
+                                r.bytes_per_second
+                << " us per inversion)";
     if (perf.available())
       std::cout << "  (" << r.cycles_per_byte << " cycles/B, "
                 << r.cache_miss_per_byte << " cache-miss/B)";
@@ -505,7 +556,9 @@ int run_json_mode(const std::string& json_path, bool check, double min_time,
     if (failures.empty())
       std::cout << "check passed: >=4x addmul, >=1.5x RSE end-to-end; on "
                    "every SIMD backend addmul_batch >= addmul per byte and "
-                   "rse_encode >= 0.7 of the batch roofline\n";
+                   "rse_encode >= 0.7 of the matrix roofline; on gfni "
+                   "addmul_matrix >= 1.3x addmul_batch and rse_decode >= "
+                   "0.6 of the matrix roofline\n";
     return failures.empty() ? 0 : 1;
   }
   return 0;
