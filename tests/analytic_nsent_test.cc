@@ -1,12 +1,24 @@
 // Closed-form results (Sec. 3.2) and the n_sent optimisation (Sec. 6.2),
-// including the paper's own 50 MB worked example.
+// including the paper's own 50 MB worked example, and the grid trial held
+// to exact values: one RSE block's P(decoded) and n_received distribution
+// from a dynamic program over the Gilbert chain (tests/gilbert_exact.h).
 
 #include <cmath>
+#include <memory>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "channel/gilbert.h"
 #include "core/nsent.h"
+#include "fec/block_partition.h"
+#include "gilbert_exact.h"
+#include "sched/tx_models.h"
 #include "sim/analytic.h"
+#include "sim/tracker.h"
+#include "sim/trial.h"
+#include "util/rng.h"
 
 namespace fecsched {
 namespace {
@@ -148,6 +160,89 @@ TEST(OptimalNsentBytes, RoundsObjectUp) {
   r.p = 0.0;
   r.q = 1.0;
   EXPECT_EQ(optimal_nsent_bytes(r).n_sent, 2u);
+}
+
+// ------------------------------------------------------- exact values
+
+TEST(ExactGilbert, BernoulliLimitIsBinomial) {
+  // q = 1 - p makes every slot an independent loss with probability p, so
+  // the DP must reproduce Binomial(n, 1 - p) arrivals.
+  for (const double p : {0.0, 0.1, 0.3, 0.5, 0.9}) {
+    for (const std::uint32_t n : {1u, 7u, 60u, 255u}) {
+      const std::vector<double> dist =
+          exact::received_distribution(p, 1.0 - p, n);
+      ASSERT_EQ(dist.size(), n + 1);
+      for (std::uint32_t m = 0; m <= n; ++m) {
+        const double binomial =
+            std::exp(std::lgamma(n + 1.0) - std::lgamma(m + 1.0) -
+                     std::lgamma(n - m + 1.0)) *
+            std::pow(1.0 - p, m) * std::pow(p, n - m);
+        EXPECT_NEAR(dist[m], binomial, 1e-12)
+            << "p=" << p << " n=" << n << " m=" << m;
+      }
+    }
+  }
+}
+
+TEST(ExactGilbert, RseBlockTrialsMatchExactValues) {
+  // One (40, 60) RSE block under Tx_model_1..5 at three Gilbert points, one
+  // of them bursty (q <= 0.2) and one the Bernoulli limit.  Every trial
+  // frequency must lie within 5 sigma (plus one stray trial) of its exact
+  // value, sigma = sqrt(P (1 - P) / trials); the seeds are fixed, so the
+  // test cannot flake.  P(n_received = k - 1) is 0.044-0.076 at these
+  // points, 3.5-7x the P(decoded) bound, so a tracker that solved a block
+  // one packet early would fail.
+  constexpr std::uint32_t kK = 40;
+  constexpr int kTrials = 40000;
+  constexpr double kZ = 5.0;
+  const auto plan = std::make_shared<const RsePlan>(kK, 1.5);
+  ASSERT_EQ(plan->block_count(), 1u);
+  const std::uint32_t n = plan->n();
+  ASSERT_EQ(n, 60u);
+  const auto bound = [](double prob) {
+    return kZ * std::sqrt(prob * (1.0 - prob) / kTrials) + 1.0 / kTrials;
+  };
+  struct Point {
+    double p, q;
+  };
+  for (const Point point : {Point{0.3, 0.7}, Point{0.2, 0.5}, Point{0.1, 0.2}}) {
+    const std::vector<double> dist =
+        exact::received_distribution(point.p, point.q, n);
+    const double decoded = exact::decode_probability(dist, kK);
+    for (const TxModel tx :
+         {TxModel::kTx1SeqSourceSeqParity, TxModel::kTx2SeqSourceRandParity,
+          TxModel::kTx3SeqParityRandSource, TxModel::kTx4AllRandom,
+          TxModel::kTx5Interleaved}) {
+      RseTracker tracker(plan);
+      GilbertModel channel(point.p, point.q);
+      std::vector<PacketId> schedule;
+      std::vector<int> received(n + 1, 0);
+      int decodes = 0;
+      for (int trial = 0; trial < kTrials; ++trial) {
+        const std::uint64_t seed = derive_seed(
+            23, {static_cast<std::uint64_t>(point.q * 100),
+                 static_cast<std::uint64_t>(tx),
+                 static_cast<std::uint64_t>(trial)});
+        Rng rng(seed);
+        make_schedule(*plan, tx, rng, schedule);
+        tracker.reset();
+        channel.reset(extend_seed(seed, 1));
+        const TrialResult r = run_trial(tracker, schedule, channel);
+        decodes += r.decoded ? 1 : 0;
+        ++received[r.n_received];
+      }
+      const std::string where = "p=" + std::to_string(point.p) +
+                                " q=" + std::to_string(point.q) + " " +
+                                std::string(to_string(tx));
+      EXPECT_NEAR(static_cast<double>(decodes) / kTrials, decoded,
+                  bound(decoded))
+          << where << " P(decoded)";
+      for (std::uint32_t m = 0; m <= n; ++m)
+        EXPECT_NEAR(static_cast<double>(received[m]) / kTrials, dist[m],
+                    bound(dist[m]))
+            << where << " P(n_received = " << m << ")";
+    }
+  }
 }
 
 }  // namespace
