@@ -402,14 +402,14 @@ int run_json_mode(const std::string& json_path, bool check, double min_time,
                         matrix_rows.data(), block.source_rows.data(),
                         generator.data(), n - k, k, kSymbolSize);
                   }),
+         timed_op("rse_decode", block.source_bytes(), [&] { block.decode(); }),
+         timed_op("rse_encode", block.source_bytes(), [&] { block.encode(); }),
          timed_op("gf256_invert", system.size(),
                   [&] {
                     std::copy(system.begin(), system.end(), inverse.begin());
                     gf256_invert_matrix(std::span(inverse), k,
                                         invert_scratch);
                   }),
-         timed_op("rse_encode", block.source_bytes(), [&] { block.encode(); }),
-         timed_op("rse_decode", block.source_bytes(), [&] { block.decode(); }),
          timed_op("ldgm_encode",
                   static_cast<std::uint64_t>(ldgm.k()) * kSymbolSize, [&] {
                     auto out = ldgm.encode(ldgm_src);

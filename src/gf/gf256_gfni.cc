@@ -303,14 +303,21 @@ void gfni_addmul_matrix(std::uint8_t* const* dst,
   for (; i + kChunk <= len; i += kChunk)
     matrix_chunk<kTileVecs, false>(dst, src, coeffs, rows, terms, i, 0);
   if (i == len) return;
-  // The last, partial chunk: its vectors, the last one byte-masked.
+  // The last, partial chunk: its vectors, the last one byte-masked unless
+  // it is whole (the inversion's 64-byte-padded rows).
   const std::size_t vecs = (len - i + kVec - 1) / kVec;
   const __mmask64 last = ~__mmask64{0} >> (vecs * kVec - (len - i));
+  const auto tail = [&]<std::size_t V>() {
+    if (last == ~__mmask64{0})
+      matrix_chunk<V, false>(dst, src, coeffs, rows, terms, i, last);
+    else
+      matrix_chunk<V, true>(dst, src, coeffs, rows, terms, i, last);
+  };
   switch (vecs) {
-    case 1: matrix_chunk<1, true>(dst, src, coeffs, rows, terms, i, last); break;
-    case 2: matrix_chunk<2, true>(dst, src, coeffs, rows, terms, i, last); break;
-    case 3: matrix_chunk<3, true>(dst, src, coeffs, rows, terms, i, last); break;
-    default: matrix_chunk<4, true>(dst, src, coeffs, rows, terms, i, last);
+    case 1: tail.operator()<1>(); break;
+    case 2: tail.operator()<2>(); break;
+    case 3: tail.operator()<3>(); break;
+    default: tail.operator()<4>();
   }
 }
 
