@@ -39,7 +39,7 @@
 // addmul_batch at least at the single-row addmul rate per byte and
 // rse_encode at a roofline fraction of at least 0.7; and on gfni, whose
 // addmul_matrix is register-tiled, the matrix row at >= 1.3x the batch
-// row per byte and rse_decode at a roofline fraction of at least 0.6.
+// row per byte and rse_decode at a roofline fraction of at least 0.5.
 // --min-time must be a finite number of seconds greater than 0 (else
 // exit 2).
 
@@ -453,8 +453,8 @@ int run_json_mode(const std::string& json_path, bool check, double min_time,
                        std::to_string(matrix_x) +
                        "x gf256_addmul_batch (floor 1.3x), rse_decode "
                        "roofline fraction " +
-                       std::to_string(fraction) + " (floor 0.6)");
-      if (matrix_x < 1.3 || fraction < 0.6) failures.push_back(floors.back());
+                       std::to_string(fraction) + " (floor 0.5)");
+      if (matrix_x < 1.3 || fraction < 0.5) failures.push_back(floors.back());
     }
   }
   gf::force_backend(original);
@@ -558,7 +558,7 @@ int run_json_mode(const std::string& json_path, bool check, double min_time,
                    "every SIMD backend addmul_batch >= addmul per byte and "
                    "rse_encode >= 0.7 of the matrix roofline; on gfni "
                    "addmul_matrix >= 1.3x addmul_batch and rse_decode >= "
-                   "0.6 of the matrix roofline\n";
+                   "0.5 of the matrix roofline\n";
     return failures.empty() ? 0 : 1;
   }
   return 0;

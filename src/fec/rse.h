@@ -70,8 +70,9 @@ class RseCodec {
   /// Zero-allocation encode core: source_rows[j] points at source symbol j
   /// and parity_rows[i] at the destination for parity symbol i, all
   /// symbol_size bytes and non-overlapping.  The caller validates shapes
-  /// once at workspace setup; this path runs the fused SIMD kernels with
-  /// no checks of its own (the gf/gf256_kernels.h contract).
+  /// once at workspace setup; this path is one addmul_matrix call (the
+  /// (n-k) x k parity generator times the sources) with no checks of its
+  /// own (the gf/gf256_kernels.h contract).
   void encode_into(const std::uint8_t* const* source_rows,
                    std::size_t symbol_size,
                    std::uint8_t* const* parity_rows) const;
@@ -93,8 +94,11 @@ class RseCodec {
   /// source symbols into source_rows[0..k), each symbol_size bytes, from
   /// >= k received packet views with distinct indices.  Throws
   /// std::invalid_argument exactly as decode() does for malformed sets
-  /// (payload sizes are the caller's contract).  The workspace is reusable
-  /// across calls and codecs.
+  /// (payload sizes are the caller's contract).  With e sources erased,
+  /// it is two addmul_matrix calls around one e x e inversion: the first
+  /// e parity payloads minus the received sources' terms, then the
+  /// inverse times those.  The workspace is reusable across calls and
+  /// codecs.
   void decode_into(std::span<const ReceivedSymbol> received,
                    std::size_t symbol_size, std::uint8_t* const* source_rows,
                    RseWorkspace& ws) const;
@@ -110,14 +114,17 @@ class RseCodec {
   std::vector<std::uint8_t> parity_rows_;
 };
 
-/// Invert a dense size x size matrix over GF(2^8) in place (row-major).
-/// Throws std::invalid_argument if the matrix is singular.
-/// Exposed for reuse by tests and by future codec variants.
+/// Invert a dense size x size matrix over GF(2^8) in place (row-major):
+/// Gauss-Jordan in place over rows padded to 64 bytes, one addmul_matrix
+/// call per pivot over every other row.  Throws std::invalid_argument if
+/// the matrix is singular.  Exposed for reuse by tests and by future
+/// codec variants.
 void gf256_invert_matrix(std::vector<std::uint8_t>& m, std::uint32_t size);
 
-/// Allocation-reusing variant: `scratch` holds the augmented [m | I] rows
-/// of the elimination and may be reused across calls (it is resized as
-/// needed).  On return `m` holds the inverse, as in the vector overload.
+/// Allocation-reusing variant: `scratch` holds the elimination's padded
+/// rows and its pivot record, and may be reused across calls (it is
+/// resized as needed).  On return `m` holds the inverse, as in the vector
+/// overload.
 void gf256_invert_matrix(std::span<std::uint8_t> m, std::uint32_t size,
                          std::vector<std::uint8_t>& scratch);
 

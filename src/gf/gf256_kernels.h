@@ -117,7 +117,8 @@ struct Kernels {
   void (*xor_into)(std::uint8_t* dst, const std::uint8_t* src,
                    std::size_t len) = nullptr;
   /// dst[i] ^= XOR over t of terms[t].coeff * terms[t].src[i] — one fused
-  /// pass over dst for all `count` terms (any count; RSE runs 100-255).
+  /// pass over dst for all `count` terms (any count; a codec row runs
+  /// 100-255).
   /// The SIMD backends make no call per term or chunk, and keep a block
   /// of dst in registers while every term accumulates into it (GFNI
   /// 1 KiB, AVX2 256 B, SSSE3 64 B, NEON 16 B).  GFNI finishes with one

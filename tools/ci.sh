@@ -525,6 +525,29 @@ for t in $sanitized; do
 done
 echo "sanitizer gate: decoders, receivers, observers and codecs clean under ASan+UBSan"
 
+# Thread sanitizer gate: the nine test binaries that run threads — the
+# grid sweep executor and its thread-count bit-identity checks
+# (trial_grid_test), the scenario API's parallel sweeps (api_test), the
+# observer sessions, metrics merges and timelines (obs_test,
+# hotpath_obs_test), the ledger (ledger_test), the LDGM grids
+# (ldgm_test), the stream and multipath engines (stream_test,
+# mpath_test) and the watchdog, interrupt and checkpoint suites
+# (robustness_test) — again under ThreadSanitizer, from a third build of
+# the library and the test binaries only (benches, examples and tools
+# off) in .tsan_build/.  halt_on_error=1 makes the first report fail CI.
+cmake -B .tsan_build -S . \
+  -DCMAKE_CXX_FLAGS="-fsanitize=thread -fno-omit-frame-pointer" \
+  -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread" \
+  -DFECSCHED_BUILD_BENCHES=OFF -DFECSCHED_BUILD_EXAMPLES=OFF \
+  -DFECSCHED_BUILD_TOOLS=OFF
+threaded="api_test hotpath_obs_test ldgm_test ledger_test mpath_test
+  obs_test robustness_test stream_test trial_grid_test"
+cmake --build .tsan_build -j "$(nproc)" --target $threaded
+for t in $threaded; do
+  TSAN_OPTIONS=halt_on_error=1 ./.tsan_build/"$t" --gtest_brief=1
+done
+echo "thread sanitizer gate: the threaded suites are race-free under TSan"
+
 # Benchmark gate (bench_e2e/, BENCHMARK.json): bench_e2e is a CMake
 # project of its own that the build above does not compile, yet it links
 # src/ and pins every workload's result hash.  Its quick self-check builds
