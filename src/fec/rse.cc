@@ -205,7 +205,8 @@ void RseCodec::decode_into(std::span<const ReceivedSymbol> received,
         &parity_rows_[static_cast<std::size_t>(prow) * k_];
     for (std::uint32_t u = 0; u < e; ++u)
       ws.a_[static_cast<std::size_t>(t) * e + u] = row[ws.erased_[u]];
-    std::uint8_t* known_row = &ws.known_[static_cast<std::size_t>(t) * known];
+    std::uint8_t* known_row =
+        ws.known_.data() + static_cast<std::size_t>(t) * known;
     for (std::uint32_t j = 0; j < k_; ++j)
       if (ws.seen_[j]) *known_row++ = row[j];
     rhs_rows[t] = ws.rhs_.row(t);

@@ -41,7 +41,7 @@ class RseWorkspace {
  private:
   friend class RseCodec;
   std::vector<std::uint8_t> a_;            // e x e erased-column system
-  std::vector<std::uint8_t> known_;        // e x (k-e) known-source coefficients
+  std::vector<std::uint8_t> known_;        // e x (k-e) received-source terms
   std::vector<std::uint8_t> inv_scratch_;  // the inversion's padded rows
   SymbolArena rhs_;                        // e parity right-hand sides
   std::vector<char> seen_;

@@ -182,7 +182,8 @@ void addmul_matrix_by_rows(std::uint8_t* const* dst,
                            const std::uint8_t* coeffs, std::size_t rows,
                            std::size_t terms, std::size_t len) {
   if (terms == 1) {
-    for (std::size_t r = 0; r < rows; ++r) Addmul(dst[r], src[0], len, coeffs[r]);
+    for (std::size_t r = 0; r < rows; ++r)
+      Addmul(dst[r], src[0], len, coeffs[r]);
     return;
   }
   // Wider than any RSE block (k <= 255), so a codec row is one call.

@@ -34,7 +34,8 @@ class RepairCoefficients {
 
   std::uint8_t operator()(std::uint64_t source_seq) const {
     if (binary_) return 1;
-    return static_cast<std::uint8_t>(1 + extend_seed(prefix_, source_seq) % 255);
+    const std::uint64_t h = extend_seed(prefix_, source_seq);
+    return static_cast<std::uint8_t>(1 + h % 255);
   }
 
  private:

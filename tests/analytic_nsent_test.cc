@@ -205,7 +205,8 @@ TEST(ExactGilbert, RseBlockTrialsMatchExactValues) {
   struct Point {
     double p, q;
   };
-  for (const Point point : {Point{0.3, 0.7}, Point{0.2, 0.5}, Point{0.1, 0.2}}) {
+  for (const Point point :
+       {Point{0.3, 0.7}, Point{0.2, 0.5}, Point{0.1, 0.2}}) {
     const std::vector<double> dist =
         exact::received_distribution(point.p, point.q, n);
     const double decoded = exact::decode_probability(dist, kK);

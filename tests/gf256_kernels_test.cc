@@ -228,12 +228,14 @@ TEST(Gf256Kernels, AddmulMatrixMatchesScalarAddmul) {
   std::vector<std::tuple<std::size_t, std::size_t, std::size_t>> shapes;
   for (const std::size_t len : kLengths)
     for (std::size_t rows = 1; rows <= 9; ++rows)
-      for (const std::size_t terms : kTerms) shapes.emplace_back(rows, terms, len);
+      for (const std::size_t terms : kTerms)
+        shapes.emplace_back(rows, terms, len);
   // The codec's widths, at lengths up to one chunk past a vector, and the
   // encode shape itself.
   for (const std::size_t len : {0, 1, 63, 64, 65, 255, 256, 257})
     for (const std::size_t rows : {153, 255})
-      for (const std::size_t terms : kTerms) shapes.emplace_back(rows, terms, len);
+      for (const std::size_t terms : kTerms)
+        shapes.emplace_back(rows, terms, len);
   shapes.emplace_back(153, 102, 1024);
   Rng rng(14);
   for (const auto& [rows, terms, len] : shapes) {
