@@ -305,40 +305,59 @@ TEST(FuzzTrialWorkspace, RandomStreamTrialsMatchFreshRuns) {
 }
 
 TEST(FuzzTrialWorkspace, SlidingDecoderResetMatchesFreshDecoder) {
-  Rng rng(23);
-  SlidingWindowConfig base;
-  std::optional<SlidingWindowDecoder> reused;
-  for (int round = 0; round < 40; ++round) {
-    SlidingWindowConfig cfg = base;
-    cfg.window = 4 + static_cast<std::uint32_t>(rng.below(16));
-    cfg.repair_interval = 1 + static_cast<std::uint32_t>(rng.below(5));
-    cfg.seed = rng();
-    SlidingWindowDecoder fresh(cfg);
-    if (reused)
-      reused->reset(cfg);
-    else
-      reused.emplace(cfg);
-    SlidingWindowEncoder encoder(cfg);
-    for (int step = 0; step < 200; ++step) {
-      const std::uint64_t s = encoder.push_source();
-      const bool lost = rng.below(5) == 0;
-      if (!lost) {
-        ASSERT_EQ(fresh.on_source(s), reused->on_source(s));
-      }
-      if ((s + 1) % cfg.repair_interval == 0) {
-        const RepairPacket r = encoder.make_repair();
-        if (rng.below(4) != 0) {
-          ASSERT_EQ(fresh.on_repair(r), reused->on_repair(r));
+  // One decoder per mode is reset between rounds whose windows run from 1
+  // to 300, so whatever it keeps across reset() meets streams both
+  // narrower and wider than the last.
+  for (const std::size_t symbol : {std::size_t{0}, std::size_t{24}}) {
+    Rng rng(23 + symbol);
+    std::optional<SlidingWindowDecoder> reused;
+    std::vector<std::uint8_t> payload(symbol);
+    for (int round = 0; round < 40; ++round) {
+      SlidingWindowConfig cfg;
+      cfg.window = 1 + static_cast<std::uint32_t>(rng.below(300));
+      cfg.repair_interval = 1 + static_cast<std::uint32_t>(rng.below(5));
+      cfg.seed = rng();
+      SlidingWindowDecoder fresh(cfg, symbol);
+      if (reused)
+        reused->reset(cfg);
+      else
+        reused.emplace(cfg, symbol);
+      SlidingWindowEncoder encoder(cfg, symbol);
+      const std::uint32_t steps = 200 + 2 * cfg.window;
+      for (std::uint32_t step = 0; step < steps; ++step) {
+        for (auto& b : payload) b = static_cast<std::uint8_t>(rng.below(256));
+        const std::uint64_t s = encoder.push_source(payload);
+        const bool lost = rng.below(5) == 0;
+        if (!lost) {
+          ASSERT_EQ(fresh.on_source(s, payload), reused->on_source(s, payload))
+              << "round " << round << " symbol " << symbol;
+        }
+        if ((s + 1) % cfg.repair_interval == 0) {
+          const RepairPacket r = encoder.make_repair();
+          if (rng.below(4) != 0) {
+            ASSERT_EQ(fresh.on_repair(r), reused->on_repair(r))
+                << "round " << round << " symbol " << symbol;
+          }
+        }
+        if (s + 1 > cfg.window) {
+          ASSERT_EQ(fresh.give_up_before(s + 1 - cfg.window),
+                    reused->give_up_before(s + 1 - cfg.window));
         }
       }
-      if (s + 1 > cfg.window) {
-        ASSERT_EQ(fresh.give_up_before(s + 1 - cfg.window),
-                  reused->give_up_before(s + 1 - cfg.window));
+      ASSERT_EQ(fresh.known_count(), reused->known_count());
+      ASSERT_EQ(fresh.lost_count(), reused->lost_count());
+      ASSERT_EQ(fresh.active_equations(), reused->active_equations());
+      for (std::uint64_t s = 0; s < steps; ++s) {
+        ASSERT_EQ(fresh.is_known(s), reused->is_known(s)) << "source " << s;
+        ASSERT_EQ(fresh.is_lost(s), reused->is_lost(s)) << "source " << s;
+        if (symbol == 0 || !fresh.is_known(s)) continue;
+        const auto want = fresh.symbol(s);
+        const auto got = reused->symbol(s);
+        ASSERT_TRUE(
+            std::equal(got.begin(), got.end(), want.begin(), want.end()))
+            << "round " << round << " source " << s;
       }
     }
-    ASSERT_EQ(fresh.known_count(), reused->known_count());
-    ASSERT_EQ(fresh.lost_count(), reused->lost_count());
-    ASSERT_EQ(fresh.active_equations(), reused->active_equations());
   }
 }
 

@@ -241,7 +241,9 @@ TEST(SlidingWindow, RepairPayloadsArePinned) {
 // same fates and byte-identical payloads.  The event streams are paced
 // emissions (sources, one repair per interval, then the tail) with
 // per-stream loss, duplicates and a bounded random delivery delay that
-// reorders arrivals as two paths would.
+// reorders arrivals as two paths would.  W = 1 is the narrowest window;
+// at W = 100 a repair covers more than 64 sources and a pending equation
+// can span more than 64 columns.
 using DifferentialParam =
     std::tuple<std::uint32_t, SlidingCoefficients, std::size_t>;
 class SlidingDifferential
@@ -350,7 +352,7 @@ TEST_P(SlidingDifferential, MatchesDenseReferenceOnReorderedStreams) {
 
 INSTANTIATE_TEST_SUITE_P(
     WindowsModesPayloads, SlidingDifferential,
-    ::testing::Combine(::testing::Values(4u, 16u, 64u),
+    ::testing::Combine(::testing::Values(1u, 4u, 16u, 64u, 100u),
                        ::testing::Values(SlidingCoefficients::kRandomGf256,
                                          SlidingCoefficients::kBinary),
                        ::testing::Values(std::size_t{0}, std::size_t{32})),

@@ -142,6 +142,11 @@ constexpr StreamScheme kSchemes[] = {
     StreamScheme::kSlidingWindow, StreamScheme::kReplication,
     StreamScheme::kBlockRse, StreamScheme::kLdgm};
 
+/// Sliding windows beside the default 24: the narrowest; one narrower than
+/// the repair interval (4), so no repair covers some sources; one wider
+/// than 64 sources; and one as wide as the whole 300-source stream.
+constexpr std::uint32_t kWindows[] = {1, 3, 65, 300};
+
 TEST(TransmissionGolden, StreamTrials) {
   const Case cases[] = {
       {"sliding-window", 0xc4c15e9c2961e5c1ULL},
@@ -152,6 +157,10 @@ TEST(TransmissionGolden, StreamTrials) {
       {"ldgm/sequential", 0xd954223be6980635ULL},
       {"ldgm/interleaved", 0xa842fcc814a86ccbULL},
       {"ldgm/carousel", 0xad9f668a5a7f2320ULL},
+      {"sliding-window/W1", 0x94a2f464a9b79fe2ULL},
+      {"sliding-window/W3", 0x6cfbc5bada78d238ULL},
+      {"sliding-window/W65", 0xc747410e2aecd399ULL},
+      {"sliding-window/W300", 0x7faa66fe4d6ea9d5ULL},
   };
   std::vector<StreamTrialConfig> configs = {
       small_stream(StreamScheme::kSlidingWindow, StreamScheduling::kSequential),
@@ -162,6 +171,11 @@ TEST(TransmissionGolden, StreamTrials) {
          {StreamScheduling::kSequential, StreamScheduling::kInterleaved,
           StreamScheduling::kCarousel})
       configs.push_back(small_stream(scheme, sched));
+  for (const std::uint32_t window : kWindows) {
+    configs.push_back(small_stream(StreamScheme::kSlidingWindow,
+                                   StreamScheduling::kSequential));
+    configs.back().window = window;
+  }
   ASSERT_EQ(configs.size(), std::size(cases));
   for (std::size_t i = 0; i < configs.size(); ++i) {
     GilbertModel channel(0.05, 0.3);
@@ -214,6 +228,14 @@ TEST(TransmissionGolden, MpathTrials) {
       {"earliest-arrival/3-path/block-rse/interleaved", 0xb2f712ef007698c6ULL},
       {"earliest-arrival/3-path/ldgm/sequential", 0xbecc29e5bc0cc242ULL},
       {"earliest-arrival/3-path/ldgm/interleaved", 0x679c17a42920486eULL},
+      {"earliest-arrival/sliding-window/W1", 0x78d5ce757023b4adULL},
+      {"earliest-arrival/sliding-window/W3", 0x18d28393fc3e20fbULL},
+      {"earliest-arrival/sliding-window/W65", 0x34ee5b985b7fafbbULL},
+      {"earliest-arrival/sliding-window/W300", 0x229fa2231cdc24f2ULL},
+      {"earliest-arrival/3-path/sliding-window/W1", 0xade9bc2d0a012ec2ULL},
+      {"earliest-arrival/3-path/sliding-window/W3", 0xb70720677c6d7fccULL},
+      {"earliest-arrival/3-path/sliding-window/W65", 0x18fe6ba4ff1af147ULL},
+      {"earliest-arrival/3-path/sliding-window/W300", 0x718b2f1e75a0fbd7ULL},
   };
   // Two unqueued paths, and three paths whose fastest one carries half a
   // packet per slot, so its departures queue behind each other.
@@ -229,40 +251,53 @@ TEST(TransmissionGolden, MpathTrials) {
       {PathScheduling::kWeighted, &three},
       {PathScheduling::kSplit, &three},
       {PathScheduling::kEarliestArrival, &three}};
+  const auto add = [](Hash& h, const MpathTrialResult& r) {
+    add_result(h, r.stream);
+    for (const PathStats& p : r.paths) {
+      h.add(p.label);
+      h.add(p.sent);
+      h.add(p.lost);
+      h.add(p.mean_queue_wait);
+      h.add(p.mean_transit);
+    }
+    for (const LossReport& rep : r.path_reports) {
+      h.add(rep.ok_to_ok);
+      h.add(rep.ok_to_loss);
+      h.add(rep.loss_to_ok);
+      h.add(rep.loss_to_loss);
+      h.add(rep.first_lost);
+      h.add(rep.has_events);
+    }
+    h.add(r.reordered);
+    h.add(r.reordered_fraction);
+  };
   std::size_t i = 0;
+  const auto run = [&](const MpathTrialConfig& cfg) {
+    ASSERT_LT(i, std::size(cases));
+    check(cases[i], golden([&] { return run_mpath_trial(cfg, 60 + i); }, add));
+    ++i;
+  };
   for (const auto& [scheduler, paths] : setups)
     for (const StreamScheme scheme : kSchemes)
       for (const StreamScheduling sched :
            {StreamScheduling::kSequential, StreamScheduling::kInterleaved}) {
-        ASSERT_LT(i, std::size(cases));
         MpathTrialConfig cfg;
         cfg.stream = small_stream(scheme, sched);
         cfg.paths = *paths;
         cfg.scheduler = scheduler;
-        const auto add = [](Hash& h, const MpathTrialResult& r) {
-          add_result(h, r.stream);
-          for (const PathStats& p : r.paths) {
-            h.add(p.label);
-            h.add(p.sent);
-            h.add(p.lost);
-            h.add(p.mean_queue_wait);
-            h.add(p.mean_transit);
-          }
-          for (const LossReport& rep : r.path_reports) {
-            h.add(rep.ok_to_ok);
-            h.add(rep.ok_to_loss);
-            h.add(rep.loss_to_ok);
-            h.add(rep.loss_to_loss);
-            h.add(rep.first_lost);
-            h.add(rep.has_events);
-          }
-          h.add(r.reordered);
-          h.add(r.reordered_fraction);
-        };
-        check(cases[i],
-              golden([&] { return run_mpath_trial(cfg, 60 + i); }, add));
-        ++i;
+        run(cfg);
       }
+  // The sliding window at other widths, over both earliest-arrival sets.
+  for (const std::vector<PathSpec>* paths : {&two, &three})
+    for (const std::uint32_t window : kWindows) {
+      MpathTrialConfig cfg;
+      cfg.stream = small_stream(StreamScheme::kSlidingWindow,
+                                StreamScheduling::kSequential);
+      cfg.stream.window = window;
+      cfg.paths = *paths;
+      cfg.scheduler = PathScheduling::kEarliestArrival;
+      run(cfg);
+    }
   EXPECT_EQ(i, std::size(cases));
 }
 
