@@ -48,11 +48,12 @@ if [ -x ./bench_codec_speed ]; then
   gf_backends=$(python3 -c 'import json, sys
 print(" ".join(json.load(open(sys.argv[1]))["backends"]))' BENCH_codec_speed.json)
 fi
-# 3. bit-identity of one grid, stream, mpath and net point: the default
-#    (auto-dispatched) backend and the forced-scalar backend must both
-#    reproduce the pinned scalar-path outputs byte for byte.  The net
-#    point runs on the in-memory transport, which makes its text and
-#    --json outputs deterministic.
+# 3. bit-identity of one grid, stream and net point and two mpath points
+#    (the default window and W = 300, whose pending equations run past 64
+#    columns): the default (auto-dispatched) backend and the
+#    forced-scalar backend must both reproduce the pinned scalar-path
+#    outputs byte for byte.  The net point runs on the in-memory
+#    transport, which makes its text and --json outputs deterministic.
 net_point="--p=0.02 --q=0.4 --sources=800 --trials=3 --report-interval=200 --transport=memory"
 ./fecsched_cli sweep --code=rse --tx=1 --ratio=1.5 --k=400 --trials=3 \
   | cmp - ../tools/pinned/grid_point.txt
@@ -60,6 +61,8 @@ net_point="--p=0.02 --q=0.4 --sources=800 --trials=3 --report-interval=200 --tra
   | cmp - ../tools/pinned/stream_point.txt
 ./fecsched_cli mpath --p=0.02 --q=0.4 --sources=600 --trials=2 \
   | cmp - ../tools/pinned/mpath_point.txt
+./fecsched_cli mpath --p=0.02 --q=0.4 --sources=600 --trials=2 --window=300 \
+  | cmp - ../tools/pinned/mpath_w300.txt
 ./fecsched_cli net $net_point | cmp - ../tools/pinned/net_point.txt
 ./fecsched_cli net $net_point --json | cmp - ../tools/pinned/net_point.json
 FECSCHED_GF_BACKEND=scalar ./fecsched_cli sweep --code=rse --tx=1 --ratio=1.5 --k=400 --trials=3 \
@@ -68,6 +71,8 @@ FECSCHED_GF_BACKEND=scalar ./fecsched_cli stream --p=0.02 --q=0.4 --sources=800 
   | cmp - ../tools/pinned/stream_point.txt
 FECSCHED_GF_BACKEND=scalar ./fecsched_cli mpath --p=0.02 --q=0.4 --sources=600 --trials=2 \
   | cmp - ../tools/pinned/mpath_point.txt
+FECSCHED_GF_BACKEND=scalar ./fecsched_cli mpath --p=0.02 --q=0.4 --sources=600 --trials=2 --window=300 \
+  | cmp - ../tools/pinned/mpath_w300.txt
 FECSCHED_GF_BACKEND=scalar ./fecsched_cli net $net_point \
   | cmp - ../tools/pinned/net_point.txt
 FECSCHED_GF_BACKEND=scalar ./fecsched_cli net $net_point --json \
