@@ -1,6 +1,7 @@
 #include "stream/sliding_window.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 #include <iterator>
 #include <optional>
@@ -107,6 +108,46 @@ void SlidingWindowEncoder::make_repair(RepairPacket& out) {
 
 // ---------------------------------------------------------------- decoder
 
+namespace {
+
+/// Word `w` of a seq-indexed bitset (0 past its end).
+std::uint64_t word(const std::vector<std::uint64_t>& bits, std::uint64_t w) {
+  return w < bits.size() ? bits[w] : 0;
+}
+
+void set_bit(std::vector<std::uint64_t>& bits, std::uint64_t seq) {
+  const std::uint64_t w = seq >> 6;
+  if (bits.size() <= w) bits.resize(w + 1, 0);
+  bits[w] |= std::uint64_t{1} << (seq & 63);
+}
+
+/// The bits of word `w` whose seqs lie in [first, last); the word must
+/// overlap that span.
+std::uint64_t span_mask(std::uint64_t first, std::uint64_t last,
+                        std::uint64_t w) {
+  const std::uint64_t base = w << 6;
+  const std::uint64_t lo = std::max(first, base) - base;       // 0..63
+  const std::uint64_t hi = std::min(last, base + 64) - base;   // 1..64
+  const std::uint64_t below_hi =
+      hi == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << hi) - 1;
+  return below_hi & (~std::uint64_t{0} << lo);
+}
+
+/// The index of the first non-zero byte of p[0, n), or n, read a word at
+/// a time: a row that recovers a source is all zeros past its pivot.
+std::size_t first_nonzero(const std::uint8_t* p, std::size_t n) {
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    std::uint64_t w;
+    std::memcpy(&w, p + i, sizeof w);
+    if (w != 0) break;
+  }
+  while (i < n && p[i] == 0) ++i;
+  return i;
+}
+
+}  // namespace
+
 SlidingWindowDecoder::SlidingWindowDecoder(const SlidingWindowConfig& config,
                                            std::size_t symbol_size)
     : config_(config), symbol_size_(symbol_size) {
@@ -119,17 +160,19 @@ void SlidingWindowDecoder::reset(const SlidingWindowConfig& config) {
   horizon_ = 0;
   known_n_ = 0;
   lost_n_ = 0;
-  fate_.clear();
+  known_.clear();
+  lost_.clear();
   symbols_.clear();
+  for (Row& row : rows_) release(row);
   rows_.clear();
 }
 
 bool SlidingWindowDecoder::is_known(std::uint64_t seq) const {
-  return fate(seq) == 1;
+  return word(known_, seq >> 6) >> (seq & 63) & 1;
 }
 
 bool SlidingWindowDecoder::is_lost(std::uint64_t seq) const {
-  return fate(seq) == 2;
+  return word(lost_, seq >> 6) >> (seq & 63) & 1;
 }
 
 std::span<const std::uint8_t> SlidingWindowDecoder::symbol(
@@ -141,30 +184,25 @@ std::span<const std::uint8_t> SlidingWindowDecoder::symbol(
   return symbols_[seq];
 }
 
-namespace {
-
-// The term of column `seq` in an ascending term list, or end().
-template <typename Terms>
-auto find_term(Terms& terms, std::uint64_t seq) {
-  const auto t = std::lower_bound(
-      terms.begin(), terms.end(), seq,
-      [](const auto& term, std::uint64_t s) { return term.first < s; });
-  return t != terms.end() && t->first == seq ? t : terms.end();
+auto SlidingWindowDecoder::take_row(std::uint64_t pivot, std::size_t width)
+    -> Row {
+  Row row;
+  if (!spare_.empty()) {
+    row = std::move(spare_.back());
+    spare_.pop_back();
+  }
+  row.pivot = pivot;
+  row.coef.assign(width, 0);
+  return row;
 }
 
-}  // namespace
-
-auto SlidingWindowDecoder::first_row_from(std::uint64_t seq)
-    -> std::vector<Row>::iterator {
-  return std::lower_bound(
-      rows_.begin(), rows_.end(), seq,
-      [](const Row& r, std::uint64_t s) { return r.pivot() < s; });
+void SlidingWindowDecoder::release(Row& row) {
+  spare_.push_back(std::move(row));
 }
 
 void SlidingWindowDecoder::learn(std::uint64_t seq,
                                  std::vector<std::uint8_t> payload) {
-  if (fate_.size() <= seq) fate_.resize(seq + 1, 0);
-  fate_[seq] = 1;
+  set_bit(known_, seq);
   ++known_n_;
   if (symbol_size_ > 0) {
     if (symbols_.size() <= seq) symbols_.resize(seq + 1);
@@ -174,43 +212,40 @@ void SlidingWindowDecoder::learn(std::uint64_t seq,
 }
 
 void SlidingWindowDecoder::add_row(Row& dst, const Row& src, std::uint8_t f) {
-  std::vector<Term>& out = scratch_terms_;
-  out.clear();
-  auto a = dst.terms.begin();
-  auto b = src.terms.begin();
-  while (a != dst.terms.end() || b != src.terms.end()) {
-    if (b == src.terms.end() || (a != dst.terms.end() && a->first < b->first)) {
-      out.push_back(*a++);
-    } else if (a == dst.terms.end() || b->first < a->first) {
-      out.emplace_back(b->first, gf::mul(f, b->second));
-      ++b;
-    } else {
-      const std::uint8_t c = a->second ^ gf::mul(f, b->second);
-      if (c != 0) out.emplace_back(a->first, c);
-      ++a;
-      ++b;
-    }
-  }
-  dst.terms.swap(out);
-  if (symbol_size_ > 0) gf::addmul(dst.rhs, src.rhs, f);
+  const std::size_t offset = src.pivot - dst.pivot;
+  const std::size_t width = offset + src.coef.size();
+  if (dst.coef.size() < width) dst.coef.resize(width, 0);
+  const gf::Kernels& eng = gf::kernels();
+  eng.addmul(dst.coef.data() + offset, src.coef.data(), src.coef.size(), f);
+  if (symbol_size_ > 0)
+    eng.addmul(dst.rhs.data(), src.rhs.data(), symbol_size_, f);
 }
 
-void SlidingWindowDecoder::insert_row(Row row) {
-  const std::uint8_t lead = row.terms.front().second;
-  if (lead != 1) {
-    const std::uint8_t inv = gf::inv(lead);
-    for (Term& term : row.terms) term.second = gf::mul(term.second, inv);
-    if (symbol_size_ > 0) gf::scale(row.rhs, inv);
+bool SlidingWindowDecoder::insert_row(Row row) {
+  const std::size_t lead = first_nonzero(row.coef.data(), row.coef.size());
+  if (lead == row.coef.size()) {
+    release(row);
+    return false;
+  }
+  if (lead > 0) {
+    row.coef.erase(row.coef.begin(),
+                   row.coef.begin() + static_cast<std::ptrdiff_t>(lead));
+    row.pivot += lead;
+  }
+  if (row.coef[0] != 1) {
+    const std::uint8_t inv = gf::inv(row.coef[0]);
+    const gf::Kernels& eng = gf::kernels();
+    eng.scale(row.coef.data(), row.coef.size(), inv);
+    if (symbol_size_ > 0) eng.scale(row.rhs.data(), symbol_size_, inv);
   }
   // Only rows with an earlier pivot can hold the new pivot, and adding
   // the new row leaves their pivots in place: its other terms are free
   // columns to the right of the pivot.
-  const auto pos = first_row_from(row.pivot());
-  for (auto it = rows_.begin(); it != pos; ++it) {
-    const auto t = find_term(it->terms, row.pivot());
-    if (t != it->terms.end()) add_row(*it, row, t->second);
-  }
+  auto pos = rows_.begin();
+  for (; pos != rows_.end() && pos->pivot < row.pivot; ++pos)
+    if (const std::uint8_t c = pos->at(row.pivot)) add_row(*pos, row, c);
   rows_.insert(pos, std::move(row));
+  return true;
 }
 
 void SlidingWindowDecoder::harvest() {
@@ -218,8 +253,10 @@ void SlidingWindowDecoder::harvest() {
   // frees nothing further.
   auto out = rows_.begin();
   for (Row& row : rows_) {
-    if (row.terms.size() == 1) {
-      learn(row.pivot(), std::move(row.rhs));
+    const std::size_t rest = row.coef.size() - 1;
+    if (first_nonzero(row.coef.data() + 1, rest) == rest) {
+      learn(row.pivot, std::move(row.rhs));
+      release(row);
       continue;
     }
     if (&*out != &row) *out = std::move(row);
@@ -231,32 +268,31 @@ void SlidingWindowDecoder::harvest() {
 const std::vector<std::uint64_t>& SlidingWindowDecoder::on_source(
     std::uint64_t seq, std::span<const std::uint8_t> payload) {
   newly_.clear();
-  if (fate(seq) != 0) return newly_;  // duplicate or past the deadline
+  if (is_known(seq) || is_lost(seq)) return newly_;  // duplicate or expired
   if (symbol_size_ > 0 && payload.size() != symbol_size_)
     throw std::invalid_argument(
         "SlidingWindowDecoder::on_source: payload size mismatch");
   learn(seq, {payload.begin(), payload.end()});
   // Only rows pivoted at or before seq can hold it; the last of them may
   // be the one pivoted on seq.
-  const auto end = first_row_from(seq + 1);
-  const bool pivoted = end != rows_.begin() && std::prev(end)->pivot() == seq;
+  auto it = rows_.begin();
   std::optional<obs::PhaseScope> phase_scope;
-  for (auto it = rows_.begin(); it != end; ++it) {
-    const auto t = find_term(it->terms, seq);
-    if (t == it->terms.end()) continue;
+  for (; it != rows_.end() && it->pivot <= seq; ++it) {
+    const std::uint8_t c = it->at(seq);
+    if (c == 0) continue;
     // Profiler: the elimination is the matrix-inversion phase of the
     // sliding-window decode (src/obs/); dormant cost is one atomic load.
     if (!phase_scope)
       phase_scope.emplace(obs::current(), obs::Phase::kMatrixInvert);
-    if (symbol_size_ > 0) gf::addmul(it->rhs, symbols_[seq], t->second);
-    it->terms.erase(t);
+    if (symbol_size_ > 0) gf::addmul(it->rhs, symbols_[seq], c);
+    it->coef[seq - it->pivot] = 0;
   }
   if (!phase_scope) return newly_;
-  if (pivoted) {
+  if (const auto last = std::prev(it); last->pivot == seq) {
     // The row lost its pivot; its other terms are free columns, so it
     // re-enters the system as a freshly reduced row.
-    Row row = std::move(*std::prev(end));
-    rows_.erase(std::prev(end));
+    Row row = std::move(*last);
+    rows_.erase(last);
     insert_row(std::move(row));
   }
   harvest();
@@ -269,45 +305,64 @@ const std::vector<std::uint64_t>& SlidingWindowDecoder::on_repair(
   if (symbol_size_ > 0 && repair.payload.size() != symbol_size_)
     throw std::invalid_argument(
         "SlidingWindowDecoder::on_repair: payload size mismatch");
-  // The span's fates first, so a repair that carries nothing costs no
-  // coefficient, copy or byte operation.  Pinned on an expired source:
-  // with in-order delivery (the horizon trails the newest repair window)
-  // this cannot happen; under reordering, the expired term could only be
-  // eliminated against another repair covering it, a pairing this
-  // decoder does not chase.
-  bool unknown = false;
-  for (std::uint64_t s = repair.first; s < repair.last; ++s) {
-    const std::uint8_t f = fate(s);
-    if (f == 2) return newly_;
-    unknown |= f == 0;
+  // The span's fates first, 64 sources per word, so a repair that carries
+  // nothing costs no coefficient, copy or byte operation.  Pinned on an
+  // expired source: with in-order delivery (the horizon trails the newest
+  // repair window) this cannot happen; under reordering, the expired term
+  // could only be eliminated against another repair covering it, a
+  // pairing this decoder does not chase.
+  if (repair.first >= repair.last) return newly_;
+  const std::uint64_t w0 = repair.first >> 6;
+  const std::uint64_t w1 = (repair.last - 1) >> 6;
+  std::uint64_t oldest = repair.last;
+  std::uint64_t newest = 0;
+  for (std::uint64_t w = w0; w <= w1; ++w) {
+    const std::uint64_t mask = span_mask(repair.first, repair.last, w);
+    if (word(lost_, w) & mask) return newly_;
+    const std::uint64_t unknown = ~word(known_, w) & mask;
+    if (unknown == 0) continue;
+    if (oldest == repair.last) oldest = (w << 6) + std::countr_zero(unknown);
+    newest = (w << 6) + 63 - std::countl_zero(unknown);
   }
-  if (!unknown) return newly_;  // fully redundant
+  if (oldest == repair.last) return newly_;  // fully redundant
   const RepairCoefficients coefficient(config_, repair.repair_seq);
-  Row row;
-  row.terms.reserve(std::min<std::uint64_t>(repair.last - repair.first,
-                                            config_.window));
-  row.rhs = repair.payload;
+  Row row = take_row(oldest, newest - oldest + 1);
   // The known sources' terms leave the equation in one batch.
   scratch_batch_.clear();
-  for (std::uint64_t s = repair.first; s < repair.last; ++s) {
-    if (fate(s) == 0)
-      row.terms.emplace_back(s, coefficient(s));
-    else if (symbol_size_ > 0)
+  for (std::uint64_t w = w0; w <= w1; ++w) {
+    const std::uint64_t mask = span_mask(repair.first, repair.last, w);
+    const std::uint64_t known = word(known_, w) & mask;
+    for (std::uint64_t m = ~known & mask; m != 0; m &= m - 1) {
+      const std::uint64_t s = (w << 6) + std::countr_zero(m);
+      row.coef[s - oldest] = coefficient(s);
+    }
+    if (symbol_size_ == 0) continue;
+    for (std::uint64_t m = known; m != 0; m &= m - 1) {
+      const std::uint64_t s = (w << 6) + std::countr_zero(m);
       scratch_batch_.push_back({symbols_[s].data(), coefficient(s)});
+    }
   }
-  gf::kernels().addmul_batch(row.rhs.data(), scratch_batch_.data(),
-                             scratch_batch_.size(), symbol_size_);
+  if (symbol_size_ > 0) {
+    row.rhs.assign(repair.payload.begin(), repair.payload.end());
+    gf::kernels().addmul_batch(row.rhs.data(), scratch_batch_.data(),
+                               scratch_batch_.size(), symbol_size_);
+  }
   const obs::PhaseScope phase_scope(obs::current(), obs::Phase::kMatrixInvert);
   // Forward-reduce against the pivot rows.  A pivot row's other terms are
   // free columns, so eliminating one pivot never brings in another, and
-  // no row pivoted before the repair's oldest unknown can match.
-  for (auto it = first_row_from(row.pivot()); it != rows_.end(); ++it) {
-    const auto t = find_term(row.terms, it->pivot());
-    if (t != row.terms.end()) add_row(row, *it, t->second);
+  // no row pivoted before the repair's oldest unknown can match.  A row
+  // pivoted past the repair row's end cannot match, nor can any after it:
+  // the repair row only grows by rows that do match.
+  const auto from = std::lower_bound(
+      rows_.begin(), rows_.end(), row.pivot,
+      [](const Row& r, std::uint64_t s) { return r.pivot < s; });
+  for (auto it = from; it != rows_.end(); ++it) {
+    if (it->pivot - row.pivot >= row.coef.size()) break;
+    if (const std::uint8_t c = row.coef[it->pivot - row.pivot])
+      add_row(row, *it, c);
   }
-  if (row.terms.empty()) return newly_;  // a combination of pending rows
-  insert_row(std::move(row));
-  harvest();
+  // A row with no coefficient left is a combination of pending rows.
+  if (insert_row(std::move(row))) harvest();
   return newly_;
 }
 
@@ -315,13 +370,15 @@ const std::vector<std::uint64_t>& SlidingWindowDecoder::give_up_before(
     std::uint64_t horizon) {
   newly_.clear();
   if (horizon <= horizon_) return newly_;
-  if (fate_.size() < horizon) fate_.resize(horizon, 0);
-  for (std::uint64_t seq = horizon_; seq < horizon; ++seq) {
-    if (fate_[seq] == 0) {
-      fate_[seq] = 2;
-      ++lost_n_;
-      newly_.push_back(seq);
-    }
+  for (std::uint64_t w = horizon_ >> 6; w <= (horizon - 1) >> 6; ++w) {
+    const std::uint64_t expired = span_mask(horizon_, horizon, w) &
+                                  ~word(known_, w) & ~word(lost_, w);
+    if (expired == 0) continue;
+    if (lost_.size() <= w) lost_.resize(w + 1, 0);
+    lost_[w] |= expired;
+    lost_n_ += static_cast<std::uint64_t>(std::popcount(expired));
+    for (std::uint64_t m = expired; m != 0; m &= m - 1)
+      newly_.push_back((w << 6) + std::countr_zero(m));
   }
   horizon_ = horizon;
   // Dropping every row that touches an expired source loses no
@@ -331,7 +388,9 @@ const std::vector<std::uint64_t>& SlidingWindowDecoder::give_up_before(
   // rows (with anything, including future repairs) retains every
   // participating pivot — so such rows can never help determine a
   // still-live source.  They are the rows pivoted below the horizon.
-  rows_.erase(rows_.begin(), first_row_from(horizon));
+  auto end = rows_.begin();
+  for (; end != rows_.end() && end->pivot < horizon; ++end) release(*end);
+  rows_.erase(rows_.begin(), end);
   return newly_;
 }
 

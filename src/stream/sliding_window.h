@@ -17,7 +17,14 @@
 // arriving source packet is substituted into the equations that hold it,
 // every arriving repair packet is reduced against the current pivots and
 // its own pivot eliminated from the earlier equations, and any equation
-// left with a single unknown recovers that source immediately.
+// left with a single unknown recovers that source immediately.  An
+// equation is a dense byte row, one coefficient per column from its
+// pivot on, so every row operation is one gf::Kernels addmul or scale
+// over a few dozen bytes and a coefficient lookup is an index.  Row
+// buffers come from a free list that survives reset(), so a steady stream
+// allocates no coefficient row per useful repair.  The known and lost
+// sources are two bitsets, so a repair's span is checked for expiry and
+// redundancy 64 sources per word.
 // Decoding is *delay-limited*: once the window has slid W source packets
 // past an unrecovered source, no future repair can cover it any more, so
 // it is declared lost (releasing head-of-line blocked successors — see
@@ -40,7 +47,6 @@
 
 #include <cstdint>
 #include <span>
-#include <utility>
 #include <vector>
 
 #include "fec/sparse_matrix.h"
@@ -132,7 +138,8 @@ class SlidingWindowEncoder {
 
 /// Receiver side: incremental GF(2^8) Gaussian elimination over the active
 /// window.  Per-source state is indexed by seq, so it grows with the
-/// largest seq fed in.
+/// largest seq fed in (two bits per source, plus one payload per known
+/// source in payload mode).
 class SlidingWindowDecoder {
  public:
   explicit SlidingWindowDecoder(const SlidingWindowConfig& config,
@@ -186,28 +193,36 @@ class SlidingWindowDecoder {
   }
 
  private:
-  using Term = std::pair<std::uint64_t, std::uint8_t>;
   /// One pending equation in reduced row-echelon form (columns ordered by
-  /// seq): unknown terms ascending; the first is the row's pivot, with
-  /// coefficient 1 and held by no other row.
+  /// seq): coef[i] is the coefficient of source pivot + i, so coef[0] is 1
+  /// and the pivot column is zero in every other row.  Every non-zero
+  /// coefficient is on a still-unknown source.
   struct Row {
-    std::vector<Term> terms;
+    std::uint64_t pivot = 0;
+    std::vector<std::uint8_t> coef;
     std::vector<std::uint8_t> rhs;  // payload mode only
-    [[nodiscard]] std::uint64_t pivot() const { return terms.front().first; }
+    /// The coefficient of source `seq` (0 outside the row).
+    [[nodiscard]] std::uint8_t at(std::uint64_t seq) const {
+      return seq >= pivot && seq - pivot < coef.size() ? coef[seq - pivot]
+                                                       : 0;
+    }
   };
 
-  [[nodiscard]] std::uint8_t fate(std::uint64_t seq) const {
-    return seq < fate_.size() ? fate_[seq] : 0;
-  }
-  /// The first row pivoted at or after `seq`.
-  std::vector<Row>::iterator first_row_from(std::uint64_t seq);
+  /// A row from the free list (or a new one) pivoted at `pivot` with
+  /// `width` zero coefficients.
+  Row take_row(std::uint64_t pivot, std::size_t width);
+  /// Return `row`'s buffers to the free list.
+  void release(Row& row);
   /// Mark `seq` known and append it to newly_.
   void learn(std::uint64_t seq, std::vector<std::uint8_t> payload);
-  /// dst += f * src, over the terms and (payload mode) the rhs.
+  /// dst += f * src, over the coefficients and (payload mode) the rhs;
+  /// src must be pivoted at or after dst.
   void add_row(Row& dst, const Row& src, std::uint8_t f);
-  /// Normalise `row`, whose terms are all free columns, eliminate its
-  /// pivot from the earlier rows and insert it in pivot order.
-  void insert_row(Row row);
+  /// Move `row`'s pivot to its first non-zero coefficient, normalise it,
+  /// eliminate that pivot from the earlier rows and insert the row in
+  /// pivot order.  A row with no coefficient left goes to the free list
+  /// instead, and the call returns false.
+  bool insert_row(Row row);
   /// Learn every single-term row (ascending seq) and drop it.
   void harvest();
 
@@ -216,12 +231,13 @@ class SlidingWindowDecoder {
   std::uint64_t horizon_ = 0;
   std::uint64_t known_n_ = 0;
   std::uint64_t lost_n_ = 0;
-  // Indexed by seq: 0 = unknown, 1 = known, 2 = lost; and the known
-  // payloads (payload mode).
-  std::vector<std::uint8_t> fate_;
+  // Bit seq % 64 of word seq / 64: the known and the lost sources; and
+  // the known payloads indexed by seq (payload mode).
+  std::vector<std::uint64_t> known_;
+  std::vector<std::uint64_t> lost_;
   std::vector<std::vector<std::uint8_t>> symbols_;
-  std::vector<Row> rows_;  // ascending by pivot
-  std::vector<Term> scratch_terms_;  // add_row's merge buffer
+  std::vector<Row> rows_;   // ascending by pivot
+  std::vector<Row> spare_;  // the free list: never more rows than were live
   std::vector<gf::AddmulTerm> scratch_batch_;  // on_repair's known terms
   std::vector<std::uint64_t> newly_;  // the seqs the last call returns
 };
