@@ -410,6 +410,39 @@ TEST(MpathTrial, LateSlowPathRepairStillRecoversEarlySource) {
   EXPECT_EQ(r.paths[1].lost, 0u);
 }
 
+TEST(MpathTrial, LateRepairOfAOneSourceWindowStillRecoversIt) {
+  // The same construction at W = 1: repair R0 covers source 3 alone, so
+  // no earlier source's deadline carries R0's arrival into the running
+  // prefix max.  Source 3's own deadline must take it from R0's window.
+  MpathTrialConfig cfg;
+  cfg.stream.scheme = StreamScheme::kSlidingWindow;
+  cfg.stream.source_count = 40;
+  cfg.stream.overhead = 0.25;  // interval 4
+  cfg.stream.window = 1;
+  PathSpec fast;
+  fast.label = "fast";
+  fast.delay = 0.0;
+  fast.capacity = 1000.0;
+  fast.make_channel = [] {
+    std::vector<bool> events(200, false);
+    events[3] = true;  // exactly source 3
+    return std::make_unique<TraceModel>(events, /*random_rotation=*/false);
+  };
+  PathSpec slow;
+  slow.label = "slow";
+  slow.delay = 60.0;
+  slow.capacity = 1.0;
+  cfg.paths = {fast, slow};
+  cfg.scheduler = PathScheduling::kWeighted;
+  cfg.repair_weights = {0.0, 1.0};
+
+  const MpathTrialResult r = run_mpath_trial(cfg, 7);
+  EXPECT_EQ(r.stream.residual.lost, 0u);
+  EXPECT_TRUE(r.stream.all_delivered);
+  // R0 departs at emission slot 4 and lands at 64: source 3 waits 61.
+  EXPECT_DOUBLE_EQ(r.stream.delay.max, 61.0);
+}
+
 TEST(MpathTrial, CapacityCongestionRaisesDelay) {
   MpathTrialConfig cfg;
   cfg.stream.scheme = StreamScheme::kSlidingWindow;
