@@ -101,14 +101,37 @@ void push_deadlines(const StreamCode& code,
     // repair whose window covers it, and the last emission before the
     // plan's line that gives it up.  The witness term makes the 1-path
     // degenerate case give up in exactly the single-path trial's slot.
+    //
+    // Paced windows never move back, so the repairs covering s are a run
+    // of the repair sequence whose ends only move forward as s grows.
+    // `covering` holds that run's candidates for the latest arrival:
+    // emission indices from `head` on, in emission order, with strictly
+    // decreasing arrivals, so its front is the run's maximum.
     const std::vector<std::uint64_t>& send = code.send_slots();
     deadline.resize(S);
-    for (std::uint32_t s = 0; s < S; ++s)
+    std::vector<std::size_t> covering;
+    std::size_t head = 0;
+    std::size_t next = 0;
+    std::uint64_t first = 0, last = 0;
+    for (std::uint32_t s = 0; s < S; ++s) {
+      for (; next < emissions.size(); ++next) {
+        const Emission& r = emissions[next];
+        if (!r.repair) continue;
+        if (r.first > s) break;
+        if (r.first < first || r.last < last)
+          throw std::logic_error("mpath: a paced repair window moved back");
+        first = r.first;
+        last = r.last;
+        while (covering.size() > head &&
+               resolve[covering.back()] <= resolve[next])
+          covering.pop_back();
+        covering.push_back(next);
+      }
+      while (head < covering.size() && emissions[covering[head]].last <= s)
+        ++head;
       deadline[s] = std::max(resolve[send[s]], resolve[slid_after[s]]);
-    for (std::size_t e = 0; e < emissions.size(); ++e) {
-      if (!emissions[e].repair) continue;
-      for (std::uint64_t s = emissions[e].first; s < emissions[e].last; ++s)
-        deadline[s] = std::max(deadline[s], resolve[e]);
+      if (head < covering.size())
+        deadline[s] = std::max(deadline[s], resolve[covering[head]]);
     }
     // Paced tie-break: deadlines (phase 0) before arrivals (phase 1) at
     // the same instant, matching the single-path give-up-then-receive
