@@ -138,7 +138,8 @@ class WireLink {
     std::size_t survivors = 0;
     for (std::uint64_t slot = first_; slot < fetched_; ++slot) {
       Slot& s = slots_[slot - first_];
-      sender_.frame(plan_[slot], frame_);
+      hook_.timed(obs::Phase::kNetPack,
+                  [&] { sender_.frame(plan_[slot], frame_); });
       s.delivered = hook_.timed(obs::Phase::kChannelDraw,
                                 [&] { return !shim_.drop_next(); });
       if (!s.delivered) continue;

@@ -21,7 +21,8 @@ enum class Phase : std::uint8_t {
   kDecode,        ///< tracker/decoder symbol processing
   kMatrixInvert,  ///< GF(256) dense solves inside decode
   kResequence,    ///< multipath arrival reordering (Resequencer::drain)
-  kNetPack,       ///< wire-format frame building (net/wire.h)
+  kNetPack,       ///< frame building: payloads, repairs (net/sender.h)
+                  ///< and the wire format (net/wire.h)
   kNetSend,       ///< one segmented UDP send per batch (net/udp_endpoint.h)
   kNetRecv,       ///< one UDP read (coalesced under GRO) / poll per call
   kNetUnpack,     ///< wire-format frame parsing at the receiver
