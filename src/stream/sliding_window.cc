@@ -115,12 +115,6 @@ std::uint64_t word(const std::vector<std::uint64_t>& bits, std::uint64_t w) {
   return w < bits.size() ? bits[w] : 0;
 }
 
-void set_bit(std::vector<std::uint64_t>& bits, std::uint64_t seq) {
-  const std::uint64_t w = seq >> 6;
-  if (bits.size() <= w) bits.resize(w + 1, 0);
-  bits[w] |= std::uint64_t{1} << (seq & 63);
-}
-
 /// The bits of word `w` whose seqs lie in [first, last); the word must
 /// overlap that span.
 std::uint64_t span_mask(std::uint64_t first, std::uint64_t last,
@@ -202,7 +196,8 @@ void SlidingWindowDecoder::release(Row& row) {
 
 void SlidingWindowDecoder::learn(std::uint64_t seq,
                                  std::vector<std::uint8_t> payload) {
-  set_bit(known_, seq);
+  if (known_.size() <= seq >> 6) known_.resize((seq >> 6) + 1, 0);
+  known_[seq >> 6] |= std::uint64_t{1} << (seq & 63);
   ++known_n_;
   if (symbol_size_ > 0) {
     if (symbols_.size() <= seq) symbols_.resize(seq + 1);
@@ -353,10 +348,10 @@ const std::vector<std::uint64_t>& SlidingWindowDecoder::on_repair(
   // no row pivoted before the repair's oldest unknown can match.  A row
   // pivoted past the repair row's end cannot match, nor can any after it:
   // the repair row only grows by rows that do match.
-  const auto from = std::lower_bound(
-      rows_.begin(), rows_.end(), row.pivot,
-      [](const Row& r, std::uint64_t s) { return r.pivot < s; });
-  for (auto it = from; it != rows_.end(); ++it) {
+  for (auto it = std::lower_bound(
+           rows_.begin(), rows_.end(), row.pivot,
+           [](const Row& r, std::uint64_t s) { return r.pivot < s; });
+       it != rows_.end(); ++it) {
     if (it->pivot - row.pivot >= row.coef.size()) break;
     if (const std::uint8_t c = row.coef[it->pivot - row.pivot])
       add_row(row, *it, c);
@@ -370,9 +365,10 @@ const std::vector<std::uint64_t>& SlidingWindowDecoder::give_up_before(
     std::uint64_t horizon) {
   newly_.clear();
   if (horizon <= horizon_) return newly_;
+  // No source at or past the old horizon is lost yet.
   for (std::uint64_t w = horizon_ >> 6; w <= (horizon - 1) >> 6; ++w) {
-    const std::uint64_t expired = span_mask(horizon_, horizon, w) &
-                                  ~word(known_, w) & ~word(lost_, w);
+    const std::uint64_t expired =
+        span_mask(horizon_, horizon, w) & ~word(known_, w);
     if (expired == 0) continue;
     if (lost_.size() <= w) lost_.resize(w + 1, 0);
     lost_[w] |= expired;

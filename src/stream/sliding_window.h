@@ -154,7 +154,8 @@ class SlidingWindowDecoder {
   }
 
   /// Restart for a new stream under a (possibly different) configuration,
-  /// keeping the solver scratch allocations — the trial-workspace path.
+  /// keeping the solver scratch allocations and the free list of row
+  /// buffers — the trial-workspace path.
   void reset(const SlidingWindowConfig& config);
 
   // on_source, on_repair and give_up_before return the decoder's own

@@ -374,73 +374,49 @@ TEST(MpathTrial, LateSlowPathRepairStillRecoversEarlySource) {
   // Give-up must never fire while a repair that covers a source is still
   // in flight on a slow path, even though later sources' own windows
   // close much earlier (effective deadlines are the running prefix max).
-  // Construction: all sources ride a fast path that erases exactly
-  // source 0; all repairs ride a perfect 60-slot path.  Source 0's only
-  // chance is repair R0 arriving at slot 64 — it must be recovered, not
-  // declared lost.
-  MpathTrialConfig cfg;
-  cfg.stream.scheme = StreamScheme::kSlidingWindow;
-  cfg.stream.source_count = 40;
-  cfg.stream.overhead = 0.25;  // interval 4
-  cfg.stream.window = 8;
-  PathSpec fast;
-  fast.label = "fast";
-  fast.delay = 0.0;
-  fast.capacity = 1000.0;  // sources: smooth WRR sends ~all of them here
-  fast.make_channel = [] {
-    std::vector<bool> events(200, false);
-    events[0] = true;  // exactly the first fast-path packet (source 0)
-    return std::make_unique<TraceModel>(events, /*random_rotation=*/false);
+  // Construction: all sources ride a fast path that erases exactly one
+  // source; all repairs ride a perfect 60-slot path.  Repair R0 (interval
+  // 4) departs at emission slot 4 and lands at 64.  At W = 8 it covers
+  // sources 0..3 and the erased source 0 must wait for it.  At W = 1 it
+  // covers source 3 alone, so no earlier source's deadline carries R0's
+  // arrival into the prefix max: source 3's own deadline must.
+  struct Case {
+    std::uint32_t window;
+    std::size_t erased;
+    double max_delay;  // R0's arrival, 64, minus the erased source
   };
-  PathSpec slow;
-  slow.label = "slow";
-  slow.delay = 60.0;
-  slow.capacity = 1.0;  // perfect channel (no factory)
-  cfg.paths = {fast, slow};
-  cfg.scheduler = PathScheduling::kWeighted;
-  cfg.repair_weights = {0.0, 1.0};  // every repair on the slow path
+  for (const Case c : {Case{8, 0, 64.0}, Case{1, 3, 61.0}}) {
+    MpathTrialConfig cfg;
+    cfg.stream.scheme = StreamScheme::kSlidingWindow;
+    cfg.stream.source_count = 40;
+    cfg.stream.overhead = 0.25;  // interval 4
+    cfg.stream.window = c.window;
+    PathSpec fast;
+    fast.label = "fast";
+    fast.delay = 0.0;
+    fast.capacity = 1000.0;  // sources: smooth WRR sends ~all of them here
+    fast.make_channel = [erased = c.erased] {
+      std::vector<bool> events(200, false);
+      events[erased] = true;  // exactly that fast-path packet (a source)
+      return std::make_unique<TraceModel>(events, /*random_rotation=*/false);
+    };
+    PathSpec slow;
+    slow.label = "slow";
+    slow.delay = 60.0;
+    slow.capacity = 1.0;  // perfect channel (no factory)
+    cfg.paths = {fast, slow};
+    cfg.scheduler = PathScheduling::kWeighted;
+    cfg.repair_weights = {0.0, 1.0};  // every repair on the slow path
 
-  const MpathTrialResult r = run_mpath_trial(cfg, 7);
-  EXPECT_EQ(r.stream.residual.lost, 0u) << "source 0 was given up before "
-                                            "its slow-path repair arrived";
-  EXPECT_TRUE(r.stream.all_delivered);
-  // R0 (covers sources 0..3) departs at emission slot 4 and lands at 64;
-  // source 0's in-order release happens right there.
-  EXPECT_DOUBLE_EQ(r.stream.delay.max, 64.0);
-  EXPECT_EQ(r.paths[1].lost, 0u);
-}
-
-TEST(MpathTrial, LateRepairOfAOneSourceWindowStillRecoversIt) {
-  // The same construction at W = 1: repair R0 covers source 3 alone, so
-  // no earlier source's deadline carries R0's arrival into the running
-  // prefix max.  Source 3's own deadline must take it from R0's window.
-  MpathTrialConfig cfg;
-  cfg.stream.scheme = StreamScheme::kSlidingWindow;
-  cfg.stream.source_count = 40;
-  cfg.stream.overhead = 0.25;  // interval 4
-  cfg.stream.window = 1;
-  PathSpec fast;
-  fast.label = "fast";
-  fast.delay = 0.0;
-  fast.capacity = 1000.0;
-  fast.make_channel = [] {
-    std::vector<bool> events(200, false);
-    events[3] = true;  // exactly source 3
-    return std::make_unique<TraceModel>(events, /*random_rotation=*/false);
-  };
-  PathSpec slow;
-  slow.label = "slow";
-  slow.delay = 60.0;
-  slow.capacity = 1.0;
-  cfg.paths = {fast, slow};
-  cfg.scheduler = PathScheduling::kWeighted;
-  cfg.repair_weights = {0.0, 1.0};
-
-  const MpathTrialResult r = run_mpath_trial(cfg, 7);
-  EXPECT_EQ(r.stream.residual.lost, 0u);
-  EXPECT_TRUE(r.stream.all_delivered);
-  // R0 departs at emission slot 4 and lands at 64: source 3 waits 61.
-  EXPECT_DOUBLE_EQ(r.stream.delay.max, 61.0);
+    const MpathTrialResult r = run_mpath_trial(cfg, 7);
+    EXPECT_EQ(r.stream.residual.lost, 0u)
+        << "W=" << c.window << ": source " << c.erased
+        << " was given up before its slow-path repair arrived";
+    EXPECT_TRUE(r.stream.all_delivered) << "W=" << c.window;
+    // The erased source's in-order release happens when R0 lands.
+    EXPECT_DOUBLE_EQ(r.stream.delay.max, c.max_delay) << "W=" << c.window;
+    EXPECT_EQ(r.paths[1].lost, 0u) << "W=" << c.window;
+  }
 }
 
 TEST(MpathTrial, CapacityCongestionRaisesDelay) {
