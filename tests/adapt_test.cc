@@ -304,29 +304,6 @@ TEST(AdaptiveSession, RejectsEmptyObject) {
 
 // ----------------------------------------------------- adaptive_compare
 
-TEST(BurstGrid, MapsPGlobalAndBurstToGilbert) {
-  const auto points = burst_grid({0.1}, {4.0});
-  ASSERT_EQ(points.size(), 1u);
-  const auto [p, q] = points[0];
-  EXPECT_NEAR(p / (p + q), 0.1, 1e-12);
-  EXPECT_NEAR(1.0 / q, 4.0, 1e-12);
-  EXPECT_THROW(burst_grid({1.0}, {4.0}), std::invalid_argument);
-  EXPECT_THROW(burst_grid({0.1}, {0.5}), std::invalid_argument);
-}
-
-// p_global 0.9 at burst 1 needs p = 9: gilbert_point's p <= 1 rule
-// rejects it up front, naming both coordinates.
-TEST(BurstGrid, RejectsPointsThatAreNotGilbertChannels) {
-  try {
-    (void)burst_grid({0.9}, {1.0});
-    FAIL() << "burst_grid accepted p = 9";
-  } catch (const std::invalid_argument& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("not a Gilbert channel"), std::string::npos) << what;
-    EXPECT_NE(what.find("0.9"), std::string::npos) << what;
-  }
-}
-
 TEST(AdaptiveCompare, SmokePointConvergesToReliableChoice) {
   AdaptiveCompareConfig cfg;
   cfg.k = 500;

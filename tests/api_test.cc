@@ -4,11 +4,14 @@
 // run_scenario / run_scenario_sweep reproduce every legacy entry point
 // exactly (same Rng consumption, same accumulation order).
 
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -389,41 +392,86 @@ TEST(ScenarioOracle, MpathEngineMatchesLegacyTrialLoop) {
   EXPECT_EQ(result.mpath[0].variant.label, "earliest-arrival");
 }
 
-TEST(ScenarioOracle, AdaptiveEngineMatchesRunAdaptiveCompare) {
+/// FNV-1a over every field of every AdaptiveComparePoint.
+class PointHash {
+ public:
+  template <typename T>
+    requires std::is_arithmetic_v<T>
+  void add(T v) {
+    unsigned char bytes[sizeof v];
+    std::memcpy(bytes, &v, sizeof v);
+    for (unsigned char b : bytes) h_ = (h_ ^ b) * 0x100000001b3ULL;
+  }
+  void add(const RunningStats& s) {
+    add(static_cast<std::uint64_t>(s.count()));
+    for (const double v : {s.mean(), s.m2(), s.min(), s.max()}) add(v);
+  }
+  void add(const CandidateTuple& t) {
+    add(static_cast<int>(t.code));
+    add(static_cast<int>(t.tx));
+    add(t.expansion_ratio);
+  }
+  void add(const AdaptiveComparePoint& r) {
+    for (const double v : {r.p, r.q, r.p_global, r.mean_burst}) add(v);
+    add(static_cast<std::uint64_t>(r.baselines.size()));
+    for (const StaticBaselineResult& b : r.baselines) {
+      add(b.tuple);
+      add(b.inefficiency);
+      add(b.failures);
+      add(b.trials);
+    }
+    add(static_cast<std::uint64_t>(r.trajectory.size()));
+    for (const AdaptiveTrajectoryPoint& t : r.trajectory) {
+      add(t.object_index);
+      add(t.tuple);
+      add(static_cast<int>(t.regime));
+      add(t.replanned);
+      add(t.decoded);
+      add(t.inefficiency);
+      add(t.n_sent);
+      add(t.estimated_p_global);
+      add(t.estimated_mean_burst);
+    }
+    add(r.warmup_objects);
+    add(r.adaptive_steady);
+    add(r.adaptive_failures);
+    add(r.adaptive_warmup);
+    add(r.best_baseline);
+  }
+  [[nodiscard]] std::uint64_t value() const noexcept { return h_; }
+
+ private:
+  std::uint64_t h_ = 0xcbf29ce484222325ULL;
+};
+
+// The adaptive engine in absolute terms: a two-point spec through
+// run_scenario and run_scenario_sweep, every result field of both points
+// folded into one hash (pinned from the engine's serial driver).
+TEST(ScenarioOracle, AdaptiveEngineIsPinned) {
+  constexpr std::uint64_t kWant = 0x2feaf100fa14ce05ULL;
   ScenarioSpec spec;
   spec.engine = "adaptive";
   spec.code.k = 300;
   spec.adapt.objects = 6;
   spec.adapt.warmup = 2;
   spec.run.seed = 0xada2c0deULL;
+  spec.run.threads = 2;
   spec.sweep.p_globals = {0.05, 0.1};
   spec.sweep.bursts = {2.0};
 
-  const ScenarioResult result = run_scenario(spec);
-
-  AdaptiveCompareConfig cfg;
-  cfg.k = 300;
-  cfg.objects = 6;
-  cfg.warmup_objects = 2;
-  cfg.seed = 0xada2c0deULL;
-  const auto legacy =
-      run_adaptive_compare(burst_grid({0.05, 0.1}, {2.0}), cfg);
-
-  ASSERT_EQ(result.adaptive.size(), legacy.size());
-  for (std::size_t i = 0; i < legacy.size(); ++i) {
-    EXPECT_EQ(result.adaptive[i].p, legacy[i].p);
-    EXPECT_EQ(result.adaptive[i].best_baseline, legacy[i].best_baseline);
-    expect_stats_equal(result.adaptive[i].adaptive_steady,
-                       legacy[i].adaptive_steady);
-    ASSERT_EQ(result.adaptive[i].trajectory.size(),
-              legacy[i].trajectory.size());
-    for (std::size_t t = 0; t < legacy[i].trajectory.size(); ++t) {
-      EXPECT_EQ(result.adaptive[i].trajectory[t].inefficiency,
-                legacy[i].trajectory[t].inefficiency);
-      EXPECT_EQ(result.adaptive[i].trajectory[t].n_sent,
-                legacy[i].trajectory[t].n_sent);
-    }
-  }
+  const auto hash = [](const std::vector<AdaptiveComparePoint>& points) {
+    EXPECT_EQ(points.size(), 2u);
+    PointHash h;
+    for (const AdaptiveComparePoint& r : points) h.add(r);
+    return h.value();
+  };
+  const std::uint64_t single = hash(run_scenario(spec).adaptive);
+  const std::uint64_t sweep = hash(run_scenario_sweep(spec).adaptive);
+  EXPECT_EQ(single, kWant);
+  EXPECT_EQ(sweep, kWant);
+  if (single != kWant)
+    std::printf("AdaptiveEngineIsPinned: 0x%016llxULL\n",
+                static_cast<unsigned long long>(single));
 }
 
 // --------------------------------------------------------- sweep oracles

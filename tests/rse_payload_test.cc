@@ -6,8 +6,10 @@
 // geometry, against the scalar backend's bytes.
 
 #include <algorithm>
+#include <cstdint>
 #include <cstring>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -244,8 +246,27 @@ void check_object(std::uint32_t k, double ratio, std::size_t symbol,
   }
 }
 
+/// FNV-1a of the scalar backend's bytes from check_object(8192, 2.5, 1024,
+/// 14): every parity payload, then every source decoded with all lost.
+constexpr std::uint64_t kTwoGeometryBytes = 0xe84f4d8feabcd239ULL;
+
+/// check_object's bytes for the two-geometry plan on backend `b`, hashed.
+std::uint64_t two_geometry_bytes(Backend b) {
+  const Backend before = gf::current_backend();
+  gf::force_backend(b);
+  std::vector<std::vector<std::uint8_t>> bytes;
+  check_object(8192, 2.5, 1024, 14, &bytes);
+  gf::force_backend(before);
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const auto& payload : bytes)
+    for (const std::uint8_t byte : payload) h = (h ^ byte) * 0x100000001b3ULL;
+  return h;
+}
+
+// k = 8192 at ratio 2.5 (codec_rse's object at 1 KiB symbols), on the
+// scalar backend; RseObjectBackend runs the other backends one case each.
 TEST(RseObject, TwoGeometryPlanMatchesFreshCodecPerBlock) {
-  // k = 8192 at ratio 2.5: 11 blocks of (102, 255) then 70 of (101, 252).
+  // 11 blocks of (102, 255) then 70 of (101, 252).
   const RsePlan plan(8192, 2.5);
   ASSERT_EQ(plan.block_count(), 81u);
   EXPECT_EQ(plan.block(0).k, 102u);
@@ -253,20 +274,30 @@ TEST(RseObject, TwoGeometryPlanMatchesFreshCodecPerBlock) {
   EXPECT_EQ(plan.block(10).k, 102u);
   EXPECT_EQ(plan.block(11).k, 101u);
   EXPECT_EQ(plan.block(80).k, 101u);
-  // At codec_rse's 1 KiB symbols, on every backend: each backend's parity
-  // and its decode with every source lost must be the scalar backend's
-  // bytes, not only its own fresh codec's.
-  std::vector<std::vector<std::uint8_t>> scalar_bytes;
-  for_each_backend([&](Backend b) {
-    std::vector<std::vector<std::uint8_t>> bytes;
-    check_object(8192, 2.5, 1024, 14, &bytes);
-    if (b == Backend::kScalar) {
-      scalar_bytes = std::move(bytes);
-    } else {
-      EXPECT_TRUE(bytes == scalar_bytes) << "backend " << gf::to_string(b);
-    }
-  });
+  const std::uint64_t got = two_geometry_bytes(Backend::kScalar);
+  EXPECT_EQ(got, kTwoGeometryBytes)
+      << std::hex << "scalar bytes hash to 0x" << got;
 }
+
+// Every other backend's parity and its decode with every source lost must
+// be the scalar backend's bytes, not only its own fresh codec's.
+class RseObjectBackend : public ::testing::TestWithParam<Backend> {};
+
+TEST_P(RseObjectBackend, TwoGeometryPlanMatchesScalarBytes) {
+  const std::vector<Backend> supported = gf::supported_backends();
+  if (std::find(supported.begin(), supported.end(), GetParam()) ==
+      supported.end())
+    GTEST_SKIP() << "backend not supported on this host";
+  EXPECT_EQ(two_geometry_bytes(GetParam()), kTwoGeometryBytes);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    OtherBackends, RseObjectBackend,
+    ::testing::Values(Backend::kXor64, Backend::kSsse3, Backend::kAvx2,
+                      Backend::kGfni, Backend::kNeon),
+    [](const ::testing::TestParamInfo<Backend>& info) {
+      return std::string(gf::to_string(info.param));
+    });
 
 TEST(RseObject, SmallPlanMatchesFreshCodecPerBlock) {
   // k = 250 at ratio 2.2: (84, 184) then two of (83, 182).

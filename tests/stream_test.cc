@@ -640,8 +640,22 @@ TEST(GilbertPoint, RoundTripsStationaryLossAndBurst) {
   const GilbertModel model(pt.p, pt.q);
   EXPECT_NEAR(model.global_loss_probability(), 0.1, 1e-12);
   EXPECT_NEAR(1.0 / pt.q, 5.0, 1e-12);
+  const ChannelPoint bursty = gilbert_point(0.1, 4.0);
+  EXPECT_NEAR(bursty.p / (bursty.p + bursty.q), 0.1, 1e-12);
+  EXPECT_NEAR(1.0 / bursty.q, 4.0, 1e-12);
   EXPECT_THROW((void)gilbert_point(-0.1, 2.0), std::invalid_argument);
+  EXPECT_THROW((void)gilbert_point(1.0, 4.0), std::invalid_argument);
   EXPECT_THROW((void)gilbert_point(0.2, 0.5), std::invalid_argument);
+  // p_global 0.9 at burst 1 needs p = 9: rejected up front, naming both
+  // coordinates.
+  try {
+    (void)gilbert_point(0.9, 1.0);
+    FAIL() << "gilbert_point accepted p = 9";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("not a Gilbert channel"), std::string::npos) << what;
+    EXPECT_NE(what.find("0.9"), std::string::npos) << what;
+  }
 }
 
 TEST(RecommendWindow, GrowsWithBurstLengthAndLossRate) {
