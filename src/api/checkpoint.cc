@@ -170,53 +170,18 @@ std::optional<CellResult> try_load_shard(const CheckpointSpec& checkpoint,
   }
 }
 
-GridResult run_grid_checkpointed(const GridSpec& spec, std::uint32_t k,
-                                 const TrialFn& trial_fn,
-                                 const GridRunOptions& options,
-                                 const CheckpointSpec& checkpoint,
-                                 const std::string& fingerprint) {
+void attach_checkpoint(GridRunOptions& options,
+                       const CheckpointSpec& checkpoint,
+                       const std::string& fingerprint) {
   ensure_dir(checkpoint.dir);
-
-  GridResult result;
-  result.spec = spec;
-  result.k = k;
-  const std::vector<ChannelPoint> points = grid_points(spec);
-  result.cells.resize(points.size());
-  for (std::size_t c = 0; c < points.size(); ++c) {
-    result.cells[c].p = points[c].p;
-    result.cells[c].q = points[c].q;
-  }
-
-  // Restore before launching workers, so skip_point is a plain lookup.
-  std::vector<char> restored(points.size(), 0);
-  if (checkpoint.resume) {
-    for (std::size_t c = 0; c < points.size(); ++c) {
-      if (auto cell = try_load_shard(checkpoint, fingerprint, c,
-                                     options.trials_per_cell)) {
-        result.cells[c] = *cell;
-        restored[c] = 1;
-      }
-    }
-  }
-
-  GridRunOptions opt = options;
-  opt.skip_point = [&restored](std::size_t c) { return restored[c] != 0; };
-  opt.point_done = [&](std::size_t c) {
-    write_shard(checkpoint, fingerprint, c, result.cells[c],
-                options.trials_per_cell);
+  const std::uint32_t trials = options.trials_per_cell;
+  if (checkpoint.resume)
+    options.restore_cell = [=](std::size_t c) {
+      return try_load_shard(checkpoint, fingerprint, c, trials);
+    };
+  options.cell_done = [=](std::size_t c, const CellResult& cell) {
+    write_shard(checkpoint, fingerprint, c, cell, trials);
   };
-  opt.trial_timed_out = [&result](std::size_t c, std::uint32_t) {
-    CellResult& cell = result.cells[c];
-    ++cell.trials;
-    ++cell.failures;
-    cell.timed_out = true;
-  };
-  sweep_points(points, opt,
-               [&](std::size_t c, double p, double q, std::uint32_t /*t*/,
-                   std::uint64_t seed) {
-                 accumulate_trial(result.cells[c], trial_fn(p, q, seed), k);
-               });
-  return result;
 }
 
 }  // namespace fecsched::api

@@ -7,7 +7,9 @@
 // shards, skips the finished cells, and recomputes only what is missing —
 // and because the shards store the per-cell RunningStats moments as exact
 // round-trip doubles (api::Json::format_double / RunningStats::restore),
-// the resumed result is byte-identical to an uninterrupted run.
+// the resumed result is byte-identical to an uninterrupted run.  The
+// sweep itself is run_grid's: this module only restores shards before it
+// starts and writes one per finished cell (attach_checkpoint).
 //
 // Shards are keyed twice so stale state can never corrupt a sweep:
 //
@@ -81,14 +83,13 @@ void write_shard(const CheckpointSpec& checkpoint,
     const CheckpointSpec& checkpoint, const std::string& fingerprint,
     std::size_t cell, std::uint32_t trials_per_cell);
 
-/// run_grid with shard persistence: identical accumulation (shared
-/// accumulate_trial), identical per-(cell, trial) seeds, plus a durable
-/// shard per finished cell and — with checkpoint.resume — restored cells
-/// skipped entirely.  `fingerprint` is the obs-excluded spec fingerprint
-/// the shards are keyed by.
-[[nodiscard]] GridResult run_grid_checkpointed(
-    const GridSpec& spec, std::uint32_t k, const TrialFn& trial_fn,
-    const GridRunOptions& options, const CheckpointSpec& checkpoint,
-    const std::string& fingerprint);
+/// Arm `options` (run_grid's checkpoint hooks) to write one durable
+/// shard per finished cell and, with checkpoint.resume, to restore every
+/// cell whose shard loads (try_load_shard) before the sweep starts.
+/// Creates checkpoint.dir.  `fingerprint` is the obs-excluded spec
+/// fingerprint the shards are keyed by.
+void attach_checkpoint(GridRunOptions& options,
+                       const CheckpointSpec& checkpoint,
+                       const std::string& fingerprint);
 
 }  // namespace fecsched::api

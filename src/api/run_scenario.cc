@@ -1,13 +1,16 @@
 // run_scenario / run_scenario_sweep: the registry-driven dispatch from a
-// declarative ScenarioSpec onto the four experiment engines.
+// declarative ScenarioSpec onto the grid, stream, net, mpath and adaptive
+// engines.
 //
 // Bit-identity is the design constraint: each engine loop below consumes
 // the exact Rng streams and seed derivations the legacy surface it
 // replaced used (fecsched_cli subcommand loops, run_stream_delay_grid,
-// run_mpath_sweep, run_adaptive_compare, Experiment::run), so a spec
-// that mirrors a legacy call reproduces its result exactly.  Oracle
-// tests in tests/api_test.cc and the pinned-output gate in tools/ci.sh
-// hold this line.
+// run_mpath_sweep, Experiment::run), so a spec that mirrors a legacy call
+// reproduces its result exactly.  Both entry points share one driver per
+// engine where they can: the adaptive engine is run_adaptive_compare over
+// sweep_channel_points, and the grid engine is run_grid, with or without
+// checkpoint shards.  Oracle tests and golden rows in tests/api_test.cc
+// and the pinned-output gate in tools/ci.sh hold this line.
 
 #include "api/scenario.h"
 
@@ -127,19 +130,15 @@ ScenarioResult result_header(const ScenarioSpec& spec) {
 
 // ---------------------------------------------------------------- grid
 
-/// The grid engines' one sweep call: plain Experiment::run, or the
-/// checkpointed driver when a shard directory is configured.  Both paths
-/// share run_grid's seeds and accumulation, so the choice never changes a
-/// digit of the result.
+/// The grid engines' one sweep call, with the shard hooks armed when a
+/// checkpoint directory is configured: restored cells are skipped, the
+/// rest keep run_grid's seeds, so resuming never changes a digit.
 GridResult run_grid_result(const ScenarioSpec& spec, const RunControl& control,
                            const Experiment& experiment) {
-  const GridRunOptions options = to_grid_options(spec, control);
-  if (!control.checkpoint.enabled())
-    return experiment.run(to_grid_spec(spec), options);
-  return run_grid_checkpointed(to_grid_spec(spec), experiment.k(),
-                               experiment.trial_fn(), options,
-                               control.checkpoint,
-                               scenario_fingerprint(spec));
+  GridRunOptions options = to_grid_options(spec, control);
+  if (control.checkpoint.enabled())
+    attach_checkpoint(options, control.checkpoint, scenario_fingerprint(spec));
+  return experiment.run(to_grid_spec(spec), options);
 }
 
 ScenarioResult run_grid_engine(const ScenarioSpec& spec,
@@ -405,24 +404,13 @@ ScenarioResult run_mpath_engine(const ScenarioSpec& spec,
 
 // ------------------------------------------------------------ adaptive
 
-std::vector<std::pair<double, double>> adaptive_points(
-    const ScenarioSpec& spec) {
-  if (!spec.sweep.p_globals.empty() || !spec.sweep.bursts.empty()) {
-    if (spec.sweep.p_globals.empty() || spec.sweep.bursts.empty())
-      throw std::invalid_argument(
-          "spec: sweep.p_global and sweep.burst must both be given");
-    return burst_grid(spec.sweep.p_globals, spec.sweep.bursts);
-  }
-  const ChannelPoint pt = spec.channel.point();
-  return {{pt.p, pt.q}};
-}
-
+/// Every channel point of the spec (sweep_channel_points), run in
+/// parallel over spec.run.threads.
 ScenarioResult run_adaptive_engine(const ScenarioSpec& spec) {
   ScenarioResult result = result_header(spec);
-  AdaptiveCompareConfig cfg = to_adaptive_config(spec);
-  cfg.validate();
-  result.adaptive = run_adaptive_compare(adaptive_points(spec), cfg);
-  result.adaptive_config = std::move(cfg);
+  result.adaptive_config = to_adaptive_config(spec);
+  result.adaptive = run_adaptive_compare(
+      sweep_channel_points(spec), *result.adaptive_config, spec.run.threads);
   return result;
 }
 
@@ -590,21 +578,8 @@ ScenarioSweepResult run_scenario_sweep_engines(const ScenarioSpec& spec,
   }
 
   if (spec.engine == "adaptive") {
-    AdaptiveCompareConfig cfg = to_adaptive_config(spec);
-    cfg.validate();
-    const std::vector<std::pair<double, double>> points =
-        adaptive_points(spec);
-    result.points.clear();
-    for (const auto& [p, q] : points) result.points.push_back({p, q});
-    // One worker per channel point; every point is seed-determined, so
-    // the result matches a serial run digit for digit.
-    std::vector<AdaptiveComparePoint> out(points.size());
-    parallel_for_index(points.size(), spec.run.threads, [&](std::size_t i) {
-      if (interrupt::interrupted()) return;  // drain: finish nothing new
-      out[i] =
-          run_adaptive_compare_point(points[i].first, points[i].second, cfg);
-    });
-    result.adaptive = std::move(out);
+    result.adaptive = run_adaptive_compare(
+        result.points, to_adaptive_config(spec), spec.run.threads);
     return result;
   }
 

@@ -10,14 +10,20 @@
 // scheme) and converges; the comparison therefore separates a warm-up
 // phase from the steady state, and the steady-state mean inefficiency is
 // the number to put against the static baselines.
+//
+// Every trial of both kinds is one run_trial (sim/trial.h) on the
+// candidate's Experiment; the Experiments are built once per run and
+// shared read-only by the points, which run in parallel.
 
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "adapt/channel_estimator.h"
 #include "adapt/controller.h"
+#include "sim/grid.h"
 #include "util/stats.h"
 
 namespace fecsched {
@@ -81,14 +87,9 @@ struct AdaptiveCompareConfig {
   std::uint32_t k = 2000;            ///< object size in source packets
   std::uint32_t objects = 40;        ///< adaptive objects per point
   std::uint32_t warmup_objects = 10; ///< excluded from the steady-state mean
-  /// Candidate space shared by the static baselines and the controller
-  /// (empty = default_candidates()).
-  std::vector<CandidateTuple> candidates;
-  EstimatorConfig estimator;
+  /// The controller; its candidate space (empty = default_candidates())
+  /// is also the set of static baselines.
   ControllerConfig controller;
-  /// Apply the controller's n_sent truncation to the adaptive schedules
-  /// (off = always send the full schedule, isolating tuple choice).
-  bool use_nsent = true;
   std::uint64_t seed = 0xada2c0deULL;
 
   /// Range checks shared by the CLI and the scenario API.  Throws
@@ -97,20 +98,14 @@ struct AdaptiveCompareConfig {
   void validate() const;
 };
 
-/// Run the comparison at one channel point.
-[[nodiscard]] AdaptiveComparePoint run_adaptive_compare_point(
-    double p, double q, const AdaptiveCompareConfig& config);
-
-/// Run the comparison over a list of (p, q) points.
+/// Run the comparison at every channel point, over `threads` workers
+/// (0 = one per hardware thread).  Each point is determined by its
+/// coordinates and config.seed, so the result is the same for any thread
+/// count.  After SIGINT/SIGTERM (util/interrupt.h) no further point
+/// starts; a point never started stays default (empty trajectory).
+/// Throws std::invalid_argument when validate() does.
 [[nodiscard]] std::vector<AdaptiveComparePoint> run_adaptive_compare(
-    const std::vector<std::pair<double, double>>& points,
-    const AdaptiveCompareConfig& config);
-
-/// Build (p, q) points from (p_global, mean_burst) coordinates — the
-/// grid the recommendations are phrased in — with gilbert_point, whose
-/// rules they follow: it throws std::invalid_argument for a point that is
-/// not a Gilbert channel.
-[[nodiscard]] std::vector<std::pair<double, double>> burst_grid(
-    const std::vector<double>& p_globals, const std::vector<double>& bursts);
+    std::span<const ChannelPoint> points, const AdaptiveCompareConfig& config,
+    unsigned threads);
 
 }  // namespace fecsched

@@ -32,12 +32,13 @@ std::vector<ChannelPoint> grid_points(const GridSpec& spec) {
 }
 
 void sweep_points(std::span<const ChannelPoint> points,
-                  const GridRunOptions& options, const PointVisitor& visit) {
+                  const GridRunOptions& options, const PointVisitor& visit,
+                  const PointHooks& hooks) {
   parallel_for_index(points.size(), options.threads, [&](std::size_t c) {
     // Drain on SIGINT/SIGTERM: completed points are already checkpointed
     // and remaining points resume later; in-flight points finish.
     if (interrupt::interrupted()) return;
-    if (options.skip_point && options.skip_point(c)) return;
+    if (hooks.skip && hooks.skip(c)) return;
     if (fault::point("sweep.cell")) throw fault::FaultInjected("sweep.cell");
     const obs::CellSpanScope cell_span(c);
     for (std::uint32_t t = 0; t < options.trials_per_cell; ++t) {
@@ -50,10 +51,10 @@ void sweep_points(std::span<const ChannelPoint> points,
       try {
         visit(c, points[c].p, points[c].q, t, seed);
       } catch (const watchdog::TrialTimeout&) {
-        if (options.trial_timed_out) options.trial_timed_out(c, t);
+        if (hooks.timed_out) hooks.timed_out(c, t);
       }
     }
-    if (options.point_done) options.point_done(c);
+    if (hooks.done) hooks.done(c);
   });
 }
 
@@ -62,27 +63,38 @@ GridResult run_grid(const GridSpec& spec, std::uint32_t k,
   GridResult result;
   result.spec = spec;
   result.k = k;
-  result.cells.resize(spec.cell_count());
-
   const std::vector<ChannelPoint> points = grid_points(spec);
+  result.cells.resize(points.size());
   // Label every cell upfront so a zero-trial sweep still reports its
-  // channel coordinates.
+  // channel coordinates; a restored cell brings its own.  Restoring ends
+  // before any worker starts, so `skip` is a plain lookup.
+  std::vector<char> restored(points.size(), 0);
   for (std::size_t c = 0; c < points.size(); ++c) {
     result.cells[c].p = points[c].p;
     result.cells[c].q = points[c].q;
+    if (!options.restore_cell) continue;
+    if (std::optional<CellResult> cell = options.restore_cell(c)) {
+      result.cells[c] = *cell;
+      restored[c] = 1;
+    }
   }
-  GridRunOptions opt = options;
-  opt.trial_timed_out = [&result](std::size_t c, std::uint32_t) {
+  PointHooks hooks;
+  hooks.skip = [&restored](std::size_t c) { return restored[c] != 0; };
+  if (options.cell_done)
+    hooks.done = [&](std::size_t c) { options.cell_done(c, result.cells[c]); };
+  hooks.timed_out = [&result](std::size_t c, std::uint32_t) {
     CellResult& cell = result.cells[c];
     ++cell.trials;
     ++cell.failures;
     cell.timed_out = true;
   };
-  sweep_points(points, opt,
-               [&](std::size_t c, double p, double q, std::uint32_t,
-                   std::uint64_t seed) {
-                 accumulate_trial(result.cells[c], trial_fn(p, q, seed), k);
-               });
+  sweep_points(
+      points, options,
+      [&](std::size_t c, double p, double q, std::uint32_t,
+          std::uint64_t seed) {
+        accumulate_trial(result.cells[c], trial_fn(p, q, seed), k);
+      },
+      hooks);
   return result;
 }
 

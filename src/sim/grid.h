@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -80,31 +81,26 @@ struct GridRunOptions {
   unsigned threads = 0;
   /// Per-trial watchdog deadline (0 = off).  Polled at phase boundaries
   /// via obs hooks; an expired trial raises watchdog::TrialTimeout, which
-  /// sweep_points catches at the trial boundary and reports through
-  /// trial_timed_out.
+  /// sweep_points catches at the trial boundary: run_grid counts it as a
+  /// failed trial and marks the cell timed_out.
   std::uint32_t trial_timeout_ms = 0;
-  /// Checkpoint/resume hooks (api/checkpoint.cc).  skip_point is
-  /// consulted before a point runs (true = the caller already has its
-  /// result); point_done fires on the worker thread after a point's last
-  /// trial, with that point's accumulation complete.  Both may be empty.
-  std::function<bool(std::size_t point_index)> skip_point;
-  std::function<void(std::size_t point_index)> point_done;
-  /// A trial hit the watchdog deadline; the point continues with its
-  /// remaining trials.  Empty = timed-out trials are silently abandoned.
-  std::function<void(std::size_t point_index, std::uint32_t trial)>
-      trial_timed_out;
+  /// Checkpoint hooks of run_grid (api/checkpoint.cc), each optional.
+  /// restore_cell runs for every cell before the sweep starts; a result
+  /// it returns is that cell's, and the cell does not run.  cell_done
+  /// fires on the worker thread after a cell's last trial, with the cell
+  /// complete.
+  std::function<std::optional<CellResult>(std::size_t cell)> restore_cell;
+  std::function<void(std::size_t cell, const CellResult& result)> cell_done;
 };
 
 /// Run the sweep.  Cells are processed in parallel; per-trial seeds are
 /// derived from (master_seed, cell, trial) so the result is independent of
-/// thread count.
+/// thread count, and of which cells options.restore_cell supplied.
 [[nodiscard]] GridResult run_grid(const GridSpec& spec, std::uint32_t k,
                                   const TrialFn& trial_fn,
                                   const GridRunOptions& options = {});
 
-/// Fold one trial outcome into its cell — run_grid's exact accumulation,
-/// factored out so the checkpointed driver (api/checkpoint.cc) shares it
-/// and bit-identity between the two paths is by construction.
+/// Fold one trial outcome into its cell (run_grid's accumulation).
 void accumulate_trial(CellResult& cell, const TrialResult& r, std::uint32_t k);
 
 /// One channel operating point of a sweep.
@@ -123,6 +119,17 @@ using PointVisitor =
     std::function<void(std::size_t point_index, double p, double q,
                        std::uint32_t trial, std::uint64_t seed)>;
 
+/// Per-point hooks of sweep_points, each optional.
+struct PointHooks {
+  /// Consulted before a point runs: true = the caller has its result.
+  std::function<bool(std::size_t point_index)> skip;
+  /// Fires on the worker thread after the point's last trial.
+  std::function<void(std::size_t point_index)> done;
+  /// A trial hit the watchdog deadline; the point continues with its
+  /// remaining trials.  Empty = timed-out trials are silently abandoned.
+  std::function<void(std::size_t point_index, std::uint32_t trial)> timed_out;
+};
+
 /// The parallel sweep scaffolding underneath run_grid, reusable by other
 /// grid experiments (e.g. sim/stream_delay): visits every (point, trial)
 /// pair.  Points are distributed over worker threads, but any single point
@@ -130,6 +137,7 @@ using PointVisitor =
 /// accumulation needs no locking.  Per-trial seeds are derived from
 /// (master_seed, point, trial), making results independent of thread count.
 void sweep_points(std::span<const ChannelPoint> points,
-                  const GridRunOptions& options, const PointVisitor& visit);
+                  const GridRunOptions& options, const PointVisitor& visit,
+                  const PointHooks& hooks = {});
 
 }  // namespace fecsched

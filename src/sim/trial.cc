@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <vector>
 
+#include "adapt/channel_estimator.h"
 #include "channel/gilbert.h"
 
 namespace fecsched {
@@ -109,6 +110,56 @@ class Observed {
   const obs::Hook& hook_;
 };
 
+/// Hook policy of the adaptive engine's trial: each pass is profiled
+/// whole, as in Observed; the arrival list becomes the loss report and
+/// the adaptive.* metrics.
+class Reported {
+ public:
+  Reported(LossReport& report, const obs::Hook& hook)
+      : report_(report), hook_(hook) {}
+
+  template <typename Body>
+  std::uint64_t pass(obs::Phase phase, std::uint64_t max, Body&& body) const {
+    return hook_.timed_pass(phase, max, body);
+  }
+
+  void finish(const TrialResult& r, std::span<const PacketId>,
+              std::span<const std::uint32_t> arrived) const {
+    report_ = loss_report(r.n_sent, arrived);
+    if (!hook_.counting()) return;
+    hook_.count("adaptive.trials");
+    hook_.count("adaptive.packets_sent", r.n_sent);
+    hook_.count("adaptive.packets_received", r.n_received);
+    if (r.decoded) hook_.count("adaptive.trials_decoded");
+  }
+
+ private:
+  /// The transitions between the fates of `n` sent packets, of which the
+  /// ascending slots `arrived` got through.
+  static LossReport loss_report(std::uint32_t n,
+                                std::span<const std::uint32_t> arrived) {
+    LossReport report;
+    if (n == 0) return report;
+    report.has_events = true;
+    report.first_lost = arrived.empty() || arrived.front() != 0;
+    for (std::size_t j = 1; j < arrived.size(); ++j)
+      report.ok_to_ok += arrived[j] == arrived[j - 1] + 1;
+    // An arrival past slot 0 ends an ok->ok or loss->ok transition; one
+    // before the last slot starts an ok->ok or ok->loss transition.
+    const std::uint64_t m = arrived.size();
+    const std::uint64_t into_ok = m - (m > 0 && arrived.front() == 0);
+    const std::uint64_t out_of_ok = m - (m > 0 && arrived.back() == n - 1);
+    report.loss_to_ok = into_ok - report.ok_to_ok;
+    report.ok_to_loss = out_of_ok - report.ok_to_ok;
+    report.loss_to_loss =
+        (n - 1) - report.ok_to_ok - report.loss_to_ok - report.ok_to_loss;
+    return report;
+  }
+
+  LossReport& report_;
+  const obs::Hook& hook_;
+};
+
 /// One trial in two passes.  The channel pass draws every scheduled
 /// packet's fate in transmission order, decoded or not (n_received counts
 /// the whole schedule).  The tracker pass feeds the arrivals, duplicates
@@ -179,6 +230,12 @@ TrialResult run_trial(ErasureTracker& tracker,
                       std::span<const PacketId> schedule, LossModel& channel,
                       std::uint32_t k, const obs::Hook& hook) {
   return dispatch(tracker, schedule, channel, Observed(k, hook));
+}
+
+TrialResult run_trial(ErasureTracker& tracker,
+                      std::span<const PacketId> schedule, LossModel& channel,
+                      LossReport& report, const obs::Hook& hook) {
+  return dispatch(tracker, schedule, channel, Reported(report, hook));
 }
 
 }  // namespace fecsched

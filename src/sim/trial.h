@@ -12,6 +12,8 @@
 
 namespace fecsched {
 
+struct LossReport;
+
 /// Outcome of one trial.
 struct TrialResult {
   bool decoded = false;        ///< object recovered before schedule ended
@@ -57,12 +59,22 @@ struct TrialResult {
 /// and decode phase timing (one call per draw and per packet fed;
 /// obs::Hook::timed_pass), symbol-lifecycle trace events in slot order
 /// (ids below `k` are sources), a release event per source and the grid.*
-/// metrics.  Both overloads instantiate one replay on a hook policy; the
-/// dormant one compiles to the plain passes, so engines take this
+/// metrics.  Each overload instantiates one replay on its hook policy;
+/// the dormant one compiles to the plain passes, so engines take this
 /// overload only when the hook is engaged.
 [[nodiscard]] TrialResult run_trial(ErasureTracker& tracker,
                                     std::span<const PacketId> schedule,
                                     LossModel& channel, std::uint32_t k,
+                                    const obs::Hook& hook);
+
+/// The adaptive engine's trial (sim/adaptive_compare): the same passes,
+/// profiled through `hook` as above but with no trace events (the
+/// engine's points carry no trial ordinals), and the adaptive.* metrics.
+/// `report` receives the receiver's loss report: the loss transitions of
+/// every sent packet, as LossReport::from_events would count them.
+[[nodiscard]] TrialResult run_trial(ErasureTracker& tracker,
+                                    std::span<const PacketId> schedule,
+                                    LossModel& channel, LossReport& report,
                                     const obs::Hook& hook);
 
 }  // namespace fecsched

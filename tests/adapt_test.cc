@@ -15,6 +15,7 @@
 #include "adapt/session.h"
 #include "channel/gilbert.h"
 #include "sim/adaptive_compare.h"
+#include "sim/stream_delay.h"
 
 namespace fecsched {
 namespace {
@@ -311,9 +312,9 @@ TEST(AdaptiveCompare, SmokePointConvergesToReliableChoice) {
   cfg.warmup_objects = 4;
   cfg.controller.planning_k = 500;
   cfg.controller.planning_trials = 10;
-  const auto points = burst_grid({0.1}, {4.0});
+  const ChannelPoint point = gilbert_point(0.1, 4.0);
   const AdaptiveComparePoint r =
-      run_adaptive_compare_point(points[0].first, points[0].second, cfg);
+      run_adaptive_compare({&point, 1}, cfg, 1).front();
 
   EXPECT_EQ(r.baselines.size(), default_candidates().size());
   EXPECT_EQ(r.trajectory.size(), 10u);
@@ -325,6 +326,57 @@ TEST(AdaptiveCompare, SmokePointConvergesToReliableChoice) {
   // tiny scale (the acceptance bench checks 10% at full scale).
   EXPECT_LT(r.adaptive_steady.mean(),
             r.best_static_inefficiency() * 1.25);
+}
+
+AdaptiveCompareConfig tiny_compare() {
+  AdaptiveCompareConfig cfg;
+  cfg.k = 200;
+  cfg.objects = 4;
+  cfg.warmup_objects = 1;
+  cfg.controller.planning_k = 200;
+  cfg.controller.planning_trials = 4;
+  return cfg;
+}
+
+// The points share the candidates' Experiments across workers.
+TEST(AdaptiveCompare, PointsMatchAcrossThreadCounts) {
+  const std::vector<ChannelPoint> points = {
+      gilbert_point(0.05, 2.0), gilbert_point(0.1, 4.0),
+      gilbert_point(0.2, 1.0)};
+  const AdaptiveCompareConfig cfg = tiny_compare();
+  const auto serial = run_adaptive_compare(points, cfg, 1);
+  const auto parallel = run_adaptive_compare(points, cfg, 3);
+  ASSERT_EQ(serial.size(), points.size());
+  ASSERT_EQ(parallel.size(), points.size());
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    EXPECT_EQ(serial[i].best_baseline, parallel[i].best_baseline);
+    EXPECT_EQ(serial[i].adaptive_steady.mean(),
+              parallel[i].adaptive_steady.mean());
+    ASSERT_EQ(serial[i].trajectory.size(), cfg.objects);
+    ASSERT_EQ(parallel[i].trajectory.size(), cfg.objects);
+    for (std::uint32_t t = 0; t < cfg.objects; ++t) {
+      EXPECT_EQ(serial[i].trajectory[t].n_sent,
+                parallel[i].trajectory[t].n_sent);
+      EXPECT_EQ(serial[i].trajectory[t].inefficiency,
+                parallel[i].trajectory[t].inefficiency);
+    }
+  }
+}
+
+// A candidate list without the universal tuple still runs the cold-start
+// objects on it; the baselines are the list alone.
+TEST(AdaptiveCompare, CustomCandidatesWithoutUniversalTupleRun) {
+  AdaptiveCompareConfig cfg = tiny_compare();
+  cfg.controller.candidates = {
+      {CodeKind::kRse, TxModel::kTx5Interleaved, 2.5}};
+  const ChannelPoint point = gilbert_point(0.05, 2.0);
+  const AdaptiveComparePoint r =
+      run_adaptive_compare({&point, 1}, cfg, 1).front();
+  ASSERT_EQ(r.baselines.size(), 1u);
+  EXPECT_EQ(r.baselines[0].tuple, cfg.controller.candidates[0]);
+  ASSERT_EQ(r.trajectory.size(), cfg.objects);
+  EXPECT_EQ(r.trajectory[0].tuple,
+            AdaptiveController::recommended_tuple(ChannelRegime::kUnknown));
 }
 
 }  // namespace

@@ -474,6 +474,25 @@ TEST(ScenarioOracle, AdaptiveEngineIsPinned) {
                 static_cast<unsigned long long>(single));
 }
 
+// A spec with sweep.p_global but no sweep.burst runs each p_global at
+// burst 1, as the stream and mpath sweeps do.
+TEST(ScenarioOracle, AdaptivePGlobalWithoutBurstRunsAtBurstOne) {
+  ScenarioSpec spec;
+  spec.engine = "adaptive";
+  spec.code.k = 200;
+  spec.adapt.objects = 2;
+  spec.adapt.warmup = 1;
+  spec.sweep.p_globals = {0.02, 0.05};
+  const ScenarioResult result = run_scenario(spec);
+  ASSERT_EQ(result.adaptive.size(), 2u);
+  for (std::size_t i = 0; i < 2; ++i) {
+    const ChannelPoint want = gilbert_point(spec.sweep.p_globals[i], 1.0);
+    EXPECT_EQ(result.adaptive[i].p, want.p);
+    EXPECT_EQ(result.adaptive[i].q, want.q);
+    EXPECT_EQ(result.adaptive[i].trajectory.size(), 2u);
+  }
+}
+
 // --------------------------------------------------------- sweep oracles
 
 TEST(ScenarioSweep, StreamSweepMatchesRunStreamDelayGrid) {

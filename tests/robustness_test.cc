@@ -512,5 +512,27 @@ TEST(RobustnessInterrupt, GuardLatchesSignalAndScopesTheFlag) {
   EXPECT_FALSE(interrupt::interrupted());
 }
 
+// A signal that arrived before the run drains the adaptive engine before
+// its first point, on the run_scenario path as on the sweep path.
+TEST(RobustnessInterrupt, AdaptiveRunStartsNoPointAfterSignal) {
+  api::ScenarioSpec spec;
+  spec.engine = "adaptive";
+  spec.code.k = 200;
+  spec.adapt.objects = 4;
+  spec.adapt.warmup = 1;
+  spec.sweep.p_globals = {0.02, 0.05, 0.1};
+  spec.sweep.bursts = {2.0};
+  api::ScenarioResult result;
+  {
+    const interrupt::InterruptGuard guard;
+    ::raise(SIGINT);
+    result = api::run_scenario(spec);
+  }
+  interrupt::reset();
+  ASSERT_EQ(result.adaptive.size(), 3u);
+  for (const AdaptiveComparePoint& point : result.adaptive)
+    EXPECT_TRUE(point.trajectory.empty());
+}
+
 }  // namespace
 }  // namespace fecsched
