@@ -38,12 +38,7 @@ LdgmParams ldgm_params_from(const TransmissionInfo& info) {
   LdgmParams params;
   params.k = info.k;
   params.n = info.n;
-  switch (info.code) {
-    case CodeKind::kLdgmIdentity: params.variant = LdgmVariant::kIdentity; break;
-    case CodeKind::kLdgmStaircase: params.variant = LdgmVariant::kStaircase; break;
-    case CodeKind::kLdgmTriangle: params.variant = LdgmVariant::kTriangle; break;
-    default: throw std::invalid_argument("ldgm_params_from: not LDGM");
-  }
+  params.variant = ldgm_variant(info.code);
   params.left_degree = info.left_degree;
   params.triangle_extra_per_row = info.triangle_extra_per_row;
   params.seed = info.graph_seed;
@@ -114,11 +109,7 @@ SenderSession::SenderSession(std::span<const std::uint8_t> object,
           std::llround(config.expansion_ratio * k));
       if (params.n <= k)
         throw std::invalid_argument("SenderSession: LDGM needs ratio > 1");
-      switch (config.code) {
-        case CodeKind::kLdgmIdentity: params.variant = LdgmVariant::kIdentity; break;
-        case CodeKind::kLdgmStaircase: params.variant = LdgmVariant::kStaircase; break;
-        default: params.variant = LdgmVariant::kTriangle; break;
-      }
+      params.variant = ldgm_variant(config.code);
       // Tiny objects can have fewer check rows than the requested left
       // degree; clamp like the reference codec so small files still encode.
       params.left_degree = std::min(config.left_degree, params.n - k);

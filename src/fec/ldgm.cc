@@ -12,6 +12,18 @@
 
 namespace fecsched {
 
+LdgmVariant ldgm_variant(CodeKind code) {
+  switch (code) {
+    case CodeKind::kLdgmIdentity: return LdgmVariant::kIdentity;
+    case CodeKind::kLdgmStaircase: return LdgmVariant::kStaircase;
+    case CodeKind::kLdgmTriangle: return LdgmVariant::kTriangle;
+    default:
+      throw std::invalid_argument("ldgm_variant: " +
+                                  std::string(to_string(code)) +
+                                  " is not an LDGM code");
+  }
+}
+
 namespace {
 
 // Resolve the per-column left degrees: constant (regular code) or drawn

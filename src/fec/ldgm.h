@@ -50,6 +50,10 @@ enum class LdgmVariant { kIdentity, kStaircase, kTriangle };
   return "?";
 }
 
+/// The variant an LDGM `code` builds.  Throws std::invalid_argument for
+/// the codes that are not LDGM (RSE, replication).
+[[nodiscard]] LdgmVariant ldgm_variant(CodeKind code);
+
 /// One component of an irregular left-degree distribution.
 struct DegreeFraction {
   std::uint32_t degree = 0;  ///< ones per source column for this group

@@ -22,19 +22,28 @@ constexpr std::uint64_t kTagSchedule = 1;
 constexpr std::uint64_t kTagChannel = 2;
 constexpr std::uint64_t kTagGraphPick = 3;
 
-LdgmVariant variant_of(CodeKind code) {
-  switch (code) {
-    case CodeKind::kLdgmIdentity: return LdgmVariant::kIdentity;
-    case CodeKind::kLdgmStaircase: return LdgmVariant::kStaircase;
-    case CodeKind::kLdgmTriangle: return LdgmVariant::kTriangle;
-    default: throw std::invalid_argument("variant_of: not an LDGM code");
-  }
-}
-
-std::uint32_t ldgm_n(std::uint32_t k, double ratio) {
-  if (!(ratio > 1.0))
+/// The experiment's graph_count LDGM graphs, graph g seeded from
+/// (code_seed, g).
+std::vector<std::shared_ptr<const LdgmCode>> ldgm_graphs(
+    const ExperimentConfig& config) {
+  if (config.graph_count == 0)
+    throw std::invalid_argument("ExperimentConfig: graph_count >= 1");
+  if (!(config.expansion_ratio > 1.0))
     throw std::invalid_argument("ExperimentConfig: LDGM needs ratio > 1");
-  return static_cast<std::uint32_t>(std::llround(ratio * k));
+  LdgmParams params;
+  params.k = config.k;
+  params.n = static_cast<std::uint32_t>(
+      std::llround(config.expansion_ratio * config.k));
+  params.variant = ldgm_variant(config.code);
+  params.left_degree = config.left_degree;
+  params.triangle_extra_per_row = config.triangle_extra_per_row;
+  std::vector<std::shared_ptr<const LdgmCode>> graphs;
+  graphs.reserve(config.graph_count);
+  for (std::uint32_t g = 0; g < config.graph_count; ++g) {
+    params.seed = derive_seed(config.code_seed, {g});
+    graphs.push_back(std::make_shared<const LdgmCode>(params));
+  }
+  return graphs;
 }
 
 }  // namespace
@@ -64,23 +73,10 @@ Experiment::Experiment(const ExperimentConfig& config) : config_(config) {
           config.k, config.replication_copies);
       n_total_ = state->repl_plan->n();
       break;
-    default: {
-      if (config.graph_count == 0)
-        throw std::invalid_argument("ExperimentConfig: graph_count >= 1");
-      LdgmParams params;
-      params.k = config.k;
-      params.n = ldgm_n(config.k, config.expansion_ratio);
-      params.variant = variant_of(config.code);
-      params.left_degree = config.left_degree;
-      params.triangle_extra_per_row = config.triangle_extra_per_row;
-      state->graphs.reserve(config.graph_count);
-      for (std::uint32_t g = 0; g < config.graph_count; ++g) {
-        params.seed = derive_seed(config.code_seed, {g});
-        state->graphs.push_back(std::make_shared<const LdgmCode>(params));
-      }
-      n_total_ = params.n;
+    default:
+      state->graphs = ldgm_graphs(config);
+      n_total_ = state->graphs.front()->n();
       break;
-    }
   }
   state_ = std::move(state);
 }
@@ -178,23 +174,8 @@ std::vector<RxModelPoint> run_rx_model1_series(
     const ExperimentConfig& config,
     const std::vector<std::uint32_t>& source_counts, std::uint32_t trials,
     std::uint64_t master_seed, unsigned threads) {
-  if (config.code == CodeKind::kRse || config.code == CodeKind::kReplication)
-    throw std::invalid_argument("run_rx_model1_series: LDGM codes only");
-  if (config.graph_count == 0)
-    throw std::invalid_argument("run_rx_model1_series: graph_count >= 1");
-
-  LdgmParams params;
-  params.k = config.k;
-  params.n = ldgm_n(config.k, config.expansion_ratio);
-  params.variant = variant_of(config.code);
-  params.left_degree = config.left_degree;
-  params.triangle_extra_per_row = config.triangle_extra_per_row;
-
-  std::vector<std::shared_ptr<const LdgmCode>> graphs;
-  for (std::uint32_t g = 0; g < config.graph_count; ++g) {
-    params.seed = derive_seed(config.code_seed, {g});
-    graphs.push_back(std::make_shared<const LdgmCode>(params));
-  }
+  const std::vector<std::shared_ptr<const LdgmCode>> graphs =
+      ldgm_graphs(config);
 
   std::vector<RxModelPoint> series(source_counts.size());
   // Per-point seeds are (master_seed, point, trial), and each point is
