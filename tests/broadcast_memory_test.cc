@@ -87,7 +87,7 @@ TEST(Broadcast, SharedScheduleDifferentChannels) {
   // different loss realisations yet comparable costs.
   const Experiment e(base(CodeKind::kLdgmTriangle, 2.5, 2000));
   std::vector<ReceiverProfile> rx;
-  for (int i = 0; i < 8; ++i) rx.push_back({"r" + std::to_string(i), 0.1, 0.9});
+  for (char i = '0'; i < '8'; ++i) rx.push_back({{'r', i}, 0.1, 0.9});
   const BroadcastResult res = run_broadcast(e, rx);
   ASSERT_TRUE(res.all_decoded());
   EXPECT_GT(res.inefficiency.stddev(), 0.0);

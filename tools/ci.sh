@@ -530,11 +530,12 @@ for t in $sanitized; do
 done
 echo "sanitizer gate: decoders, receivers, observers and codecs clean under ASan+UBSan"
 
-# Thread sanitizer gate: the nine test binaries that run threads — the
+# Thread sanitizer gate: the ten test binaries that run threads — the
 # grid sweep executor and its thread-count bit-identity checks
 # (trial_grid_test), the scenario API's parallel sweeps (api_test), the
-# observer sessions, metrics merges and timelines (obs_test,
-# hotpath_obs_test), the ledger (ledger_test), the LDGM grids
+# adaptive engine's points sharing one set of candidate Experiments
+# (adapt_test), the observer sessions, metrics merges and timelines
+# (obs_test, hotpath_obs_test), the ledger (ledger_test), the LDGM grids
 # (ldgm_test), the stream and multipath engines (stream_test,
 # mpath_test) and the watchdog, interrupt and checkpoint suites
 # (robustness_test) — again under ThreadSanitizer, from a third build of
@@ -545,13 +546,25 @@ cmake -B .tsan_build -S . \
   -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread" \
   -DFECSCHED_BUILD_BENCHES=OFF -DFECSCHED_BUILD_EXAMPLES=OFF \
   -DFECSCHED_BUILD_TOOLS=OFF
-threaded="api_test hotpath_obs_test ldgm_test ledger_test mpath_test
-  obs_test robustness_test stream_test trial_grid_test"
+threaded="adapt_test api_test hotpath_obs_test ldgm_test ledger_test
+  mpath_test obs_test robustness_test stream_test trial_grid_test"
 cmake --build .tsan_build -j "$(nproc)" --target $threaded
 for t in $threaded; do
   TSAN_OPTIONS=halt_on_error=1 ./.tsan_build/"$t" --gtest_brief=1
 done
 echo "thread sanitizer gate: the threaded suites are race-free under TSan"
+
+# Release build gate: the library and every test binary also build under
+# -DCMAKE_BUILD_TYPE=Release, where g++ at -O3 reports diagnostics (such
+# as -Wrestrict inside inlined std::string code) that the default
+# RelWithDebInfo build does not, and the test targets build with -Werror.
+# Built once in .release_build/ (benches, examples and tools off); nothing
+# is run.
+cmake -B .release_build -S . -DCMAKE_BUILD_TYPE=Release \
+  -DFECSCHED_BUILD_BENCHES=OFF -DFECSCHED_BUILD_EXAMPLES=OFF \
+  -DFECSCHED_BUILD_TOOLS=OFF
+cmake --build .release_build -j "$(nproc)"
+echo "release build gate: library and tests build warning-free at -O3"
 
 # Benchmark gate (bench_e2e/, BENCHMARK.json): bench_e2e is a CMake
 # project of its own that the build above does not compile, yet it links
