@@ -22,53 +22,44 @@ void AdaptiveCompareConfig::validate() const {
 
 namespace {
 
-/// The candidate tuples' Experiments (LDGM graphs, RSE plans), built once
-/// per run: they depend only on (tuple, k), not on the channel point, and
-/// every point's worker reads them without locking.
-class Candidates {
- public:
-  explicit Candidates(const AdaptiveCompareConfig& config)
-      : tuples_(config.controller.candidates.empty()
-                    ? default_candidates()
-                    : config.controller.candidates),
-        baselines_(tuples_.size()) {
-    // The controller's cold-start tuple runs even when a custom list
-    // leaves it out.
-    const CandidateTuple universal =
-        AdaptiveController::recommended_tuple(ChannelRegime::kUnknown);
-    if (std::find(tuples_.begin(), tuples_.end(), universal) == tuples_.end())
-      tuples_.push_back(universal);
-    const obs::Hook hook;
-    experiments_.reserve(tuples_.size());
-    for (const CandidateTuple& tuple : tuples_) {
-      ExperimentConfig cfg;
-      cfg.code = tuple.code;
-      cfg.tx = tuple.tx;
-      cfg.expansion_ratio = tuple.expansion_ratio;
-      cfg.k = config.k;
-      experiments_.push_back(
-          hook.timed(obs::Phase::kEncode, [&] { return Experiment(cfg); }));
-    }
-  }
+/// The candidate tuples and their Experiments (LDGM graphs, RSE plans),
+/// built once per run: they depend only on (tuple, k), not on the channel
+/// point, and every point's worker reads them without locking.  The
+/// first `baselines` tuples are the static baselines; the controller's
+/// cold-start tuple follows when the candidate list leaves it out.
+struct Candidates {
+  std::vector<CandidateTuple> tuples;
+  std::size_t baselines = 0;
+  std::vector<Experiment> experiments;
 
-  /// The static baselines: the first baselines() tuples.
-  [[nodiscard]] std::size_t baselines() const noexcept { return baselines_; }
-  [[nodiscard]] const CandidateTuple& tuple(std::size_t i) const {
-    return tuples_[i];
+  [[nodiscard]] const Experiment& of(const CandidateTuple& tuple) const {
+    return experiments[static_cast<std::size_t>(
+        std::find(tuples.begin(), tuples.end(), tuple) - tuples.begin())];
   }
-  [[nodiscard]] const Experiment& experiment(std::size_t i) const {
-    return experiments_[i];
-  }
-  [[nodiscard]] const Experiment& experiment(const CandidateTuple& t) const {
-    return experiment(static_cast<std::size_t>(
-        std::find(tuples_.begin(), tuples_.end(), t) - tuples_.begin()));
-  }
-
- private:
-  std::vector<CandidateTuple> tuples_;
-  std::size_t baselines_;
-  std::vector<Experiment> experiments_;
 };
+
+Candidates build_candidates(const AdaptiveCompareConfig& config) {
+  Candidates c;
+  c.tuples = config.controller.candidates.empty()
+                 ? default_candidates()
+                 : config.controller.candidates;
+  c.baselines = c.tuples.size();
+  const CandidateTuple universal =
+      AdaptiveController::recommended_tuple(ChannelRegime::kUnknown);
+  if (std::find(c.tuples.begin(), c.tuples.end(), universal) == c.tuples.end())
+    c.tuples.push_back(universal);
+  const obs::Hook hook;
+  for (const CandidateTuple& tuple : c.tuples) {
+    ExperimentConfig cfg;
+    cfg.code = tuple.code;
+    cfg.tx = tuple.tx;
+    cfg.expansion_ratio = tuple.expansion_ratio;
+    cfg.k = config.k;
+    c.experiments.push_back(
+        hook.timed(obs::Phase::kEncode, [&] { return Experiment(cfg); }));
+  }
+  return c;
+}
 
 /// Object (or baseline trial) t at `point`: the schedule and tracker from
 /// seed path {2, t}, cut to `n_sent` packets (0 = the whole schedule), the
@@ -110,11 +101,11 @@ AdaptiveComparePoint run_point(const ChannelPoint& channel,
   // its steady-state objects below.  When the adaptive loop settles on a
   // tuple, its steady-state trials are then identical to that baseline's,
   // so the comparison measures the controller's choices, not seed noise.
-  for (std::size_t b = 0; b < candidates.baselines(); ++b) {
+  for (std::size_t b = 0; b < candidates.baselines; ++b) {
     StaticBaselineResult baseline;
-    baseline.tuple = candidates.tuple(b);
+    baseline.tuple = candidates.tuples[b];
     for (std::uint32_t t = point.warmup_objects; t < config.objects; ++t) {
-      const TrialResult r = run_object(candidates.experiment(b), channel,
+      const TrialResult r = run_object(candidates.experiments[b], channel,
                                        config.seed, t, 0, report, hook);
       if (r.decoded)
         baseline.inefficiency.add(r.inefficiency(config.k));
@@ -138,8 +129,8 @@ AdaptiveComparePoint run_point(const ChannelPoint& channel,
   for (std::uint32_t t = 0; t < config.objects; ++t) {
     const Decision decision = controller.decide(estimator.estimate(), config.k);
     const TrialResult trial =
-        run_object(candidates.experiment(decision.tuple), channel, config.seed,
-                   t, decision.n_sent, report, hook);
+        run_object(candidates.of(decision.tuple), channel, config.seed, t,
+                   decision.n_sent, report, hook);
 
     const double inefficiency =
         trial.decoded ? trial.inefficiency(config.k) : 0.0;
@@ -176,7 +167,7 @@ std::vector<AdaptiveComparePoint> run_adaptive_compare(
     std::span<const ChannelPoint> points, const AdaptiveCompareConfig& config,
     unsigned threads) {
   config.validate();
-  const Candidates candidates(config);
+  const Candidates candidates = build_candidates(config);
   std::vector<AdaptiveComparePoint> out(points.size());
   parallel_for_index(points.size(), threads, [&](std::size_t i) {
     if (interrupt::interrupted()) return;  // drain: start no new point

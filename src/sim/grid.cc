@@ -92,21 +92,19 @@ GridResult run_grid(const GridSpec& spec, std::uint32_t k,
       points, options,
       [&](std::size_t c, double p, double q, std::uint32_t,
           std::uint64_t seed) {
-        accumulate_trial(result.cells[c], trial_fn(p, q, seed), k);
+        const TrialResult r = trial_fn(p, q, seed);
+        CellResult& cell = result.cells[c];
+        ++cell.trials;
+        cell.peak_memory_symbols =
+            std::max(cell.peak_memory_symbols, r.peak_memory_symbols);
+        cell.received_ratio.add(r.received_ratio(k));
+        if (r.decoded)
+          cell.inefficiency.add(r.inefficiency(k));
+        else
+          ++cell.failures;
       },
       hooks);
   return result;
-}
-
-void accumulate_trial(CellResult& cell, const TrialResult& r, std::uint32_t k) {
-  ++cell.trials;
-  cell.peak_memory_symbols =
-      std::max(cell.peak_memory_symbols, r.peak_memory_symbols);
-  cell.received_ratio.add(r.received_ratio(k));
-  if (r.decoded)
-    cell.inefficiency.add(r.inefficiency(k));
-  else
-    ++cell.failures;
 }
 
 }  // namespace fecsched

@@ -100,9 +100,6 @@ struct GridRunOptions {
                                   const TrialFn& trial_fn,
                                   const GridRunOptions& options = {});
 
-/// Fold one trial outcome into its cell (run_grid's accumulation).
-void accumulate_trial(CellResult& cell, const TrialResult& r, std::uint32_t k);
-
 /// One channel operating point of a sweep.
 struct ChannelPoint {
   double p = 0.0;

@@ -125,8 +125,9 @@ class Reported {
 
   void finish(const TrialResult& r, std::span<const PacketId>,
               std::span<const std::uint32_t> arrived) const {
-    report_ = loss_report(r.n_sent, arrived);
-    if (!hook_.counting()) return;
+    std::vector<bool> lost(r.n_sent, true);
+    for (const std::uint32_t slot : arrived) lost[slot] = false;
+    report_ = LossReport::from_events(lost);
     hook_.count("adaptive.trials");
     hook_.count("adaptive.packets_sent", r.n_sent);
     hook_.count("adaptive.packets_received", r.n_received);
@@ -134,28 +135,6 @@ class Reported {
   }
 
  private:
-  /// The transitions between the fates of `n` sent packets, of which the
-  /// ascending slots `arrived` got through.
-  static LossReport loss_report(std::uint32_t n,
-                                std::span<const std::uint32_t> arrived) {
-    LossReport report;
-    if (n == 0) return report;
-    report.has_events = true;
-    report.first_lost = arrived.empty() || arrived.front() != 0;
-    for (std::size_t j = 1; j < arrived.size(); ++j)
-      report.ok_to_ok += arrived[j] == arrived[j - 1] + 1;
-    // An arrival past slot 0 ends an ok->ok or loss->ok transition; one
-    // before the last slot starts an ok->ok or ok->loss transition.
-    const std::uint64_t m = arrived.size();
-    const std::uint64_t into_ok = m - (m > 0 && arrived.front() == 0);
-    const std::uint64_t out_of_ok = m - (m > 0 && arrived.back() == n - 1);
-    report.loss_to_ok = into_ok - report.ok_to_ok;
-    report.ok_to_loss = out_of_ok - report.ok_to_ok;
-    report.loss_to_loss =
-        (n - 1) - report.ok_to_ok - report.loss_to_ok - report.ok_to_loss;
-    return report;
-  }
-
   LossReport& report_;
   const obs::Hook& hook_;
 };

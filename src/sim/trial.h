@@ -70,8 +70,8 @@ struct TrialResult {
 /// The adaptive engine's trial (sim/adaptive_compare): the same passes,
 /// profiled through `hook` as above but with no trace events (the
 /// engine's points carry no trial ordinals), and the adaptive.* metrics.
-/// `report` receives the receiver's loss report: the loss transitions of
-/// every sent packet, as LossReport::from_events would count them.
+/// `report` receives the receiver's loss report over every sent packet
+/// (LossReport::from_events).
 [[nodiscard]] TrialResult run_trial(ErasureTracker& tracker,
                                     std::span<const PacketId> schedule,
                                     LossModel& channel, LossReport& report,
