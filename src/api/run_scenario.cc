@@ -6,8 +6,8 @@
 // the exact Rng streams and seed derivations the legacy surface it
 // replaced used (fecsched_cli subcommand loops, run_stream_delay_grid,
 // run_mpath_sweep, Experiment::run), so a spec that mirrors a legacy call
-// reproduces its result exactly.  Both entry points share one driver per
-// engine where they can: the adaptive engine is run_adaptive_compare over
+// reproduces its result exactly.  Both entry points run the same engine
+// code where they can: the adaptive engine is run_adaptive_compare over
 // sweep_channel_points, and the grid engine is run_grid, with or without
 // checkpoint shards.  Oracle tests and golden rows in tests/api_test.cc
 // and the pinned-output gate in tools/ci.sh hold this line.

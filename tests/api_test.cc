@@ -446,7 +446,7 @@ class PointHash {
 
 // The adaptive engine in absolute terms: a two-point spec through
 // run_scenario and run_scenario_sweep, every result field of both points
-// folded into one hash (pinned from the engine's serial driver).
+// folded into one hash.
 TEST(ScenarioOracle, AdaptiveEngineIsPinned) {
   constexpr std::uint64_t kWant = 0x2feaf100fa14ce05ULL;
   ScenarioSpec spec;
