@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "adapt/channel_estimator.h"
 #include "channel/gilbert.h"
 #include "obs/obs.h"
 #include "sim/experiment.h"

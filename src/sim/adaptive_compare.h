@@ -21,7 +21,6 @@
 #include <span>
 #include <vector>
 
-#include "adapt/channel_estimator.h"
 #include "adapt/controller.h"
 #include "sim/grid.h"
 #include "util/stats.h"
