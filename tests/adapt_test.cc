@@ -13,6 +13,7 @@
 #include "adapt/channel_estimator.h"
 #include "adapt/controller.h"
 #include "adapt/session.h"
+#include "api/scenario.h"
 #include "channel/gilbert.h"
 #include "sim/adaptive_compare.h"
 #include "sim/stream_delay.h"
@@ -304,6 +305,55 @@ TEST(AdaptiveSession, RejectsEmptyObject) {
 }
 
 // ----------------------------------------------------- adaptive_compare
+
+// The adaptive engine's points come from sweep_channel_points: the
+// (p_global, burst) product mapped onto Gilbert channels, p_global-major.
+TEST(BurstGrid, MapsPGlobalAndBurstToGilbert) {
+  api::ScenarioSpec spec;
+  spec.engine = "adaptive";
+  spec.sweep.p_globals = {0.1};
+  spec.sweep.bursts = {4.0};
+  auto points = api::sweep_channel_points(spec);
+  ASSERT_EQ(points.size(), 1u);
+  const auto [p, q] = points[0];
+  EXPECT_NEAR(p / (p + q), 0.1, 1e-12);
+  EXPECT_NEAR(1.0 / q, 4.0, 1e-12);
+
+  spec.sweep.p_globals = {0.05, 0.1};
+  spec.sweep.bursts = {2.0, 4.0};
+  points = api::sweep_channel_points(spec);
+  ASSERT_EQ(points.size(), 4u);
+  const double pgs[] = {0.05, 0.05, 0.1, 0.1};
+  const double bursts[] = {2.0, 4.0, 2.0, 4.0};
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    EXPECT_NEAR(points[i].p / (points[i].p + points[i].q), pgs[i], 1e-12);
+    EXPECT_NEAR(1.0 / points[i].q, bursts[i], 1e-12);
+  }
+
+  spec.sweep.p_globals = {1.0};
+  spec.sweep.bursts = {4.0};
+  EXPECT_THROW((void)api::sweep_channel_points(spec), std::invalid_argument);
+  spec.sweep.p_globals = {0.1};
+  spec.sweep.bursts = {0.5};
+  EXPECT_THROW((void)api::sweep_channel_points(spec), std::invalid_argument);
+}
+
+// p_global 0.9 at burst 1 needs p = 9: gilbert_point's p <= 1 rule
+// rejects it up front, naming both coordinates.
+TEST(BurstGrid, RejectsPointsThatAreNotGilbertChannels) {
+  api::ScenarioSpec spec;
+  spec.engine = "adaptive";
+  spec.sweep.p_globals = {0.9};
+  spec.sweep.bursts = {1.0};
+  try {
+    (void)api::sweep_channel_points(spec);
+    FAIL() << "sweep_channel_points accepted p = 9";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("not a Gilbert channel"), std::string::npos) << what;
+    EXPECT_NE(what.find("0.9"), std::string::npos) << what;
+  }
+}
 
 TEST(AdaptiveCompare, SmokePointConvergesToReliableChoice) {
   AdaptiveCompareConfig cfg;
