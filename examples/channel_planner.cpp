@@ -5,13 +5,15 @@
 //   $ ./channel_planner [trace-file]
 //
 // A trace file holds one character per packet ('0'/'.' delivered,
-// '1'/'x' lost).  Without an argument, a synthetic trace is generated from
-// the paper's Amherst -> Los Angeles parameters (p=0.0109, q=0.7915, from
-// Yajnik et al. [16]) — so the default run reproduces the paper's Sec.
-// 6.2.1 walk-through end to end: fit -> tuple choice -> n_sent.
+// '1'/'x'/'X' lost; whitespace ignored, any other character exits 2).
+// Without an argument, a synthetic trace is generated from the paper's
+// Amherst -> Los Angeles parameters (p=0.0109, q=0.7915, from Yajnik et
+// al. [16]) — so the default run reproduces the paper's Sec. 6.2.1
+// walk-through end to end: fit -> tuple choice -> n_sent.
 
 #include <cstdio>
 #include <fstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -31,17 +33,15 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "cannot open %s\n", argv[1]);
       return 1;
     }
-    std::string text((std::istreambuf_iterator<char>(in)),
-                     std::istreambuf_iterator<char>());
-    const TraceModel tm = TraceModel::parse(text, false);
-    // Re-parse manually so the raw events are available for fitting.
-    events.clear();
-    for (char ch : text) {
-      if (ch == '0' || ch == '.') events.push_back(false);
-      if (ch == '1' || ch == 'x' || ch == 'X') events.push_back(true);
+    try {
+      const TraceModel tm = TraceModel::load(in, false);
+      events = tm.events();
+      std::printf("loaded %zu-packet trace, loss rate %.4f\n", events.size(),
+                  tm.loss_rate());
+    } catch (const std::invalid_argument& e) {
+      std::fprintf(stderr, "%s: %s\n", argv[1], e.what());
+      return 2;
     }
-    std::printf("loaded %zu-packet trace, loss rate %.4f\n", events.size(),
-                tm.loss_rate());
   } else {
     GilbertModel synth(0.0109, 0.7915);  // the paper's measured link
     synth.reset(16);

@@ -37,6 +37,10 @@ class TraceModel final : public LossModel {
                                        bool random_rotation = true);
 
   [[nodiscard]] std::size_t length() const noexcept { return events_.size(); }
+  /// The parsed trace, one entry per packet (true = lost).
+  [[nodiscard]] const std::vector<bool>& events() const noexcept {
+    return events_;
+  }
   /// Fraction of lost packets in the trace.
   [[nodiscard]] double loss_rate() const noexcept;
 

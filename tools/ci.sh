@@ -133,6 +133,16 @@ if [ "$rc" -ne 2 ] || ! grep -q 'not a Gilbert channel' BENCH_flag_err.txt; then
   echo "BUG: adapt --pglobal=0.9 --burst=1 exited $rc, want 2 naming the point"
   exit 1
 fi
+#    and a loss trace holding a character that is neither a packet fate
+#    nor whitespace makes fit exit 2 naming it, never fit the rest;
+printf '0001100000102\n' > BENCH_bad_trace.txt
+rc=0
+./fecsched_cli fit --trace=BENCH_bad_trace.txt > /dev/null \
+  2> BENCH_flag_err.txt || rc=$?
+if [ "$rc" -ne 2 ] || ! grep -q "bad character '2'" BENCH_flag_err.txt; then
+  echo "BUG: fit on a trace holding '2' exited $rc, want 2 naming the character"
+  exit 1
+fi
 # 3. run_scenario bit-identity: replaying the pinned spec documents
 #    through `run --spec` must reproduce the pinned pre-API outputs byte
 #    for byte (one grid, one stream, one mpath, one adaptive point), and

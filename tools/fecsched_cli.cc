@@ -26,7 +26,8 @@
 //       Print the Fig. 6 fundamental decoding limits.
 //
 //   fecsched_cli fit       --trace=<file>
-//       Fit Gilbert (p, q) to a loss trace ('0'/'.' ok, '1'/'x' lost).
+//       Fit Gilbert (p, q) to a loss trace ('0'/'.' ok, '1'/'x'/'X' lost,
+//       whitespace ignored); any other character exits 2 naming it.
 //
 //   fecsched_cli adapt     [--pglobal=0.05 --pglobal=0.1 ... --burst=1 ...]
 //                          [--p=P --q=Q] [--k=2000 --objects=40 --warmup=10]
@@ -755,28 +756,20 @@ int cmd_fit(const Args& args) {
     std::fprintf(stderr, "cannot open %s\n", path->c_str());
     return 1;
   }
-  std::string text((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
-  std::vector<bool> events;
-  for (char ch : text) {
-    if (ch == '0' || ch == '.') events.push_back(false);
-    if (ch == '1' || ch == 'x' || ch == 'X') events.push_back(true);
+  try {
+    const TraceModel trace = TraceModel::load(in, false);
+    const GilbertFit fit = fit_gilbert(trace.events());
+    std::printf("trace: %zu packets, loss rate %.4f\n", trace.length(),
+                trace.loss_rate());
+    std::printf(
+        "Gilbert fit: p=%.4f q=%.4f (p_global=%.4f, mean burst %.2f)\n",
+        fit.p, fit.q, global_loss_probability(fit.p, fit.q),
+        fit.q > 0 ? 1.0 / fit.q : 0.0);
+    return 0;
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "fit: %s\n", e.what());
+    return 2;
   }
-  if (events.empty()) {
-    std::fprintf(stderr, "no events in trace\n");
-    return 1;
-  }
-  const GilbertFit fit = fit_gilbert(events);
-  std::printf("trace: %zu packets, loss rate %.4f\n", events.size(),
-              [&] {
-                std::size_t l = 0;
-                for (bool e : events) l += e ? 1 : 0;
-                return static_cast<double>(l) / events.size();
-              }());
-  std::printf("Gilbert fit: p=%.4f q=%.4f (p_global=%.4f, mean burst %.2f)\n",
-              fit.p, fit.q, global_loss_probability(fit.p, fit.q),
-              fit.q > 0 ? 1.0 / fit.q : 0.0);
-  return 0;
 }
 
 // ------------------------------------------------------------- adapt
