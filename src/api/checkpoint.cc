@@ -1,12 +1,17 @@
 #include "api/checkpoint.h"
 
+#include <dirent.h>
 #include <sys/stat.h>
+#include <unistd.h>
 
 #include <cerrno>
+#include <charconv>
+#include <csignal>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <iterator>
+#include <memory>
 #include <stdexcept>
 #include <vector>
 
@@ -63,6 +68,31 @@ RunningStats stats_from_json(const Json& j, std::string_view where) {
   };
   return RunningStats::restore(static_cast<std::size_t>(count), field("mean"),
                                field("m2"), field("min"), field("max"));
+}
+
+/// Remove the temp files that durable::write_file leaves when its writer
+/// dies mid-write ("<tag>.cell<c>.json.tmp.<pid>") for this fingerprint's
+/// shards.  One is removed only when its pid names no process, so a live
+/// writer's temp file is never touched.
+void remove_stale_temps(const std::string& dir,
+                        const std::string& fingerprint) {
+  const std::string prefix = fingerprint_tag(fingerprint) + ".cell";
+  constexpr std::string_view kTemp = ".json.tmp.";
+  const std::unique_ptr<DIR, int (*)(DIR*)> listing(::opendir(dir.c_str()),
+                                                   &::closedir);
+  if (listing == nullptr) return;
+  while (const dirent* entry = ::readdir(listing.get())) {
+    const std::string_view name = entry->d_name;
+    const std::size_t at = name.rfind(kTemp);
+    if (!name.starts_with(prefix) || at == std::string_view::npos) continue;
+    const char* last = name.data() + name.size();
+    pid_t pid = 0;
+    const auto [stop, bad] =
+        std::from_chars(name.data() + at + kTemp.size(), last, pid);
+    if (bad != std::errc{} || stop != last || pid <= 0) continue;
+    if (::kill(pid, 0) != 0 && errno == ESRCH)
+      ::unlink((dir + "/" + std::string(name)).c_str());
+  }
 }
 
 const Json& require(const Json& doc, const char* key) {
@@ -175,10 +205,12 @@ void attach_checkpoint(GridRunOptions& options,
                        const std::string& fingerprint) {
   ensure_dir(checkpoint.dir);
   const std::uint32_t trials = options.trials_per_cell;
-  if (checkpoint.resume)
+  if (checkpoint.resume) {
+    remove_stale_temps(checkpoint.dir, fingerprint);
     options.restore_cell = [=](std::size_t c) {
       return try_load_shard(checkpoint, fingerprint, c, trials);
     };
+  }
   options.cell_done = [=](std::size_t c, const CellResult& cell) {
     write_shard(checkpoint, fingerprint, c, cell, trials);
   };

@@ -87,7 +87,9 @@ void write_shard(const CheckpointSpec& checkpoint,
 /// shard per finished cell and, with checkpoint.resume, to restore every
 /// cell whose shard loads (try_load_shard) before the sweep starts.
 /// Creates checkpoint.dir.  `fingerprint` is the obs-excluded spec
-/// fingerprint the shards are keyed by.
+/// fingerprint the shards are keyed by.  On resume it also removes this
+/// fingerprint's temp shards ("<shard>.tmp.<pid>") whose writer no longer
+/// exists: a crash mid-write leaves them behind.
 void attach_checkpoint(GridRunOptions& options,
                        const CheckpointSpec& checkpoint,
                        const std::string& fingerprint);

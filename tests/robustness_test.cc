@@ -9,6 +9,8 @@
 //    (every cell field, every RunningStats moment);
 //  * a malformed, truncated or foreign-spec shard degrades resume to
 //    recompute — one stderr warning, never a poisoned result or an abort;
+//  * resume removes the temp shards of its own spec whose writer died
+//    mid-write, and no other file;
 //  * shard serialization round-trips CellResult exactly, including the
 //    zero-count accumulator whose min/max are not JSON-representable;
 //  * the `short` fault kind manufactures the torn artifact a non-durable
@@ -399,6 +401,24 @@ TEST(RobustnessCheckpoint, CorruptShardOnResumeRecomputesAndRewrites) {
                       valid.substr(0, valid.size() / 2));
   durable::write_file(api::shard_path(dir, fp, 2), "garbage{{{");
 
+  // Plant the temp shards a writer killed mid-write leaves behind, one of
+  // this spec and one of another, named for a pid that has exited, and
+  // one of this spec whose writer (this process) is alive.  Cell 0 is
+  // restored, not rewritten, so the resume itself never writes its temp.
+  std::fflush(nullptr);
+  const pid_t dead = ::fork();
+  if (dead == 0) ::_exit(0);
+  ASSERT_GT(dead, 0);
+  ASSERT_EQ(::waitpid(dead, nullptr, 0), dead);
+  const std::string stale = ".tmp." + std::to_string(dead);
+  const std::string own_temp = api::shard_path(dir, fp, 1) + stale;
+  const std::string foreign_temp =
+      api::shard_path(dir, "fnv1a:ffffffffffffffff", 1) + stale;
+  const std::string live_temp =
+      api::shard_path(dir, fp, 0) + ".tmp." + std::to_string(::getpid());
+  for (const std::string& temp : {own_temp, foreign_temp, live_temp})
+    durable::write_file(temp, "{\"checkpoint\"");
+
   RunControl resume = control;
   resume.checkpoint.resume = true;
   const api::ScenarioSweepResult resumed =
@@ -411,6 +431,11 @@ TEST(RobustnessCheckpoint, CorruptShardOnResumeRecomputesAndRewrites) {
                   .has_value());
   EXPECT_TRUE(api::try_load_shard(control.checkpoint, fp, 2, spec.run.trials)
                   .has_value());
+  // Resume removed this spec's stale temp shard, and neither another
+  // spec's nor a live writer's.
+  EXPECT_FALSE(std::filesystem::exists(own_temp));
+  EXPECT_TRUE(std::filesystem::exists(foreign_temp));
+  EXPECT_TRUE(std::filesystem::exists(live_temp));
 }
 
 // -------------------------------------------------------------- watchdog
