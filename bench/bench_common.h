@@ -37,7 +37,6 @@
 
 #include "api/registry.h"
 #include "api/scenario.h"
-#include "flute/fdt.h"
 #include "gf/gf256_kernels.h"
 #include "obs/ledger.h"
 #include "obs/manifest.h"
@@ -273,12 +272,12 @@ inline ExperimentConfig make_config(CodeKind code, TxModel tx, double ratio,
 }
 
 /// Scenario-API equivalent of make_config + run_options: one paper-grid
-/// sweep as a declarative spec (registry names via the FLUTE wire names).
+/// sweep as a declarative spec (registry names via spec_name).
 inline api::ScenarioSpec make_grid_spec(CodeKind code, TxModel tx,
                                         double ratio, const Scale& s) {
   api::ScenarioSpec spec;
   spec.engine = "grid";
-  spec.code.name = flute::code_wire_name(code);
+  spec.code.name = spec_name(code);
   spec.code.ratio = ratio;
   spec.code.k = s.k;
   spec.tx.model = "tx" + std::to_string(static_cast<int>(tx));

@@ -54,18 +54,6 @@ const char* to_string(ChannelRegime regime) noexcept {
   return "?";
 }
 
-SenderConfig Decision::sender_config(std::size_t payload_size,
-                                     std::uint64_t seed) const {
-  SenderConfig cfg;
-  cfg.code = tuple.code;
-  cfg.expansion_ratio = tuple.expansion_ratio;
-  cfg.tx = tuple.tx;
-  cfg.payload_size = payload_size;
-  cfg.seed = seed;
-  cfg.n_sent = n_sent;
-  return cfg;
-}
-
 ExperimentConfig Decision::experiment_config(std::uint32_t k) const {
   ExperimentConfig cfg;
   cfg.code = tuple.code;

@@ -29,7 +29,6 @@
 #include <vector>
 
 #include "adapt/channel_estimator.h"
-#include "core/session.h"
 #include "fec/types.h"
 #include "sim/experiment.h"
 #include "stream/sliding_window.h"
@@ -93,9 +92,6 @@ struct Decision {
   ChannelEstimate channel;       ///< the estimate the decision used
   bool replanned = false;        ///< this decision recomputed the ranking
 
-  /// Materialise the decision for a byte-level sender (core/session).
-  [[nodiscard]] SenderConfig sender_config(std::size_t payload_size,
-                                           std::uint64_t seed) const;
   /// Materialise the decision for a structure-only trial (sim/).
   [[nodiscard]] ExperimentConfig experiment_config(std::uint32_t k) const;
 };

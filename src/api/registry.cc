@@ -16,9 +16,9 @@ std::vector<std::string> engines(std::initializer_list<const char*> list) {
 
 Registry::Registry() {
   // codes: the block-object codes of the paper (grid/adaptive engines)
-  // and the streaming schemes (stream/mpath engines).  Names follow the
-  // FLUTE wire names (flute::code_wire_name) and the streaming
-  // to_string() labels, so every name the repo already prints is a key.
+  // and the streaming schemes (stream/mpath engines).  Names follow
+  // spec_name(CodeKind) and the streaming to_string() labels, so every
+  // name the repo already prints is a key.
   codes_ = {
       {"rse", {}, "Reed-Solomon erasure code over GF(2^8), blocked",
        engines({"grid", "adaptive"})},

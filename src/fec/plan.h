@@ -3,8 +3,8 @@
 // packets exist, how they map onto FEC blocks, and what the code-specific
 // "interleaved" transmission order (Tx_model_5) looks like.
 //
-// A plan carries no payload data; it is shared between the real codecs
-// (core/session) and the structure-only simulation (sim/).
+// A plan carries no payload data; it is shared between the streaming
+// transmission core (stream/) and the structure-only simulation (sim/).
 
 #pragma once
 

@@ -37,6 +37,19 @@ enum class CodeKind {
   return "?";
 }
 
+/// The code's key in scenario specs and the registry (stable, used in
+/// JSON output).
+[[nodiscard]] constexpr std::string_view spec_name(CodeKind c) noexcept {
+  switch (c) {
+    case CodeKind::kRse: return "rse";
+    case CodeKind::kLdgmIdentity: return "ldgm";
+    case CodeKind::kLdgmStaircase: return "ldgm-staircase";
+    case CodeKind::kLdgmTriangle: return "ldgm-triangle";
+    case CodeKind::kReplication: return "replication";
+  }
+  return "?";
+}
+
 /// The six transmission models of Sec. 4 (numbering follows the paper).
 enum class TxModel {
   kTx1SeqSourceSeqParity = 1,   ///< source sequential, then parity sequential

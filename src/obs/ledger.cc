@@ -308,14 +308,4 @@ std::vector<LedgerRecord> compact_records(std::vector<LedgerRecord> records) {
   return out;
 }
 
-void write_ledger(const std::string& path,
-                  const std::vector<LedgerRecord>& records) {
-  std::string out;
-  for (const LedgerRecord& r : records) {
-    out += ledger_line(r);
-    out += '\n';
-  }
-  durable::write_file(path, out);
-}
-
 }  // namespace fecsched::obs

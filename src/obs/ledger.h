@@ -94,8 +94,4 @@ void append_record(const std::string& path, const LedgerRecord& record);
 [[nodiscard]] std::vector<LedgerRecord> compact_records(
     std::vector<LedgerRecord> records);
 
-/// Overwrite `path` with one canonical line per record.
-void write_ledger(const std::string& path,
-                  const std::vector<LedgerRecord>& records);
-
 }  // namespace fecsched::obs

@@ -1,11 +1,11 @@
 // CRC-32 (IEEE 802.3 polynomial, reflected), used to protect net wire
-// frames (header and payload) and FLUTE LCT headers against corruption.
+// frames (header and payload) against corruption.
 //
 // On x86-64 CPUs with PCLMULQDQ, an input of 64 bytes or more is folded
 // 64 and then 16 bytes at a time with carry-less multiplies; the bytes
 // after its last whole 16-byte block, every shorter input (the 44-byte
-// wire header, the 16-byte LCT header) and every other host take the
-// byte-at-a-time table loop.  Both paths give the same value.
+// wire header) and every other host take the byte-at-a-time table loop.
+// Both paths give the same value.
 
 #pragma once
 

@@ -1,6 +1,6 @@
 // Adaptive subsystem: loss reports, online Gilbert estimation (with the
-// Bernoulli fallback), closed-loop controller decisions, the byte-level
-// adaptive session, and the adaptive-vs-static compare runner.
+// Bernoulli fallback), closed-loop controller decisions and the
+// adaptive-vs-static compare runner.
 
 #include <cstdint>
 #include <stdexcept>
@@ -12,7 +12,6 @@
 
 #include "adapt/channel_estimator.h"
 #include "adapt/controller.h"
-#include "adapt/session.h"
 #include "api/scenario.h"
 #include "channel/gilbert.h"
 #include "sim/adaptive_compare.h"
@@ -251,57 +250,12 @@ TEST(AdaptiveController, DecisionMaterialisesConfigs) {
   Decision d;
   d.tuple = {CodeKind::kLdgmStaircase, TxModel::kTx2SeqSourceRandParity, 1.5};
   d.n_sent = 1234;
-  const SenderConfig sc = d.sender_config(512, 42);
-  EXPECT_EQ(sc.code, CodeKind::kLdgmStaircase);
-  EXPECT_EQ(sc.tx, TxModel::kTx2SeqSourceRandParity);
-  EXPECT_DOUBLE_EQ(sc.expansion_ratio, 1.5);
-  EXPECT_EQ(sc.payload_size, 512u);
-  EXPECT_EQ(sc.seed, 42u);
-  EXPECT_EQ(sc.n_sent, 1234u);
   const ExperimentConfig ec = d.experiment_config(4000);
   EXPECT_EQ(ec.code, CodeKind::kLdgmStaircase);
+  EXPECT_EQ(ec.tx, TxModel::kTx2SeqSourceRandParity);
+  EXPECT_DOUBLE_EQ(ec.expansion_ratio, 1.5);
   EXPECT_EQ(ec.k, 4000u);
   EXPECT_EQ(ec.n_sent, 1234u);
-}
-
-// ----------------------------------------------------- AdaptiveSession
-
-TEST(AdaptiveSession, TransfersDecodeAndConverge) {
-  AdaptiveSessionConfig cfg;
-  cfg.estimator.decay = 1.0 - 1.0 / 4000.0;
-  cfg.estimator.min_observations = 300;
-  cfg.controller = fast_controller_config();
-  cfg.payload_size = 256;
-  AdaptiveSession session(cfg);
-
-  std::vector<std::uint8_t> object(200 * 256);
-  for (std::size_t i = 0; i < object.size(); ++i)
-    object[i] = static_cast<std::uint8_t>(i * 31);
-
-  GilbertModel channel(0.02, 0.3);  // p_global 6.25%, mean burst 3.3
-  channel.reset(11);
-  int decoded = 0;
-  for (int i = 0; i < 8; ++i) {
-    const ObjectOutcome outcome = session.transfer(object, channel);
-    if (outcome.decoded) {
-      ++decoded;
-      EXPECT_EQ(outcome.data, object);
-      EXPECT_GE(outcome.inefficiency, 1.0);
-    }
-  }
-  EXPECT_GE(decoded, 7);
-  EXPECT_EQ(session.objects_transferred(), 8u);
-  const ChannelEstimate est = session.estimator().estimate();
-  EXPECT_NEAR(est.p_global, 0.0625, 0.02);
-  // After the first object the controller must have left the cold-start
-  // regime and planned at least once.
-  EXPECT_GE(session.controller().replan_count(), 1u);
-}
-
-TEST(AdaptiveSession, RejectsEmptyObject) {
-  AdaptiveSession session;
-  PerfectChannel channel;
-  EXPECT_THROW((void)session.transfer({}, channel), std::invalid_argument);
 }
 
 // ----------------------------------------------------- adaptive_compare

@@ -77,6 +77,10 @@ TEST(Registry, TypedResolversAcceptCanonicalNamesAndAliases) {
   const Registry& reg = registry();
   EXPECT_EQ(reg.code("rse"), CodeKind::kRse);
   EXPECT_EQ(reg.code("ldgm-triangle"), CodeKind::kLdgmTriangle);
+  for (const CodeKind code :
+       {CodeKind::kRse, CodeKind::kLdgmIdentity, CodeKind::kLdgmStaircase,
+        CodeKind::kLdgmTriangle, CodeKind::kReplication})
+    EXPECT_EQ(reg.code(spec_name(code)), code) << spec_name(code);
   EXPECT_EQ(reg.stream_scheme("sliding-window"), StreamScheme::kSlidingWindow);
   EXPECT_EQ(reg.stream_scheme("sliding"), StreamScheme::kSlidingWindow);
   EXPECT_EQ(reg.stream_scheme("rse"), StreamScheme::kBlockRse);

@@ -1,6 +1,6 @@
 // Loss models: Gilbert stationary behaviour, burst statistics, special
-// cases (perfect / Bernoulli / always-lossy), N-state generalisation and
-// trace replay + Gilbert fitting.
+// cases (perfect / Bernoulli / always-lossy) and trace replay + Gilbert
+// fitting.
 
 #include <cmath>
 #include <cstdint>
@@ -11,7 +11,6 @@
 
 #include "channel/gilbert.h"
 #include "channel/loss_model.h"
-#include "channel/nstate.h"
 #include "channel/trace.h"
 #include "sim/analytic.h"
 #include "util/rng.h"
@@ -232,83 +231,6 @@ TEST(GilbertModel, BranchFreeDrawMatchesTwoBranchRule) {
       }
     }
   }
-}
-
-// ----------------------------------------------------------- N-state
-
-TEST(NStateMarkov, ValidatesInput) {
-  EXPECT_THROW(NStateMarkovModel({}, {}), std::invalid_argument);
-  EXPECT_THROW(NStateMarkovModel({{0.5, 0.4}}, {0.0}), std::invalid_argument);
-  EXPECT_THROW(NStateMarkovModel({{0.5, 0.5}, {0.3, 0.3}}, {0.0, 1.0}),
-               std::invalid_argument);
-  EXPECT_THROW(NStateMarkovModel({{1.0}}, {1.5}), std::invalid_argument);
-}
-
-TEST(NStateMarkov, GilbertEquivalenceStationary) {
-  const double p = 0.1, q = 0.4;
-  auto n2 = NStateMarkovModel::gilbert(p, q);
-  EXPECT_NEAR(n2.global_loss_probability(), p / (p + q), 1e-9);
-  n2.reset(13);
-  EXPECT_NEAR(measured_loss(n2, 300000), p / (p + q), 0.01);
-}
-
-TEST(NStateMarkov, StationaryDistributionSumsToOne) {
-  const NStateMarkovModel m({{0.7, 0.2, 0.1}, {0.3, 0.5, 0.2}, {0.1, 0.1, 0.8}},
-                            {0.0, 0.3, 0.9});
-  double sum = 0;
-  for (double v : m.stationary()) sum += v;
-  EXPECT_NEAR(sum, 1.0, 1e-9);
-}
-
-TEST(NStateMarkov, StationaryIsFixedPointOfTransitionMatrix) {
-  // pi P = pi: the power iteration must land on the genuine left
-  // eigenvector, not merely something normalised.
-  const std::vector<std::vector<double>> P = {
-      {0.7, 0.2, 0.1}, {0.3, 0.5, 0.2}, {0.1, 0.1, 0.8}};
-  const NStateMarkovModel m(P, {0.0, 0.3, 0.9});
-  const std::vector<double>& pi = m.stationary();
-  ASSERT_EQ(pi.size(), 3u);
-  for (std::size_t j = 0; j < 3; ++j) {
-    double pij = 0.0;
-    for (std::size_t i = 0; i < 3; ++i) pij += pi[i] * P[i][j];
-    EXPECT_NEAR(pij, pi[j], 1e-9) << "state " << j;
-    EXPECT_GE(pi[j], 0.0);
-  }
-}
-
-TEST(NStateMarkov, TwoStateStationaryMatchesAnalyticForm) {
-  // The Gilbert special case has the closed form pi = (q, p) / (p + q).
-  const double p = 0.12, q = 0.48;
-  const auto m = NStateMarkovModel::gilbert(p, q);
-  ASSERT_EQ(m.stationary().size(), 2u);
-  EXPECT_NEAR(m.stationary()[0], q / (p + q), 1e-9);
-  EXPECT_NEAR(m.stationary()[1], p / (p + q), 1e-9);
-}
-
-TEST(NStateMarkov, GilbertElliottGlobalLossMixesStateLossRates) {
-  // Gilbert-Elliott: loss also happens in the good state; the long-run
-  // rate is the stationary mixture of the per-state rates.
-  const double p = 0.1, q = 0.4, h_good = 0.02, h_bad = 0.7;
-  auto m = NStateMarkovModel::gilbert_elliott(p, q, h_good, h_bad);
-  const double expected =
-      (q * h_good + p * h_bad) / (p + q);
-  EXPECT_NEAR(m.global_loss_probability(), expected, 1e-9);
-  m.reset(29);
-  EXPECT_NEAR(measured_loss(m, 400000), expected, 0.01);
-}
-
-TEST(NStateMarkov, ThreeStateLongRunLoss) {
-  NStateMarkovModel m({{0.9, 0.1, 0.0}, {0.2, 0.6, 0.2}, {0.0, 0.3, 0.7}},
-                      {0.01, 0.2, 0.8});
-  const double expected = m.global_loss_probability();
-  m.reset(17);
-  EXPECT_NEAR(measured_loss(m, 400000), expected, 0.01);
-}
-
-TEST(NStateMarkov, SingleAbsorbingState) {
-  NStateMarkovModel m({{1.0}}, {0.25});
-  m.reset(19);
-  EXPECT_NEAR(measured_loss(m, 100000), 0.25, 0.01);
 }
 
 // -------------------------------------------------------------- traces

@@ -13,9 +13,6 @@
 #include "fec/peeling_decoder.h"
 #include "fec/rse.h"
 #include "fec/symbol_arena.h"
-#include "flute/fdt.h"
-#include "flute/lct_header.h"
-#include "flute/session.h"
 #include "net/wire.h"
 #include "stream/sliding_window.h"
 #include "stream/stream_trial.h"
@@ -28,104 +25,6 @@ std::vector<std::uint8_t> random_bytes(std::size_t size, Rng& rng) {
   std::vector<std::uint8_t> out(size);
   for (auto& b : out) b = static_cast<std::uint8_t>(rng.below(256));
   return out;
-}
-
-TEST(FuzzFdt, RandomBytesNeverCrash) {
-  Rng rng(1);
-  for (int round = 0; round < 2000; ++round) {
-    const auto bytes = random_bytes(rng.below(200), rng);
-    try {
-      const auto fdt = flute::Fdt::parse(bytes);
-      // Parsing random bytes virtually never succeeds; if it does the
-      // result must at least be self-consistent.
-      for (const auto& e : fdt.entries()) EXPECT_NE(e.toi, 0u);
-    } catch (const std::invalid_argument&) {
-      // expected for garbage
-    }
-  }
-}
-
-TEST(FuzzFdt, TruncatedSerializationsRejectedCleanly) {
-  flute::Fdt fdt;
-  flute::FdtEntry e;
-  e.toi = 1;
-  e.name = "file";
-  e.info.code = CodeKind::kLdgmStaircase;
-  e.info.k = 10;
-  e.info.n = 20;
-  e.info.payload_size = 64;
-  e.info.object_size = 640;
-  fdt.add(e);
-  const auto full = fdt.serialize();
-  for (std::size_t len = 0; len < full.size(); ++len) {
-    const std::span<const std::uint8_t> prefix(full.data(), len);
-    try {
-      (void)flute::Fdt::parse(prefix);
-    } catch (const std::invalid_argument&) {
-    }
-  }
-}
-
-TEST(FuzzLctHeader, RandomBytesParseOrReject) {
-  Rng rng(2);
-  int accepted = 0;
-  for (int round = 0; round < 50000; ++round) {
-    const auto bytes = random_bytes(flute::kHeaderSize, rng);
-    if (flute::parse_header(bytes)) ++accepted;
-  }
-  // A random 20-byte string passes the CRC with probability 2^-32; any
-  // acceptance here would indicate a broken checksum.
-  EXPECT_EQ(accepted, 0);
-}
-
-TEST(FuzzFluteReceiver, RandomDatagramsNeverCorruptASession) {
-  // Interleave a genuine transmission with random garbage datagrams of
-  // arbitrary length; the session must still complete and decode exactly.
-  Rng rng(3);
-  const auto content = random_bytes(20000, rng);
-  flute::FluteSender sender;
-  SenderConfig fec;
-  fec.payload_size = 512;
-  fec.code = CodeKind::kLdgmStaircase;
-  sender.add_file("f", content, fec);
-  sender.seal();
-
-  flute::FluteReceiver receiver;
-  bool complete = false;
-  for (std::size_t seq = 0; seq < sender.datagram_count() && !complete;
-       ++seq) {
-    for (int g = 0; g < 3; ++g) {
-      const auto garbage = random_bytes(rng.below(100), rng);
-      EXPECT_EQ(receiver.on_datagram(garbage),
-                flute::DatagramStatus::kRejected);
-    }
-    complete = receiver.on_datagram(sender.datagram(seq)) ==
-               flute::DatagramStatus::kSessionComplete;
-  }
-  ASSERT_TRUE(complete);
-  EXPECT_EQ(receiver.file("f"), content);
-}
-
-TEST(FuzzFluteReceiver, PayloadBitFlipsWithValidHeaderFeedGarbage) {
-  // A flipped *payload* bit passes the header CRC (only the header is
-  // protected, like UDP-lite): the decoder will absorb wrong bytes.  The
-  // point of this test is that nothing crashes and the session still
-  // terminates; end-to-end integrity is the application's checksum
-  // business (FLUTE uses MD5 in the FDT).  We flip bits only in packets
-  // of a *different* session object so the decoded object stays intact.
-  Rng rng(4);
-  const auto content = random_bytes(10000, rng);
-  flute::FluteSender sender;
-  SenderConfig fec;
-  fec.payload_size = 256;
-  sender.add_file("good", content, fec);
-  sender.seal();
-  flute::FluteReceiver receiver;
-  for (std::size_t seq = 0; seq < sender.datagram_count(); ++seq) {
-    auto dgram = sender.datagram(seq);
-    receiver.on_datagram(dgram);
-  }
-  EXPECT_TRUE(receiver.session_complete());
 }
 
 TEST(FuzzPeeling, RandomSparseMatricesNeverCrash) {
@@ -415,25 +314,6 @@ TEST(FuzzNetWire, TruncationsAndBitFlipsOfValidFramesRejectByName) {
     ASSERT_EQ(parsed.type, net::FrameType::kData);
     ASSERT_EQ(parsed.data, frame);
   }
-}
-
-TEST(FuzzSession, ReceiverSurvivesAdversarialPacketIds) {
-  Rng rng(8);
-  const auto content = random_bytes(5000, rng);
-  SenderConfig cfg;
-  cfg.payload_size = 128;
-  cfg.code = CodeKind::kLdgmTriangle;
-  const SenderSession sender(content, cfg);
-  ReceiverSession receiver(sender.info());
-  std::vector<std::uint8_t> payload(128, 0xAB);
-  // Out-of-range ids must throw, in-range ids with arbitrary payloads are
-  // absorbed (garbage in, garbage out — but no crash, no state corruption).
-  EXPECT_THROW(receiver.on_packet(sender.info().n + 5, payload),
-               std::invalid_argument);
-  for (int i = 0; i < 50; ++i)
-    receiver.on_packet(static_cast<PacketId>(rng.below(sender.info().n)),
-                       payload);
-  SUCCEED();
 }
 
 }  // namespace

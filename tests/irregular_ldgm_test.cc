@@ -1,11 +1,10 @@
 // Irregular left-degree LDGM codes (extension of the paper's regular
-// degree-3 construction) and the Gilbert-Elliott channel factory.
+// degree-3 construction).
 
 #include <map>
 
 #include <gtest/gtest.h>
 
-#include "channel/nstate.h"
 #include "fec/ldgm.h"
 #include "fec/peeling_decoder.h"
 #include "util/rng.h"
@@ -100,37 +99,6 @@ TEST(IrregularLdgm, EmptyDistributionMeansRegular) {
   const LdgmCode code(p);
   for (std::uint32_t c = 0; c < 200; ++c)
     ASSERT_EQ(code.matrix().col_degree(c), 4u);
-}
-
-// ------------------------------------------------------- Gilbert-Elliott
-
-TEST(GilbertElliott, ReducesToGilbertAtExtremes) {
-  auto ge = NStateMarkovModel::gilbert_elliott(0.1, 0.4, 0.0, 1.0);
-  EXPECT_NEAR(ge.global_loss_probability(), 0.1 / 0.5, 1e-9);
-}
-
-TEST(GilbertElliott, IntraStateLossRates) {
-  // h_good = 5%, h_bad = 80%: long-run loss = pi_g*0.05 + pi_b*0.8.
-  const double p = 0.2, q = 0.6;
-  auto ge = NStateMarkovModel::gilbert_elliott(p, q, 0.05, 0.80);
-  const double pi_bad = p / (p + q);
-  const double expected = (1 - pi_bad) * 0.05 + pi_bad * 0.80;
-  EXPECT_NEAR(ge.global_loss_probability(), expected, 1e-9);
-  ge.reset(5);
-  int losses = 0;
-  for (int i = 0; i < 300000; ++i) losses += ge.lost() ? 1 : 0;
-  EXPECT_NEAR(losses / 300000.0, expected, 0.01);
-}
-
-TEST(GilbertElliott, GoodStateLossesExist) {
-  // Unlike the pure Gilbert model, losses can occur without a state
-  // change: with q = 1 the chain never dwells in the bad state, yet the
-  // 10% good-state loss rate shows through.
-  auto ge = NStateMarkovModel::gilbert_elliott(0.0, 1.0, 0.10, 1.0);
-  ge.reset(6);
-  int losses = 0;
-  for (int i = 0; i < 100000; ++i) losses += ge.lost() ? 1 : 0;
-  EXPECT_NEAR(losses / 100000.0, 0.10, 0.01);
 }
 
 }  // namespace

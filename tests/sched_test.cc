@@ -1,6 +1,6 @@
 // Transmission models: permutation validity, the structural prefix
 // properties that define each model, Tx6 length arithmetic, schedule
-// truncation, Rx_model_1 and the carousel.
+// truncation and Rx_model_1.
 
 #include <algorithm>
 #include <set>
@@ -11,7 +11,6 @@
 #include "fec/block_partition.h"
 #include "fec/ldgm.h"
 #include "fec/replication.h"
-#include "sched/carousel.h"
 #include "sched/rx_model.h"
 #include "sched/tx_models.h"
 
@@ -200,24 +199,6 @@ TEST(RxModel1, BoundsChecked) {
   EXPECT_THROW(make_rx_model1_sequence(code, 101, rng), std::invalid_argument);
   EXPECT_EQ(make_rx_model1_sequence(code, 0, rng).size(), 150u);
   EXPECT_EQ(make_rx_model1_sequence(code, 100, rng).size(), 250u);
-}
-
-TEST(Carousel, CyclesForever) {
-  Carousel c({10, 20, 30});
-  EXPECT_EQ(c.cycle_length(), 3u);
-  EXPECT_EQ(c.next(), 10u);
-  EXPECT_EQ(c.next(), 20u);
-  EXPECT_EQ(c.next(), 30u);
-  EXPECT_EQ(c.cycles(), 1u);
-  EXPECT_EQ(c.next(), 10u);
-  EXPECT_EQ(c.position(), 1u);
-  c.rewind();
-  EXPECT_EQ(c.next(), 10u);
-  EXPECT_EQ(c.cycles(), 0u);
-}
-
-TEST(Carousel, RejectsEmpty) {
-  EXPECT_THROW(Carousel({}), std::invalid_argument);
 }
 
 }  // namespace

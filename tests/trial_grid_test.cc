@@ -12,7 +12,6 @@
 
 #include "channel/gilbert.h"
 #include "channel/loss_model.h"
-#include "channel/nstate.h"
 #include "channel/trace.h"
 #include "fec/block_partition.h"
 #include "fec/ldgm.h"
@@ -124,12 +123,6 @@ std::vector<OracleChannel> oracle_channels() {
   }
   out.push_back({"perfect", [] { return std::make_unique<PerfectChannel>(); },
                  true});
-  out.push_back({"nstate",
-                 [] {
-                   return std::make_unique<NStateMarkovModel>(
-                       NStateMarkovModel::gilbert_elliott(0.05, 0.3, 0.01, 0.8));
-                 },
-                 false});
   out.push_back({"trace",
                  [] {
                    return std::make_unique<TraceModel>(

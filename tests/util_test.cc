@@ -1,6 +1,6 @@
 // Unit tests for the deterministic PRNG, the statistics helpers,
-// sort_doubles against std::sort, and CRC-32 against its byte-at-a-time
-// table loop.
+// sort_doubles against std::sort, and CRC-32 against its standard check
+// values and its byte-at-a-time table loop.
 
 #include <algorithm>
 #include <array>
@@ -9,6 +9,7 @@
 #include <limits>
 #include <set>
 #include <span>
+#include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -355,6 +356,40 @@ TEST(SortDoublesOracle, NegativeZeroBeforePositiveZero) {
   EXPECT_TRUE(same_bits(v, {-1.0, -0.0, -0.0, 0.0, 0.0, 0.0, 1.0}));
   EXPECT_TRUE(std::signbit(v[1]) && std::signbit(v[2]));
   EXPECT_FALSE(std::signbit(v[3]) || std::signbit(v[4]) || std::signbit(v[5]));
+}
+
+// ------------------------------------------------------------------ CRC
+
+std::vector<std::uint8_t> bytes_of(std::string_view s) {
+  return {s.begin(), s.end()};
+}
+
+TEST(Crc32, KnownVectors) {
+  // Standard CRC-32/ISO-HDLC check values.
+  EXPECT_EQ(crc32(bytes_of("123456789")), 0xcbf43926u);
+  EXPECT_EQ(crc32(bytes_of("")), 0x00000000u);
+  EXPECT_EQ(crc32(bytes_of("a")), 0xe8b7be43u);
+  EXPECT_EQ(crc32(bytes_of("The quick brown fox jumps over the lazy dog")),
+            0x414fa339u);
+}
+
+TEST(Crc32, IncrementalMatchesOneShot) {
+  const auto data = bytes_of("hello, fec world");
+  const std::uint32_t whole = crc32(data);
+  std::uint32_t inc = 0;
+  inc = crc32_update(inc, std::span(data).first(5));
+  inc = crc32_update(inc, std::span(data).subspan(5));
+  EXPECT_EQ(inc, whole);
+}
+
+TEST(Crc32, DetectsBitFlips) {
+  auto data = bytes_of("some payload bytes");
+  const std::uint32_t orig = crc32(data);
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    data[i] ^= 0x01;
+    EXPECT_NE(crc32(data), orig) << "flip at " << i;
+    data[i] ^= 0x01;
+  }
 }
 
 // The reflected 0xEDB88320 table loop, one lookup per byte: the oracle

@@ -500,23 +500,30 @@ rm -f BENCH_net_ledger.jsonl
 grep -q '"kind":"bench","label":"bench_packetize"' BENCH_net_ledger.jsonl
 echo "net gate: wire round-trips fuzz-clean, loopback matches simulation on backends: ${gf_backends:-auto scalar}"
 
+# Examples gate: tier-1 builds every example, and each one runs here to
+# completion and must exit 0 (channel_planner fits its synthetic trace
+# and plans, loss_map runs a spec through run_scenario, and the streaming
+# and multipath examples check every released payload byte).
+for example in channel_planner loss_map multipath_stream streaming_video; do
+  ./example_$example > /dev/null
+done
+echo "examples gate: every example runs and exits 0"
+
 # Sanitizer gate: every test binary — the decoders, receivers and
-# observers, the GF kernels, RSE codec and payload sessions, the grid
-# trial loop, the engines over the transmission core (golden table,
-# scenario API), both CRC-32 callers (the net wire format and the FLUTE
-# LCT header), the LDGM graph build with its peeling and
-# Gaussian-elimination decoders, the planners, the adaptive controller,
-# the ledger and the robustness suites — again under
+# observers, the GF kernels and RSE codec, the grid trial loop, the
+# engines over the transmission core (golden table, scenario API), the
+# CRC-32 of the net wire format, the LDGM graph build with its peeling
+# and Gaussian-elimination decoders, the planners, the adaptive
+# controller, the ledger and the robustness suites — again under
 # AddressSanitizer + UndefinedBehaviorSanitizer, with libstdc++'s bounds
 # assertions on (the sliding-window decoder indexes its state by seq; the
 # inversion indexes padded rows and the batch kernels run blocked loop
 # bounds; on a PCLMULQDQ host the CRC fold's unaligned 16-byte loads run
-# under ASan through util_test, net_test and flute_test; the matrix's
-# counting passes scatter through computed offsets, and sort_doubles
-# through its radix buckets in util_test; the resequencer's run merge
-# walks raw run pointers in mpath_test), from a second build of the
-# library and the test binaries only (benches, examples and tools off)
-# in .asan_build/.
+# under ASan through util_test and net_test; the matrix's counting
+# passes scatter through computed offsets, and sort_doubles through its
+# radix buckets in util_test; the resequencer's run merge walks raw run
+# pointers in mpath_test), from a second build of the library and the
+# test binaries only (benches, examples and tools off) in .asan_build/.
 # -fno-sanitize-recover=all makes every report abort its binary, so any
 # report fails CI.
 cd ..
@@ -526,10 +533,10 @@ cmake -B .asan_build -S . \
   -DFECSCHED_BUILD_BENCHES=OFF -DFECSCHED_BUILD_EXAMPLES=OFF \
   -DFECSCHED_BUILD_TOOLS=OFF
 sanitized="stream_test mpath_test net_test fuzz_robustness_test obs_test
-  gf256_kernels_test gf256_test rse_test rse_payload_test session_test
+  gf256_kernels_test gf256_test rse_test rse_payload_test
   trial_grid_test experiment_test hotpath_obs_test api_test
   transmission_golden_test channel_test util_test sched_test
-  block_partition_test flute_test sparse_matrix_test ldgm_test
+  block_partition_test sparse_matrix_test ldgm_test
   irregular_ldgm_test peeling_test ge_test adapt_test analytic_nsent_test
   broadcast_memory_test ledger_test planner_test robustness_test
   universal_planner_test"

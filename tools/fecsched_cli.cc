@@ -186,7 +186,6 @@
 #include "channel/trace.h"
 #include "core/nsent.h"
 #include "core/planner.h"
-#include "flute/fdt.h"
 #include "sim/analytic.h"
 #include "sim/table_io.h"
 #include "util/interrupt.h"
@@ -790,7 +789,7 @@ std::string json_escape(std::string_view s) {
 }
 
 void json_tuple(std::ostream& os, const CandidateTuple& tuple) {
-  os << "{\"code\":\"" << json_escape(flute::code_wire_name(tuple.code))
+  os << "{\"code\":\"" << json_escape(spec_name(tuple.code))
      << "\",\"tx\":" << static_cast<int>(tuple.tx) << ",\"ratio\":"
      << format_fixed(tuple.expansion_ratio, 2) << "}";
 }
