@@ -77,10 +77,6 @@ TEST(Registry, TypedResolversAcceptCanonicalNamesAndAliases) {
   const Registry& reg = registry();
   EXPECT_EQ(reg.code("rse"), CodeKind::kRse);
   EXPECT_EQ(reg.code("ldgm-triangle"), CodeKind::kLdgmTriangle);
-  for (const CodeKind code :
-       {CodeKind::kRse, CodeKind::kLdgmIdentity, CodeKind::kLdgmStaircase,
-        CodeKind::kLdgmTriangle, CodeKind::kReplication})
-    EXPECT_EQ(reg.code(spec_name(code)), code) << spec_name(code);
   EXPECT_EQ(reg.stream_scheme("sliding-window"), StreamScheme::kSlidingWindow);
   EXPECT_EQ(reg.stream_scheme("sliding"), StreamScheme::kSlidingWindow);
   EXPECT_EQ(reg.stream_scheme("rse"), StreamScheme::kBlockRse);
@@ -91,6 +87,17 @@ TEST(Registry, TypedResolversAcceptCanonicalNamesAndAliases) {
   EXPECT_EQ(reg.path_scheduler("rr"), PathScheduling::kRoundRobin);
   EXPECT_EQ(reg.path_scheduler("earliest-arrival"),
             PathScheduling::kEarliestArrival);
+}
+
+// spec_name() is the code's name on the wire: in spec files, the adapt
+// JSON and bench output (the FDT carried it once, hence the suite name).
+// The registry must read every one back to its code.
+TEST(Fdt, CodeWireNamesRoundTrip) {
+  for (const CodeKind code :
+       {CodeKind::kRse, CodeKind::kLdgmIdentity, CodeKind::kLdgmStaircase,
+        CodeKind::kLdgmTriangle, CodeKind::kReplication})
+    EXPECT_EQ(registry().code(spec_name(code)), code) << spec_name(code);
+  EXPECT_THROW((void)registry().code("raptor"), std::invalid_argument);
 }
 
 TEST(Registry, UnknownNameThrowsNamingTheKnownSet) {

@@ -4,14 +4,17 @@
 
 #include <algorithm>
 #include <cstring>
+#include <memory>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "channel/gilbert.h"
+#include "fec/block_partition.h"
 #include "fec/ldgm.h"
 #include "fec/peeling_decoder.h"
 #include "fec/rse.h"
+#include "fec/rse_object.h"
 #include "fec/symbol_arena.h"
 #include "net/wire.h"
 #include "stream/sliding_window.h"
@@ -102,6 +105,37 @@ TEST(FuzzRse, DecodeRejectsRatherThanMisdecodes) {
       rx.push_back({idx, idx < 10 ? src[idx] : parity[idx - 10]});
     EXPECT_THROW((void)codec.decode(rx), std::invalid_argument);
   }
+}
+
+TEST(FuzzSession, ReceiverSurvivesAdversarialPacketIds) {
+  // The object decoder as a receiver: out-of-range ids and wrong sizes
+  // must throw and leave no trace, so the genuine packets that follow
+  // still decode exactly.  In-range ids with arbitrary payloads are
+  // absorbed (garbage in, garbage out, but no crash).
+  Rng rng(8);
+  const auto plan = std::make_shared<const RsePlan>(40, 1.5);
+  std::vector<std::vector<std::uint8_t>> src(40);
+  for (auto& sym : src) sym = random_bytes(128, rng);
+  const RseObjectEncoder encoder(plan, src);
+  const std::vector<std::uint8_t> garbage(128, 0xAB);
+
+  RseObjectDecoder receiver(plan, 128);
+  EXPECT_THROW(receiver.on_packet(plan->n() + 5, garbage),
+               std::invalid_argument);
+  EXPECT_THROW(receiver.on_packet(0, random_bytes(129, rng)),
+               std::invalid_argument);
+  EXPECT_EQ(receiver.packets_used(), 0u);
+  for (PacketId id = plan->n(); id-- > 0 && !receiver.complete();)
+    receiver.on_packet(id, encoder.payload(id));
+  ASSERT_TRUE(receiver.complete());
+  for (PacketId s = 0; s < 40; ++s)
+    ASSERT_EQ(receiver.source_symbol(s), src[s]) << "source " << s;
+
+  RseObjectDecoder fed_garbage(plan, 128);
+  for (int i = 0; i < 50; ++i)
+    fed_garbage.on_packet(static_cast<PacketId>(rng.below(plan->n())),
+                          garbage);
+  EXPECT_LE(fed_garbage.packets_used(), 50u);
 }
 
 TEST(FuzzRseWorkspace, ReusedWorkspaceDecodesRandomGeometries) {

@@ -1,14 +1,17 @@
 // Peeling decoder: cascade correctness, payload recovery, duplicate
-// handling, equivalence between the structure-only and payload modes, and
-// the solved-source list the streaming receivers release from.
+// handling, equivalence between the structure-only and payload modes, the
+// solved-source list the streaming receivers release from, and a carousel
+// receiver that completes across schedule passes.
 
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "channel/gilbert.h"
 #include "fec/ge_decoder.h"
 #include "fec/ldgm.h"
 #include "fec/peeling_decoder.h"
+#include "sched/tx_models.h"
 #include "util/rng.h"
 
 namespace fecsched {
@@ -336,6 +339,37 @@ INSTANTIATE_TEST_SUITE_P(
                              : "Triangle") +
              (info.param.symbol_size == 0 ? "Structure" : "Payload");
     });
+
+TEST(Carousel, LateJoinerDecodesAcrossCycles) {
+  // Heavy loss plus a carousel, the conclusion's FLUTE scenario: the
+  // sender loops its Tx_model_4 schedule, the receiver misses most of the
+  // first pass behind a Gilbert channel and completes during a later one,
+  // ignoring the packets it already holds.
+  const std::uint32_t k = 100, n = 150;
+  const auto code = make_code(k, n, LdgmVariant::kTriangle, 10);
+  Rng rng(10);
+  const auto src = random_symbols(k, 200, rng);
+  const auto parity = code.encode(src);
+  const auto schedule = make_schedule(code, TxModel::kTx4AllRandom, rng);
+  GilbertModel channel(0.30, 0.50);  // p_global = 0.375
+  channel.reset(77);
+  PeelingDecoder d(code.matrix(), k, 200);
+  std::size_t transmissions = 0;
+  const std::size_t cap = schedule.size() * 20;
+  while (!d.source_complete() && transmissions < cap) {
+    const PacketId id = schedule[transmissions++ % schedule.size()];
+    if (channel.lost()) continue;
+    d.add_packet(id, id < k ? src[id] : parity[id - k]);
+  }
+  ASSERT_TRUE(d.source_complete());
+  EXPECT_GT(transmissions, schedule.size());  // a full cycle went by
+  for (PacketId id = 0; id < k; ++id) {
+    const auto sym = d.symbol(id);
+    ASSERT_TRUE(
+        std::equal(sym.begin(), sym.end(), src[id].begin(), src[id].end()))
+        << "source " << id;
+  }
+}
 
 }  // namespace
 }  // namespace fecsched

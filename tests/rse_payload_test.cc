@@ -3,7 +3,8 @@
 // addmul, the padded-row Gauss-Jordan inversion at the padded-stride edges
 // on every backend, and the object codec (one generator per block
 // geometry) against a fresh RseCodec per block and, at codec_rse's
-// geometry, against the scalar backend's bytes.
+// geometry, against the scalar backend's bytes; its encoder serves source
+// symbols verbatim and its decoder rejects bad ids and sizes.
 
 #include <algorithm>
 #include <cstdint>
@@ -342,6 +343,48 @@ TEST(RseObject, StreamBlockPlanMatchesFreshCodecPerBlock) {
   ASSERT_TRUE(decoder.complete());
   for (std::uint32_t s = 0; s < 300; ++s)
     ASSERT_EQ(decoder.source_symbol(s), source[s]) << "source " << s;
+}
+
+// The object codec is the two ends of an RSE transfer: the encoder serves
+// the sender's payload for every packet id, the decoder is the receiver.
+
+TEST(SenderSession, PayloadOfSourceIsVerbatim) {
+  // A 2048-byte object cut into 256-byte source symbols.
+  Rng rng(5);
+  std::vector<std::uint8_t> object(2048);
+  fill_bytes(object, rng);
+  std::vector<std::vector<std::uint8_t>> source;
+  for (std::size_t off = 0; off < object.size(); off += 256)
+    source.emplace_back(object.begin() + off, object.begin() + off + 256);
+  const auto plan = std::make_shared<const RsePlan>(8, 1.5);
+  const RseObjectEncoder encoder(plan, source);
+  for (PacketId id = 0; id < plan->k(); ++id) {
+    const auto& payload = encoder.payload(id);
+    ASSERT_EQ(payload.size(), 256u);
+    for (std::size_t b = 0; b < 256; ++b)
+      ASSERT_EQ(payload[b], object[id * 256 + b]);
+  }
+  EXPECT_THROW((void)encoder.payload(plan->n()), std::invalid_argument);
+}
+
+TEST(ReceiverSession, ValidatesPackets) {
+  const auto plan = std::make_shared<const RsePlan>(8, 1.5);
+  RseObjectDecoder decoder(plan, 128);
+  const std::vector<std::uint8_t> wrong(127);
+  EXPECT_THROW(decoder.on_packet(0, wrong), std::invalid_argument);
+  const std::vector<std::uint8_t> right(128);
+  EXPECT_THROW(decoder.on_packet(plan->n(), right), std::invalid_argument);
+  EXPECT_THROW((void)decoder.source_symbol(plan->k()), std::invalid_argument);
+  // Reading a source before its block decoded is a logic error, not a
+  // bad argument.
+  try {
+    (void)decoder.source_symbol(0);
+    FAIL() << "expected std::logic_error";
+  } catch (const std::invalid_argument&) {
+    FAIL() << "expected std::logic_error, got std::invalid_argument";
+  } catch (const std::logic_error&) {
+  }
+  EXPECT_EQ(decoder.packets_used(), 0u);
 }
 
 }  // namespace
