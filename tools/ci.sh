@@ -161,6 +161,18 @@ fi
   | cmp - ../tools/pinned/mpath_point.json
 ./fecsched_cli adapt --p=0.02 --q=0.4 --k=400 --objects=8 --warmup=2 --json \
   | cmp - ../tools/pinned/adapt_point.json
+#    The paper's decode statistic (mean inefficiency over decoded trials,
+#    published only when every trial decoded) as the seven benches that
+#    measure single points, `plan` (with its Eq. 3 sizing) and
+#    `universal` (every tuple over the paper grid) print it, at k = 200
+#    and 4 trials, byte for byte.
+trial_fold_benches="ablation_ge_decoder ablation_ldgm_variant
+  ablation_left_degree ablation_triangle_fill fig14_rxmodel1 fig15_example
+  memory"
+{ for b in $trial_fold_benches; do ./bench_"$b" --k=200 --trials=4; done
+  ./fecsched_cli plan --p=0.05 --q=0.3 --k=200 --trials=4 --bytes=1000000
+  ./fecsched_cli universal --k=200 --trials=4
+} | cmp - ../tools/pinned/trial_folds.txt
 # 4. --dump-spec is the inverse of --spec: dumping a pinned spec document
 #    reproduces it byte for byte (serialization is a fixed point).
 ./fecsched_cli run --spec=../tools/pinned/stream_spec.json --dump-spec \
