@@ -7,7 +7,6 @@
 #include <limits>
 
 #include "bench_common.h"
-#include "util/rng.h"
 
 int main(int argc, char** argv) {
   using namespace fecsched;
@@ -36,20 +35,9 @@ int main(int argc, char** argv) {
             fill == 0 ? CodeKind::kLdgmStaircase : CodeKind::kLdgmTriangle,
             TxModel::kTx4AllRandom, ratio, s);
         cfg.triangle_extra_per_row = std::max<std::uint32_t>(fill, 1);
-        const Experiment e(cfg);
-        const auto trials = parallel_map(s.trials, s.threads, [&](std::uint32_t t) {
-          return e.run_once(pt.p, pt.q, derive_seed(s.seed, {fill, t}));
-        });
-        RunningStats stats;
-        std::uint32_t failures = 0;
-        for (const auto& r : trials) {
-          if (r.decoded)
-            stats.add(r.inefficiency(s.k));
-          else
-            ++failures;
-        }
-        col.y.push_back(failures == 0
-                            ? stats.mean()
+        const TrialStats stats = measure(Experiment(cfg), pt.p, pt.q, s, fill);
+        col.y.push_back(stats.reportable()
+                            ? stats.inefficiency.mean()
                             : std::numeric_limits<double>::quiet_NaN());
       }
       columns.push_back(std::move(col));

@@ -45,6 +45,7 @@
 #include "sim/grid.h"
 #include "sim/table_io.h"
 #include "util/parallel.h"
+#include "util/rng.h"
 
 namespace fecsched::bench {
 
@@ -152,6 +153,20 @@ auto parallel_map(std::uint32_t count, unsigned threads, Fn&& fn)
     results[i] = fn(static_cast<std::uint32_t>(i));
   });
   return results;
+}
+
+/// The paper's decode statistic of `s.trials` trials of `e` at (p, q),
+/// trial t seeded from (s.seed, {tag, t}).  The trials run over the
+/// parallel_map workers and fold in trial order.
+inline TrialStats measure(const Experiment& e, double p, double q,
+                          const Scale& s, std::uint64_t tag) {
+  TrialStats stats;
+  for (const TrialResult& r :
+       parallel_map(s.trials, s.threads, [&](std::uint32_t t) {
+         return e.run_once(p, q, derive_seed(s.seed, {tag, t}));
+       }))
+    stats.add(r, e.k());
+  return stats;
 }
 
 /// The shared `"manifest"` object of a bench --json document: which

@@ -39,8 +39,7 @@ int main(int argc, char** argv) {
   out.name = "LDGM Staircase";
   for (const auto& pt : series) {
     out.x.push_back(pt.source_count);
-    out.y.push_back(pt.failures == 0 ? pt.inefficiency.mean()
-                                     : std::nan(""));
+    out.y.push_back(pt.reportable() ? pt.inefficiency.mean() : std::nan(""));
   }
   std::cout << "\n# average inefficiency vs number of received source "
                "packets ('-' = decode failure)\n";
@@ -51,7 +50,7 @@ int main(int argc, char** argv) {
   double best = 1e9;
   std::uint32_t best_count = 0;
   for (const auto& pt : series)
-    if (pt.source_count <= s.k / 2 && pt.failures == 0 &&
+    if (pt.source_count <= s.k / 2 && pt.reportable() &&
         pt.inefficiency.mean() < best) {
       best = pt.inefficiency.mean();
       best_count = pt.source_count;

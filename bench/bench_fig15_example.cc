@@ -11,7 +11,6 @@
 #include <optional>
 
 #include "bench_common.h"
-#include "util/rng.h"
 #include "core/nsent.h"
 #include "core/planner.h"
 #include "sim/table_io.h"
@@ -48,37 +47,21 @@ int main(int argc, char** argv) {
           col.y.push_back(std::nan(""));
           continue;
         }
-        const Experiment e(make_config(code, tx, ratio, s));
-        const auto trials = parallel_map(s.trials, s.threads, [&](std::uint32_t t) {
-          return e.run_once(p, q, derive_seed(s.seed, {static_cast<std::uint64_t>(
-                                                           m + 10 * ratio),
-                                                       t}));
-        });
-        RunningStats stats;
-        std::uint32_t failures = 0;
-        for (const TrialResult& r : trials) {
-          if (r.decoded)
-            stats.add(r.inefficiency(s.k));
-          else
-            ++failures;
-        }
-        if (failures > 0) {
+        const TrialStats stats =
+            measure(Experiment(make_config(code, tx, ratio, s)), p, q, s,
+                    static_cast<std::uint64_t>(m + 10 * ratio));
+        if (!stats.reportable()) {
           col.y.push_back(std::nan(""));
           continue;
         }
-        col.y.push_back(stats.mean());
+        const double inef = stats.inefficiency.mean();
+        col.y.push_back(inef);
         // Near-ties (within half a percent) go to the smaller expansion
         // ratio — the cheaper transmission ceiling, the paper's own pick.
         const double margin =
             winner && ratio > winner->expansion_ratio ? 0.005 : 0.0;
-        if (!winner || stats.mean() < winner->mean_inefficiency - margin) {
-          winner = TupleEvaluation{};
-          winner->code = code;
-          winner->tx = tx;
-          winner->expansion_ratio = ratio;
-          winner->mean_inefficiency = stats.mean();
-          winner->trials = s.trials;
-        }
+        if (!winner || inef < winner->inefficiency.mean() - margin)
+          winner = TupleEvaluation{stats, code, tx, ratio};
       }
       columns.push_back(std::move(col));
     }
@@ -89,12 +72,12 @@ int main(int argc, char** argv) {
     std::cout << "\nbest tuple: " << to_string(winner->code) << " + "
               << to_string(winner->tx) << " @ ratio "
               << format_fixed(winner->expansion_ratio, 1)
-              << " (inef = " << format_fixed(winner->mean_inefficiency, 3)
+              << " (inef = " << format_fixed(winner->inefficiency.mean(), 3)
               << ")\n";
     // Sec. 6.2.1 arithmetic with the paper's own numbers: 50 MB object,
     // 1024-byte payloads, measured inefficiency of the winning tuple.
     ByteNsentRequest req;
-    req.inefficiency = winner->mean_inefficiency;
+    req.inefficiency = winner->inefficiency.mean();
     req.object_bytes = 50000000;
     req.packet_payload_bytes = 1024;
     req.p = p;

@@ -6,10 +6,7 @@
 // working set tiny (buffers drain block by block), while large-block LDGM
 // holds all n-k check accumulators for the whole decode.
 
-#include <limits>
-
 #include "bench_common.h"
-#include "util/rng.h"
 
 int main(int argc, char** argv) {
   using namespace fecsched;
@@ -48,25 +45,14 @@ int main(int argc, char** argv) {
       std::size_t pi = 0;
       for (const Point& pt : points) {
         ++pi;
-        const auto trials = parallel_map(s.trials, s.threads, [&](std::uint32_t t) {
-          return e.run_once(pt.p, pt.q, derive_seed(s.seed, {pi, t}));
-        });
-        RunningStats inef, mem;
-        std::uint32_t failures = 0;
-        for (const auto& r : trials) {
-          mem.add(static_cast<double>(r.peak_memory_symbols));
-          if (r.decoded)
-            inef.add(r.inefficiency(s.k));
-          else
-            ++failures;
-        }
-        std::cout << "  " << pt.label << ": ";
-        if (failures == 0)
-          std::cout << format_fixed(inef.mean(), 4);
-        else
-          std::cout << "-";
-        std::cout << " | " << format_fixed(mem.max(), 0) << " | "
-                  << format_fixed(mem.max() / s.k, 3) << "k\n";
+        const TrialStats stats = measure(e, pt.p, pt.q, s, pi);
+        const double mem = stats.peak_memory_symbols;
+        std::cout << "  " << pt.label << ": "
+                  << (stats.reportable()
+                          ? format_fixed(stats.inefficiency.mean(), 4)
+                          : "-")
+                  << " | " << format_fixed(mem, 0) << " | "
+                  << format_fixed(mem / s.k, 3) << "k\n";
       }
     }
   }

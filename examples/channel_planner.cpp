@@ -69,8 +69,8 @@ int main(int argc, char** argv) {
     std::printf("%-16s %-10s %6.1f %14.4f %10s\n",
                 std::string(to_string(e.code)).c_str(),
                 std::string(to_string(e.tx)).c_str(), e.expansion_ratio,
-                e.reliable() ? e.mean_inefficiency : 0.0,
-                e.reliable() ? "yes" : "NO");
+                e.reportable() ? e.inefficiency.mean() : 0.0,
+                e.reportable() ? "yes" : "NO");
 
   const auto best = planner.best(fit.p, fit.q);
   if (!best) {
@@ -81,11 +81,11 @@ int main(int argc, char** argv) {
   std::printf("\nchosen tuple: %s + %s @ ratio %.1f (inefficiency %.4f)\n",
               std::string(to_string(best->code)).c_str(),
               std::string(to_string(best->tx)).c_str(),
-              best->expansion_ratio, best->mean_inefficiency);
+              best->expansion_ratio, best->inefficiency.mean());
 
   // 4. Optimal n_sent for the paper's 50 MB example object (Eq. 3).
   ByteNsentRequest req;
-  req.inefficiency = best->mean_inefficiency;
+  req.inefficiency = best->inefficiency.mean();
   req.object_bytes = 50000000;
   req.packet_payload_bytes = 1024;
   req.p = fit.p;

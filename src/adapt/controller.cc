@@ -8,8 +8,8 @@
 
 #include "core/nsent.h"
 #include "sim/analytic.h"
+#include "sim/trial.h"
 #include "util/rng.h"
-#include "util/stats.h"
 
 namespace fecsched {
 
@@ -149,24 +149,19 @@ void AdaptiveController::replan(const ChannelEstimate& estimate) {
       planning_experiments_[i] = std::make_unique<Experiment>(cfg);
     }
     const Experiment& experiment = *planning_experiments_[i];
-    RunningStats inef;
-    std::uint32_t decoded = 0;
-    for (std::uint32_t t = 0; t < config_.planning_trials; ++t) {
-      const std::uint64_t seed =
-          derive_seed(config_.seed, {replans_, i, t});
-      const TrialResult r = experiment.run_once(p, q, seed);
-      if (r.decoded) {
-        ++decoded;
-        inef.add(r.inefficiency(experiment.k()));
-      }
-    }
-    pred.trials = config_.planning_trials;
-    pred.failures = config_.planning_trials - decoded;
+    TrialStats stats;
+    for (std::uint32_t t = 0; t < config_.planning_trials; ++t)
+      stats.add(experiment.run_once(
+                    p, q, derive_seed(config_.seed, {replans_, i, t})),
+                experiment.k());
+    const std::size_t decoded = stats.inefficiency.count();
+    pred.trials = stats.trials;
+    pred.failures = stats.failures;
     pred.decode_probability =
-        static_cast<double>(decoded) / config_.planning_trials;
+        static_cast<double>(decoded) / stats.trials;
     pred.mean_inefficiency =
-        decoded > 0 ? inef.mean() : tuple.expansion_ratio;
-    pred.inefficiency_stddev = inef.stddev();
+        decoded > 0 ? stats.inefficiency.mean() : tuple.expansion_ratio;
+    pred.inefficiency_stddev = stats.inefficiency.stddev();
   }
   have_plan_ = true;
   plan_p_global_ = estimate.p_global;

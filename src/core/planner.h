@@ -15,21 +15,12 @@
 
 namespace fecsched {
 
-/// One candidate tuple and its measured behaviour at the operating point.
-struct TupleEvaluation {
+/// One candidate tuple and its measured behaviour at the operating point:
+/// usable there when reportable() (paper rule: no failure tolerated).
+struct TupleEvaluation : TrialStats {
   CodeKind code = CodeKind::kLdgmStaircase;
   TxModel tx = TxModel::kTx4AllRandom;
   double expansion_ratio = 1.5;
-  double mean_inefficiency = 0.0;  ///< over decoded trials
-  std::uint32_t failures = 0;      ///< trials that did not decode
-  std::uint32_t trials = 0;
-
-  /// Usable at this point (paper rule: no failure tolerated).
-  [[nodiscard]] bool reliable() const noexcept {
-    return trials > 0 && failures == 0;
-  }
-  /// Mean packets to send for expected completion (Eq. 3 numerator /k).
-  [[nodiscard]] double score() const noexcept { return mean_inefficiency; }
 };
 
 /// One candidate tuple measured across a whole channel grid (Sec. 6.2.2).
@@ -78,10 +69,10 @@ class Planner {
   [[nodiscard]] const PlannerConfig& config() const noexcept { return config_; }
 
   /// Measure every candidate tuple at (p, q), most attractive first
-  /// (reliable tuples before unreliable, then by mean inefficiency).
+  /// (reportable tuples before the others, then by mean inefficiency).
   [[nodiscard]] std::vector<TupleEvaluation> evaluate(double p, double q) const;
 
-  /// The winning tuple at (p, q), if any tuple is reliable there.
+  /// The winning tuple at (p, q), if any tuple is reportable there.
   [[nodiscard]] std::optional<TupleEvaluation> best(double p, double q) const;
 
   /// The paper's universal recommendation when the loss model is unknown

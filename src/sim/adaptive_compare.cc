@@ -105,17 +105,12 @@ AdaptiveComparePoint run_point(const ChannelPoint& channel,
   for (std::size_t b = 0; b < candidates.baselines; ++b) {
     StaticBaselineResult baseline;
     baseline.tuple = candidates.tuples[b];
-    for (std::uint32_t t = point.warmup_objects; t < config.objects; ++t) {
-      const TrialResult r = run_object(candidates.experiments[b], channel,
-                                       config.seed, t, 0, report, hook);
-      if (r.decoded)
-        baseline.inefficiency.add(r.inefficiency(config.k));
-      else
-        ++baseline.failures;
-      ++baseline.trials;
-    }
+    for (std::uint32_t t = point.warmup_objects; t < config.objects; ++t)
+      baseline.add(run_object(candidates.experiments[b], channel, config.seed,
+                              t, 0, report, hook),
+                   config.k);
     point.baselines.push_back(baseline);
-    if (baseline.reliable() &&
+    if (baseline.reportable() &&
         (point.best_baseline < 0 ||
          baseline.inefficiency.mean() <
              point.baselines[static_cast<std::size_t>(point.best_baseline)]

@@ -30,15 +30,8 @@ namespace fecsched {
 /// One static tuple's behaviour at the channel point, measured with
 /// common random numbers: the same (schedule, channel) seed pairs the
 /// adaptive sender's steady-state objects use.
-struct StaticBaselineResult {
+struct StaticBaselineResult : TrialStats {
   CandidateTuple tuple;
-  RunningStats inefficiency;   ///< over decoded trials
-  std::uint32_t failures = 0;
-  std::uint32_t trials = 0;
-
-  [[nodiscard]] bool reliable() const noexcept {
-    return trials > 0 && failures == 0;
-  }
 };
 
 /// One object of the adaptive trajectory.

@@ -192,11 +192,7 @@ std::vector<RxModelPoint> run_rx_model1_series(
           make_rx_model1_sequence(*code, point.source_count, rng);
       PerfectChannel channel;
       LdgmTracker tracker(code, config.ge_fallback);
-      const TrialResult r = run_trial(tracker, seq, channel);
-      if (r.decoded)
-        point.inefficiency.add(r.inefficiency(config.k));
-      else
-        ++point.failures;
+      point.add(run_trial(tracker, seq, channel), config.k);
     }
   };
   parallel_for_index(source_counts.size(), threads, run_point);

@@ -81,14 +81,10 @@ class Experiment {
 };
 
 /// One point of the Fig. 14 series: Rx_model_1 with `source_count`
-/// guaranteed source packets (Sec. 5.1).  Returns mean inefficiency over
-/// `trials` (Rx_model_1 always decodes: all parity eventually arrives and
-/// the remaining sources are... not transmitted — decoding can in fact
-/// fail; failures are reported).
-struct RxModelPoint {
+/// guaranteed source packets (Sec. 5.1).  The remaining sources are not
+/// transmitted, so decoding can fail; failures are reported.
+struct RxModelPoint : TrialStats {
   std::uint32_t source_count = 0;
-  RunningStats inefficiency;
-  std::uint32_t failures = 0;
 };
 
 /// Run the Fig. 14 experiment for one LDGM configuration.  Points are

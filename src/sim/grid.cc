@@ -1,7 +1,5 @@
 #include "sim/grid.h"
 
-#include <algorithm>
-
 #include "obs/obs.h"
 #include "util/faultpoint.h"
 #include "util/interrupt.h"
@@ -92,16 +90,7 @@ GridResult run_grid(const GridSpec& spec, std::uint32_t k,
       points, options,
       [&](std::size_t c, double p, double q, std::uint32_t,
           std::uint64_t seed) {
-        const TrialResult r = trial_fn(p, q, seed);
-        CellResult& cell = result.cells[c];
-        ++cell.trials;
-        cell.peak_memory_symbols =
-            std::max(cell.peak_memory_symbols, r.peak_memory_symbols);
-        cell.received_ratio.add(r.received_ratio(k));
-        if (r.decoded)
-          cell.inefficiency.add(r.inefficiency(k));
-        else
-          ++cell.failures;
+        result.cells[c].add(trial_fn(p, q, seed), k);
       },
       hooks);
   return result;

@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "sim/trial.h"
-#include "util/stats.h"
 
 namespace fecsched {
 
@@ -33,27 +32,15 @@ struct GridSpec {
   }
 };
 
-/// Aggregated outcome of one grid cell.
-struct CellResult {
+/// Aggregated outcome of one grid cell (its peak_memory_symbols feeds the
+/// scenario API's unified summary).
+struct CellResult : TrialStats {
   double p = 0.0;
   double q = 0.0;
-  RunningStats inefficiency;    ///< over decoded trials only
-  RunningStats received_ratio;  ///< n_received/k over all trials
-  std::uint32_t failures = 0;   ///< trials that did not decode
-  std::uint32_t trials = 0;
   /// True when any trial of the cell hit the --trial-timeout-ms watchdog
   /// (the trial counts as a failure, so reportable() stays false — an
   /// explicit status instead of a hung sweep).
   bool timed_out = false;
-  /// Largest decoder working set seen by any trial of the cell, in
-  /// packet-sized symbols (the paper's future-work memory metric; feeds
-  /// the scenario API's unified summary).
-  std::uint32_t peak_memory_symbols = 0;
-
-  /// Paper rule: report a value only when every trial decoded.
-  [[nodiscard]] bool reportable() const noexcept {
-    return trials > 0 && failures == 0;
-  }
 };
 
 /// A completed sweep.

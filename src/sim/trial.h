@@ -3,12 +3,14 @@
 
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 
 #include "channel/loss_model.h"
 #include "obs/obs.h"
 #include "sim/tracker.h"
+#include "util/stats.h"
 
 namespace fecsched {
 
@@ -33,6 +35,35 @@ struct TrialResult {
   /// n_received / k — the ceiling any inefficiency can reach (Sec. 4.1).
   [[nodiscard]] double received_ratio(std::uint32_t k) const noexcept {
     return static_cast<double>(n_received) / static_cast<double>(k);
+  }
+};
+
+/// The paper's decode statistic over a run of trials (Sec. 4.1): the
+/// inefficiency ratio averaged over the trials that decoded, published
+/// only when every trial decoded (the "-" cells of the appendix tables).
+struct TrialStats {
+  RunningStats inefficiency;    ///< over decoded trials only
+  RunningStats received_ratio;  ///< n_received/k over all trials
+  std::uint32_t failures = 0;   ///< trials that did not decode
+  std::uint32_t trials = 0;
+  /// Largest decoder working set seen by any trial, in packet-sized
+  /// symbols (the paper's future-work memory metric).
+  std::uint32_t peak_memory_symbols = 0;
+
+  /// Fold in one trial of a k-source object.
+  void add(const TrialResult& r, std::uint32_t k) noexcept {
+    ++trials;
+    peak_memory_symbols = std::max(peak_memory_symbols, r.peak_memory_symbols);
+    received_ratio.add(r.received_ratio(k));
+    if (r.decoded)
+      inefficiency.add(r.inefficiency(k));
+    else
+      ++failures;
+  }
+
+  /// Paper rule: report a value only when every trial decoded.
+  [[nodiscard]] bool reportable() const noexcept {
+    return trials > 0 && failures == 0;
   }
 };
 

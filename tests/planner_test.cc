@@ -32,13 +32,13 @@ TEST(Planner, EvaluationsSortedReliableFirstThenByInefficiency) {
   bool seen_unreliable = false;
   double prev = 0.0;
   for (const auto& e : evals) {
-    if (!e.reliable()) {
+    if (!e.reportable()) {
       seen_unreliable = true;
       continue;
     }
     EXPECT_FALSE(seen_unreliable) << "reliable tuple after unreliable one";
-    EXPECT_GE(e.score(), prev);
-    prev = e.score();
+    EXPECT_GE(e.inefficiency.mean(), prev);
+    prev = e.inefficiency.mean();
   }
 }
 
@@ -51,9 +51,9 @@ TEST(Planner, BestAtLightLossIsCheap) {
   // The paper's known-channel example point (Sec. 6.2.1).
   const auto best = planner.best(0.0109, 0.7915);
   ASSERT_TRUE(best.has_value());
-  EXPECT_TRUE(best->reliable());
+  EXPECT_TRUE(best->reportable());
   // At a ~1.35% loss channel the winner decodes with tiny overhead.
-  EXPECT_LT(best->mean_inefficiency, 1.10);
+  EXPECT_LT(best->inefficiency.mean(), 1.10);
   // Tx_model_2's sequential source prefix dominates at low loss (paper:
   // "Tx_model_2 with LDGM Staircase ... gives the best results").
   EXPECT_EQ(best->tx, TxModel::kTx2SeqSourceRandParity);
@@ -69,7 +69,7 @@ TEST(Planner, PerfectChannelPrefersSequentialSource) {
   const auto best = planner.best(0.0, 1.0);
   ASSERT_TRUE(best.has_value());
   EXPECT_EQ(best->tx, TxModel::kTx2SeqSourceRandParity);
-  EXPECT_DOUBLE_EQ(best->mean_inefficiency, 1.0);
+  EXPECT_DOUBLE_EQ(best->inefficiency.mean(), 1.0);
 }
 
 TEST(Planner, ImpossibleChannelHasNoReliableTuple) {
@@ -100,7 +100,7 @@ TEST(Planner, Tx6KeptWhenRatioLargeEnough) {
   const Planner planner(cfg);
   const auto evals = planner.evaluate(0.0, 1.0);
   ASSERT_EQ(evals.size(), 1u);
-  EXPECT_TRUE(evals[0].reliable());
+  EXPECT_TRUE(evals[0].reportable());
 }
 
 TEST(Planner, BurstyChannelPunishesSequentialParity) {
@@ -114,7 +114,7 @@ TEST(Planner, BurstyChannelPunishesSequentialParity) {
   const auto evals = planner.evaluate(0.10, 0.20);
   ASSERT_EQ(evals.size(), 2u);
   const auto& winner = evals.front();
-  ASSERT_TRUE(winner.reliable());
+  ASSERT_TRUE(winner.reportable());
   EXPECT_EQ(winner.tx, TxModel::kTx4AllRandom);
 }
 
@@ -128,7 +128,7 @@ TEST(Planner, DeterministicGivenSeed) {
   const auto eb = b.evaluate(0.05, 0.5);
   ASSERT_EQ(ea.size(), eb.size());
   for (std::size_t i = 0; i < ea.size(); ++i)
-    EXPECT_DOUBLE_EQ(ea[i].mean_inefficiency, eb[i].mean_inefficiency);
+    EXPECT_DOUBLE_EQ(ea[i].inefficiency.mean(), eb[i].inefficiency.mean());
 }
 
 }  // namespace

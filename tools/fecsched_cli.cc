@@ -674,9 +674,9 @@ int cmd_plan(const Args& args) {
     std::printf("%-16s %-10s %6.1f %14s %10s\n",
                 std::string(to_string(e.code)).c_str(),
                 std::string(to_string(e.tx)).c_str(), e.expansion_ratio,
-                e.reliable() ? format_fixed(e.mean_inefficiency, 4).c_str()
-                             : "-",
-                e.reliable() ? "yes" : "NO");
+                e.reportable() ? format_fixed(e.inefficiency.mean(), 4).c_str()
+                               : "-",
+                e.reportable() ? "yes" : "NO");
 
   const auto best = planner.best(p, q);
   if (!best) {
@@ -687,12 +687,12 @@ int cmd_plan(const Args& args) {
   std::printf("\nbest: %s + %s @ ratio %.1f (inefficiency %.4f)\n",
               std::string(to_string(best->code)).c_str(),
               std::string(to_string(best->tx)).c_str(), best->expansion_ratio,
-              best->mean_inefficiency);
+              best->inefficiency.mean());
 
   const auto bytes = args.integer<std::uint64_t>("bytes", 0);
   if (bytes > 0) {
     ByteNsentRequest req;
-    req.inefficiency = best->mean_inefficiency;
+    req.inefficiency = best->inefficiency.mean();
     req.object_bytes = bytes;
     req.packet_payload_bytes = args.integer<std::uint32_t>("payload", 1024);
     req.p = p;
@@ -829,8 +829,8 @@ void write_adapt_json(std::ostream& os, const api::ScenarioResult& result) {
       os << "{\"tuple\":";
       json_tuple(os, base.tuple);
       os << ",\"inefficiency\":"
-         << (base.reliable() ? format_fixed(base.inefficiency.mean(), 6)
-                             : std::string("null"))
+         << (base.reportable() ? format_fixed(base.inefficiency.mean(), 6)
+                               : std::string("null"))
          << ",\"failures\":" << base.failures << ",\"trials\":" << base.trials
          << "}";
     }
