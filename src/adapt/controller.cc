@@ -54,16 +54,6 @@ const char* to_string(ChannelRegime regime) noexcept {
   return "?";
 }
 
-ExperimentConfig Decision::experiment_config(std::uint32_t k) const {
-  ExperimentConfig cfg;
-  cfg.code = tuple.code;
-  cfg.tx = tuple.tx;
-  cfg.expansion_ratio = tuple.expansion_ratio;
-  cfg.k = k;
-  cfg.n_sent = n_sent;
-  return cfg;
-}
-
 AdaptiveController::AdaptiveController(ControllerConfig config)
     : config_(std::move(config)) {
   if (config_.candidates.empty()) config_.candidates = default_candidates();

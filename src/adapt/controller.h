@@ -91,9 +91,6 @@ struct Decision {
   std::uint32_t candidate_index = 0;  ///< into the controller's candidates
   ChannelEstimate channel;       ///< the estimate the decision used
   bool replanned = false;        ///< this decision recomputed the ranking
-
-  /// Materialise the decision for a structure-only trial (sim/).
-  [[nodiscard]] ExperimentConfig experiment_config(std::uint32_t k) const;
 };
 
 /// Controller tuning.

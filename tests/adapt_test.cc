@@ -246,18 +246,6 @@ TEST(AdaptiveController, FailureFeedbackForcesReplanAndRaisesBudget) {
   EXPECT_TRUE(changed || d2.n_sent == 0 || d2.n_sent > d1.n_sent);
 }
 
-TEST(AdaptiveController, DecisionMaterialisesConfigs) {
-  Decision d;
-  d.tuple = {CodeKind::kLdgmStaircase, TxModel::kTx2SeqSourceRandParity, 1.5};
-  d.n_sent = 1234;
-  const ExperimentConfig ec = d.experiment_config(4000);
-  EXPECT_EQ(ec.code, CodeKind::kLdgmStaircase);
-  EXPECT_EQ(ec.tx, TxModel::kTx2SeqSourceRandParity);
-  EXPECT_DOUBLE_EQ(ec.expansion_ratio, 1.5);
-  EXPECT_EQ(ec.k, 4000u);
-  EXPECT_EQ(ec.n_sent, 1234u);
-}
-
 // ----------------------------------------------------- adaptive_compare
 
 // The adaptive engine's points come from sweep_channel_points: the
