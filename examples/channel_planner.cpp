@@ -55,7 +55,7 @@ int main(int argc, char** argv) {
   const double p_global = fit.p + fit.q > 0 ? fit.p / (fit.p + fit.q) : 0.0;
   std::printf("fitted Gilbert parameters: p=%.4f q=%.4f (p_global=%.4f, "
               "mean burst %.2f packets)\n",
-              fit.p, fit.q, p_global, fit.q > 0 ? 1.0 / fit.q : 0.0);
+              fit.p, fit.q, p_global, mean_burst(fit.q));
 
   // 3. Evaluate every candidate tuple at the fitted operating point.
   PlannerConfig pc;

@@ -13,11 +13,18 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 
 #include "channel/loss_model.h"
 #include "util/rng.h"
 
 namespace fecsched {
+
+/// Mean loss-burst length 1/q of a Gilbert chain; infinite at q = 0,
+/// where the loss state is absorbing.
+[[nodiscard]] inline double mean_burst(double q) noexcept {
+  return q > 0.0 ? 1.0 / q : std::numeric_limits<double>::infinity();
+}
 
 /// Gilbert two-state Markov erasure process.
 class GilbertModel final : public LossModel {

@@ -89,7 +89,7 @@ AdaptiveComparePoint run_point(const ChannelPoint& channel,
   point.q = channel.q;
   point.p_global =
       (channel.p + channel.q) > 0.0 ? channel.p / (channel.p + channel.q) : 0.0;
-  point.mean_burst = channel.q > 0.0 ? 1.0 / channel.q : 1.0;
+  point.mean_burst = mean_burst(channel.q);
   point.warmup_objects = std::min(config.warmup_objects, config.objects);
 
   const obs::Hook hook;

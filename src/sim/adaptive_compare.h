@@ -52,7 +52,7 @@ struct AdaptiveComparePoint {
   double p = 0.0;
   double q = 1.0;
   double p_global = 0.0;
-  double mean_burst = 1.0;
+  double mean_burst = 1.0;  ///< 1/q; infinite at q = 0
 
   std::vector<StaticBaselineResult> baselines;
   std::vector<AdaptiveTrajectoryPoint> trajectory;

@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <sstream>
 #include <vector>
 
@@ -88,6 +89,13 @@ TEST(GilbertModel, MeanBurstLengthIsOneOverQ) {
   for (int b : bursts) mean += b;
   mean /= static_cast<double>(bursts.size());
   EXPECT_NEAR(mean, 4.0, 0.25);  // 1/q = 4
+}
+
+TEST(GilbertModel, MeanBurstIsInfiniteWhenLossAbsorbs) {
+  EXPECT_DOUBLE_EQ(mean_burst(0.25), 4.0);
+  EXPECT_DOUBLE_EQ(mean_burst(1.0), 1.0);
+  // At q = 0 a loss run never ends (QZeroAbsorbs below).
+  EXPECT_EQ(mean_burst(0.0), std::numeric_limits<double>::infinity());
 }
 
 TEST(GilbertModel, BernoulliFactoryIsMemoryless) {

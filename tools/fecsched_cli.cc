@@ -667,7 +667,7 @@ int cmd_plan(const Args& args) {
   const Planner planner(cfg);
 
   std::printf("channel: p=%.4f q=%.4f (p_global=%.4f, mean burst %.2f)\n\n",
-              p, q, global_loss_probability(p, q), q > 0 ? 1.0 / q : 0.0);
+              p, q, global_loss_probability(p, q), mean_burst(q));
   std::printf("%-16s %-10s %6s %14s %10s\n", "code", "tx_model", "ratio",
               "inefficiency", "reliable");
   for (const auto& e : planner.evaluate(p, q))
@@ -763,7 +763,7 @@ int cmd_fit(const Args& args) {
     std::printf(
         "Gilbert fit: p=%.4f q=%.4f (p_global=%.4f, mean burst %.2f)\n",
         fit.p, fit.q, global_loss_probability(fit.p, fit.q),
-        fit.q > 0 ? 1.0 / fit.q : 0.0);
+        mean_burst(fit.q));
     return 0;
   } catch (const std::invalid_argument& e) {
     std::fprintf(stderr, "fit: %s\n", e.what());
@@ -788,6 +788,12 @@ std::string json_escape(std::string_view s) {
   return out;
 }
 
+/// `value` with `precision` decimals, or null where it is not finite
+/// (format_fixed would write `inf`, which is not a JSON token).
+std::string json_fixed(double value, int precision) {
+  return std::isfinite(value) ? format_fixed(value, precision) : "null";
+}
+
 void json_tuple(std::ostream& os, const CandidateTuple& tuple) {
   os << "{\"code\":\"" << json_escape(spec_name(tuple.code))
      << "\",\"tx\":" << static_cast<int>(tuple.tx) << ",\"ratio\":"
@@ -806,7 +812,7 @@ void write_adapt_json(std::ostream& os, const api::ScenarioResult& result) {
     os << "\n{\"p\":" << format_fixed(r.p, 6) << ",\"q\":"
        << format_fixed(r.q, 6) << ",\"p_global\":"
        << format_fixed(r.p_global, 4) << ",\"mean_burst\":"
-       << format_fixed(r.mean_burst, 2) << ",";
+       << json_fixed(r.mean_burst, 2) << ",";
     os << "\"best_static\":";
     if (r.best_baseline >= 0) {
       const auto& best = r.baselines[static_cast<std::size_t>(r.best_baseline)];
@@ -935,8 +941,7 @@ void write_residual(std::ostream& os, const api::DelayOutcome& o) {
 void write_stream_json(std::ostream& os, const api::ScenarioResult& result) {
   const StreamTrialConfig& base = *result.stream_base;
   write_point_head(os, base.source_count, result);
-  os << ",\"mean_burst\":"
-     << format_fixed(result.q > 0 ? 1.0 / result.q : 0.0, 2)
+  os << ",\"mean_burst\":" << json_fixed(mean_burst(result.q), 2)
      << ",\"overhead\":" << format_fixed(base.overhead, 4) << ",\"window\":"
      << base.window << ",\"block_k\":" << base.block_k << ",\"variants\":[";
   bool first = true;
@@ -990,7 +995,7 @@ int print_stream_result(const Args& args, const api::ScenarioResult& result) {
               base.source_count, base.overhead, base.window, base.block_k,
               result.trials);
   std::printf("channel: p=%.4f q=%.4f (p_global=%.4f, mean burst %.2f)\n\n",
-              p, q, global_loss_probability(p, q), q > 0 ? 1.0 / q : 0.0);
+              p, q, global_loss_probability(p, q), mean_burst(q));
   print_delay_table(result.stream);
   std::printf("\n(delays in channel packet slots; in-order release; "
               "resid-run = mean post-FEC loss burst)\n");
@@ -1054,7 +1059,7 @@ int print_net_result(const Args& args, const api::ScenarioResult& result) {
               base.payload_bytes, result.trials);
   std::printf("channel (emulated at the sender): p=%.4f q=%.4f "
               "(p_global=%.4f, mean burst %.2f)\n\n",
-              p, q, global_loss_probability(p, q), q > 0 ? 1.0 / q : 0.0);
+              p, q, global_loss_probability(p, q), mean_burst(q));
   print_delay_table(result.stream);
   std::printf("\nwire: %llu datagrams sent, %llu dropped by the impairment "
               "shim, %llu bytes framed\n",
@@ -1090,8 +1095,7 @@ int print_net_result(const Args& args, const api::ScenarioResult& result) {
 void write_mpath_json(std::ostream& os, const api::ScenarioResult& result) {
   const MpathTrialConfig& base = *result.mpath_base;
   write_point_head(os, base.stream.source_count, result);
-  os << ",\"mean_burst\":"
-     << format_fixed(result.q > 0 ? 1.0 / result.q : 0.0, 2)
+  os << ",\"mean_burst\":" << json_fixed(mean_burst(result.q), 2)
      << ",\"overhead\":" << format_fixed(base.stream.overhead, 4)
      << ",\"window\":" << base.stream.window << ",\"scheme\":\""
      << json_escape(to_string(base.stream.scheme)) << "\",\"paths\":[";
@@ -1178,7 +1182,7 @@ int print_mpath_result(const Args& args, const api::ScenarioResult& result) {
               base.stream.overhead, base.stream.window, result.trials);
   std::printf("channel/path: p=%.4f q=%.4f (p_global=%.4f, mean burst "
               "%.2f); delays:",
-              p, q, global_loss_probability(p, q), q > 0 ? 1.0 / q : 0.0);
+              p, q, global_loss_probability(p, q), mean_burst(q));
   for (const PathSpec& path : base.paths)
     std::printf(" %.0f", path.delay);
   std::printf(" slots\n\n");
