@@ -45,8 +45,7 @@ Registry::Registry() {
        "paper's Sec. 3.2 loss model", engines({"grid", "stream", "mpath",
        "adaptive", "net"})},
       {"bernoulli", {"iid"}, "memoryless erasure process (Gilbert with "
-       "q = 1 - p)", engines({"grid", "stream", "mpath", "adaptive",
-       "net"})},
+       "q = 1 - p)", engines({"stream", "mpath", "net"})},
       {"perfect", {}, "the ideal channel: nothing is ever lost",
        engines({"stream", "mpath", "net"})},
   };

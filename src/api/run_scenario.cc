@@ -533,6 +533,13 @@ ScenarioSweepResult run_scenario_sweep_engines(const ScenarioSpec& spec,
         "sweeps would re-bind sockets per cell for no measurement gain "
         "(drop the sweep section, or sweep the 'stream' twin)");
 
+  // Every axis sweep draws its points from GilbertModel.
+  if (spec.channel.model != "gilbert")
+    throw std::invalid_argument(
+        "spec: the " + spec.engine + " axis sweep draws Gilbert channels "
+        "only — channel.model '" + spec.channel.model +
+        "' would be ignored (drop the sweep section to run one point)");
+
   result.points = sweep_channel_points(spec);
   const std::vector<double> overheads = spec.sweep.overheads.empty()
                                             ? std::vector<double>{spec.code.overhead}

@@ -4,6 +4,7 @@
 
 #include "api/scenario.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "api/json.h"
@@ -329,8 +330,13 @@ void ScenarioSpec::validate() const {
   if (obs.trace_sample == 0)
     spec_error("obs.trace_sample must be >= 1");
 
-  if (!reg.describe(RegistrySection::kChannels, channel.model))
-    spec_error("unknown channel model '" + channel.model + "'");
+  const std::optional<RegistryEntry> model =
+      reg.describe(RegistrySection::kChannels, channel.model);
+  if (!model) spec_error("unknown channel model '" + channel.model + "'");
+  if (std::find(model->engines.begin(), model->engines.end(), engine) ==
+      model->engines.end())
+    spec_error("channel model '" + channel.model +
+               "' is not usable by the " + engine + " engine");
   (void)channel.point();  // gilbert_point throws on bad coordinates
 
   if (engine == "grid") {

@@ -126,6 +126,20 @@ TEST(Registry, EngineTagging) {
   EXPECT_TRUE(registry().known_in_engine("rse", "grid"));
 }
 
+// The grid and adaptive engines draw every trial from GilbertModel, so
+// only gilbert lists them.
+TEST(Registry, OnlyGilbertListsTheGridAndAdaptiveEngines) {
+  const std::vector<std::string> streaming = {"stream", "mpath", "net"};
+  for (const char* name : {"bernoulli", "perfect"})
+    EXPECT_EQ(registry().describe(RegistrySection::kChannels, name)->engines,
+              streaming)
+        << name;
+  const std::vector<std::string> all = {"grid", "stream", "mpath",
+                                        "adaptive", "net"};
+  EXPECT_EQ(registry().describe(RegistrySection::kChannels, "gilbert")->engines,
+            all);
+}
+
 // ---------------------------------------------------------------- json
 
 TEST(ApiJson, ParseDumpRoundTrip) {
@@ -265,6 +279,35 @@ TEST(SpecRoundTrip, ValidationRejectsBadSpecs) {
   spec.engine = "grid";
   spec.channel.model = "fountain";
   EXPECT_THROW(spec.validate(), std::invalid_argument);
+}
+
+TEST(SpecRoundTrip, ValidationRefusesAChannelModelTheEngineIgnores) {
+  for (const char* engine : {"grid", "adaptive"}) {
+    ScenarioSpec spec;
+    spec.engine = engine;
+    spec.channel.model = "iid";
+    try {
+      spec.validate();
+      FAIL() << engine << ": expected std::invalid_argument";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("'iid'"), std::string::npos)
+          << e.what();
+    }
+  }
+  // A single-point stream run draws the model it names: nothing is lost
+  // on the perfect channel, even at p = 0.5.
+  ScenarioSpec spec;
+  spec.engine = "stream";
+  spec.code.name = "sliding-window";
+  spec.channel.model = "perfect";
+  spec.channel.p = 0.5;
+  spec.channel.q = 0.5;
+  spec.run.sources = 200;
+  spec.run.trials = 2;
+  const ScenarioResult result = run_scenario(spec);
+  ASSERT_EQ(result.stream.size(), 1u);
+  EXPECT_EQ(result.stream[0].lost, 0u);
+  EXPECT_EQ(result.stream[0].delivered, 400u);
 }
 
 TEST(SpecRoundTrip, GridRejectsZeroTrialsNamingTheField) {
@@ -584,6 +627,25 @@ TEST(ScenarioSweep, MpathSweepMatchesRunMpathSweep) {
                        legacy.stats[i].reordered_fraction);
     expect_stats_equal(result.mpath->stats[i].best_path_share,
                        legacy.stats[i].best_path_share);
+  }
+}
+
+TEST(ScenarioSweep, AxisSweepsRefuseNonGilbertChannels) {
+  for (const char* engine : {"stream", "mpath"}) {
+    ScenarioSpec spec;
+    spec.engine = engine;
+    spec.channel.model = "bernoulli";
+    spec.run.sources = 100;
+    spec.run.trials = 1;
+    spec.sweep.p_globals = {0.05};
+    spec.validate();  // the model suits the engine's single-point runs
+    try {
+      (void)run_scenario_sweep(spec);
+      FAIL() << engine << ": expected std::invalid_argument";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("'bernoulli'"), std::string::npos)
+          << e.what();
+    }
   }
 }
 

@@ -133,6 +133,25 @@ if [ "$rc" -ne 2 ] || ! grep -q 'not a Gilbert channel' BENCH_flag_err.txt; then
   echo "BUG: adapt --pglobal=0.9 --burst=1 exited $rc, want 2 naming the point"
   exit 1
 fi
+#    a grid spec naming a channel model the grid engine does not draw (it
+#    draws Gilbert channels only) exits 2 naming the model, and at q = 0,
+#    where the loss state absorbs, the mean burst prints as unbounded;
+cat > BENCH_bernoulli_grid.json <<'EOF'
+{"engine": "grid", "code": {"name": "rse", "ratio": 1.5, "k": 400},
+ "channel": {"model": "bernoulli", "p": 0.05, "q": 0.95},
+ "tx": {"model": "tx1"}, "run": {"trials": 3}}
+EOF
+rc=0
+./fecsched_cli run --spec=BENCH_bernoulli_grid.json > /dev/null \
+  2> BENCH_flag_err.txt || rc=$?
+if [ "$rc" -ne 2 ] || ! grep -q "'bernoulli'" BENCH_flag_err.txt; then
+  echo "BUG: a bernoulli grid spec exited $rc, want 2 naming the model"
+  exit 1
+fi
+if ! ./fecsched_cli stream --p=0.1 --q=0 --sources=200 --trials=1 \
+    | grep -q 'mean burst inf'; then
+  echo "BUG: stream --p=0.1 --q=0 did not print 'mean burst inf'"; exit 1
+fi
 #    and a loss trace holding a character that is neither a packet fate
 #    nor whitespace makes fit exit 2 naming it, never fit the rest;
 printf '0001100000102\n' > BENCH_bad_trace.txt
