@@ -3,6 +3,7 @@
 // solved-source list the streaming receivers release from, and a carousel
 // receiver that completes across schedule passes.
 
+#include <ostream>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -248,6 +249,13 @@ struct SolvedCase {
   LdgmVariant variant;
   std::size_t symbol_size;  // 0 = structure-only
 };
+
+// gtest prints the parameter into each case's listed name; its default
+// dump of the raw bytes would include the padding, which differs from
+// build to build.
+void PrintTo(const SolvedCase& c, std::ostream* os) {
+  *os << to_string(c.variant) << ", symbol_size " << c.symbol_size;
+}
 
 class PeelingSolvedSources : public ::testing::TestWithParam<SolvedCase> {};
 
