@@ -147,8 +147,7 @@ void AdaptiveController::replan(const ChannelEstimate& estimate) {
     const std::size_t decoded = stats.inefficiency.count();
     pred.trials = stats.trials;
     pred.failures = stats.failures;
-    pred.decode_probability =
-        static_cast<double>(decoded) / stats.trials;
+    pred.decode_probability = static_cast<double>(decoded) / stats.trials;
     pred.mean_inefficiency =
         decoded > 0 ? stats.inefficiency.mean() : tuple.expansion_ratio;
     pred.inefficiency_stddev = stats.inefficiency.stddev();
