@@ -8,12 +8,15 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
 #include "api/json.h"
 #include "api/registry.h"
 #include "api/scenario.h"
+#include "obs/ledger.h"
 #include "obs/manifest.h"
 #include "obs/metrics.h"
 #include "obs/obs.h"
@@ -551,6 +554,121 @@ TEST(ObsSpecJson, TraceSampleZeroRejected) {
   spec.obs.trace = "out.jsonl";
   spec.obs.trace_sample = 0;
   EXPECT_THROW(spec.validate(), std::invalid_argument);
+}
+
+// ------------------------------------------------------------- formats
+
+// The three files that carry observations (the ledger line, the --json
+// obs section and the trace file) pinned byte for byte, so old ledgers
+// keep loading and `compare` keeps seeing the same lines.
+TEST(ObsFormats, LedgerLineJsonSectionAndTraceFileArePinned) {
+  obs::RunManifest m;
+  m.fingerprint = "fnv1a:00112233aabbccdd";
+  m.version = "9.9.9";
+  m.gf_backend = "avx2";
+  m.engine = "stream";
+  m.threads = 4;
+  m.hardware_threads = 8;
+  m.wall_seconds = 1.5;
+  m.started_at = "2026-08-07T10:00:00Z";
+  m.hostname = "hostA";
+  m.max_rss_kb = 4321;
+  m.status = "interrupted";
+
+  obs::MetricsSnapshot metrics;
+  metrics.counters = {{"stream.residual_runs", 3}, {"stream.sources", 12}};
+  metrics.gauges = {{"stream.residual_max_run", 2}};
+  metrics.histograms.push_back({"delay.release_slots", {1, 2, 4}, {3, 4, 5, 0}});
+
+  obs::PerfReport perf;
+  perf.available = true;
+  perf.status = "ok";
+  const auto at = [](obs::PerfCounter c) { return static_cast<std::size_t>(c); };
+  obs::PerfPhase& decode = perf.phases[static_cast<std::size_t>(obs::Phase::kDecode)];
+  decode.reads = 7;
+  decode.values[at(obs::PerfCounter::kCycles)] = 1000;
+  decode.values[at(obs::PerfCounter::kInstructions)] = 2500;
+  decode.values[at(obs::PerfCounter::kCacheMisses)] = 3;
+  perf.phases[static_cast<std::size_t>(obs::Phase::kEncode)].reads = 2;
+
+  obs::LedgerRecord record;
+  record.label = "smoke";
+  record.manifest = m;
+  record.phases[0] = {10, 5'000'000};
+  record.phases[3] = {7, 250'000'000};
+  record.metrics = metrics;
+  record.perf = perf;
+  record.extra = api::Json::object();
+  record.extra.set("note", api::Json("payload"));
+  EXPECT_EQ(
+      obs::ledger_line(record),
+      R"({"kind":"run","label":"smoke","manifest":{"spec":"fnv1a:00112233aabbccdd","api":"9.9.9","gf":"avx2","engine":"stream","threads":4,"hardware_threads":8,"wall_seconds":1.5,"started_at":"2026-08-07T10:00:00Z","hostname":"hostA","max_rss_kb":4321,"status":"interrupted"},"phases":{"encode":{"calls":10,"ns":5000000},"decode":{"calls":7,"ns":250000000}},"counters":{"stream.residual_runs":3,"stream.sources":12},"gauges":{"stream.residual_max_run":2},"histograms":{"delay.release_slots":{"bounds":[1,2,4],"counts":[3,4,5,0]}},"perf":{"available":true,"status":"ok","phases":{"encode":{"reads":2,"cycles":0,"instructions":0,"cache_references":0,"cache_misses":0,"branch_misses":0},"decode":{"reads":7,"cycles":1000,"instructions":2500,"cache_references":0,"cache_misses":3,"branch_misses":0}}},"extra":{"note":"payload"}})");
+
+  obs::Report report;
+  report.config = {.metrics = true, .profile = true, .trace = true,
+                   .trace_sample = 4, .timeline = true, .counters = true};
+  report.phases[0] = {10, 5'000'000};
+  report.phases[3] = {7, 250'000'000};
+  report.metrics = metrics;
+  report.events.resize(3);
+  report.spans.resize(2);
+  report.lanes = 2;
+  report.spans_dropped = 1;
+  report.perf = perf;
+  EXPECT_EQ(
+      obs::observability_json(m, report).dump(0),
+      R"({"manifest":{"spec":"fnv1a:00112233aabbccdd","api":"9.9.9","gf":"avx2","engine":"stream","threads":4,"hardware_threads":8,"wall_seconds":1.5,"started_at":"2026-08-07T10:00:00Z","hostname":"hostA","max_rss_kb":4321,"status":"interrupted"},"profile":[{"phase":"encode","calls":10,"ns":5000000},{"phase":"channel_draw","calls":0,"ns":0},{"phase":"schedule","calls":0,"ns":0},{"phase":"decode","calls":7,"ns":250000000},{"phase":"matrix_invert","calls":0,"ns":0},{"phase":"resequence","calls":0,"ns":0},{"phase":"net.pack","calls":0,"ns":0},{"phase":"net.send","calls":0,"ns":0},{"phase":"net.recv","calls":0,"ns":0},{"phase":"net.unpack","calls":0,"ns":0}],"metrics":{"counters":{"stream.residual_runs":3,"stream.sources":12},"gauges":{"stream.residual_max_run":2},"histograms":{"delay.release_slots":{"bounds":[1,2,4],"counts":[3,4,5,0]}}},"trace":{"events":3,"sample":4},"timeline":{"lanes":2,"spans":2,"dropped":1},"perf":{"available":true,"status":"ok","phases":{"encode":{"reads":2,"cycles":0,"instructions":0,"cache_references":0,"cache_misses":0,"branch_misses":0},"decode":{"reads":7,"cycles":1000,"instructions":2500,"cache_references":0,"cache_misses":3,"branch_misses":0,"ipc":2.5}}}})");
+
+  std::vector<obs::TraceEvent> events(5);
+  events[0] = {.kind = obs::EventKind::kSent, .slot = 1.0, .id = 4,
+               .path = 1, .obj = 0};
+  events[1] = {.kind = obs::EventKind::kLost, .slot = 2.0, .id = 70,
+               .repair = true};
+  events[2] = {.kind = obs::EventKind::kReceived, .slot = 3.5, .id = 5};
+  events[3] = {.kind = obs::EventKind::kDecoded, .trial = 1, .slot = 4.0,
+               .id = 6};
+  events[4] = {.kind = obs::EventKind::kReleased, .trial = 1, .slot = 9.0,
+               .id = 4, .ok = true, .delay = 8.0};
+  const std::string path = tmp_path("pinned.jsonl");
+  obs::write_trace_file(path, obs::manifest_to_trace_line(m, 4), events,
+                        metrics);
+  std::ifstream in(path);
+  const std::string text((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  EXPECT_EQ(text,
+            R"({"ev":"manifest","spec":"fnv1a:00112233aabbccdd","api":"9.9.9","gf":"avx2","engine":"stream","threads":4,"hardware_threads":8,"wall_seconds":1.5,"started_at":"2026-08-07T10:00:00Z","hostname":"hostA","max_rss_kb":4321,"status":"interrupted","trace_sample":4}
+{"ev":"sent","trial":0,"slot":1,"id":4,"repair":false,"path":1,"obj":0}
+{"ev":"lost","trial":0,"slot":2,"id":70,"repair":true}
+{"ev":"received","trial":0,"slot":3.5,"id":5,"repair":false}
+{"ev":"decoded","trial":1,"slot":4,"id":6}
+{"ev":"released","trial":1,"slot":9,"id":4,"ok":true,"delay":8}
+{"ev":"summary","counters":{"stream.residual_runs":3,"stream.sources":12},"gauges":{"stream.residual_max_run":2}}
+)");
+  std::remove(path.c_str());
+}
+
+// One observed stream run carries the same counters and gauges objects
+// in its ledger record, its --json obs section and its trace summary.
+TEST(ObsFormats, LedgerJsonSectionAndTraceSummaryCarryEqualMetrics) {
+  ScenarioSpec spec = small_stream_spec();
+  spec.obs.metrics = true;
+  spec.obs.profile = true;
+  spec.obs.trace = tmp_path("cross_format.jsonl");
+  const ScenarioResult result = api::run_scenario(spec);
+  ASSERT_TRUE(result.obs);
+
+  const api::Json ledger =
+      obs::record_to_json(obs::make_run_record(result.manifest, *result.obs));
+  const api::Json section = obs::observability_json(result.manifest, *result.obs);
+  const api::Json summary = obs::read_trace_file(spec.obs.trace).summary;
+  for (const char* key : {"counters", "gauges"}) {
+    ASSERT_NE(ledger.find(key), nullptr) << key;
+    const std::string want = ledger.find(key)->dump(0);
+    EXPECT_NE(want, "{}") << key;
+    EXPECT_EQ(section.find("metrics")->find(key)->dump(0), want) << key;
+    EXPECT_EQ(summary.find(key)->dump(0), want) << key;
+  }
+  std::remove(spec.obs.trace.c_str());
 }
 
 // --------------------------------------------------- JSON parse errors
