@@ -54,17 +54,10 @@ Json stats_json(const RunningStats& s) {
 }
 
 RunningStats stats_from_json(const Json& j, std::string_view where) {
-  const Json* n = j.find("n");
-  if (n == nullptr)
-    throw std::invalid_argument(std::string(where) + ": missing key \"n\"");
-  const std::uint64_t count = n->as_uint64(where);
+  const std::uint64_t count = j.at("n").as_uint64(where);
   if (count == 0) return RunningStats{};
   const auto field = [&](const char* key) {
-    const Json* v = j.find(key);
-    if (v == nullptr)
-      throw std::invalid_argument(std::string(where) + ": missing key \"" +
-                                  key + "\"");
-    return v->as_double(where);
+    return j.at(key).as_double(where);
   };
   return RunningStats::restore(static_cast<std::size_t>(count), field("mean"),
                                field("m2"), field("min"), field("max"));
@@ -93,13 +86,6 @@ void remove_stale_temps(const std::string& dir,
     if (::kill(pid, 0) != 0 && errno == ESRCH)
       ::unlink((dir + "/" + std::string(name)).c_str());
   }
-}
-
-const Json& require(const Json& doc, const char* key) {
-  const Json* v = doc.find(key);
-  if (v == nullptr)
-    throw std::invalid_argument(std::string("missing key \"") + key + "\"");
-  return *v;
 }
 
 }  // namespace
@@ -132,40 +118,38 @@ CellResult cell_from_shard(std::string_view text,
                            const std::string& fingerprint, std::size_t cell,
                            std::uint32_t trials_per_cell) {
   const Json doc = Json::parse(text);
-  const std::string& kind = require(doc, "checkpoint").as_string("checkpoint");
+  const std::string& kind = doc.at("checkpoint").as_string("checkpoint");
   if (kind != "fecsched-grid-cell")
     throw std::invalid_argument("not a grid-cell shard (checkpoint=\"" + kind +
                                 "\")");
-  const std::string& spec = require(doc, "spec").as_string("spec");
+  const std::string& spec = doc.at("spec").as_string("spec");
   if (spec != fingerprint)
     throw std::invalid_argument("spec fingerprint mismatch (shard " + spec +
                                 ", sweep " + fingerprint + ")");
-  const std::uint64_t got_cell = require(doc, "cell").as_uint64("cell");
+  const std::uint64_t got_cell = doc.at("cell").as_uint64("cell");
   if (got_cell != cell)
     throw std::invalid_argument("cell index mismatch (shard " +
                                 std::to_string(got_cell) + ", expected " +
                                 std::to_string(cell) + ")");
   const std::uint64_t per_cell =
-      require(doc, "trials_per_cell").as_uint64("trials_per_cell");
+      doc.at("trials_per_cell").as_uint64("trials_per_cell");
   if (per_cell != trials_per_cell)
     throw std::invalid_argument(
         "trial count mismatch (shard " + std::to_string(per_cell) +
         " trials/cell, sweep " + std::to_string(trials_per_cell) + ")");
 
   CellResult c;
-  c.p = require(doc, "p").as_double("p");
-  c.q = require(doc, "q").as_double("q");
-  c.trials =
-      static_cast<std::uint32_t>(require(doc, "trials").as_uint64("trials"));
-  c.failures = static_cast<std::uint32_t>(
-      require(doc, "failures").as_uint64("failures"));
-  c.timed_out = require(doc, "timed_out").as_bool("timed_out");
+  c.p = doc.at("p").as_double("p");
+  c.q = doc.at("q").as_double("q");
+  c.trials = static_cast<std::uint32_t>(doc.at("trials").as_uint64("trials"));
+  c.failures =
+      static_cast<std::uint32_t>(doc.at("failures").as_uint64("failures"));
+  c.timed_out = doc.at("timed_out").as_bool("timed_out");
   c.peak_memory_symbols = static_cast<std::uint32_t>(
-      require(doc, "peak_memory_symbols").as_uint64("peak_memory_symbols"));
-  c.inefficiency = stats_from_json(require(doc, "inefficiency"),
-                                   "inefficiency");
-  c.received_ratio = stats_from_json(require(doc, "received_ratio"),
-                                     "received_ratio");
+      doc.at("peak_memory_symbols").as_uint64("peak_memory_symbols"));
+  c.inefficiency = stats_from_json(doc.at("inefficiency"), "inefficiency");
+  c.received_ratio =
+      stats_from_json(doc.at("received_ratio"), "received_ratio");
   if (c.trials != trials_per_cell)
     throw std::invalid_argument("incomplete cell (" +
                                 std::to_string(c.trials) + "/" +

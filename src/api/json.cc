@@ -324,6 +324,25 @@ const Json* Json::find(std::string_view key) const {
   return nullptr;
 }
 
+Json* Json::find(std::string_view key) {
+  return const_cast<Json*>(std::as_const(*this).find(key));
+}
+
+const Json& Json::at(std::string_view key) const {
+  const Json* v = find(key);
+  if (v == nullptr)
+    throw std::invalid_argument("json: missing key \"" + std::string(key) +
+                                "\"");
+  return *v;
+}
+
+void Json::check_keys(std::string_view where,
+                      std::initializer_list<std::string_view> allowed) const {
+  for (const auto& [key, value] : as_object(where))
+    if (std::find(allowed.begin(), allowed.end(), key) == allowed.end())
+      fail(where, "unknown key \"" + key + "\"");
+}
+
 std::string Json::format_double(double d) {
   // JSON has no infinity/nan tokens; the spec layer never produces them,
   // but degrade to 0 rather than emit invalid JSON (and keep the

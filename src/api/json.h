@@ -19,6 +19,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <initializer_list>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -87,6 +88,14 @@ class Json {
   void push_back(Json value);                       ///< arrays
   void set(std::string key, Json value);            ///< objects (appends)
   [[nodiscard]] const Json* find(std::string_view key) const;  ///< objects
+  [[nodiscard]] Json* find(std::string_view key);
+
+  // Strict readers: at() throws std::invalid_argument naming `key` when
+  // the object has no such member; check_keys() throws naming `where`
+  // and the first member whose key is not in `allowed`.
+  [[nodiscard]] const Json& at(std::string_view key) const;
+  void check_keys(std::string_view where,
+                  std::initializer_list<std::string_view> allowed) const;
 
   /// Serialize.  indent > 0 pretty-prints with that many spaces per
   /// level; 0 emits the compact single-line form.

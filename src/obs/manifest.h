@@ -57,11 +57,19 @@ struct RunManifest {
 /// gethostname(), or "" when the host refuses to identify itself.
 [[nodiscard]] std::string local_hostname();
 
-/// Manifest as a JSON object.  With `as_trace_line` the object leads with
+/// Appends the fields that name what ran (spec, api, gf, engine) to the
+/// object `j`; the timeline file's otherData carries these alone.
+void append_manifest_identity(api::Json& j, const RunManifest& m);
+
+/// Manifest as a JSON object.  The trace line leads with
 /// `"ev":"manifest"` and appends the trace_sample knob, matching the
 /// trace-file header schema in obs/trace.h.
 [[nodiscard]] api::Json manifest_to_json(const RunManifest& m);
 [[nodiscard]] api::Json manifest_to_trace_line(const RunManifest& m,
                                                std::uint32_t trace_sample);
+
+/// Inverse of manifest_to_json.  Strict: a missing or mistyped field or
+/// an unknown key throws std::invalid_argument.
+[[nodiscard]] RunManifest manifest_from_json(const api::Json& j);
 
 }  // namespace fecsched::obs

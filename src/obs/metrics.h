@@ -22,6 +22,8 @@
 #include <utility>
 #include <vector>
 
+#include "api/json.h"
+
 namespace fecsched::obs {
 
 /// Monotonic event count (packets sent, trials decoded, ...).
@@ -61,19 +63,39 @@ struct Histogram {
 
 /// Immutable, name-sorted view of a merged registry.
 struct MetricsSnapshot {
+  using Values = std::vector<std::pair<std::string, std::uint64_t>>;
   struct Hist {
     std::string name;
     std::vector<std::uint64_t> bounds;
     std::vector<std::uint64_t> counts;
   };
-  std::vector<std::pair<std::string, std::uint64_t>> counters;
-  std::vector<std::pair<std::string, std::uint64_t>> gauges;
+  Values counters;
+  Values gauges;
   std::vector<Hist> histograms;
 
   [[nodiscard]] bool empty() const noexcept {
     return counters.empty() && gauges.empty() && histograms.empty();
   }
 };
+
+// The snapshot's JSON objects, which the ledger line, the --json obs
+// section and the trace summary all carry: counters and gauges as
+// {"<name>":<value>,...}, histograms as
+// {"<name>":{"bounds":[...],"counts":[...]},...}.  The readers throw
+// std::invalid_argument on any other shape and return name order.
+[[nodiscard]] api::Json values_json(const MetricsSnapshot::Values& values);
+[[nodiscard]] api::Json histograms_json(
+    const std::vector<MetricsSnapshot::Hist>& histograms);
+[[nodiscard]] MetricsSnapshot::Values values_from_json(const api::Json& j,
+                                                       std::string_view where);
+[[nodiscard]] std::vector<MetricsSnapshot::Hist> histograms_from_json(
+    const api::Json& j);
+
+/// "c:<name>=<v>;" per counter, "g:" per gauge, "h:<name>=<c>,...;" per
+/// histogram: the deterministic digest that the thread-independence
+/// check (Report::deterministic_signature) and the ledger drift check
+/// (obs/regress.h) compare.
+[[nodiscard]] std::string metrics_digest(const MetricsSnapshot& s);
 
 class MetricsRegistry {
  public:

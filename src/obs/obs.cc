@@ -159,14 +159,8 @@ Report Session::finish() {
 }
 
 std::string Report::deterministic_signature() const {
-  std::string sig;
+  std::string sig = phase_calls_digest(phases);
   sig.reserve(256 + events.size() * 16);
-  for (std::size_t p = 0; p < kPhaseCount; ++p) {
-    sig += to_string(static_cast<Phase>(p));
-    sig += '=';
-    sig += std::to_string(phases[p].calls);
-    sig += ';';
-  }
   if (config.counters) {
     // Read counts are deterministic (one per timed phase call); counter
     // values and availability are machine facts and stay out.
@@ -178,44 +172,10 @@ std::string Report::deterministic_signature() const {
       sig += ';';
     }
   }
-  for (const auto& [name, v] : metrics.counters)
-    sig += "c:" + name + '=' + std::to_string(v) + ';';
-  for (const auto& [name, v] : metrics.gauges)
-    sig += "g:" + name + '=' + std::to_string(v) + ';';
-  for (const MetricsSnapshot::Hist& h : metrics.histograms) {
-    sig += "h:" + h.name + '=';
-    for (std::uint64_t c : h.counts) sig += std::to_string(c) + ',';
-    sig += ';';
-  }
+  sig += metrics_digest(metrics);
   sig += "events:";
   for (const TraceEvent& ev : events) sig += event_to_json(ev).dump(0) + '\n';
   return sig;
-}
-
-api::Json perf_json(const PerfReport& perf) {
-  api::Json j = api::Json::object();
-  j.set("available", api::Json(perf.available));
-  j.set("status", api::Json(perf.status));
-  api::Json phases = api::Json::object();
-  for (std::size_t p = 0; p < kPhaseCount; ++p) {
-    const PerfPhase& s = perf.phases[p];
-    if (s.reads == 0) continue;
-    api::Json row = api::Json::object();
-    row.set("reads", api::Json::integer(s.reads));
-    for (std::size_t i = 0; i < kPerfCounterCount; ++i)
-      row.set(std::string(to_string(static_cast<PerfCounter>(i))),
-              api::Json::integer(s.values[i]));
-    const std::uint64_t cycles =
-        s.values[static_cast<std::size_t>(PerfCounter::kCycles)];
-    const std::uint64_t instructions =
-        s.values[static_cast<std::size_t>(PerfCounter::kInstructions)];
-    if (cycles > 0)
-      row.set("ipc", api::Json(static_cast<double>(instructions) /
-                               static_cast<double>(cycles)));
-    phases.set(std::string(to_string(static_cast<Phase>(p))), std::move(row));
-  }
-  j.set("phases", std::move(phases));
-  return j;
 }
 
 api::Json observability_json(const RunManifest& manifest, const Report& report) {
@@ -233,26 +193,9 @@ api::Json observability_json(const RunManifest& manifest, const Report& report) 
     j.set("profile", std::move(profile));
   }
   api::Json metrics = api::Json::object();
-  api::Json counters = api::Json::object();
-  for (const auto& [name, v] : report.metrics.counters)
-    counters.set(name, api::Json::integer(v));
-  api::Json gauges = api::Json::object();
-  for (const auto& [name, v] : report.metrics.gauges)
-    gauges.set(name, api::Json::integer(v));
-  api::Json histograms = api::Json::object();
-  for (const MetricsSnapshot::Hist& h : report.metrics.histograms) {
-    api::Json hist = api::Json::object();
-    api::Json bounds = api::Json::array();
-    for (std::uint64_t b : h.bounds) bounds.push_back(api::Json::integer(b));
-    api::Json counts = api::Json::array();
-    for (std::uint64_t c : h.counts) counts.push_back(api::Json::integer(c));
-    hist.set("bounds", std::move(bounds));
-    hist.set("counts", std::move(counts));
-    histograms.set(h.name, std::move(hist));
-  }
-  metrics.set("counters", std::move(counters));
-  metrics.set("gauges", std::move(gauges));
-  metrics.set("histograms", std::move(histograms));
+  metrics.set("counters", values_json(report.metrics.counters));
+  metrics.set("gauges", values_json(report.metrics.gauges));
+  metrics.set("histograms", histograms_json(report.metrics.histograms));
   j.set("metrics", std::move(metrics));
   if (report.config.trace) {
     api::Json trace = api::Json::object();
@@ -267,7 +210,22 @@ api::Json observability_json(const RunManifest& manifest, const Report& report) 
     timeline.set("dropped", api::Json::integer(report.spans_dropped));
     j.set("timeline", std::move(timeline));
   }
-  if (report.config.counters) j.set("perf", perf_json(report.perf));
+  if (report.config.counters) {
+    // The ledger's perf object, plus each row's instructions per cycle.
+    api::Json perf = perf_json(report.perf);
+    api::Json& rows = *perf.find("phases");
+    for (std::size_t p = 0; p < kPhaseCount; ++p) {
+      const PerfPhase& s = report.perf.phases[p];
+      const auto count = [&](PerfCounter c) {
+        return static_cast<double>(s.values[static_cast<std::size_t>(c)]);
+      };
+      if (s.reads == 0 || count(PerfCounter::kCycles) == 0) continue;
+      rows.find(to_string(static_cast<Phase>(p)))
+          ->set("ipc", api::Json(count(PerfCounter::kInstructions) /
+                                 count(PerfCounter::kCycles)));
+    }
+    j.set("perf", std::move(perf));
+  }
   return j;
 }
 

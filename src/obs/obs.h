@@ -538,7 +538,4 @@ class Hook {
 [[nodiscard]] api::Json observability_json(const RunManifest& manifest,
                                            const Report& report);
 
-/// PerfReport as JSON: {"available":..., "status":..., "phases":{...}}.
-[[nodiscard]] api::Json perf_json(const PerfReport& perf);
-
 }  // namespace fecsched::obs

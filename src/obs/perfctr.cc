@@ -2,6 +2,7 @@
 
 #include <cstdlib>
 #include <cstring>
+#include <string>
 
 #ifdef __linux__
 #include <linux/perf_event.h>
@@ -22,6 +23,46 @@ bool perf_env_disabled() {
 }
 
 }  // namespace
+
+api::Json perf_json(const PerfReport& perf) {
+  api::Json j = api::Json::object();
+  j.set("available", api::Json(perf.available));
+  j.set("status", api::Json(perf.status));
+  api::Json phases = api::Json::object();
+  for (std::size_t p = 0; p < kPhaseCount; ++p) {
+    const PerfPhase& s = perf.phases[p];
+    if (s.reads == 0) continue;
+    api::Json row = api::Json::object();
+    row.set("reads", api::Json::integer(s.reads));
+    for (std::size_t i = 0; i < kPerfCounterCount; ++i)
+      row.set(std::string(to_string(static_cast<PerfCounter>(i))),
+              api::Json::integer(s.values[i]));
+    phases.set(std::string(to_string(static_cast<Phase>(p))), std::move(row));
+  }
+  j.set("phases", std::move(phases));
+  return j;
+}
+
+PerfReport perf_from_json(const api::Json& j) {
+  j.check_keys("perf", {"available", "status", "phases"});
+  PerfReport perf;
+  perf.available = j.at("available").as_bool("perf.available");
+  perf.status = j.at("status").as_string("perf.status");
+  for (const auto& [name, row] : j.at("phases").as_object("perf.phases")) {
+    const std::string where = "perf.phases." + name;
+    row.check_keys(where, {"reads", "cycles", "instructions",
+                           "cache_references", "cache_misses",
+                           "branch_misses"});
+    PerfPhase& s =
+        perf.phases[static_cast<std::size_t>(phase_from_string(name))];
+    s.reads = row.at("reads").as_uint64(where + ".reads");
+    for (std::size_t i = 0; i < kPerfCounterCount; ++i) {
+      const std::string_view key = to_string(static_cast<PerfCounter>(i));
+      s.values[i] = row.at(key).as_uint64(where + "." + std::string(key));
+    }
+  }
+  return perf;
+}
 
 #ifdef __linux__
 

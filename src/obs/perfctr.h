@@ -24,6 +24,7 @@
 #include <string>
 #include <string_view>
 
+#include "api/json.h"
 #include "obs/phase.h"
 
 namespace fecsched::obs {
@@ -72,6 +73,13 @@ struct PerfReport {
     return false;
   }
 };
+
+/// PerfReport as the ledger line and the --json obs section carry it:
+/// {"available":...,"status":...,"phases":{"<phase>":{"reads":N,
+/// "cycles":...,...},...}}, one row per phase that read counters.
+/// perf_from_json throws std::invalid_argument on any other shape.
+[[nodiscard]] api::Json perf_json(const PerfReport& perf);
+[[nodiscard]] PerfReport perf_from_json(const api::Json& j);
 
 /// One perf_event_open counter group bound to the calling thread.
 class PerfGroup {

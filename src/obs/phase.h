@@ -6,9 +6,12 @@
 
 #pragma once
 
+#include <array>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
+#include <stdexcept>
+#include <string>
 #include <string_view>
 
 namespace fecsched::obs {
@@ -43,6 +46,14 @@ inline constexpr std::size_t kPhaseCount = 10;
     case Phase::kNetUnpack: return "net.unpack";
   }
   return "?";
+}
+
+/// Inverse of to_string(Phase); throws std::invalid_argument for a name
+/// that is no phase.
+[[nodiscard]] inline Phase phase_from_string(std::string_view name) {
+  for (std::size_t p = 0; p < kPhaseCount; ++p)
+    if (name == to_string(static_cast<Phase>(p))) return static_cast<Phase>(p);
+  throw std::invalid_argument("unknown phase \"" + std::string(name) + "\"");
 }
 
 /// Plain `--profile` times each per-packet phase on one call in this
@@ -82,6 +93,18 @@ struct PhaseStats {
   std::uint64_t calls = 0;  ///< deterministic: merged by addition
   std::uint64_t ns = 0;     ///< wall time; excluded from the signature
 };
+
+/// "<phase>=<calls>;" per phase: the deterministic digest of a profile
+/// that the thread-independence check (Report::deterministic_signature)
+/// and the ledger drift check (obs/regress.h) compare.
+[[nodiscard]] inline std::string phase_calls_digest(
+    const std::array<PhaseStats, kPhaseCount>& phases) {
+  std::string digest;
+  for (std::size_t p = 0; p < kPhaseCount; ++p)
+    digest += std::string(to_string(static_cast<Phase>(p))) + '=' +
+              std::to_string(phases[p].calls) + ';';
+  return digest;
+}
 
 using ObsClock = std::chrono::steady_clock;
 

@@ -27,32 +27,26 @@ std::string describe(const LedgerRecord& r) {
   return out;
 }
 
-/// First differing metric between two snapshots with unequal signatures.
+/// First differing entry of two name-sorted value lists ("" if equal).
+std::string first_difference(const std::string& kind,
+                             const MetricsSnapshot::Values& a,
+                             const MetricsSnapshot::Values& b) {
+  for (std::size_t i = 0; i < std::max(a.size(), b.size()); ++i) {
+    if (i >= a.size()) return kind + b[i].first + " only in second";
+    if (i >= b.size()) return kind + a[i].first + " only in first";
+    if (a[i] != b[i])
+      return kind + a[i].first + ": " + std::to_string(a[i].second) +
+             " vs " + std::to_string(b[i].second);
+  }
+  return {};
+}
+
+/// First differing metric between two snapshots with unequal digests.
 std::string first_difference(const MetricsSnapshot& a,
                              const MetricsSnapshot& b) {
-  const std::size_t nc = std::max(a.counters.size(), b.counters.size());
-  for (std::size_t i = 0; i < nc; ++i) {
-    if (i >= a.counters.size())
-      return "counter " + b.counters[i].first + " only in second";
-    if (i >= b.counters.size())
-      return "counter " + a.counters[i].first + " only in first";
-    if (a.counters[i] != b.counters[i])
-      return "counter " + a.counters[i].first + ": " +
-             std::to_string(a.counters[i].second) + " vs " +
-             std::to_string(b.counters[i].second);
-  }
-  const std::size_t ng = std::max(a.gauges.size(), b.gauges.size());
-  for (std::size_t i = 0; i < ng; ++i) {
-    if (i >= a.gauges.size())
-      return "gauge " + b.gauges[i].first + " only in second";
-    if (i >= b.gauges.size())
-      return "gauge " + a.gauges[i].first + " only in first";
-    if (a.gauges[i] != b.gauges[i])
-      return "gauge " + a.gauges[i].first + ": " +
-             std::to_string(a.gauges[i].second) + " vs " +
-             std::to_string(b.gauges[i].second);
-  }
-  return "histogram buckets differ";
+  std::string d = first_difference("counter ", a.counters, b.counters);
+  if (d.empty()) d = first_difference("gauge ", a.gauges, b.gauges);
+  return d.empty() ? "histogram buckets differ" : d;
 }
 
 std::string format_ratio(double ratio) {
@@ -79,29 +73,6 @@ std::vector<LedgerRecord> filter_records(std::vector<LedgerRecord> records,
   for (LedgerRecord& r : records)
     if (filter.matches(r)) out.push_back(std::move(r));
   return out;
-}
-
-std::string metrics_signature(const LedgerRecord& record) {
-  std::string sig;
-  for (const auto& [name, v] : record.metrics.counters)
-    sig += "c:" + name + '=' + std::to_string(v) + ';';
-  for (const auto& [name, v] : record.metrics.gauges)
-    sig += "g:" + name + '=' + std::to_string(v) + ';';
-  for (const MetricsSnapshot::Hist& h : record.metrics.histograms) {
-    sig += "h:" + h.name + '=';
-    for (std::uint64_t c : h.counts) sig += std::to_string(c) + ',';
-    sig += ';';
-  }
-  return sig;
-}
-
-std::string phase_calls_signature(const LedgerRecord& record) {
-  std::string sig;
-  for (std::size_t p = 0; p < kPhaseCount; ++p) {
-    sig += std::to_string(record.phases[p].calls);
-    sig += ';';
-  }
-  return sig;
 }
 
 CompareReport compare_records(std::vector<LedgerRecord> records,
@@ -132,8 +103,8 @@ CompareReport compare_records(std::vector<LedgerRecord> records,
       const Subkey key{r.kind, r.label};
       if (!r.metrics.empty()) {
         const auto [it, inserted] = metric_baseline.emplace(key, &r);
-        if (!inserted &&
-            metrics_signature(*it->second) != metrics_signature(r)) {
+        if (!inserted && metrics_digest(it->second->metrics) !=
+                             metrics_digest(r.metrics)) {
           report.drifts.push_back(
               "metric drift: " + fp + " engine=" + r.manifest.engine +
               ": " + first_difference(it->second->metrics, r.metrics) +
@@ -142,8 +113,8 @@ CompareReport compare_records(std::vector<LedgerRecord> records,
       }
       if (r.has_profile()) {
         const auto [it, inserted] = calls_baseline.emplace(key, &r);
-        if (!inserted &&
-            phase_calls_signature(*it->second) != phase_calls_signature(r)) {
+        if (!inserted && phase_calls_digest(it->second->phases) !=
+                             phase_calls_digest(r.phases)) {
           report.drifts.push_back(
               "phase-call drift: " + fp + " engine=" + r.manifest.engine +
               " (" + describe(*it->second) + " vs " + describe(r) + ")");

@@ -63,10 +63,4 @@ struct CompareReport {
 [[nodiscard]] CompareReport compare_records(std::vector<LedgerRecord> records,
                                             const CompareOptions& options);
 
-/// Deterministic digest of a record's metric values (and phase call
-/// counts when profiled) — what the drift check compares.  Exposed for
-/// tests and for `history --signatures`.
-[[nodiscard]] std::string metrics_signature(const LedgerRecord& record);
-[[nodiscard]] std::string phase_calls_signature(const LedgerRecord& record);
-
 }  // namespace fecsched::obs

@@ -109,10 +109,7 @@ api::Json timeline_json(const RunManifest& manifest, const Report& report) {
   doc.set("traceEvents", std::move(events));
   doc.set("displayTimeUnit", api::Json("ms"));
   api::Json other = api::Json::object();
-  other.set("spec", api::Json(manifest.fingerprint));
-  other.set("api", api::Json(manifest.version));
-  other.set("gf", api::Json(manifest.gf_backend));
-  other.set("engine", api::Json(manifest.engine));
+  append_manifest_identity(other, manifest);
   other.set("lanes", api::Json::integer(report.lanes));
   other.set("dropped_spans", api::Json::integer(report.spans_dropped));
   doc.set("otherData", std::move(other));

@@ -4,18 +4,15 @@
 #include <stdexcept>
 #include <string>
 
+#include "obs/manifest.h"
 #include "util/durable_io.h"
 #include "util/faultpoint.h"
 
 namespace fecsched::obs {
 
-namespace {
-
 using api::Json;
 
-[[noreturn]] void bad(const std::string& what) {
-  throw std::invalid_argument("trace: " + what);
-}
+namespace {
 
 EventKind kind_from_string(const std::string& s) {
   if (s == "sent") return EventKind::kSent;
@@ -23,26 +20,7 @@ EventKind kind_from_string(const std::string& s) {
   if (s == "received") return EventKind::kReceived;
   if (s == "decoded") return EventKind::kDecoded;
   if (s == "released") return EventKind::kReleased;
-  bad("unknown event kind \"" + s + "\"");
-}
-
-const Json& require(const Json& j, std::string_view key) {
-  const Json* v = j.find(key);
-  if (v == nullptr) bad("missing key \"" + std::string(key) + "\"");
-  return *v;
-}
-
-/// Reject keys outside `allowed` (nullptr-terminated list).
-void check_keys(const Json& j, std::initializer_list<std::string_view> allowed) {
-  for (const auto& [key, value] : j.as_object("trace line")) {
-    bool known = false;
-    for (std::string_view a : allowed)
-      if (key == a) {
-        known = true;
-        break;
-      }
-    if (!known) bad("unknown key \"" + key + "\"");
-  }
+  throw std::invalid_argument("trace: unknown event kind \"" + s + "\"");
 }
 
 }  // namespace
@@ -73,56 +51,50 @@ Json event_to_json(const TraceEvent& ev) {
 
 TraceEvent event_from_json(const Json& j) {
   TraceEvent ev;
-  ev.kind = kind_from_string(require(j, "ev").as_string("ev"));
-  ev.trial = require(j, "trial").as_uint64("trial");
-  ev.slot = require(j, "slot").as_double("slot");
-  ev.id = require(j, "id").as_uint64("id");
+  const std::string& kind = j.at("ev").as_string("ev");
+  ev.kind = kind_from_string(kind);
+  ev.trial = j.at("trial").as_uint64("trial");
+  ev.slot = j.at("slot").as_double("slot");
+  ev.id = j.at("id").as_uint64("id");
   switch (ev.kind) {
     case EventKind::kSent:
     case EventKind::kLost:
-    case EventKind::kReceived: {
-      check_keys(j, {"ev", "trial", "slot", "id", "repair", "path", "obj"});
-      ev.repair = require(j, "repair").as_bool("repair");
+    case EventKind::kReceived:
+      j.check_keys(kind,
+                   {"ev", "trial", "slot", "id", "repair", "path", "obj"});
+      ev.repair = j.at("repair").as_bool("repair");
       if (const Json* p = j.find("path"))
         ev.path = static_cast<std::int32_t>(p->as_uint64("path"));
       if (const Json* o = j.find("obj"))
         ev.obj = static_cast<std::int64_t>(o->as_uint64("obj"));
       break;
-    }
     case EventKind::kDecoded:
-      check_keys(j, {"ev", "trial", "slot", "id"});
+      j.check_keys(kind, {"ev", "trial", "slot", "id"});
       break;
     case EventKind::kReleased:
-      check_keys(j, {"ev", "trial", "slot", "id", "ok", "delay"});
-      ev.ok = require(j, "ok").as_bool("ok");
-      ev.delay = require(j, "delay").as_double("delay");
+      j.check_keys(kind, {"ev", "trial", "slot", "id", "ok", "delay"});
+      ev.ok = j.at("ok").as_bool("ok");
+      ev.delay = j.at("delay").as_double("delay");
       break;
   }
   return ev;
 }
 
 void validate_trace_line(const Json& j) {
-  const std::string& ev = require(j, "ev").as_string("ev");
+  const std::string& ev = j.at("ev").as_string("ev");
   if (ev == "manifest") {
-    check_keys(j, {"ev", "spec", "api", "gf", "engine", "threads",
-                   "hardware_threads", "wall_seconds", "trace_sample",
-                   "started_at", "hostname", "max_rss_kb", "status"});
-    (void)require(j, "spec").as_string("spec");
-    (void)require(j, "api").as_string("api");
-    (void)require(j, "gf").as_string("gf");
-    (void)require(j, "engine").as_string("engine");
-    (void)require(j, "trace_sample").as_uint64("trace_sample");
-    if (const Json* s = j.find("started_at")) (void)s->as_string("started_at");
-    if (const Json* h = j.find("hostname")) (void)h->as_string("hostname");
-    if (const Json* st = j.find("status")) (void)st->as_string("status");
+    // The manifest's own object, between "ev" and "trace_sample".
+    (void)j.at("trace_sample").as_uint64("trace_sample");
+    Json manifest = Json::object();
+    for (const auto& [key, value] : j.as_object("manifest"))
+      if (key != "ev" && key != "trace_sample") manifest.set(key, value);
+    (void)manifest_from_json(manifest);
     return;
   }
   if (ev == "summary") {
-    check_keys(j, {"ev", "counters", "gauges"});
-    for (const auto& [key, value] : require(j, "counters").as_object("counters"))
-      (void)value.as_uint64("counters." + key);
-    for (const auto& [key, value] : require(j, "gauges").as_object("gauges"))
-      (void)value.as_uint64("gauges." + key);
+    j.check_keys("summary", {"ev", "counters", "gauges"});
+    (void)values_from_json(j.at("counters"), "counters");
+    (void)values_from_json(j.at("gauges"), "gauges");
     return;
   }
   (void)event_from_json(j);
@@ -144,12 +116,8 @@ void write_trace_file(const std::string& path, const Json& manifest,
   }
   Json summary = Json::object();
   summary.set("ev", Json("summary"));
-  Json counters = Json::object();
-  for (const auto& [name, v] : metrics.counters) counters.set(name, Json::integer(v));
-  Json gauges = Json::object();
-  for (const auto& [name, v] : metrics.gauges) gauges.set(name, Json::integer(v));
-  summary.set("counters", std::move(counters));
-  summary.set("gauges", std::move(gauges));
+  summary.set("counters", values_json(metrics.counters));
+  summary.set("gauges", values_json(metrics.gauges));
   out += summary.dump(0);
   out += '\n';
   durable::write_file(path, out);
