@@ -152,6 +152,13 @@ if ! ./fecsched_cli stream --p=0.1 --q=0 --sources=200 --trials=1 \
     | grep -q 'mean burst inf'; then
   echo "BUG: stream --p=0.1 --q=0 did not print 'mean burst inf'"; exit 1
 fi
+#    and a variant that delivered no source has no delay mean or
+#    percentile: the table prints '-' and --json null, never 0;
+q0="stream --p=0.1 --q=0 --sources=200 --trials=1 --scheme=sliding"
+if ! ./fecsched_cli $q0 | grep -Eq '^sliding-window/sequential +- +- +- +- ' ||
+   ! ./fecsched_cli $q0 --json | grep -q '"mean":null'; then
+  echo "BUG: $q0 printed delay figures for an empty distribution"; exit 1
+fi
 #    and a loss trace holding a character that is neither a packet fate
 #    nor whitespace makes fit exit 2 naming it, never fit the rest;
 printf '0001100000102\n' > BENCH_bad_trace.txt

@@ -920,14 +920,33 @@ void write_point_head(std::ostream& os, std::uint32_t sources,
      << format_fixed(global_loss_probability(p, q), 4);
 }
 
+/// A figure of `o`'s delay distribution to 4 decimals, or null where `o`
+/// delivered no source: an empty distribution has no mean or percentile.
+std::string delay_json(const api::DelayOutcome& o, double figure) {
+  return o.delays.empty() ? "null" : format_fixed(figure, 4);
+}
+
 /// `"delay":{"delivered":...,"max":M`, left open for the engine's means.
 void write_delay_head(std::ostream& os, const api::DelayOutcome& o) {
   os << "\"delay\":{\"delivered\":" << o.delivered << ",\"lost\":" << o.lost
-     << ",\"mean\":" << format_fixed(o.mean(), 4) << ",\"p50\":"
-     << format_fixed(sorted_percentile(o.delays, 0.50), 4) << ",\"p95\":"
-     << format_fixed(sorted_percentile(o.delays, 0.95), 4) << ",\"p99\":"
-     << format_fixed(sorted_percentile(o.delays, 0.99), 4) << ",\"max\":"
-     << format_fixed(o.delays.empty() ? 0.0 : o.delays.back(), 4);
+     << ",\"mean\":" << delay_json(o, o.mean()) << ",\"p50\":"
+     << delay_json(o, sorted_percentile(o.delays, 0.50)) << ",\"p95\":"
+     << delay_json(o, sorted_percentile(o.delays, 0.95)) << ",\"p99\":"
+     << delay_json(o, sorted_percentile(o.delays, 0.99)) << ",\"max\":"
+     << delay_json(o, o.delays.empty() ? 0.0 : o.delays.back());
+}
+
+/// The mean, p95, p99 and max columns of a delay table row, `-` where
+/// the variant delivered no source.
+std::string delay_columns(const api::DelayOutcome& o) {
+  char row[64];
+  if (o.delays.empty())
+    std::snprintf(row, sizeof row, "%9s %9s %9s %9s", "-", "-", "-", "-");
+  else
+    std::snprintf(row, sizeof row, "%9.2f %9.2f %9.2f %9.2f", o.mean(),
+                  sorted_percentile(o.delays, 0.95),
+                  sorted_percentile(o.delays, 0.99), o.delays.back());
+  return row;
 }
 
 /// `,"residual":{...}`: the post-FEC loss runs.
@@ -954,8 +973,8 @@ void write_stream_json(std::ostream& os, const api::ScenarioResult& result) {
        << "\",\"overhead_actual\":" << format_fixed(o.overhead_actual_sum / t, 4)
        << ",";
     write_delay_head(os, o);
-    os << ",\"mean_transport\":" << format_fixed(o.mean_transport(), 4)
-       << ",\"mean_hol\":" << format_fixed(o.mean_hol(), 4) << "}";
+    os << ",\"mean_transport\":" << delay_json(o, o.mean_transport())
+       << ",\"mean_hol\":" << delay_json(o, o.mean_hol()) << "}";
     write_residual(os, o);
     // The full merged delay distribution, binned to integer slots.
     write_histogram(os, o.delays);
@@ -972,11 +991,8 @@ void print_delay_table(const std::vector<api::StreamOutcome>& outcomes) {
   for (const api::StreamOutcome& o : outcomes) {
     const std::string label = std::string(to_string(o.variant.scheme)) + "/" +
                               std::string(to_string(o.variant.scheduling));
-    std::printf("%-26s %9.2f %9.2f %9.2f %9.2f %10.2f %7.3f%%\n",
-                label.c_str(), o.mean(), sorted_percentile(o.delays, 0.95),
-                sorted_percentile(o.delays, 0.99),
-                o.delays.empty() ? 0.0 : o.delays.back(),
-                o.mean_residual_run(),
+    std::printf("%-26s %s %10.2f %7.3f%%\n", label.c_str(),
+                delay_columns(o).c_str(), o.mean_residual_run(),
                 100.0 * static_cast<double>(o.lost) /
                     (static_cast<double>(o.delivered + o.lost)));
   }
@@ -1125,7 +1141,7 @@ void write_mpath_json(std::ostream& os, const api::ScenarioResult& result) {
        << ",\"reordered_fraction\":"
        << format_fixed(o.reordered_fraction_sum / t, 4) << ",";
     write_delay_head(os, o);
-    os << ",\"mean_hol\":" << format_fixed(o.mean_hol(), 4) << "}";
+    os << ",\"mean_hol\":" << delay_json(o, o.mean_hol()) << "}";
     write_residual(os, o);
     os << ",\"per_path\":[";
     for (std::size_t i = 0; i < o.paths.size(); ++i) {
@@ -1190,12 +1206,8 @@ int print_mpath_result(const Args& args, const api::ScenarioResult& result) {
               "p99", "max", "reorder%", "lost%");
   for (const api::MpathOutcome& o : result.mpath) {
     const double t = o.trials ? static_cast<double>(o.trials) : 1.0;
-    std::printf("%-18s %9.2f %9.2f %9.2f %9.2f %8.2f%% %7.3f%%\n",
-                o.variant.label.c_str(), o.mean(),
-                sorted_percentile(o.delays, 0.95),
-                sorted_percentile(o.delays, 0.99),
-                o.delays.empty() ? 0.0 : o.delays.back(),
-                o.reordered_fraction_sum / t * 100.0,
+    std::printf("%-18s %s %8.2f%% %7.3f%%\n", o.variant.label.c_str(),
+                delay_columns(o).c_str(), o.reordered_fraction_sum / t * 100.0,
                 100.0 * static_cast<double>(o.lost) /
                     static_cast<double>(o.delivered + o.lost));
     for (const auto& path : o.paths)
