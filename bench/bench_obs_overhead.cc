@@ -23,9 +23,10 @@
 //
 // Samples are interleaved (every variant once per round) and
 // time-batched to >= 25 ms so scheduler noise averages out; the reported
-// figure is the median ns/trial.  Baseline and disabled run back to back
-// in each round, alternating which goes first, and the dormant cost is
-// also reported paired: the median over rounds of disabled ÷ baseline − 1.
+// figure is the median ns/trial.  Baseline and disabled run as nine
+// back-to-back pairs per round, alternating which goes first, and the
+// dormant cost is also reported paired: the median over all pairs of
+// disabled ÷ baseline − 1.
 // All variants must produce bit-identical TrialResults — observation
 // never changes a result.
 //
@@ -181,20 +182,26 @@ int main(int argc, char** argv) {
       std::max(1.0, 25e6 / std::max(probe_ns, 1.0)));
 
   constexpr int kSamples = 9;
+  // The 2% dormant gate reads a difference well inside one sample's
+  // noise, so it takes nine pairs per round where the other rows take
+  // one sample.
+  constexpr int kPairsPerRound = 9;
   std::vector<double> base_ns, off_ns, on_ns, prof_ns, tl_ns, ctr_ns;
-  std::vector<double> off_paired;  // per round: disabled ÷ baseline − 1
+  std::vector<double> off_paired;  // per pair: disabled ÷ baseline − 1
   for (int s = 0; s < kSamples; ++s) {
     // Both rows call the same run_trial, so sample order and host drift
     // are most of what separates them: take them back to back and swap
-    // which goes first each round.
-    if (s % 2 == 0) {
-      base_ns.push_back(sample(w, Mode::kBaseline, reps));
-      off_ns.push_back(sample(w, Mode::kDisabled, reps));
-    } else {
-      off_ns.push_back(sample(w, Mode::kDisabled, reps));
-      base_ns.push_back(sample(w, Mode::kBaseline, reps));
+    // which goes first each pair.
+    for (int pair = 0; pair < kPairsPerRound; ++pair) {
+      if ((s * kPairsPerRound + pair) % 2 == 0) {
+        base_ns.push_back(sample(w, Mode::kBaseline, reps));
+        off_ns.push_back(sample(w, Mode::kDisabled, reps));
+      } else {
+        off_ns.push_back(sample(w, Mode::kDisabled, reps));
+        base_ns.push_back(sample(w, Mode::kBaseline, reps));
+      }
+      off_paired.push_back(off_ns.back() / base_ns.back() - 1.0);
     }
-    off_paired.push_back(off_ns.back() / base_ns.back() - 1.0);
     {
       const obs::Config obs_cfg{.metrics = true};
       const obs::Session session(obs_cfg);
@@ -234,7 +241,8 @@ int main(int argc, char** argv) {
 
   std::cout << "obs overhead @ (p=" << kP << ", q=" << kQ << "), k=" << cfg.k
             << ", " << scale.trials << " trials/batch, " << reps
-            << " reps/sample, " << kSamples << " samples\n";
+            << " reps/sample, " << kSamples << " samples, "
+            << kSamples * kPairsPerRound << " baseline/disabled pairs\n";
   std::cout << "  baseline (pre-obs loop):   " << base << " ns/trial\n";
   std::cout << "  obs disabled (product):    " << off << " ns/trial  ("
             << off_overhead * 100.0 << "% vs baseline, "
