@@ -446,7 +446,8 @@ TEST(ScenarioOracle, MpathEngineMatchesLegacyTrialLoop) {
   EXPECT_EQ(result.mpath[0].variant.label, "earliest-arrival");
 }
 
-/// FNV-1a over every field of every AdaptiveComparePoint.
+/// FNV-1a over every field of every AdaptiveComparePoint, StreamPointStats
+/// or MpathPointStats.
 class PointHash {
  public:
   template <typename T>
@@ -492,6 +493,19 @@ class PointHash {
     add(r.adaptive_warmup);
     add(r.best_baseline);
   }
+  void add(const StreamPointStats& s) {
+    for (const RunningStats* r :
+         {&s.mean_delay, &s.p95_delay, &s.p99_delay, &s.max_delay,
+          &s.mean_hol, &s.residual_mean_run, &s.residual_max_run,
+          &s.undelivered_fraction, &s.overhead_actual})
+      add(*r);
+    add(s.trials);
+  }
+  void add(const MpathPointStats& s) {
+    add(s.stream);
+    add(s.reordered_fraction);
+    add(s.best_path_share);
+  }
   [[nodiscard]] std::uint64_t value() const noexcept { return h_; }
 
  private:
@@ -526,6 +540,58 @@ TEST(ScenarioOracle, AdaptiveEngineIsPinned) {
   if (single != kWant)
     std::printf("AdaptiveEngineIsPinned: 0x%016llxULL\n",
                 static_cast<unsigned long long>(single));
+}
+
+// The stream axis sweep in absolute terms: two channel points, the
+// default variants and two overheads, every cell folded into one hash.
+TEST(ScenarioOracle, StreamSweepIsPinned) {
+  constexpr std::uint64_t kWant = 0x7094be6aa0a83493ULL;
+  ScenarioSpec spec;
+  spec.engine = "stream";
+  spec.run.sources = 300;
+  spec.run.trials = 2;
+  spec.run.seed = 0x5eedf00dULL;
+  spec.run.threads = 2;
+  spec.sweep.p_globals = {0.02, 0.05};
+  spec.sweep.bursts = {3.0};
+  spec.sweep.overheads = {0.125, 0.25};
+
+  const ScenarioSweepResult result = run_scenario_sweep(spec);
+  ASSERT_TRUE(result.stream.has_value());
+  ASSERT_EQ(result.stream->stats.size(), 2u * 5u * 2u);
+  PointHash h;
+  for (const StreamPointStats& s : result.stream->stats) h.add(s);
+  EXPECT_EQ(h.value(), kWant);
+  if (h.value() != kWant)
+    std::printf("StreamSweepIsPinned: 0x%016llxULL\n",
+                static_cast<unsigned long long>(h.value()));
+}
+
+// The mpath axis sweep in absolute terms: two channel points, two delay
+// spreads, the default schedulers and two overheads.
+TEST(ScenarioOracle, MpathSweepIsPinned) {
+  constexpr std::uint64_t kWant = 0xe0ba14a924b19017ULL;
+  ScenarioSpec spec;
+  spec.engine = "mpath";
+  spec.code.name = "sliding-window";
+  spec.run.sources = 300;
+  spec.run.trials = 2;
+  spec.run.seed = 7;
+  spec.run.threads = 2;
+  spec.sweep.p_globals = {0.03};
+  spec.sweep.bursts = {2.0, 5.0};
+  spec.sweep.overheads = {0.125, 0.25};
+  spec.sweep.delay_spreads = {0.0, 40.0};
+
+  const ScenarioSweepResult result = run_scenario_sweep(spec);
+  ASSERT_TRUE(result.mpath.has_value());
+  ASSERT_EQ(result.mpath->stats.size(), 2u * 2u * 4u * 2u);
+  PointHash h;
+  for (const MpathPointStats& s : result.mpath->stats) h.add(s);
+  EXPECT_EQ(h.value(), kWant);
+  if (h.value() != kWant)
+    std::printf("MpathSweepIsPinned: 0x%016llxULL\n",
+                static_cast<unsigned long long>(h.value()));
 }
 
 // A spec with sweep.p_global but no sweep.burst runs each p_global at

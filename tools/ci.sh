@@ -16,19 +16,31 @@ cd build && ctest --output-on-failure -j
 # of the suite above, but a filtered re-run keeps the gate visible when
 # the suite grows), then a scale-reduced smoke run of the delay bench —
 # its exit status enforces the Karzand acceptance criterion (sliding
-# window beats block RSE on >= 3 of 4 bursty points).
+# window beats block RSE on >= 3 of 4 bursty points), and its table (the
+# stream axis sweep) must match the pinned bytes under the default and
+# the forced-scalar GF backend.  The table goes to a file first: piped
+# into cmp, the bench's exit status would be lost.
 ctest --output-on-failure --no-tests=error \
       -R 'Sliding|DelayTracker|StreamTrial|StreamDelayGrid|RecommendWindow'
-./bench_stream_delay --k=1000 --trials=10
+./bench_stream_delay --k=1000 --trials=10 > BENCH_stream_delay.txt
+cmp BENCH_stream_delay.txt ../tools/pinned/stream_delay_sweep.txt
+FECSCHED_GF_BACKEND=scalar ./bench_stream_delay --k=1000 --trials=10 \
+  > BENCH_stream_delay.txt
+cmp BENCH_stream_delay.txt ../tools/pinned/stream_delay_sweep.txt
 
 # Multipath subsystem gate: the mpath tests (including the 1-path
 # degenerate oracle pinning bit-identity with the single-path trial),
 # then a scale-reduced smoke run of the multipath bench — its exit status
 # enforces the Kurant acceptance criterion (earliest-arrival path mapping
-# beats round-robin on all 4 asymmetric-path points).
+# beats round-robin on all 4 asymmetric-path points), and its table (the
+# mpath axis sweep) is pinned the same way.
 ctest --output-on-failure --no-tests=error \
       -R 'Path|Mpath|Resequencer'
-./bench_mpath --k=1000 --trials=10
+./bench_mpath --k=1000 --trials=10 > BENCH_mpath.txt
+cmp BENCH_mpath.txt ../tools/pinned/mpath_sweep.txt
+FECSCHED_GF_BACKEND=scalar ./bench_mpath --k=1000 --trials=10 \
+  > BENCH_mpath.txt
+cmp BENCH_mpath.txt ../tools/pinned/mpath_sweep.txt
 
 # Codec kernel gate (src/gf/ SIMD engine + zero-allocation hot paths):
 # 1. the kernel self-tests — exhaustive SIMD-vs-scalar bit-equivalence on
