@@ -59,10 +59,10 @@ int main(int argc, char** argv) {
     window = std::max(window, rec.window);
   }
 
-  // One declarative scenario (src/api/): the sweep axes expand over the
-  // same run_mpath_sweep machinery, and an empty scheduler name selects
-  // every packet-to-path mapping — byte-identical to the pre-API
-  // hand-built MpathSweepConfig.
+  // One declarative scenario (src/api/): run_scenario_sweep runs the
+  // mpath axis sweep over these points, and an empty scheduler name
+  // selects every packet-to-path mapping (tools/pinned/mpath_sweep.txt
+  // holds this table at --k=1000 --trials=10).
   api::ScenarioSpec spec;
   spec.engine = "mpath";
   spec.code.name = "sliding-window";

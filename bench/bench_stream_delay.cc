@@ -61,10 +61,10 @@ int main(int argc, char** argv) {
     window = std::max(window, rec.window);
   }
 
-  // One declarative scenario (src/api/): the sweep axes expand over the
-  // same run_stream_delay_grid machinery, and an empty code name selects
-  // the default comparison variants — byte-identical to the pre-API
-  // hand-built StreamGridConfig.
+  // One declarative scenario (src/api/): run_scenario_sweep runs the
+  // stream axis sweep over these points, and an empty code name selects
+  // the default comparison variants (tools/pinned/stream_delay_sweep.txt
+  // holds this table at --k=1000 --trials=10).
   api::ScenarioSpec spec;
   spec.engine = "stream";
   spec.run.sources = scale.k;

@@ -1,26 +1,32 @@
 // run_scenario / run_scenario_sweep: the registry-driven dispatch from a
 // declarative ScenarioSpec onto the grid, stream, net, mpath and adaptive
-// engines.
+// engines, and every streaming engine's driver: the stream, net and mpath
+// single points and the stream and mpath axis sweeps.
 //
 // Bit-identity is the design constraint: each engine loop below consumes
 // the exact Rng streams and seed derivations the legacy surface it
-// replaced used (fecsched_cli subcommand loops, run_stream_delay_grid,
-// run_mpath_sweep, Experiment::run), so a spec that mirrors a legacy call
+// replaced used (fecsched_cli subcommand loops, the former sim/ stream and
+// mpath sweep drivers, Experiment::run), so a spec that mirrors a legacy call
 // reproduces its result exactly.  Both entry points run the same engine
 // code where they can: the adaptive engine is run_adaptive_compare over
-// sweep_channel_points, and the grid engine is run_grid, with or without
-// checkpoint shards.  Oracle tests and golden rows in tests/api_test.cc
-// and the pinned-output gate in tools/ci.sh hold this line.
+// sweep_channel_points, the grid engine is run_grid, with or without
+// checkpoint shards, and the stream point engine and the stream sweep
+// build their trial configs with one helper (stream_configs), as the
+// mpath ones do (mpath_configs).  Oracle tests and pinned hashes in
+// tests/api_test.cc and the pinned-output gate in tools/ci.sh hold this
+// line.
 
 #include "api/scenario.h"
 
 #include <algorithm>
 #include <chrono>
+#include <span>
 #include <stdexcept>
 #include <thread>
 
 #include "adapt/controller.h"
 #include "api/json.h"
+#include "channel/gilbert.h"
 #include "gf/gf256_kernels.h"
 #include "mpath/path_adapt.h"
 #include "obs/memwatch.h"
@@ -221,6 +227,25 @@ std::vector<StreamVariant> stream_variants(const ScenarioSpec& spec) {
   return {{std::string(to_string(scheme)), scheme, sched}};
 }
 
+/// One trial config per (variant, overhead), flattened [variant][overhead]:
+/// `base` with the variant's scheme and scheduling and the overhead.  Each
+/// is validated here, so a bad combination fails before any trial runs.
+std::vector<StreamTrialConfig> stream_configs(
+    const StreamTrialConfig& base, const std::vector<StreamVariant>& variants,
+    const std::vector<double>& overheads) {
+  std::vector<StreamTrialConfig> configs;
+  for (const StreamVariant& v : variants) {
+    for (double overhead : overheads) {
+      StreamTrialConfig& cfg = configs.emplace_back(base);
+      cfg.scheme = v.scheme;
+      cfg.scheduling = v.scheduling;
+      cfg.overhead = overhead;
+      cfg.validate();
+    }
+  }
+  return configs;
+}
+
 ScenarioResult run_stream_engine(const ScenarioSpec& spec,
                                  const RunControl& control) {
   check_single_point_spec(spec);
@@ -228,14 +253,8 @@ ScenarioResult run_stream_engine(const ScenarioSpec& spec,
   const StreamTrialConfig base = to_stream_config(spec);
   result.stream_base = base;
   const std::vector<StreamVariant> variants = stream_variants(spec);
-  // Validate every variant before running any trial.
-  std::vector<StreamTrialConfig> configs;
-  for (const StreamVariant& v : variants) {
-    StreamTrialConfig& cfg = configs.emplace_back(base);
-    cfg.scheme = v.scheme;
-    cfg.scheduling = v.scheduling;
-    cfg.validate();
-  }
+  const std::vector<StreamTrialConfig> configs =
+      stream_configs(base, variants, {base.overhead});
 
   announce_trials(variants.size() * spec.run.trials);
   result.stream = run_variants<StreamOutcome>(
@@ -246,6 +265,43 @@ ScenarioResult run_stream_engine(const ScenarioSpec& spec,
                                 derive_seed(spec.run.seed, {v, t}));
       });
   return result;
+}
+
+/// The stream axis sweep: each (point, trial) of sweep_points runs every
+/// (variant, overhead) in that order under derive_seed(seed, {v, o}) and
+/// folds it into the cell's StreamPointStats.
+StreamGridResult run_stream_axis_sweep(const ScenarioSpec& spec,
+                                       std::span<const ChannelPoint> points,
+                                       const std::vector<double>& overheads,
+                                       const RunControl& control) {
+  StreamGridResult grid;
+  grid.points.assign(points.begin(), points.end());
+  grid.variants = stream_variants(spec);
+  grid.overheads = overheads;
+  grid.source_count = spec.run.sources;
+  const std::vector<StreamTrialConfig> configs =
+      stream_configs(to_stream_config(spec), grid.variants, overheads);
+  grid.stats.resize(points.size() * configs.size());
+
+  sweep_points(
+      points, to_grid_options(spec, control),
+      [&](std::size_t c, double p, double q, std::uint32_t,
+          std::uint64_t seed) {
+        // One trial workspace per worker thread: every member is
+        // re-initialised per trial, so reuse changes no output.
+        thread_local StreamTrialWorkspace ws;
+        for (std::size_t v = 0; v < grid.variants.size(); ++v) {
+          for (std::size_t o = 0; o < overheads.size(); ++o) {
+            const std::size_t i = v * overheads.size() + o;
+            GilbertModel channel(p, q);
+            grid.stats[c * configs.size() + i].add(
+                run_stream_trial(configs[i], channel,
+                                 derive_seed(seed, {v, o}), ws),
+                spec.run.sources);
+          }
+        }
+      });
+  return grid;
 }
 
 // ----------------------------------------------------------------- net
@@ -268,17 +324,16 @@ ScenarioResult run_net_engine(const ScenarioSpec& spec,
   Json dump_trials = Json::array();
 
   announce_trials(spec.run.trials);
-  StreamOutcome& outcome = result.stream.emplace_back();
-  outcome.variant = {std::string(to_string(base.stream.scheme)),
-                     base.stream.scheme, base.stream.scheduling};
-  run_serial_trials(spec.run.trials, 0, control, [&](std::uint32_t t) {
+  const std::vector<StreamVariant> variants = {
+      {std::string(to_string(base.stream.scheme)), base.stream.scheme,
+       base.stream.scheduling}};
+  const auto trial = [&](std::size_t, std::uint32_t t) {
     const std::uint64_t seed = derive_seed(spec.run.seed, {0, t});
     const auto channel =
         registry().make_channel(spec.channel.model, {result.p, result.q});
-    const net::NetTrialResult r =
+    net::NetTrialResult r =
         net::run_net_trial(base, *channel, seed, /*object_id=*/t);
     const StreamTrialResult& sr = r.stream;
-    outcome.add(sr);
 
     stats.datagrams_sent += r.datagrams_sent;
     stats.datagrams_dropped += r.datagrams_dropped;
@@ -321,8 +376,10 @@ ScenarioResult run_net_engine(const ScenarioSpec& spec,
       entry.set("all_delivered", Json(sr.all_delivered));
       dump_trials.push_back(std::move(entry));
     }
-  });
-  outcome.finish();
+    return std::move(r.stream);
+  };
+  result.stream =
+      run_variants<StreamOutcome>(variants, spec.run.trials, control, trial);
   result.net = stats;
 
   if (!spec.net.dump.empty()) {
@@ -347,6 +404,24 @@ std::vector<MpathVariant> mpath_variants(const ScenarioSpec& spec) {
   return {{std::string(to_string(mode)), mode}};
 }
 
+/// One trial config per (scheduler, overhead), flattened
+/// [variant][overhead]: `base` with the variant's scheduler and the
+/// overhead, each validated before any trial runs.
+std::vector<MpathTrialConfig> mpath_configs(
+    const MpathTrialConfig& base, const std::vector<MpathVariant>& variants,
+    const std::vector<double>& overheads) {
+  std::vector<MpathTrialConfig> configs;
+  for (const MpathVariant& v : variants) {
+    for (double overhead : overheads) {
+      MpathTrialConfig& cfg = configs.emplace_back(base);
+      cfg.scheduler = v.scheduler;
+      cfg.stream.overhead = overhead;
+      cfg.validate();
+    }
+  }
+  return configs;
+}
+
 ScenarioResult run_mpath_engine(const ScenarioSpec& spec,
                                 const RunControl& control) {
   check_single_point_spec(spec);
@@ -355,11 +430,8 @@ ScenarioResult run_mpath_engine(const ScenarioSpec& spec,
   if (base.paths.empty())
     throw std::invalid_argument("mpath scenario needs at least one path");
   const std::vector<MpathVariant> variants = mpath_variants(spec);
-  for (const MpathVariant& v : variants) {
-    MpathTrialConfig cfg = base;
-    cfg.scheduler = v.scheduler;
-    cfg.validate();
-  }
+  std::vector<MpathTrialConfig> configs =
+      mpath_configs(base, variants, {base.stream.overhead});
 
   // Warm-up probes count as trials too.
   const std::uint64_t measured =
@@ -388,11 +460,9 @@ ScenarioResult run_mpath_engine(const ScenarioSpec& spec,
       o->instant("adapt.apply");
     result.mpath_estimates = adapter.estimates();
     result.mpath_warmup = spec.adapt.warmup;
+    configs = mpath_configs(base, variants, {base.stream.overhead});
   }
 
-  std::vector<MpathTrialConfig> configs;
-  for (const MpathVariant& v : variants)
-    configs.emplace_back(base).scheduler = v.scheduler;
   result.mpath = run_variants<MpathOutcome>(
       variants, spec.run.trials, control, [&](std::size_t v, std::uint32_t t) {
         return run_mpath_trial(configs[v], derive_seed(spec.run.seed, {v, t}),
@@ -400,6 +470,90 @@ ScenarioResult run_mpath_engine(const ScenarioSpec& spec,
       });
   result.mpath_base = std::move(base);
   return result;
+}
+
+/// The axis sweep's paths at one delay spread: paths.count Gilbert (p, q)
+/// paths, path i of K delayed base_delay + spread * (i/(K-1) - 1/2)
+/// (base_delay when K = 1).
+std::vector<PathSpec> sweep_paths(const PathsSpec& paths, double p, double q,
+                                  double spread) {
+  std::vector<PathSpec> out;
+  for (std::uint32_t i = 0; i < paths.count; ++i) {
+    const double frac =
+        paths.count > 1
+            ? static_cast<double>(i) / static_cast<double>(paths.count - 1) -
+                  0.5
+            : 0.0;
+    out.push_back(PathSpec::gilbert(p, q, paths.base_delay + spread * frac,
+                                    paths.capacity));
+  }
+  return out;
+}
+
+/// The mpath axis sweep: each (point, trial) of sweep_points runs every
+/// (spread, scheduler, overhead) in that order under
+/// derive_seed(seed, {d, v, o}) and folds it into the cell's
+/// MpathPointStats.
+MpathSweepResult run_mpath_axis_sweep(const ScenarioSpec& spec,
+                                      std::span<const ChannelPoint> points,
+                                      const std::vector<double>& overheads,
+                                      const RunControl& control) {
+  // The sweep generates its path topology (count/base_delay + the
+  // delay_spread axis) and has no warm-up phase; honouring only part of
+  // an explicit-paths or adapt-enabled spec would silently change its
+  // semantics, so reject those outright.
+  if (spec.adapt.enabled)
+    throw std::invalid_argument(
+        "spec: adapt.enabled is not supported by the mpath axis sweep "
+        "(warm-up adaptation is a single-point feature — drop the sweep "
+        "section or adapt.enabled)");
+  if (!spec.paths.list.empty())
+    throw std::invalid_argument(
+        "spec: the mpath axis sweep generates its paths from "
+        "paths.count/base_delay/capacity and the delay_spread axis — "
+        "explicit paths.list entries would be ignored");
+  MpathSweepResult sweep;
+  sweep.points.assign(points.begin(), points.end());
+  sweep.delay_spreads = spec.sweep.delay_spreads.empty()
+                            ? std::vector<double>{40.0}
+                            : spec.sweep.delay_spreads;
+  sweep.variants = mpath_variants(spec);
+  sweep.overheads = overheads;
+  sweep.source_count = spec.run.sources;
+  // Flattened [spread][scheduler][overhead], validated on lossless paths;
+  // each trial swaps in its point's channel.
+  std::vector<MpathTrialConfig> configs;
+  MpathTrialConfig base;
+  base.stream = to_stream_config(spec);
+  for (double spread : sweep.delay_spreads) {
+    base.paths = sweep_paths(spec.paths, 0.0, 1.0, spread);
+    for (MpathTrialConfig& cfg : mpath_configs(base, sweep.variants, overheads))
+      configs.push_back(std::move(cfg));
+  }
+  sweep.stats.resize(points.size() * configs.size());
+
+  sweep_points(
+      points, to_grid_options(spec, control),
+      [&](std::size_t c, double p, double q, std::uint32_t,
+          std::uint64_t seed) {
+        // One trial workspace per worker thread (see run_stream_axis_sweep).
+        thread_local MpathTrialWorkspace ws;
+        const std::size_t nv = sweep.variants.size();
+        for (std::size_t d = 0; d < sweep.delay_spreads.size(); ++d) {
+          for (std::size_t v = 0; v < nv; ++v) {
+            for (std::size_t o = 0; o < overheads.size(); ++o) {
+              const std::size_t i = (d * nv + v) * overheads.size() + o;
+              MpathTrialConfig cfg = configs[i];
+              cfg.paths =
+                  sweep_paths(spec.paths, p, q, sweep.delay_spreads[d]);
+              sweep.stats[c * configs.size() + i].add(
+                  run_mpath_trial(cfg, derive_seed(seed, {d, v, o}), ws),
+                  cfg);
+            }
+          }
+        }
+      });
+  return sweep;
 }
 
 // ------------------------------------------------------------ adaptive
@@ -415,7 +569,49 @@ ScenarioResult run_adaptive_engine(const ScenarioSpec& spec) {
 }
 
 ScenarioSweepResult run_scenario_sweep_engines(const ScenarioSpec& spec,
-                                               const RunControl& control);
+                                               const RunControl& control) {
+  ScenarioSweepResult result;
+  result.engine = spec.engine;
+
+  if (spec.engine == "grid") {
+    const ExperimentConfig cfg = to_experiment_config(spec);
+    const Experiment experiment(cfg);
+    result.grid = run_grid_result(spec, control, experiment);
+    result.points = grid_points(result.grid->spec);
+    return result;
+  }
+
+  if (spec.engine == "net")
+    throw std::invalid_argument(
+        "spec: the net engine runs single loopback points only — axis "
+        "sweeps would re-bind sockets per cell for no measurement gain "
+        "(drop the sweep section, or sweep the 'stream' twin)");
+
+  // Every axis sweep draws its points from GilbertModel.
+  if (spec.channel.model != "gilbert")
+    throw std::invalid_argument(
+        "spec: the " + spec.engine + " axis sweep draws Gilbert channels "
+        "only — channel.model '" + spec.channel.model +
+        "' would be ignored (drop the sweep section to run one point)");
+
+  result.points = sweep_channel_points(spec);
+  const std::vector<double> overheads =
+      spec.sweep.overheads.empty() ? std::vector<double>{spec.code.overhead}
+                                   : spec.sweep.overheads;
+
+  if (spec.engine == "stream")
+    result.stream =
+        run_stream_axis_sweep(spec, result.points, overheads, control);
+  else if (spec.engine == "mpath")
+    result.mpath =
+        run_mpath_axis_sweep(spec, result.points, overheads, control);
+  else if (spec.engine == "adaptive")
+    result.adaptive = run_adaptive_compare(
+        result.points, to_adaptive_config(spec), spec.run.threads);
+  else
+    throw std::invalid_argument("spec: unknown engine '" + spec.engine + "'");
+  return result;
+}
 
 }  // namespace
 
@@ -511,88 +707,5 @@ ScenarioSweepResult run_scenario_sweep(const ScenarioSpec& spec,
                        result.obs);
   return result;
 }
-
-namespace {
-
-ScenarioSweepResult run_scenario_sweep_engines(const ScenarioSpec& spec,
-                                               const RunControl& control) {
-  ScenarioSweepResult result;
-  result.engine = spec.engine;
-
-  if (spec.engine == "grid") {
-    const ExperimentConfig cfg = to_experiment_config(spec);
-    const Experiment experiment(cfg);
-    result.grid = run_grid_result(spec, control, experiment);
-    result.points = grid_points(result.grid->spec);
-    return result;
-  }
-
-  if (spec.engine == "net")
-    throw std::invalid_argument(
-        "spec: the net engine runs single loopback points only — axis "
-        "sweeps would re-bind sockets per cell for no measurement gain "
-        "(drop the sweep section, or sweep the 'stream' twin)");
-
-  // Every axis sweep draws its points from GilbertModel.
-  if (spec.channel.model != "gilbert")
-    throw std::invalid_argument(
-        "spec: the " + spec.engine + " axis sweep draws Gilbert channels "
-        "only — channel.model '" + spec.channel.model +
-        "' would be ignored (drop the sweep section to run one point)");
-
-  result.points = sweep_channel_points(spec);
-  const std::vector<double> overheads = spec.sweep.overheads.empty()
-                                            ? std::vector<double>{spec.code.overhead}
-                                            : spec.sweep.overheads;
-
-  if (spec.engine == "stream") {
-    StreamGridConfig cfg;
-    cfg.base = to_stream_config(spec);
-    cfg.overheads = overheads;
-    if (!spec.code.name.empty()) cfg.variants = stream_variants(spec);
-    result.stream = run_stream_delay_grid(result.points, cfg,
-                                          to_grid_options(spec, control));
-    return result;
-  }
-
-  if (spec.engine == "mpath") {
-    // The axis sweep generates its path topology (count/base_delay +
-    // the delay_spread axis) and has no warm-up phase; honouring only
-    // part of an explicit-paths or adapt-enabled spec would silently
-    // change its semantics, so reject those outright.
-    if (spec.adapt.enabled)
-      throw std::invalid_argument(
-          "spec: adapt.enabled is not supported by the mpath axis sweep "
-          "(warm-up adaptation is a single-point feature — drop the sweep "
-          "section or adapt.enabled)");
-    if (!spec.paths.list.empty())
-      throw std::invalid_argument(
-          "spec: the mpath axis sweep generates its paths from "
-          "paths.count/base_delay/capacity and the delay_spread axis — "
-          "explicit paths.list entries would be ignored");
-    MpathSweepConfig cfg;
-    cfg.base = to_stream_config(spec);
-    cfg.overheads = overheads;
-    if (!spec.sweep.delay_spreads.empty())
-      cfg.delay_spreads = spec.sweep.delay_spreads;
-    cfg.base_delay = spec.paths.base_delay;
-    cfg.path_count = spec.paths.count;
-    cfg.path_capacity = spec.paths.capacity;
-    if (!spec.paths.scheduler.empty()) cfg.variants = mpath_variants(spec);
-    result.mpath =
-        run_mpath_sweep(result.points, cfg, to_grid_options(spec, control));
-    return result;
-  }
-
-  if (spec.engine == "adaptive") {
-    result.adaptive = run_adaptive_compare(
-        result.points, to_adaptive_config(spec), spec.run.threads);
-    return result;
-  }
-
-  throw std::invalid_argument("spec: unknown engine '" + spec.engine + "'");
-}
-
-}  // namespace
 
 }  // namespace fecsched::api

@@ -360,11 +360,14 @@ struct RunControl {
 [[nodiscard]] ScenarioResult run_scenario(const ScenarioSpec& spec,
                                           const RunControl& control);
 
-/// Expand the spec's sweep axes over the existing parallel sweep
-/// machinery: stream -> run_stream_delay_grid, mpath -> run_mpath_sweep,
-/// adaptive -> one worker per (p_global, burst) point, grid ->
+/// Expand the spec's sweep axes over the parallel sweep machinery
+/// (sweep_points, one worker per channel point): stream -> one cell per
+/// (point, variant, overhead), mpath -> one per (point, delay spread,
+/// scheduler, overhead), adaptive -> run_adaptive_compare, grid ->
 /// Experiment::run.  Channel points are the cartesian product
-/// p_globals x bursts (gilbert_point), in that nesting order.
+/// p_globals x bursts (gilbert_point), in that nesting order.  An empty
+/// sweep.overhead runs code.overhead, an empty sweep.delay_spread runs
+/// spread 40.
 [[nodiscard]] ScenarioSweepResult run_scenario_sweep(const ScenarioSpec& spec);
 [[nodiscard]] ScenarioSweepResult run_scenario_sweep(
     const ScenarioSpec& spec, const RunControl& control);

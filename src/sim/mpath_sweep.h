@@ -1,16 +1,18 @@
-// Multipath sweep (src/mpath/ x sim/): in-order delivery delay over
-// (Gilbert channel point) x (path-delay asymmetry) x (path scheduler) x
-// (repair overhead).
+// Result types of the multipath sweep (src/mpath/ x sim/): in-order
+// delivery delay over (Gilbert channel point) x (path-delay asymmetry) x
+// (path scheduler) x (repair overhead).
 //
-// The stream_delay sweep asks "which FEC scheme at which overhead"; this
+// The stream delay sweep asks "which FEC scheme at which overhead"; this
 // one fixes the scheme and asks the multipath question: *which
 // packet-to-path mapping*, as the paths' propagation delays drift apart
 // and the loss process varies.  Every path of a point carries the same
 // Gilbert process (independent state per path); asymmetry is in the
-// delays, linearly spaced across `spread` around `base_delay`.  It rides
-// the same parallel scaffolding as run_grid (sweep_points): one thread
-// per channel point, per-trial seeds derived from (master_seed, point,
-// trial), so results are bit-identical for any thread count.
+// delays, linearly spaced across the spread around the base delay.
+// api::run_scenario_sweep (src/api/run_scenario.cc) runs it from a
+// ScenarioSpec on the same parallel scaffolding as run_grid
+// (sweep_points): one thread per channel point, per-trial seeds derived
+// from (master_seed, point, trial), so results are bit-identical for any
+// thread count.
 
 #pragma once
 
@@ -30,28 +32,10 @@ struct MpathVariant {
   PathScheduling scheduler = PathScheduling::kRoundRobin;
 };
 
-/// The experiment definition.
+/// The multipath engines' default comparison set.
 struct MpathSweepConfig {
-  /// Schedulers to compare; empty selects default_variants().
-  std::vector<MpathVariant> variants;
-  /// Path-delay asymmetry axis: per spread, path i of K gets delay
-  /// base_delay + spread * (i/(K-1) - 1/2)  (all = base_delay when K = 1).
-  std::vector<double> delay_spreads = {40.0};
-  double base_delay = 25.0;
-  std::uint32_t path_count = 2;
-  double path_capacity = 1.0;  ///< per path, packets per slot
-  /// Repair overheads (n-k)/k, matched across all variants.
-  std::vector<double> overheads = {0.25};
-  /// Trial shape (scheme, source_count, window, ...); paths, scheduler and
-  /// overhead are overridden per sweep combination.
-  StreamTrialConfig base;
-
-  /// The canonical comparison set: all four packet-to-path mappings.
+  /// All four packet-to-path mappings.
   [[nodiscard]] static std::vector<MpathVariant> default_variants();
-
-  /// The path list for one (channel point, spread) combination.
-  [[nodiscard]] std::vector<PathSpec> make_paths(double p, double q,
-                                                 double spread) const;
 };
 
 /// Aggregates of one (point, spread, variant, overhead) combination:
@@ -60,6 +44,10 @@ struct MpathPointStats {
   StreamPointStats stream;
   RunningStats reordered_fraction;
   RunningStats best_path_share;  ///< traffic fraction on the fastest path
+
+  /// Accumulate one trial run under `cfg` (the accumulation order is part
+  /// of the bit-identity contract).
+  void add(const MpathTrialResult& r, const MpathTrialConfig& cfg);
 };
 
 /// A completed multipath sweep.
@@ -83,11 +71,5 @@ struct MpathSweepResult {
                     overhead);
   }
 };
-
-/// Run the sweep over explicit Gilbert channel points (use grid_points or
-/// gilbert_point to build them).  Thread-count independent; see header.
-[[nodiscard]] MpathSweepResult run_mpath_sweep(
-    std::span<const ChannelPoint> points, const MpathSweepConfig& config,
-    const GridRunOptions& options = {});
 
 }  // namespace fecsched

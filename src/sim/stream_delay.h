@@ -1,13 +1,14 @@
-// Delay-vs-overhead sweep for the streaming subsystem (src/stream/).
+// Result types of the streaming subsystem's (src/stream/) delay sweep.
 //
 // The paper's grids sweep (p, q) and report the inefficiency ratio; this
 // experiment sweeps (channel point) x (repair overhead) x (scheme variant)
 // and reports the in-order delivery-delay distribution plus the residual
 // loss burstiness — the two axes Karzand et al. and McCann & Fendick add
-// to the paper's observations.  It rides the same parallel scaffolding as
-// run_grid (sweep_points): one thread per channel point, per-trial seeds
-// derived from (master_seed, point, trial), so results are bit-identical
-// for any thread count.
+// to the paper's observations.  api::run_scenario_sweep
+// (src/api/run_scenario.cc) runs it from a ScenarioSpec on the same
+// parallel scaffolding as run_grid (sweep_points): one thread per channel
+// point, per-trial seeds derived from (master_seed, point, trial), so
+// results are bit-identical for any thread count.
 
 #pragma once
 
@@ -28,18 +29,10 @@ struct StreamVariant {
   StreamScheduling scheduling = StreamScheduling::kSequential;
 };
 
-/// The experiment definition.
+/// The stream engines' default comparison set.
 struct StreamGridConfig {
-  /// Schemes to compare; empty selects default_variants().
-  std::vector<StreamVariant> variants;
-  /// Repair overheads (n-k)/k, matched across all variants.
-  std::vector<double> overheads = {0.125, 0.25, 0.5};
-  /// Trial shape: source_count, window, block_k, ... .  scheme, scheduling
-  /// and overhead are overridden per sweep combination.
-  StreamTrialConfig base;
-
-  /// The canonical comparison set: sliding-window vs block RSE (sequential
-  /// and interleaved) vs LDGM Staircase vs replication.
+  /// Sliding-window vs block RSE (sequential and interleaved) vs LDGM
+  /// Staircase vs replication.
   [[nodiscard]] static std::vector<StreamVariant> default_variants();
 };
 
@@ -77,12 +70,6 @@ struct StreamGridResult {
                     overhead);
   }
 };
-
-/// Run the sweep over explicit Gilbert channel points (use grid_points to
-/// sweep a GridSpec).  Thread-count independent; see header comment.
-[[nodiscard]] StreamGridResult run_stream_delay_grid(
-    std::span<const ChannelPoint> points, const StreamGridConfig& config,
-    const GridRunOptions& options = {});
 
 /// Convert a (p_global, mean_burst) pair into the Gilbert (p, q) point with
 /// that stationary loss rate and expected burst length (q = 1/burst).

@@ -615,87 +615,6 @@ TEST(ScenarioOracle, AdaptivePGlobalWithoutBurstRunsAtBurstOne) {
 
 // --------------------------------------------------------- sweep oracles
 
-TEST(ScenarioSweep, StreamSweepMatchesRunStreamDelayGrid) {
-  ScenarioSpec spec;
-  spec.engine = "stream";
-  spec.run.sources = 400;
-  spec.run.trials = 2;
-  spec.run.seed = 0x5eedf00dULL;
-  spec.run.threads = 2;
-  spec.sweep.p_globals = {0.02, 0.05};
-  spec.sweep.bursts = {2.0, 5.0};
-  spec.sweep.overheads = {0.25};
-
-  const ScenarioSweepResult result = run_scenario_sweep(spec);
-  ASSERT_TRUE(result.stream.has_value());
-
-  std::vector<ChannelPoint> points;
-  for (double pg : {0.02, 0.05})
-    for (double burst : {2.0, 5.0}) points.push_back(gilbert_point(pg, burst));
-  StreamGridConfig cfg;
-  cfg.base.source_count = 400;
-  cfg.overheads = {0.25};
-  GridRunOptions opt;
-  opt.trials_per_cell = 2;
-  opt.master_seed = 0x5eedf00dULL;
-  opt.threads = 2;
-  const StreamGridResult legacy = run_stream_delay_grid(points, cfg, opt);
-
-  ASSERT_EQ(result.stream->stats.size(), legacy.stats.size());
-  ASSERT_EQ(result.points.size(), points.size());
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    EXPECT_EQ(result.points[i].p, points[i].p);
-    EXPECT_EQ(result.points[i].q, points[i].q);
-  }
-  for (std::size_t i = 0; i < legacy.stats.size(); ++i) {
-    expect_stats_equal(result.stream->stats[i].mean_delay,
-                       legacy.stats[i].mean_delay);
-    expect_stats_equal(result.stream->stats[i].residual_mean_run,
-                       legacy.stats[i].residual_mean_run);
-    EXPECT_EQ(result.stream->stats[i].trials, legacy.stats[i].trials);
-  }
-}
-
-TEST(ScenarioSweep, MpathSweepMatchesRunMpathSweep) {
-  ScenarioSpec spec;
-  spec.engine = "mpath";
-  spec.code.name = "sliding-window";
-  spec.run.sources = 300;
-  spec.run.trials = 2;
-  spec.run.seed = 7;
-  spec.sweep.p_globals = {0.03};
-  spec.sweep.bursts = {3.0};
-  spec.sweep.overheads = {0.25};
-  spec.sweep.delay_spreads = {0.0, 40.0};
-  spec.paths.count = 2;
-  spec.paths.base_delay = 25.0;
-  spec.paths.capacity = 1.0;
-
-  const ScenarioSweepResult result = run_scenario_sweep(spec);
-  ASSERT_TRUE(result.mpath.has_value());
-
-  const std::vector<ChannelPoint> points = {gilbert_point(0.03, 3.0)};
-  MpathSweepConfig cfg;
-  cfg.base.scheme = StreamScheme::kSlidingWindow;
-  cfg.base.source_count = 300;
-  cfg.overheads = {0.25};
-  cfg.delay_spreads = {0.0, 40.0};
-  GridRunOptions opt;
-  opt.trials_per_cell = 2;
-  opt.master_seed = 7;
-  const MpathSweepResult legacy = run_mpath_sweep(points, cfg, opt);
-
-  ASSERT_EQ(result.mpath->stats.size(), legacy.stats.size());
-  for (std::size_t i = 0; i < legacy.stats.size(); ++i) {
-    expect_stats_equal(result.mpath->stats[i].stream.mean_delay,
-                       legacy.stats[i].stream.mean_delay);
-    expect_stats_equal(result.mpath->stats[i].reordered_fraction,
-                       legacy.stats[i].reordered_fraction);
-    expect_stats_equal(result.mpath->stats[i].best_path_share,
-                       legacy.stats[i].best_path_share);
-  }
-}
-
 TEST(ScenarioSweep, AxisSweepsRefuseNonGilbertChannels) {
   for (const char* engine : {"stream", "mpath"}) {
     ScenarioSpec spec;

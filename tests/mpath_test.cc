@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include "api/scenario.h"
 #include "channel/gilbert.h"
 #include "channel/trace.h"
 #include "mpath/mpath_trial.h"
@@ -512,26 +513,26 @@ TEST(PathAdapter, MinWeightFloorsDeadPaths) {
 // ------------------------------------------------------------- the sweep
 
 TEST(MpathSweep, AggregatesAndIsThreadCountIndependent) {
-  const std::vector<ChannelPoint> points = {gilbert_point(0.02, 2.0),
-                                            gilbert_point(0.05, 5.0)};
-  MpathSweepConfig cfg;
-  cfg.base.scheme = StreamScheme::kSlidingWindow;
-  cfg.base.source_count = 300;
-  cfg.base.window = 32;
-  cfg.delay_spreads = {0.0, 30.0};
-  cfg.overheads = {0.25};
-  cfg.variants = {{"rr", PathScheduling::kRoundRobin},
-                  {"ea", PathScheduling::kEarliestArrival}};
-  GridRunOptions opt;
-  opt.trials_per_cell = 4;
-  opt.master_seed = 99;
+  api::ScenarioSpec spec;
+  spec.engine = "mpath";
+  spec.code.name = "sliding-window";
+  spec.code.window = 32;
+  spec.run.sources = 300;
+  spec.run.trials = 4;
+  spec.run.seed = 99;
+  spec.sweep.p_globals = {0.02, 0.05};
+  spec.sweep.bursts = {2.0, 5.0};
+  spec.sweep.delay_spreads = {0.0, 30.0};
+  spec.sweep.overheads = {0.25};
 
-  opt.threads = 1;
-  const MpathSweepResult serial = run_mpath_sweep(points, cfg, opt);
-  opt.threads = 4;
-  const MpathSweepResult parallel = run_mpath_sweep(points, cfg, opt);
+  spec.run.threads = 1;
+  const MpathSweepResult serial = *api::run_scenario_sweep(spec).mpath;
+  spec.run.threads = 4;
+  const MpathSweepResult parallel = *api::run_scenario_sweep(spec).mpath;
 
-  ASSERT_EQ(serial.stats.size(), 2u * 2u * 2u * 1u);
+  const std::vector<MpathVariant> variants =
+      MpathSweepConfig::default_variants();
+  ASSERT_EQ(serial.stats.size(), 4u * 2u * variants.size() * 1u);
   for (std::size_t i = 0; i < serial.stats.size(); ++i) {
     EXPECT_EQ(serial.stats[i].stream.mean_delay.mean(),
               parallel.stats[i].stream.mean_delay.mean());
@@ -542,25 +543,26 @@ TEST(MpathSweep, AggregatesAndIsThreadCountIndependent) {
 
   // Zero spread: both schedulers see symmetric paths, so neither can be
   // much worse; at spread 30 the delay-aware mapping must win clearly.
-  for (std::size_t c = 0; c < points.size(); ++c) {
+  ASSERT_EQ(variants[0].scheduler, PathScheduling::kRoundRobin);
+  ASSERT_EQ(variants[3].scheduler, PathScheduling::kEarliestArrival);
+  for (std::size_t c = 0; c < serial.points.size(); ++c) {
     const double rr = serial.at(c, 1, 0, 0).stream.mean_delay.mean();
-    const double ea = serial.at(c, 1, 1, 0).stream.mean_delay.mean();
+    const double ea = serial.at(c, 1, 3, 0).stream.mean_delay.mean();
     EXPECT_LT(ea, rr) << "point " << c;
   }
 }
 
+// A spec cannot leave the overhead or spread axis empty (an empty list
+// runs code.overhead or spread 40), but it can ask for no paths.
 TEST(MpathSweep, ValidatesConfig) {
-  const std::vector<ChannelPoint> points = {gilbert_point(0.02, 2.0)};
-  MpathSweepConfig cfg;
-  cfg.base.source_count = 100;
-  cfg.overheads = {};
-  EXPECT_THROW((void)run_mpath_sweep(points, cfg, {}), std::invalid_argument);
-  cfg.overheads = {0.25};
-  cfg.delay_spreads = {};
-  EXPECT_THROW((void)run_mpath_sweep(points, cfg, {}), std::invalid_argument);
-  cfg.delay_spreads = {10.0};
-  cfg.path_count = 0;
-  EXPECT_THROW((void)run_mpath_sweep(points, cfg, {}), std::invalid_argument);
+  api::ScenarioSpec spec;
+  spec.engine = "mpath";
+  spec.run.sources = 100;
+  spec.sweep.p_globals = {0.02};
+  spec.sweep.bursts = {2.0};
+  spec.sweep.delay_spreads = {10.0};
+  spec.paths.count = 0;
+  EXPECT_THROW((void)api::run_scenario_sweep(spec), std::invalid_argument);
 }
 
 }  // namespace

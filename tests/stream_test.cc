@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include "adapt/controller.h"
+#include "api/scenario.h"
 #include "channel/gilbert.h"
 #include "fec/ge_decoder.h"
 #include "fec/peeling_decoder.h"
@@ -609,24 +610,21 @@ TEST(StreamReceiver, ReusedAcrossTrialsDecodesAtEachTrialsPayloadSize) {
 // ------------------------------------------------------ delay grid / hook
 
 TEST(StreamDelayGrid, AggregatesAndIsThreadCountIndependent) {
-  StreamGridConfig cfg;
-  cfg.overheads = {0.25};
-  cfg.base.source_count = 300;
-  cfg.base.window = 32;
-  cfg.base.block_k = 40;
-  cfg.variants = {
-      {"sliding", StreamScheme::kSlidingWindow, StreamScheduling::kSequential},
-      {"rse", StreamScheme::kBlockRse, StreamScheduling::kSequential},
-  };
-  const std::vector<ChannelPoint> points = {gilbert_point(0.02, 3.0),
-                                            gilbert_point(0.05, 3.0)};
-  GridRunOptions opt;
-  opt.trials_per_cell = 4;
-  opt.threads = 1;
-  const StreamGridResult r1 = run_stream_delay_grid(points, cfg, opt);
-  opt.threads = 4;
-  const StreamGridResult r2 = run_stream_delay_grid(points, cfg, opt);
-  ASSERT_EQ(r1.stats.size(), points.size() * 2);
+  api::ScenarioSpec spec;
+  spec.engine = "stream";
+  spec.run.sources = 300;
+  spec.run.trials = 4;
+  spec.code.window = 32;
+  spec.code.block_k = 40;
+  spec.sweep.p_globals = {0.02, 0.05};
+  spec.sweep.bursts = {3.0};
+  spec.sweep.overheads = {0.25};
+  spec.run.threads = 1;
+  const StreamGridResult r1 = *api::run_scenario_sweep(spec).stream;
+  spec.run.threads = 4;
+  const StreamGridResult r2 = *api::run_scenario_sweep(spec).stream;
+  const std::size_t variants = StreamGridConfig::default_variants().size();
+  ASSERT_EQ(r1.stats.size(), 2 * variants);
   for (std::size_t i = 0; i < r1.stats.size(); ++i) {
     EXPECT_EQ(r1.stats[i].trials, 4u);
     EXPECT_EQ(r1.stats[i].mean_delay.mean(), r2.stats[i].mean_delay.mean());
