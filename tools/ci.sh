@@ -171,6 +171,17 @@ if ! ./fecsched_cli $q0 | grep -Eq '^sliding-window/sequential +- +- +- +- ' ||
    ! ./fecsched_cli $q0 --json | grep -q '"mean":null'; then
   echo "BUG: $q0 printed delay figures for an empty distribution"; exit 1
 fi
+#    and a multipath path that carried no packet (earliest-arrival sends
+#    nothing on the slow path here) has no queue wait or transit: its row
+#    prints '-' and --json null, never 0;
+mp0="mpath --p=0.1 --q=0 --sources=200 --trials=1 --scheduler=earliest-arrival"
+if ! ./fecsched_cli $mp0 |
+     grep -Eq '^ +path1 +sent +0 +lost +0 +queue +- +transit +-$' ||
+   ! ./fecsched_cli $mp0 --json |
+     grep -q '"sent":0,"lost":0,"mean_queue_wait":null,"mean_transit":null'
+then
+  echo "BUG: $mp0 printed a queue wait or transit for an empty path"; exit 1
+fi
 #    and a loss trace holding a character that is neither a packet fate
 #    nor whitespace makes fit exit 2 naming it, never fit the rest;
 printf '0001100000102\n' > BENCH_bad_trace.txt

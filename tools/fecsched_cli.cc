@@ -949,6 +949,13 @@ std::string delay_columns(const api::DelayOutcome& o) {
   return row;
 }
 
+/// A per-path mean to `decimals` places, or `none` for a path that
+/// carried no packet: it has no queue wait or transit to average.
+std::string path_mean(const PathStats& path, double mean, int decimals,
+                      const char* none) {
+  return path.sent == 0 ? none : format_fixed(mean, decimals);
+}
+
 /// `,"residual":{...}`: the post-FEC loss runs.
 void write_residual(std::ostream& os, const api::DelayOutcome& o) {
   os << ",\"residual\":{\"lost\":" << o.lost << ",\"runs\":"
@@ -1145,13 +1152,13 @@ void write_mpath_json(std::ostream& os, const api::ScenarioResult& result) {
     write_residual(os, o);
     os << ",\"per_path\":[";
     for (std::size_t i = 0; i < o.paths.size(); ++i) {
+      const PathStats& path = o.paths[i];
       if (i) os << ",";
-      os << "{\"label\":\"" << json_escape(o.paths[i].label)
-         << "\",\"sent\":" << o.paths[i].sent << ",\"lost\":"
-         << o.paths[i].lost << ",\"mean_queue_wait\":"
-         << format_fixed(o.paths[i].mean_queue_wait, 4)
+      os << "{\"label\":\"" << json_escape(path.label) << "\",\"sent\":"
+         << path.sent << ",\"lost\":" << path.lost << ",\"mean_queue_wait\":"
+         << path_mean(path, path.mean_queue_wait, 4, "null")
          << ",\"mean_transit\":"
-         << format_fixed(o.paths[i].mean_transit, 4) << "}";
+         << path_mean(path, path.mean_transit, 4, "null") << "}";
     }
     os << "]";
     write_histogram(os, o.delays);
@@ -1211,12 +1218,13 @@ int print_mpath_result(const Args& args, const api::ScenarioResult& result) {
                 100.0 * static_cast<double>(o.lost) /
                     static_cast<double>(o.delivered + o.lost));
     for (const auto& path : o.paths)
-      std::printf("    %-14s sent %8llu  lost %6llu  queue %7.2f  "
-                  "transit %7.2f\n",
+      std::printf("    %-14s sent %8llu  lost %6llu  queue %7s  "
+                  "transit %7s\n",
                   path.label.c_str(),
                   static_cast<unsigned long long>(path.sent),
                   static_cast<unsigned long long>(path.lost),
-                  path.mean_queue_wait, path.mean_transit);
+                  path_mean(path, path.mean_queue_wait, 2, "-").c_str(),
+                  path_mean(path, path.mean_transit, 2, "-").c_str());
   }
   std::printf("\n(delays in sender slots; in-order release; reorder%% = "
               "received packets overtaken by a later emission)\n");
