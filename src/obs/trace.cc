@@ -80,7 +80,7 @@ TraceEvent event_from_json(const Json& j) {
   return ev;
 }
 
-void validate_trace_line(const Json& j) {
+std::optional<TraceEvent> validate_trace_line(const Json& j) {
   const std::string& ev = j.at("ev").as_string("ev");
   if (ev == "manifest") {
     // The manifest's own object, between "ev" and "trace_sample".
@@ -89,15 +89,15 @@ void validate_trace_line(const Json& j) {
     for (const auto& [key, value] : j.as_object("manifest"))
       if (key != "ev" && key != "trace_sample") manifest.set(key, value);
     (void)manifest_from_json(manifest);
-    return;
+    return std::nullopt;
   }
   if (ev == "summary") {
     j.check_keys("summary", {"ev", "counters", "gauges"});
     (void)values_from_json(j.at("counters"), "counters");
     (void)values_from_json(j.at("gauges"), "gauges");
-    return;
+    return std::nullopt;
   }
-  (void)event_from_json(j);
+  return event_from_json(j);
 }
 
 void write_trace_file(const std::string& path, const Json& manifest,
@@ -134,9 +134,10 @@ TraceFile read_trace_file(const std::string& path) {
     ++line_no;
     if (line.empty()) continue;
     Json j;
+    std::optional<TraceEvent> event;
     try {
       j = Json::parse(line);
-      validate_trace_line(j);
+      event = validate_trace_line(j);
     } catch (const std::invalid_argument& e) {
       throw std::invalid_argument(path + ":" + std::to_string(line_no) + ": " + e.what());
     }
@@ -158,7 +159,7 @@ TraceFile read_trace_file(const std::string& path) {
       if (have_summary)
         throw std::invalid_argument(path + ":" + std::to_string(line_no) +
                                     ": event after summary line");
-      file.events.push_back(event_from_json(j));
+      file.events.push_back(*event);
     }
   }
   if (line_no == 0) throw std::invalid_argument(path + ": empty trace file");

@@ -24,6 +24,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -68,8 +69,9 @@ struct TraceEvent {
 [[nodiscard]] TraceEvent event_from_json(const api::Json& j);
 
 /// Validate any trace line (manifest, event, or summary) against the file
-/// schema.  Throws std::invalid_argument naming the offending key.
-void validate_trace_line(const api::Json& j);
+/// schema; an event line's parsed event is returned, so a reader parses
+/// it once.  Throws std::invalid_argument naming the offending key.
+std::optional<TraceEvent> validate_trace_line(const api::Json& j);
 
 /// Write a complete trace file: manifest line, one line per event, then
 /// the engine-side summary line built from `metrics`.  Throws
