@@ -86,9 +86,6 @@ void StreamCode::build(const StreamTrialConfig& cfg, std::uint64_t seed) {
   params.k = S;
   params.n = std::max(S + 1, static_cast<std::uint32_t>(std::llround(
                                  static_cast<double>(S) * ratio)));
-  params.variant = cfg.ldgm_variant;
-  params.left_degree = cfg.left_degree;
-  params.triangle_extra_per_row = cfg.triangle_extra_per_row;
   params.seed = derive_seed(seed, {3});
   coding_seed_ = params.seed;
   ldgm_ = std::make_shared<const LdgmCode>(params);

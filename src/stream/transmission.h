@@ -14,8 +14,9 @@
 //  * kBlockRse     — blocked Reed-Solomon (fec/block_partition geometry,
 //    MDS completion rule as in sim/tracker): a block's missing sources
 //    are recovered when k_b distinct packets of the block arrived.
-//  * kLdgm         — one large-block LDGM code over the whole stream with
-//    the iterative peeling decoder (fec/peeling_decoder).
+//  * kLdgm         — one large-block LDGM code over the whole stream
+//    (LdgmParams' defaults: Staircase, left degree 3) with the iterative
+//    peeling decoder (fec/peeling_decoder).
 //
 // Block schemes take a scheduling axis (the paper's Sec. 4 knob, via
 // sched/): per-block sequential, interleaved (Tx_model_5 order), or a
@@ -111,9 +112,6 @@ struct StreamTrialConfig {
   std::uint32_t block_k = 64;  ///< target sources per RSE block
   std::uint32_t max_cycles = 4;  ///< kCarousel repetitions
   SlidingCoefficients coefficients = SlidingCoefficients::kRandomGf256;
-  LdgmVariant ldgm_variant = LdgmVariant::kStaircase;
-  std::uint32_t left_degree = 3;
-  std::uint32_t triangle_extra_per_row = 1;
 
   /// Throws std::invalid_argument on inconsistent parameters.
   void validate() const;
