@@ -66,11 +66,6 @@ AdaptiveController::AdaptiveController(ControllerConfig config)
   planning_experiments_.resize(config_.candidates.size());
 }
 
-AdaptiveController::~AdaptiveController() = default;
-AdaptiveController::AdaptiveController(AdaptiveController&&) noexcept = default;
-AdaptiveController& AdaptiveController::operator=(AdaptiveController&&) noexcept =
-    default;
-
 CandidateTuple AdaptiveController::recommended_tuple(
     ChannelRegime regime) noexcept {
   switch (regime) {

@@ -125,9 +125,6 @@ struct ControllerConfig {
 class AdaptiveController {
  public:
   explicit AdaptiveController(ControllerConfig config = {});
-  ~AdaptiveController();
-  AdaptiveController(AdaptiveController&&) noexcept;
-  AdaptiveController& operator=(AdaptiveController&&) noexcept;
 
   /// Decide the configuration for the next object of k source packets.
   [[nodiscard]] Decision decide(const ChannelEstimate& estimate,
