@@ -57,6 +57,8 @@ constexpr double kProfileBudgetX = 1.5;
 constexpr std::uint64_t kTagChannel = 2;
 
 using Clock = std::chrono::steady_clock;
+// Every timing sample replays the workload for at least this long.
+constexpr std::chrono::milliseconds kSampleSpan{25};
 
 struct Workload {
   std::vector<std::vector<PacketId>> schedules;  // one per trial
@@ -91,17 +93,23 @@ std::vector<TrialResult> replay(const Workload& w, Mode mode) {
   return results;
 }
 
-/// One time-batched sample: >= `reps` replays, returns ns per trial.
-double sample(const Workload& w, Mode mode, std::uint32_t reps) {
+/// One time-batched sample: replays until kSampleSpan has passed, so it
+/// spans at least that long however fast the host runs right now.
+/// Returns ns per trial and appends the replay count to `reps`.
+double sample(const Workload& w, Mode mode, std::vector<std::uint32_t>& reps) {
   const Clock::time_point t0 = Clock::now();
-  for (std::uint32_t r = 0; r < reps; ++r) {
+  std::uint32_t n = 0;
+  Clock::duration span{};
+  do {
     const std::vector<TrialResult> results = replay(w, mode);
     if (results.empty()) std::abort();  // keep the optimizer honest
-  }
+    ++n;
+    span = Clock::now() - t0;
+  } while (span < kSampleSpan);
+  reps.push_back(n);
   const double ns = static_cast<double>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() - t0)
-          .count());
-  return ns / (static_cast<double>(reps) *
+      std::chrono::duration_cast<std::chrono::nanoseconds>(span).count());
+  return ns / (static_cast<double>(n) *
                static_cast<double>(w.schedules.size()));
 }
 
@@ -175,12 +183,7 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  // Calibrate the batch size so one sample spans >= 25 ms.
-  const double probe_ns = sample(w, Mode::kBaseline, 1) *
-                          static_cast<double>(w.schedules.size());
-  const auto reps = static_cast<std::uint32_t>(
-      std::max(1.0, 25e6 / std::max(probe_ns, 1.0)));
-
+  std::vector<std::uint32_t> reps;  // replays per sample
   constexpr int kSamples = 9;
   // The 2% dormant gate reads a difference well inside one sample's
   // noise, so it takes nine pairs per round where the other rows take
@@ -240,7 +243,9 @@ int main(int argc, char** argv) {
   const double ctr_overhead = (ctr - base) / base;
 
   std::cout << "obs overhead @ (p=" << kP << ", q=" << kQ << "), k=" << cfg.k
-            << ", " << scale.trials << " trials/batch, " << reps
+            << ", " << scale.trials << " trials/batch, "
+            << *std::min_element(reps.begin(), reps.end()) << "-"
+            << *std::max_element(reps.begin(), reps.end())
             << " reps/sample, " << kSamples << " samples, "
             << kSamples * kPairsPerRound << " baseline/disabled pairs\n";
   std::cout << "  baseline (pre-obs loop):   " << base << " ns/trial\n";
