@@ -11,16 +11,14 @@
 // code where they can: the adaptive engine is run_adaptive_compare over
 // sweep_channel_points, the grid engine is run_grid, with or without
 // checkpoint shards, and the stream point engine and the stream sweep
-// build their trial configs with one helper (stream_configs), as the
-// mpath ones do (mpath_configs).  Oracle tests and pinned hashes in
-// tests/api_test.cc and the pinned-output gate in tools/ci.sh hold this
-// line.
+// build their trial configs with one helper (stream_configs).  Oracle
+// tests and pinned hashes in tests/api_test.cc and the pinned-output gate
+// in tools/ci.sh hold this line.
 
 #include "api/scenario.h"
 
 #include <algorithm>
 #include <chrono>
-#include <span>
 #include <stdexcept>
 #include <thread>
 
@@ -270,12 +268,11 @@ ScenarioResult run_stream_engine(const ScenarioSpec& spec,
 /// The stream axis sweep: each (point, trial) of sweep_points runs every
 /// (variant, overhead) in that order under derive_seed(seed, {v, o}) and
 /// folds it into the cell's StreamPointStats.
-StreamGridResult run_stream_axis_sweep(const ScenarioSpec& spec,
-                                       std::span<const ChannelPoint> points,
-                                       const std::vector<double>& overheads,
-                                       const RunControl& control) {
+StreamGridResult run_stream_axis_sweep(
+    const ScenarioSpec& spec, const std::vector<ChannelPoint>& points,
+    const std::vector<double>& overheads, const RunControl& control) {
   StreamGridResult grid;
-  grid.points.assign(points.begin(), points.end());
+  grid.points = points;
   grid.variants = stream_variants(spec);
   grid.overheads = overheads;
   grid.source_count = spec.run.sources;
@@ -404,24 +401,6 @@ std::vector<MpathVariant> mpath_variants(const ScenarioSpec& spec) {
   return {{std::string(to_string(mode)), mode}};
 }
 
-/// One trial config per (scheduler, overhead), flattened
-/// [variant][overhead]: `base` with the variant's scheduler and the
-/// overhead, each validated before any trial runs.
-std::vector<MpathTrialConfig> mpath_configs(
-    const MpathTrialConfig& base, const std::vector<MpathVariant>& variants,
-    const std::vector<double>& overheads) {
-  std::vector<MpathTrialConfig> configs;
-  for (const MpathVariant& v : variants) {
-    for (double overhead : overheads) {
-      MpathTrialConfig& cfg = configs.emplace_back(base);
-      cfg.scheduler = v.scheduler;
-      cfg.stream.overhead = overhead;
-      cfg.validate();
-    }
-  }
-  return configs;
-}
-
 ScenarioResult run_mpath_engine(const ScenarioSpec& spec,
                                 const RunControl& control) {
   check_single_point_spec(spec);
@@ -430,8 +409,11 @@ ScenarioResult run_mpath_engine(const ScenarioSpec& spec,
   if (base.paths.empty())
     throw std::invalid_argument("mpath scenario needs at least one path");
   const std::vector<MpathVariant> variants = mpath_variants(spec);
-  std::vector<MpathTrialConfig> configs =
-      mpath_configs(base, variants, {base.stream.overhead});
+  for (const MpathVariant& v : variants) {
+    MpathTrialConfig cfg = base;
+    cfg.scheduler = v.scheduler;
+    cfg.validate();
+  }
 
   // Warm-up probes count as trials too.
   const std::uint64_t measured =
@@ -460,9 +442,11 @@ ScenarioResult run_mpath_engine(const ScenarioSpec& spec,
       o->instant("adapt.apply");
     result.mpath_estimates = adapter.estimates();
     result.mpath_warmup = spec.adapt.warmup;
-    configs = mpath_configs(base, variants, {base.stream.overhead});
   }
 
+  std::vector<MpathTrialConfig> configs;
+  for (const MpathVariant& v : variants)
+    configs.emplace_back(base).scheduler = v.scheduler;
   result.mpath = run_variants<MpathOutcome>(
       variants, spec.run.trials, control, [&](std::size_t v, std::uint32_t t) {
         return run_mpath_trial(configs[v], derive_seed(spec.run.seed, {v, t}),
@@ -494,10 +478,9 @@ std::vector<PathSpec> sweep_paths(const PathsSpec& paths, double p, double q,
 /// (spread, scheduler, overhead) in that order under
 /// derive_seed(seed, {d, v, o}) and folds it into the cell's
 /// MpathPointStats.
-MpathSweepResult run_mpath_axis_sweep(const ScenarioSpec& spec,
-                                      std::span<const ChannelPoint> points,
-                                      const std::vector<double>& overheads,
-                                      const RunControl& control) {
+MpathSweepResult run_mpath_axis_sweep(
+    const ScenarioSpec& spec, const std::vector<ChannelPoint>& points,
+    const std::vector<double>& overheads, const RunControl& control) {
   // The sweep generates its path topology (count/base_delay + the
   // delay_spread axis) and has no warm-up phase; honouring only part of
   // an explicit-paths or adapt-enabled spec would silently change its
@@ -513,22 +496,27 @@ MpathSweepResult run_mpath_axis_sweep(const ScenarioSpec& spec,
         "paths.count/base_delay/capacity and the delay_spread axis — "
         "explicit paths.list entries would be ignored");
   MpathSweepResult sweep;
-  sweep.points.assign(points.begin(), points.end());
+  sweep.points = points;
   sweep.delay_spreads = spec.sweep.delay_spreads.empty()
                             ? std::vector<double>{40.0}
                             : spec.sweep.delay_spreads;
   sweep.variants = mpath_variants(spec);
   sweep.overheads = overheads;
   sweep.source_count = spec.run.sources;
-  // Flattened [spread][scheduler][overhead], validated on lossless paths;
-  // each trial swaps in its point's channel.
+  // Flattened [spread][scheduler][overhead] and validated on lossless
+  // paths before any worker runs; each trial swaps in its point's channel.
   std::vector<MpathTrialConfig> configs;
-  MpathTrialConfig base;
-  base.stream = to_stream_config(spec);
   for (double spread : sweep.delay_spreads) {
-    base.paths = sweep_paths(spec.paths, 0.0, 1.0, spread);
-    for (MpathTrialConfig& cfg : mpath_configs(base, sweep.variants, overheads))
-      configs.push_back(std::move(cfg));
+    for (const MpathVariant& v : sweep.variants) {
+      for (double overhead : overheads) {
+        MpathTrialConfig& cfg = configs.emplace_back();
+        cfg.stream = to_stream_config(spec);
+        cfg.stream.overhead = overhead;
+        cfg.paths = sweep_paths(spec.paths, 0.0, 1.0, spread);
+        cfg.scheduler = v.scheduler;
+        cfg.validate();
+      }
+    }
   }
   sweep.stats.resize(points.size() * configs.size());
 
