@@ -3,17 +3,15 @@
 // engines, and every streaming engine's driver: the stream, net and mpath
 // single points and the stream and mpath axis sweeps.
 //
-// Bit-identity is the design constraint: each engine loop below consumes
-// the exact Rng streams and seed derivations the legacy surface it
-// replaced used (fecsched_cli subcommand loops, the former sim/ stream and
-// mpath sweep drivers, Experiment::run), so a spec that mirrors a legacy call
-// reproduces its result exactly.  Both entry points run the same engine
-// code where they can: the adaptive engine is run_adaptive_compare over
-// sweep_channel_points, the grid engine is run_grid, with or without
+// Bit-identity is the design constraint: each engine loop below keeps
+// its Rng streams, seed derivations and accumulation order fixed (the
+// axis sweeps: (seed, {c, t}) from sweep_points, then {v, o} for stream
+// and {d, v, o} for mpath), so the outputs pinned in tools/pinned/ and
+// tests/api_test.cc stay byte-identical.  Both entry points run the same
+// engine code where they can: the adaptive engine is run_adaptive_compare
+// over sweep_channel_points, the grid engine is run_grid, with or without
 // checkpoint shards, and the stream point engine and the stream sweep
-// build their trial configs with one helper (stream_configs).  Oracle
-// tests and pinned hashes in tests/api_test.cc and the pinned-output gate
-// in tools/ci.sh hold this line.
+// build their trial configs with one helper (stream_configs).
 
 #include "api/scenario.h"
 
